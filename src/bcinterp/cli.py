@@ -361,7 +361,11 @@ def cmd_verify(args) -> int:
 
 
 def _region_window(args):
-    """Window half-width rho1 + 1 and the membership callback for a kind."""
+    """Window half-width rho1 + 1 and the membership callback for a kind.
+
+    The raster is two-dimensional, so every kind that takes a group needs a
+    rank-2 one.
+    """
     kind = args.kind
     if kind == "W":
         if args.m is None:
@@ -379,7 +383,7 @@ def _region_window(args):
     g = _parse_group(args.group, args.p)
     prm = group_params(g)
     rho1 = prm.rho[0]
-    if kind in ("rank2-B", "U0") and g.n != 2:
+    if g.n != 2:
         raise DomainError(f"kind {kind} needs a rank-2 group, got n = {g.n}")
     if kind == "U0" and g.p != 0:
         raise DomainError("kind U0 is defined for p = 0")

@@ -19,7 +19,13 @@ __all__ = [
     "log_gamma",
     "is_exact",
     "as_exact",
+    "SIGN_DEADBAND",
 ]
+
+# Relative sign deadband for decisions taken at float points: a float value
+# v with scale s counts as negative only when v < -SIGN_DEADBAND * (1 + s).
+# Exact points never use it.
+SIGN_DEADBAND = 1e-9
 
 
 class DomainError(ValueError):

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import DomainError, PoleError, is_exact, log_gamma
+from .exactnum import SIGN_DEADBAND, DomainError, PoleError, is_exact, log_gamma
 
 __all__ = [
     "LimitProfile",
@@ -32,7 +32,6 @@ __all__ = [
     "contour_to_csv",
 ]
 
-SIGN_DEADBAND = 1e-9
 # below this gap the divided difference switches to the derivative
 _DIAG_SWITCH = 1e-8
 
@@ -168,7 +167,7 @@ def S_div(x, y, m: int) -> float:
 
 def in_W(pt, m: int) -> bool:
     """Membership in W: the square [alpha, alpha+1]^2 cap {x1 >= x2} with
-    the shifted divided difference nonnegative (deadband 1e-9)."""
+    the shifted divided difference nonnegative (deadband SIGN_DEADBAND)."""
     alpha = Fraction(m + 1, 2)
     x1, x2 = pt
     if not (x2 >= alpha and x1 >= x2 and x1 <= alpha + 1):

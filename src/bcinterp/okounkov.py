@@ -154,6 +154,64 @@ def _compiled_terms(lam: tuple[int, ...], p: Params):
     return tuple(terms)
 
 
+@lru_cache(maxsize=None)
+def _column_terms(j: int, p: Params):
+    """The column subset sum in the shape of _compiled_terms: psi = 1 and,
+    for the k-th member i of a j-subset, the factor x_i^2 - rho_{i+j-k}^2."""
+    rsq = [r * r for r in p.rho]
+    return tuple(
+        (1, tuple((i - 1, rsq[i + j - k - 1]) for k, i in enumerate(subset, start=1)))
+        for subset in itertools.combinations(range(1, p.n + 1), j)
+    )
+
+
+def _term_sum(terms, sq):
+    """sum_T psi_T prod (sq[idx] - c^2) over compiled terms: exact when sq
+    is exact, plain float arithmetic otherwise."""
+    total = 0
+    for psi, facs in terms:
+        prod = psi
+        for idx, csq in facs:
+            prod = prod * (sq[idx] - csq)
+        total = total + prod
+    if isinstance(total, int):
+        total = Fraction(total)
+    return total
+
+
+def _float_companion(terms):
+    """The compiled terms with psi and every c^2 rounded to float.
+
+    Raises OverflowError when a constant lies beyond float range.
+    """
+    return tuple((float(psi), tuple((idx, float(csq)) for idx, csq in facs)) for psi, facs in terms)
+
+
+def _float_sum(fterms, sq):
+    """Float tableau sum over a float companion at float squares sq.
+
+    Returns (S, A, M): the sum S = sum_T psi_T prod (sq - c^2), the absolute
+    sum A = sum_T |psi_T prod (sq - c^2)| of the computed terms, and the
+    magnitude M = sum_T |psi_T| prod (sq + c^2). A is the scale of the
+    float-point deadband; M bounds the roundoff of S at a rounded exact
+    point (see shimura._certified_negative).
+    """
+    total = 0.0
+    absum = 0.0
+    mag = 0.0
+    for psi, facs in fterms:
+        prod = psi
+        m = abs(psi)
+        for idx, csq in facs:
+            y = sq[idx]
+            prod *= y - csq
+            m *= y + csq
+        total += prod
+        absum += abs(prod)
+        mag += m
+    return total, absum, mag
+
+
 def okounkov_eval(lam, pt, p: Params):
     """Evaluate P_lam at pt by the reverse-tableau sum.
 
@@ -164,16 +222,7 @@ def okounkov_eval(lam, pt, p: Params):
         raise DomainError(f"partition {list(lam)} has more than n={p.n} parts")
     if len(pt) != p.n:
         raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-    sq = [x * x for x in pt]
-    total = 0
-    for psi, facs in _compiled_terms(lam, p):
-        prod = psi
-        for idx, csq in facs:
-            prod = prod * (sq[idx] - csq)
-        total = total + prod
-    if isinstance(total, int):
-        total = Fraction(total)
-    return total
+    return _term_sum(_compiled_terms(lam, p), [x * x for x in pt])
 
 
 def okounkov_eval_scaled(lam, pt, p: Params):
@@ -274,17 +323,7 @@ def column_poly(j: int, pt, p: Params):
         raise DomainError(f"column height {j} outside 1..{p.n}")
     if len(pt) != p.n:
         raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-    sq = [x * x for x in pt]
-    rsq = [r * r for r in p.rho]
-    total = 0
-    for subset in itertools.combinations(range(1, p.n + 1), j):
-        prod = 1
-        for k, i in enumerate(subset, start=1):
-            prod = prod * (sq[i - 1] - rsq[i + j - k - 1])
-        total = total + prod
-    if isinstance(total, int):
-        total = Fraction(total)
-    return total
+    return _term_sum(_column_terms(j, p), [x * x for x in pt])
 
 
 def _poly_mul_trunc(a, b, deg):

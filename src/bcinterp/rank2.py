@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import DomainError, PoleError, as_exact, is_exact, log_gamma, poch_pm
+from .exactnum import SIGN_DEADBAND, DomainError, PoleError, as_exact, is_exact, log_gamma, poch_pm
 
 __all__ = [
     "HypSeriesSpec",
@@ -312,10 +312,10 @@ def in_B(pt, d: int, rho) -> bool:
     values nonnegative, then the boundary series nonnegative.
 
     Exact points get exact sign tests on the two polynomials; floats get the
-    module deadband. The series test always runs in floats with deadband
-    1e-9. Points that pass both polynomial gates satisfy x1 <= rho1, with
-    equality only at rho itself, which is a member; the 1e-6 whisker below
-    keeps the series away from its parameter pole there.
+    module deadband. The series test always runs in floats with the same
+    deadband, SIGN_DEADBAND. Points that pass both polynomial gates satisfy
+    x1 <= rho1, with equality only at rho itself, which is a member; the
+    1e-6 whisker below keeps the series away from its parameter pole there.
     """
     x1, x2 = pt
     r1 = as_exact(rho[0])
@@ -329,9 +329,9 @@ def in_B(pt, d: int, rho) -> bool:
         scale10 = float(r1 * r1 + r2 * r2) + x1 * x1 + x2 * x2
         fac1 = float(r2 * r2) + x1 * x1
         fac2 = float(r2 * r2) + x2 * x2
-        if q10 < -1e-9 * (1.0 + scale10) or q11 < -1e-9 * (1.0 + fac1 * fac2):
+        if q10 < -SIGN_DEADBAND * (1.0 + scale10) or q11 < -SIGN_DEADBAND * (1.0 + fac1 * fac2):
             return False
     if float(r1) - float(x1) < 1e-6:
         return True
     value = R_series((float(x1), float(x2)), d, (float(r1), float(r2)), rel_tol=_IN_B_SERIES_TOL)
-    return value >= -1e-9
+    return value >= -SIGN_DEADBAND

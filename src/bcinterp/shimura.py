@@ -9,12 +9,23 @@ nonnegative on the sets they cut out.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .exactnum import DomainError, is_exact
-from .okounkov import Params, k_constant, okounkov_eval, okounkov_eval_scaled
+from .exactnum import SIGN_DEADBAND, DomainError, is_exact
+from .okounkov import (
+    Params,
+    _column_terms,
+    _compiled_terms,
+    _float_companion,
+    _float_sum,
+    column_poly,
+    k_constant,
+    okounkov_eval,
+    okounkov_eval_scaled,
+)
 from .partitions import enumerate_Lambda, format_partition, normalize, weight
 
 __all__ = [
@@ -32,8 +43,11 @@ __all__ = [
     "SIGN_DEADBAND",
 ]
 
-# Relative sign deadband for float points; exact points never use it.
-SIGN_DEADBAND = 1e-9
+# Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
+# The float filter is trusted only where every partial product of M stays at
+# or above this, 22 binades inside the normal range (see _filter_table).
+_FILTER_TINY = 2.0**-1000
 
 
 @dataclass(frozen=True)
@@ -112,45 +126,150 @@ def phi_j(j: int, pt, p: Params):
 
     Equals q_poly(1^j, ...) identically.
     """
-    value, _ = _phi_j_scaled(j, pt, p)
-    return value
+    value = column_poly(j, pt, p)
+    # 0 - value, not -value: a float zero stays +0.0
+    return 0 - value if j % 2 else value
 
 
-def _phi_j_scaled(j: int, pt, p: Params):
-    if not 1 <= j <= p.n:
-        raise DomainError(f"column height {j} outside 1..{p.n}")
+def _filter_table(terms):
+    """The float filter's data for compiled terms (K cells, T terms):
+    (float companion, gamma, floor), or None when a constant lies beyond
+    float range.
+
+    gamma = (16 (K + T) + 16) u is the relative error bound derived in
+    _certified_negative. floor is the smallest float square a nonzero
+    coordinate may have for the filter to be trusted: with every nonzero
+    |psi| >= psi_lo, every nonzero c^2 >= floor and every nonzero coordinate
+    square >= floor, each factor |sq| + c^2 of M that is not an exact zero
+    is >= floor, so every partial product of M is >= psi_lo floor^K
+    = _FILTER_TINY. floor is never below _FILTER_TINY, so the rounded
+    coordinates, squares and constants are normal floats. floor is inf when
+    no coordinate can satisfy this.
+    """
+    try:
+        fterms = _float_companion(terms)
+    except OverflowError:
+        return None
+    cells = len(terms[0][1])
+    gamma = (16 * (cells + len(terms)) + 16) * _UNIT_ROUNDOFF
+    pairs = list(zip(terms, fterms))
+    psi_lo = min((abs(fpsi) for (psi, _), (fpsi, _) in pairs if psi), default=1.0)
+    c_lo = min(
+        (fc for (_, facs), (_, ffacs) in pairs for (_, c), (_, fc) in zip(facs, ffacs) if c),
+        default=1.0,
+    )
+    floor = math.inf
+    if psi_lo >= _FILTER_TINY:
+        floor = max((_FILTER_TINY / psi_lo) ** (1.0 / cells), _FILTER_TINY)
+        if c_lo < floor:
+            floor = math.inf
+    return fterms, gamma, floor
+
+
+@lru_cache(maxsize=None)
+def _filter_tables(p: Params) -> dict:
+    """Filter tables of p, built on first use and keyed by the partition
+    lam (q_lam) or by the column height j (phi_j)."""
+    return {}
+
+
+@lru_cache(maxsize=None)
+def _signed_Lambda(n: int, max_weight: int):
+    """(lam, sign of q_lam) for the nonempty lam of Lambda^max_weight, in
+    enumeration order."""
+    return tuple((lam, -1 if weight(lam) % 2 else 1) for lam in enumerate_Lambda(n, max_weight) if lam)
+
+
+def _float_view(pt):
+    """The float squares the decisions at pt work from: (exact, sq, ylo).
+
+    A point whose coordinates are all exact gets the squares of the
+    correctly rounded coordinates and ylo, the smallest of them over the
+    nonzero coordinates (1.0 when there is none); sq is None when a
+    coordinate lies beyond float range. Any other point is a float point,
+    with sq = [x * x] and ylo None.
+    """
+    if not all(is_exact(x) for x in pt):
+        xs = [float(x) for x in pt]
+        return False, [x * x for x in xs], None
+    try:
+        xs = [float(x) for x in pt]
+    except OverflowError:
+        return True, None, None
+    sq = [x * x for x in xs]
+    return True, sq, min((y for x, y in zip(pt, sq) if x), default=1.0)
+
+
+def _certified_negative(table, sign, view, exact_value) -> bool:
+    """Whether sign * E < 0, where E = sum_T psi_T prod (x_i^2 - c^2) is the
+    tableau sum described by table at the point described by view.
+
+    Float points take the float sum S and its absolute sum A from the float
+    table and keep the deadband rule sign * S < -SIGN_DEADBAND (1 + A). The
+    values are bit-identical to the Fraction-with-float arithmetic of
+    okounkov_eval and column_poly, which rounds psi and c^2 to float before
+    using them.
+
+    Exact points are decided by a filter (Shewchuk, "Adaptive Precision
+    Floating-Point Arithmetic and Fast Robust Geometric Predicates", 1997):
+    with S and M = sum_T |psi_T| prod (x^2 + c^2) computed in floats,
+    |S - E| <= gamma M = thr, so S > thr or S < -thr gives the sign of E.
+    Otherwise, or when M is not finite, a coordinate is beyond float range,
+    or the floor guard fails, exact_value() (the exact Fraction value of
+    sign * E) decides.
+
+    The bound. u = 2^-53 and g_k = k u / (1 - k u); K cells, T terms. The
+    floor guard (see _filter_table) keeps every rounded input normal and
+    every partial product of M at or above 2^-1000; a finite M means that no
+    operation overflowed, since |S|-side values never exceed their M-side
+    counterparts after rounding.
+      inputs: fl(x) = x(1+d), y = fl(fl(x)^2) = x^2 (1+t), |t| <= g_3;
+        fl(c^2) = c^2 (1+d), fl(psi) = psi (1+d); |d| <= u.
+      factors: fl(y - fl(c^2)) = (x^2 - c^2) + e with
+        |e| <= g_3 x^2 + u c^2 + u (1+g_3)(x^2 + c^2) <= g_4 (x^2 + c^2);
+        a subtraction never adds underflow error.
+      products: K multiplications after psi, so a term is off by at most
+        g_(5K+1) |psi| prod (x^2 + c^2). A product that underflows adds at
+        most 2^-1075, which the remaining factors (each <= its M factor)
+        carry to at most 2^-1075 M_T / 2^-1000 < u M_T, where M_T is the
+        term's share of M: K more g_1 M_T.
+      sum: T - 1 additions add g_(T-1) sum |term|.
+      M: computed with the same rounded inputs, so the exact magnitude is
+        <= (1 + g_(5K+T)) M.
+    Together |S - E| <= (6K + T + 2) u (1 + O((K + T) u)) M, and
+    gamma = (16 (K + T) + 16) u is more than twice that, which also covers
+    the rounding of gamma * M itself.
+    """
+    exact, sq, ylo = view
+    if table is not None:
+        fterms, gamma, floor = table
+        if not exact:
+            total, absum, _ = _float_sum(fterms, sq)
+            return sign * total < -SIGN_DEADBAND * (1.0 + absum)
+        if sq is not None and ylo >= floor:
+            total, _, mag = _float_sum(fterms, sq)
+            thr = gamma * mag
+            if total > thr:
+                return sign < 0
+            if total < -thr:
+                return sign > 0
+    return exact_value() < 0
+
+
+def _check_length(pt, p: Params) -> None:
     if len(pt) != p.n:
         raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-    sq = [x * x for x in pt]
-    rsq = [r * r for r in p.rho]
-    total = 0
-    scale = 0.0
-    for subset in itertools.combinations(range(1, p.n + 1), j):
-        prod = 1
-        mag = 1.0
-        for k, i in enumerate(subset, start=1):
-            fac = rsq[i + j - k - 1] - sq[i - 1]
-            prod = prod * fac
-            mag = mag * abs(float(fac))
-        total = total + prod
-        scale += mag
-    if isinstance(total, int):
-        total = Fraction(total)
-    return total, scale
-
-
-def _is_negative(value, scale) -> bool:
-    """Sign test with the float deadband; exact values compare exactly."""
-    if is_exact(value):
-        return value < 0
-    return value < -SIGN_DEADBAND * (1.0 + scale)
 
 
 def in_G(pt, p: Params) -> Verdict:
     """Column-positivity membership: all phi_j >= 0, witness first failure."""
+    _check_length(pt, p)
+    view = _float_view(pt)
+    tables = _filter_tables(p)
     for j in range(1, p.n + 1):
-        value, scale = _phi_j_scaled(j, pt, p)
-        if _is_negative(value, scale):
+        if j not in tables:
+            tables[j] = _filter_table(_column_terms(j, p))
+        if _certified_negative(tables[j], (-1) ** j, view, lambda: phi_j(j, pt, p)):
             return Verdict(False, j, p.n)
     return Verdict(True, None, p.n)
 
@@ -162,11 +281,13 @@ def in_A_certified(pt, p: Params, max_weight: int) -> Verdict:
     """
     if max_weight < 1:
         raise DomainError(f"need max_weight >= 1, got {max_weight}")
-    for lam in enumerate_Lambda(p.n, max_weight):
-        if not lam:
-            continue
-        value, scale = q_poly_scaled(lam, pt, p)
-        if _is_negative(value, scale):
+    _check_length(pt, p)
+    view = _float_view(pt)
+    tables = _filter_tables(p)
+    for lam, sign in _signed_Lambda(p.n, max_weight):
+        if lam not in tables:
+            tables[lam] = _filter_table(_compiled_terms(lam, p))
+        if _certified_negative(tables[lam], sign, view, lambda: sign * okounkov_eval(lam, pt, p)):
             return Verdict(False, lam, max_weight)
     return Verdict(True, None, max_weight)
 
@@ -189,6 +310,9 @@ def in_U0_knapp_speh(pt, b: int) -> bool:
     The base triangle x1+x2 <= 1 is intersected with the box as well; for
     b = 0 the printed region otherwise sticks out of the column-positive
     set it must embed into (see the decision log).
+
+    A segment x1 - x2 = j is tested exactly at exact points and with the
+    SIGN_DEADBAND whisker at float points.
     """
     if b < 0:
         raise DomainError(f"need b >= 0, got {b}")
@@ -200,9 +324,10 @@ def in_U0_knapp_speh(pt, b: int) -> bool:
     if x1 + x2 <= 1:
         return True
     k = (b - 1) // 2 if b >= 3 else 0
+    exact = is_exact(x1) and is_exact(x2)
     for j in range(1, k + 1):
         if x1 - x2 >= j and x1 + x2 <= j + 1:
             return True
-        if abs(x1 - x2 - j) <= 1e-9:
+        if x1 - x2 == j if exact else abs(x1 - x2 - j) <= SIGN_DEADBAND:
             return True
     return False

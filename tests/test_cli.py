@@ -207,6 +207,17 @@ def test_region_usage_errors(capsys):
     assert run(capsys, "region", "--kind", "A", "--group", "2,2,0", "--max-weight", "0")[0] == 2
 
 
+def test_region_group_kinds_need_rank_2(capsys):
+    # the raster is two-dimensional: a rank-3 group used to give a silent
+    # rank-2 square raster, and exit 3 for G and A
+    for kind in ("G", "A", "square", "rank2-B", "U0"):
+        for group in ("3,2,1", "1,2,1"):
+            code, out, err = run(capsys, "region", "--kind", kind, "--group", group, "--grid", "4")
+            assert code == 2, (kind, group)
+            assert out == ""
+            assert f"kind {kind} needs a rank-2 group" in err
+
+
 def test_region_out_file(tmp_path, capsys):
     target = tmp_path / "sq.csv"
     code, out, _ = run(capsys, "region", "--kind", "square", "--group", "2,2,0", "--grid", "5", "--out", str(target))

@@ -196,6 +196,15 @@ def test_in_U0_shifted_triangles_and_segments():
         in_U0_knapp_speh((Fraction(0), Fraction(0)), -1)
 
 
+def test_in_U0_segment_is_exact_at_exact_points():
+    # b=3: the j=1 segment x1 - x2 = 1 runs past the j=1 triangle
+    assert in_U0_knapp_speh((Fraction(7, 4), Fraction(3, 4)), 3)
+    off = (Fraction(7, 4) + Fraction(1, 10**12), Fraction(3, 4))
+    assert not in_U0_knapp_speh(off, 3)
+    # float points keep the deadband whisker
+    assert in_U0_knapp_speh((float(off[0]), float(off[1])), 3)
+
+
 def test_u0_inside_certified_set():
     # spot check the embedding on the b=3 family
     g = GroupData(2, 2, 3)
