@@ -2,6 +2,11 @@
 closed forms for special shapes, the vanishing characterization, and exact
 interpolation back from values on the shifted lattice.
 
+The compiled reverse-tableau terms of P_lam are the one engine: okounkov_eval
+sums them at a point, and okounkov_expand multiplies them out into monomials.
+interpolate_from_values runs the triangular back-substitution in the P basis
+and expands the resulting combination of P_mu the same way.
+
 Everything downstream (eigenvalues, region tests) funnels through
 okounkov_eval, so this module carries the cross-formula oracles: the tau=1
 determinant, the column/rectangle closed forms, and the two k-constant
@@ -18,10 +23,12 @@ from functools import lru_cache
 
 from .exactnum import DomainError, as_exact, gen_pochhammer, is_exact, poch_rising
 from .partitions import (
+    arm,
     cells,
     contains,
     enumerate_Lambda,
     format_partition,
+    leg,
     normalize,
     psi_tableau,
     reverse_tableaux,
@@ -32,7 +39,6 @@ __all__ = [
     "Params",
     "SymEvenPoly",
     "okounkov_eval",
-    "okounkov_eval_scaled",
     "okounkov_expand",
     "rank1_poly",
     "det_formula_tau1",
@@ -225,34 +231,6 @@ def okounkov_eval(lam, pt, p: Params):
     return _term_sum(_compiled_terms(lam, p), [x * x for x in pt])
 
 
-def okounkov_eval_scaled(lam, pt, p: Params):
-    """okounkov_eval together with the conditioning scale sum_T |psi_T prod ...|.
-
-    The scale is what a sign deadband for float points must be measured
-    against: it bounds the roundoff the signed sum can accumulate.
-    """
-    lam = normalize(lam)
-    if len(lam) > p.n:
-        raise DomainError(f"partition {list(lam)} has more than n={p.n} parts")
-    if len(pt) != p.n:
-        raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-    sq = [x * x for x in pt]
-    total = 0
-    scale = 0.0
-    for psi, facs in _compiled_terms(lam, p):
-        prod = psi
-        mag = abs(float(psi))
-        for idx, csq in facs:
-            fac = sq[idx] - csq
-            prod = prod * fac
-            mag = mag * abs(float(fac))
-        total = total + prod
-        scale += mag
-    if isinstance(total, int):
-        total = Fraction(total)
-    return total, scale
-
-
 def rank1_poly(l: int, x, alpha):
     """One-variable interpolation polynomial: prod_{i=0}^{l-1} (x^2 - (i+alpha)^2)."""
     if l < 0:
@@ -391,20 +369,10 @@ def k_constant(mu, tau):
     mu = normalize(mu)
     out = tau ** 0
     for s in cells(mu):
-        out = out * (tau * _leg(mu, s) + _arm(mu, s) + 1)
+        out = out * (tau * leg(mu, s) + arm(mu, s) + 1)
     if is_exact(out):
         return Fraction(out)
     return out
-
-
-def _arm(mu, s):
-    i, j = s
-    return mu[i - 1] - j
-
-
-def _leg(mu, s):
-    i, j = s
-    return sum(1 for k in range(i, len(mu)) if mu[k] >= j)
 
 
 def k_constant_alt(mu, d, n: int):
@@ -482,48 +450,36 @@ def verify_characterization(lam, p: Params, extra_weight: int = 2, samples: int 
     }
 
 
-def _monomial_value(exp, sq):
-    """Monomial symmetric function m_exp evaluated on the squares."""
-    total = Fraction(0)
-    for perm in set(itertools.permutations(exp)):
-        term = Fraction(1)
-        for y, k in zip(sq, perm):
-            if k:
-                term = term * y ** k
-        total = total + term
-    return total
+def _expand_terms(terms, n: int) -> dict:
+    """Multiply out sum_T psi_T prod (y_idx - c^2) over compiled terms into
+    a map from full exponent vectors in y to coefficients.
 
-
-def _solve_exact(matrix, rhs):
-    size = len(matrix)
-    m = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise DomainError("singular interpolation system")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        pivval = m[col][col]
-        for r in range(size):
-            if r == col or m[r][col] == 0:
-                continue
-            f = m[r][col] / pivval
-            for c in range(col, size + 1):
-                m[r][c] = m[r][c] - f * m[col][c]
-    return [m[r][size] / m[r][r] for r in range(size)]
+    The factors of one term on one coordinate multiply out to a univariate
+    polynomial; the term's monomials are the products of one coefficient
+    from each coordinate.
+    """
+    out: dict[tuple[int, ...], Fraction] = {}
+    for psi, facs in terms:
+        rows = [[Fraction(1)] for _ in range(n)]
+        for idx, csq in facs:
+            row = rows[idx]
+            rows[idx] = [a - csq * b for a, b in zip([0] + row, row + [0])]
+        for choice in itertools.product(*(enumerate(row) for row in rows)):
+            coeff = psi
+            for _, c in choice:
+                coeff = coeff * c
+            e = tuple(k for k, _ in choice)
+            out[e] = out.get(e, 0) + coeff
+    return out
 
 
 def interpolate_from_values(values, d: int, p: Params) -> SymEvenPoly:
     """Reconstruct the unique even symmetric polynomial of y-degree <= d from
     its values on the shifted lattice points mu + rho, mu in Lambda^d.
 
-    Runs the triangular back-substitution in the P basis first (this is what
-    detects a non-generic tau through a vanishing diagonal), then solves for
-    the monomial coefficients exactly on the same nodes.
+    Runs the triangular back-substitution in the P basis (a vanishing
+    diagonal detects a non-generic tau) and expands the result
+    sum_mu coeff_P[mu] P_mu from the compiled tableau terms.
     """
     if d < 0:
         raise DomainError(f"negative degree bound {d}")
@@ -549,22 +505,21 @@ def interpolate_from_values(values, d: int, p: Params) -> SymEvenPoly:
                 acc = acc - coeff_P[nu] * okounkov_eval(nu, nodes[mu], p)
         coeff_P[mu] = acc / diag
 
-    sqs = {mu: [x * x for x in nodes[mu]] for mu in lams}
-    exps = [mu + (0,) * (p.n - len(mu)) for mu in lams]
-    matrix = [[_monomial_value(e, sqs[mu]) for e in exps] for mu in lams]
-    rhs = [vals[mu] for mu in lams]
-    mono = _solve_exact(matrix, rhs)
-    return SymEvenPoly(p.n, {e: c for e, c in zip(exps, mono) if c != 0})
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for mu, c in coeff_P.items():
+        if c != 0:
+            for e, v in _expand_terms(_compiled_terms(mu, p), p.n).items():
+                coeffs[e] = coeffs.get(e, 0) + c * v
+    return SymEvenPoly(p.n, coeffs)
 
 
 def okounkov_expand(lam, p: Params) -> SymEvenPoly:
-    """Full coefficient map of P_lam, via lattice evaluations plus
-    interpolate_from_values. Guarded to |lam| <= 8."""
+    """Full coefficient map of P_lam, multiplied out from its compiled
+    tableau terms. Guarded to |lam| <= 8."""
     lam = normalize(lam)
     w = weight(lam)
     if w > EXPAND_WEIGHT_GUARD:
         raise DomainError(f"expansion guarded to weight <= {EXPAND_WEIGHT_GUARD}, got {w}")
     if len(lam) > p.n:
         raise DomainError(f"partition {list(lam)} has more than n={p.n} parts")
-    vals = {mu: okounkov_eval(lam, p.node(mu), p) for mu in enumerate_Lambda(p.n, w)}
-    return interpolate_from_values(vals, w, p)
+    return SymEvenPoly(p.n, _expand_terms(_compiled_terms(lam, p), p.n))

@@ -24,7 +24,6 @@ from .okounkov import (
     column_poly,
     k_constant,
     okounkov_eval,
-    okounkov_eval_scaled,
 )
 from .partitions import enumerate_Lambda, format_partition, normalize, weight
 
@@ -34,7 +33,6 @@ __all__ = [
     "group_params",
     "shimura_eigenvalue",
     "q_poly",
-    "q_poly_scaled",
     "phi_j",
     "in_G",
     "in_A_certified",
@@ -111,14 +109,6 @@ def q_poly(lam, pt, p: Params):
     lam = normalize(lam)
     sign = -1 if weight(lam) % 2 else 1
     return sign * okounkov_eval(lam, pt, p)
-
-
-def q_poly_scaled(lam, pt, p: Params):
-    """q_poly together with the conditioning scale of the tableau sum."""
-    lam = normalize(lam)
-    sign = -1 if weight(lam) % 2 else 1
-    value, scale = okounkov_eval_scaled(lam, pt, p)
-    return sign * value, scale
 
 
 def phi_j(j: int, pt, p: Params):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import bcinterp.shimura as shimura
 from bcinterp.exactnum import SIGN_DEADBAND, DomainError
 from bcinterp.okounkov import Params, _compiled_terms, _float_sum, okounkov_eval
-from bcinterp.partitions import enumerate_Lambda
+from bcinterp.partitions import enumerate_Lambda, weight
 from bcinterp.shimura import (
     GroupData,
     Verdict,
@@ -21,7 +21,6 @@ from bcinterp.shimura import (
     in_A_certified,
     in_G,
     q_poly,
-    q_poly_scaled,
 )
 
 GROUPS = [GroupData(2, 2, 0), GroupData(2, 4, 3), GroupData(2, 1, 1), GroupData(2, 3, 1, p=1)]
@@ -162,13 +161,33 @@ def test_huge_coordinate_verdicts():
     assert in_A_certified(huge, p, 6) == Verdict(False, (1,), 6)
 
 
+def deadband_q(lam, pt, p):
+    """q_lam at a float point and its deadband scale, with Fraction psi
+    times float factors for the value and sum_T |psi_T| prod |x^2 - c^2|
+    for the scale; independent of _float_sum."""
+    sq = [x * x for x in pt]
+    total = 0
+    scale = 0.0
+    for psi, facs in _compiled_terms(lam, p):
+        prod = psi
+        mag = abs(float(psi))
+        for idx, csq in facs:
+            fac = sq[idx] - csq
+            prod = prod * fac
+            mag = mag * abs(float(fac))
+        total = total + prod
+        scale += mag
+    sign = -1 if weight(lam) % 2 else 1
+    return sign * total, scale
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from(RANK2), x1=coords_st, x2=coords_st)
 def test_float_points_keep_deadband_rule(p, x1, x2):
     pt = (float(x1), float(x2))
     want = Verdict(True, None, 6)
     for lam in enumerate_Lambda(2, 6)[1:]:
-        value, scale = q_poly_scaled(lam, pt, p)
+        value, scale = deadband_q(lam, pt, p)
         if value < -SIGN_DEADBAND * (1.0 + scale):
             want = Verdict(False, lam, 6)
             break

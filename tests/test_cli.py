@@ -59,6 +59,17 @@ def test_expand_single_box(capsys):
     }
 
 
+def test_expand_at_non_generic_tau(capsys):
+    # the node of (1) is a zero of P_(1) here, which only blocks lattice
+    # interpolation; the expansion comes from the tableau terms
+    code, out, _ = run(capsys, "expand", "--n", "2", "--tau", "-1", "--alpha", "1/2", "--lambda", "1")
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 2,
+        "terms": [{"exp": [1, 0], "coeff": "1"}, {"exp": [0, 0], "coeff": "-1/2"}],
+    }
+
+
 def test_expand_weight_guard_is_compute_error(capsys):
     code, out, err = run(capsys, "expand", "--n", "2", "--tau", "1", "--alpha", "1/2", "--lambda", "5,4")
     assert code == 3

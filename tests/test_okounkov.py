@@ -17,7 +17,6 @@ from bcinterp.okounkov import (
     k_constant,
     k_constant_alt,
     okounkov_eval,
-    okounkov_eval_scaled,
     okounkov_expand,
     rank1_poly,
     rectangle_poly,
@@ -125,16 +124,6 @@ def test_symmetric_and_even(x1, x2):
     v = okounkov_eval((2, 1), (x1, x2), p)
     assert okounkov_eval((2, 1), (x2, x1), p) == v
     assert okounkov_eval((2, 1), (-x1, x2), p) == v
-
-
-def test_scaled_agrees_and_bounds():
-    for pt in rational_points(2, 6, seed=3):
-        v, scale = okounkov_eval_scaled((2, 1), pt, P_HALF)
-        assert v == okounkov_eval((2, 1), pt, P_HALF)
-        assert scale >= abs(float(v)) * (1 - 1e-12)
-    fv, fscale = okounkov_eval_scaled((2, 1), (1.5, 0.25), P_HALF)
-    ev = okounkov_eval((2, 1), (Fraction(3, 2), Fraction(1, 4)), P_HALF)
-    assert abs(fv - float(ev)) <= 1e-12 * fscale + 1e-15
 
 
 # ---------------------------------------------------------------- closed forms
@@ -263,12 +252,38 @@ def test_expand_single_box_json():
     }
 
 
+EXPAND_PARAMS = [
+    (Fraction(1), Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(1)),
+    (Fraction(3, 2), Fraction(1, 3)),
+    (Fraction(2, 3), Fraction(1, 7)),
+]
+# the largest weight expanded against eval, by rank
+EXPAND_WEIGHTS = {1: 6, 2: 6, 3: 5, 4: 4}
+
+
 def test_expand_evaluates_like_eval():
-    for lam in [(2,), (2, 1), (2, 2)]:
-        poly = okounkov_expand(lam, P_HALF)
-        assert poly.degree() == weight(lam)
-        for pt in rational_points(2, 5, seed=17):
-            assert poly.evaluate(pt) == okounkov_eval(lam, pt, P_HALF)
+    for n, w in EXPAND_WEIGHTS.items():
+        for tau, alpha in EXPAND_PARAMS:
+            p = Params(n, tau, alpha)
+            pts = rational_points(n, 3, seed=17 + n)
+            for lam in enumerate_Lambda(n, w):
+                poly = okounkov_expand(lam, p)
+                assert poly.degree() == weight(lam)
+                for pt in pts:
+                    assert poly.evaluate(pt) == okounkov_eval(lam, pt, p), (n, tau, alpha, lam, pt)
+
+
+def test_expand_needs_only_own_tableau_terms():
+    # At tau = -1, alpha = 1/2 a lattice interpolation of P_lam would fail on
+    # other partitions: the node of (1) is a zero of P_(1) in rank 2, and the
+    # branching weights of (2) have a pole in rank 3. The expansion of P_lam
+    # needs only lam's own tableau terms.
+    for n, lam in ((2, (1,)), (3, (1, 1))):
+        p = Params(n, Fraction(-1), Fraction(1, 2))
+        poly = okounkov_expand(lam, p)
+        for pt in rational_points(n, 4, seed=5):
+            assert poly.evaluate(pt) == okounkov_eval(lam, pt, p)
 
 
 def test_expand_top_coefficient_is_one():
@@ -289,6 +304,15 @@ def test_interpolate_round_trip():
     target = SymEvenPoly(2, {(2, 0): Fraction(3), (1, 1): Fraction(-1, 2), (0, 0): Fraction(7, 5)})
     vals = {mu: target.evaluate(P_HALF.node(mu)) for mu in enumerate_Lambda(2, 2)}
     got = interpolate_from_values(vals, 2, P_HALF)
+    assert got.coeffs == target.coeffs
+    # every monomial of y-degree <= 3 in rank 3, so every P_mu of the
+    # back-substitution gets a nonzero coefficient
+    p = Params(3, Fraction(1, 2), Fraction(3, 2))
+    exps = [mu + (0,) * (3 - len(mu)) for mu in enumerate_Lambda(3, 3)]
+    target = SymEvenPoly(3, {e: Fraction((-1) ** k * (k + 2), k + 1) for k, e in enumerate(exps)})
+    assert len(target.coeffs) == 20
+    vals = {mu: target.evaluate(p.node(mu)) for mu in enumerate_Lambda(3, 3)}
+    got = interpolate_from_values(vals, 3, p)
     assert got.coeffs == target.coeffs
 
 

@@ -18,7 +18,6 @@ from bcinterp.shimura import (
     in_square,
     phi_j,
     q_poly,
-    q_poly_scaled,
     shimura_eigenvalue,
 )
 
@@ -92,9 +91,6 @@ def test_q_poly_sign_convention():
     for pt in rational_points(2, 5, seed=9):
         assert q_poly((1,), pt, P22) == -okounkov_eval((1,), pt, P22)
         assert q_poly((1, 1), pt, P22) == okounkov_eval((1, 1), pt, P22)
-        v, scale = q_poly_scaled((2, 1), pt, P22)
-        assert v == q_poly((2, 1), pt, P22)
-        assert scale >= 0.0
 
 
 def test_q_poly_positive_on_origin():
