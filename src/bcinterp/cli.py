@@ -46,6 +46,7 @@ from .partitions import enumerate_Lambda, format_partition, parse_partition, wei
 from .rank2 import R_midpoint_telescoped, R_series, in_B, q_rank2, q_rank2_partial_d2
 from .shimura import (
     GroupData,
+    Verdict,
     group_params,
     in_A_certified,
     in_G,
@@ -361,7 +362,8 @@ def cmd_verify(args) -> int:
 
 
 def _region_window(args):
-    """Window half-width rho1 + 1 and the membership callback for a kind.
+    """Window half-width rho1 + 1 and the membership test for a kind; the
+    test returns a bool or a Verdict.
 
     The raster is two-dimensional, so every kind that takes a group needs a
     rank-2 one.
@@ -372,50 +374,32 @@ def _region_window(args):
             raise DomainError("--m is required for kind W")
         if args.m < 0:
             raise DomainError(f"need m >= 0, got {args.m}")
-        alpha = Fraction(args.m + 1, 2)
-
-        def member(pt):
-            return "1" if in_W(pt, args.m) else "0", ""
-
-        return alpha + 2, member
+        m = args.m
+        return Fraction(m + 1, 2) + 2, lambda pt: in_W(pt, m)
     if args.group is None:
         raise DomainError(f"--group is required for kind {kind}")
     g = _parse_group(args.group, args.p)
     prm = group_params(g)
-    rho1 = prm.rho[0]
     if g.n != 2:
         raise DomainError(f"kind {kind} needs a rank-2 group, got n = {g.n}")
     if kind == "U0" and g.p != 0:
         raise DomainError("kind U0 is defined for p = 0")
-    if kind == "G":
+    rho = prm.rho
+    tests = {
+        "G": lambda pt: in_G(pt, prm),
+        "A": lambda pt: in_A_certified(pt, prm, args.max_weight),
+        "square": lambda pt: in_square(pt, prm),
+        "U0": lambda pt: in_U0_knapp_speh(pt, g.b),
+        "rank2-B": lambda pt: in_B(pt, g.d, rho),
+    }
+    return rho[0] + 1, tests[kind]
 
-        def member(pt):
-            v = in_G(pt, prm)
-            return ("1" if v.member else "0"), (v.witness_str() or "")
 
-    elif kind == "A":
-
-        def member(pt):
-            v = in_A_certified(pt, prm, args.max_weight)
-            return ("1" if v.member else "0"), (v.witness_str() or "")
-
-    elif kind == "square":
-
-        def member(pt):
-            return ("1" if in_square(pt, prm) else "0"), ""
-
-    elif kind == "U0":
-
-        def member(pt):
-            return ("1" if in_U0_knapp_speh(pt, g.b) else "0"), ""
-
-    else:  # rank2-B
-        rho = prm.rho
-
-        def member(pt):
-            return ("1" if in_B(pt, g.d, rho) else "0"), ""
-
-    return rho1 + 1, member
+def _cell(v):
+    """The member and witness columns for a bool or a Verdict."""
+    if isinstance(v, Verdict):
+        return ("1" if v.member else "0"), (v.witness_str() or "")
+    return ("1" if v else "0"), ""
 
 
 def cmd_region(args) -> int:
@@ -424,17 +408,17 @@ def cmd_region(args) -> int:
             raise DomainError(f"need grid >= 2, got {args.grid}")
         if args.max_weight < 1:
             raise DomainError(f"need max-weight >= 1, got {args.max_weight}")
-        top, member = _region_window(args)
+        top, test = _region_window(args)
     except DomainError as exc:
         return _fail_usage(exc)
+    axis = [top * i / (args.grid - 1) for i in range(args.grid)]
+    labels = [f"{float(v):.12g}" for v in axis]
     lines = ["x,y,member,witness"]
     try:
-        for i in range(args.grid):
-            x1 = top * i / (args.grid - 1)
+        for i, x1 in enumerate(axis):
             for j in range(i + 1):
-                x2 = top * j / (args.grid - 1)
-                m, w = member((x1, x2))
-                lines.append(f"{float(x1):.12g},{float(x2):.12g},{m},{w}")
+                m, w = _cell(test((x1, axis[j])))
+                lines.append(f"{labels[i]},{labels[j]},{m},{w}")
         text = "\n".join(lines) + "\n"
         if args.out:
             with open(args.out, "w") as fh:

@@ -155,14 +155,18 @@ def s_m_prime(t, m: int) -> float:
     return (math.pi * math.cos(math.pi * tf) * g - math.sin(math.pi * tf) * gprime) / (g * g)
 
 
+def _div_diff(xf: float, yf: float, m: int, s) -> float:
+    """(s(xf) - s(yf)) / (xf - yf) for s = s_m, or s_m'((xf + yf)/2) within
+    _DIAG_SWITCH of the diagonal, where s is not called."""
+    if abs(xf - yf) < _DIAG_SWITCH:
+        return s_m_prime((xf + yf) / 2.0, m)
+    return (s(xf) - s(yf)) / (xf - yf)
+
+
 def S_div(x, y, m: int) -> float:
     """Symmetrized divided difference (s_m(x) - s_m(y))/(x - y), continued
     across the diagonal by the analytic derivative."""
-    xf = float(x)
-    yf = float(y)
-    if abs(xf - yf) < _DIAG_SWITCH:
-        return s_m_prime((xf + yf) / 2.0, m)
-    return (s_m(xf, m) - s_m(yf, m)) / (xf - yf)
+    return _div_diff(float(x), float(y), m, lambda t: s_m(t, m))
 
 
 def in_W(pt, m: int) -> bool:
@@ -353,7 +357,10 @@ def trace_contour(m: int, grid: int):
     if not isinstance(grid, int) or grid < 16:
         raise DomainError(f"grid must be an integer >= 16, got {grid}")
     h = _CONTOUR_BOX / grid
-    nodes = [[S_div(i * h, j * h, m) for i in range(grid + 1)] for j in range(grid + 1)]
+    # node (i, j) is S_div(i*h, j*h, m), from one s_m per grid line
+    axis = [i * h for i in range(grid + 1)]
+    s_at = {t: s_m(t, m) for t in axis}.__getitem__
+    nodes = [[_div_diff(x, y, m, s_at) for x in axis] for y in axis]
     segments = []
     for j in range(grid):
         y0, y1 = j * h, (j + 1) * h

@@ -16,7 +16,9 @@ derivations must all agree with the tableau sum exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -83,6 +85,14 @@ class Params:
         return tuple(m + r for m, r in zip(padded, self.rho))
 
 
+def _orbit_size(e) -> int:
+    """Number of distinct permutations of the exponent vector e."""
+    size = math.factorial(len(e))
+    for k in Counter(e).values():
+        size //= math.factorial(k)
+    return size
+
+
 @dataclass
 class SymEvenPoly:
     """Even symmetric polynomial stored on exponents of y_i = x_i^2.
@@ -104,13 +114,19 @@ class SymEvenPoly:
             c = as_exact(c)
             if c != 0:
                 clean[e] = c
-        closed: dict[tuple[int, ...], Fraction] = {}
+        orbits: dict[tuple[int, ...], list] = {}
         for e, c in clean.items():
-            for f in set(itertools.permutations(e)):
-                seen = clean.get(f, c)
-                if seen != c:
+            orbits.setdefault(tuple(sorted(e)), []).append((e, c))
+        closed: dict[tuple[int, ...], Fraction] = {}
+        for key, present in orbits.items():
+            e, c = present[0]
+            for f, cf in present:
+                if cf != c:
                     raise DomainError(f"asymmetric coefficients at exponents {e} / {f}")
-                closed[f] = c
+            if len(present) == _orbit_size(key):
+                closed.update(present)
+            else:
+                closed.update(dict.fromkeys(itertools.permutations(key), c))
         self.coeffs = closed
 
     def coefficient(self, e) -> Fraction:

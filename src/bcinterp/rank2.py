@@ -178,14 +178,10 @@ def q_rank2_partial_d2(m1: int, m2: int, pt, rho):
     return pref * series
 
 
-def R_series(pt, d: int, rho, rel_tol: float = 1e-12) -> float:
-    """The boundary series sum_k (rho2±x2)_k (d/2)_k / ((rho1±x1)_k k!).
-
-    Terms decay like k^{-(d/2+1)}, too slowly to sum term-by-term to full
-    precision, so the loop stops once a three-term Euler-Maclaurin tail
-    estimate is below rel_tol and adds that tail. The tail coefficients come
-    from matching the asymptotic expansion of log(term ratio).
-    """
+def _R_parameters(pt, d: int, rho):
+    """Float upper parameters (rho2+x2, rho2-x2, d/2), lower parameters
+    (rho1+x1, rho1-x1) and decay exponent s of the boundary series, after the
+    checks that it is summable: d >= 1, both lower parameters > 0, s > 1."""
     if not isinstance(d, int) or d < 1:
         raise DomainError(f"d must be a positive integer, got {d}")
     r1 = float(rho[0])
@@ -199,6 +195,18 @@ def R_series(pt, d: int, rho, rel_tol: float = 1e-12) -> float:
     s = 1.0 + sum(l) - sum(u)
     if s <= 1.0:
         raise DomainError(f"series decays like k^{-s} with s = {s} <= 1: not summable")
+    return u, l, s
+
+
+def R_series(pt, d: int, rho, rel_tol: float = 1e-12) -> float:
+    """The boundary series sum_k (rho2±x2)_k (d/2)_k / ((rho1±x1)_k k!).
+
+    Terms decay like k^{-(d/2+1)}, too slowly to sum term-by-term to full
+    precision, so the loop stops once a three-term Euler-Maclaurin tail
+    estimate is below rel_tol and adds that tail. The tail coefficients come
+    from matching the asymptotic expansion of log(term ratio).
+    """
+    u, l, s = _R_parameters(pt, d, rho)
     u2 = sum(v * v for v in u)
     l2 = sum(v * v for v in l) + 1.0
     u3 = sum(v ** 3 for v in u)
@@ -316,6 +324,10 @@ def in_B(pt, d: int, rho) -> bool:
     deadband, SIGN_DEADBAND. Points that pass both polynomial gates satisfy
     x1 <= rho1, with equality only at rho itself, which is a member; the
     1e-6 whisker below keeps the series away from its parameter pole there.
+
+    The series is summed only where |x2| > rho2 (the T2 side). Elsewhere
+    every term (rho2+x2)_k (rho2-x2)_k (d/2)_k / ((rho1+x1)_k (rho1-x1)_k k!)
+    is >= 0, so R >= 1 and the point is a member from the term signs alone.
     """
     x1, x2 = pt
     r1 = as_exact(rho[0])
@@ -333,5 +345,18 @@ def in_B(pt, d: int, rho) -> bool:
             return False
     if float(r1) - float(x1) < 1e-6:
         return True
-    value = R_series((float(x1), float(x2)), d, (float(r1), float(r2)), rel_tol=_IN_B_SERIES_TOL)
+    fpt = (float(x1), float(x2))
+    frho = (float(r1), float(r2))
+    # Where rho2 - x2 >= 0 and rho2 + x2 >= 0 in these floats, every series
+    # parameter is >= 0: the upper ones (rho2 +- x2, d/2) by that test, the
+    # lower ones (rho1 +- x1, 1) by the checks of _R_parameters, which raise
+    # here exactly where R_series would. Then every term is >= 0 and
+    # R >= t_0 = 1. The float sum R_series would return from the same floats
+    # starts at 1.0 and adds nonnegative terms and an estimate of a
+    # nonnegative tail, so it is nowhere near -SIGN_DEADBAND: the point is a
+    # member without summing.
+    u, _, _ = _R_parameters(fpt, d, frho)
+    if u[0] >= 0 and u[1] >= 0:
+        return True
+    value = R_series(fpt, d, frho, rel_tol=_IN_B_SERIES_TOL)
     return value >= -SIGN_DEADBAND

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcinterp import limits
 from bcinterp.exactnum import DomainError, PoleError
 from bcinterp.limits import (
     ContourPolyline,
@@ -338,3 +339,28 @@ def test_certified_witnesses_track_the_limit_region():
                 assert not v.member and v.witness == (flip,), (m, pt)
         for pt in accepted_square[:5]:
             assert in_A_certified(pt, p, 20).member, (m, pt)
+
+
+def _trace_contour_reference(m, grid):
+    """trace_contour with the node table built by S_div at every node."""
+    h = limits._CONTOUR_BOX / grid
+    nodes = [[S_div(i * h, j * h, m) for i in range(grid + 1)] for j in range(grid + 1)]
+    segments = []
+    for j in range(grid):
+        y0, y1 = j * h, (j + 1) * h
+        for i in range(grid):
+            x0, x1 = i * h, (i + 1) * h
+            f00, f10 = nodes[j][i], nodes[j][i + 1]
+            f01, f11 = nodes[j + 1][i], nodes[j + 1][i + 1]
+            if (f00 <= 0) == (f10 <= 0) == (f11 <= 0) == (f01 <= 0):
+                continue
+            fmid = S_div((x0 + x1) / 2.0, (y0 + y1) / 2.0, m)
+            segments.extend(limits._march_cell(x0, x1, y0, y1, f00, f10, f11, f01, fmid))
+    return [ContourPolyline(tuple(chain)) for chain in limits._join_segments(segments)]
+
+
+def test_trace_contour_matches_S_div_at_every_node():
+    # the diagonal nodes i = j take the s_m_prime branch in every grid
+    for m in range(5):
+        for grid in (16, 37, 96, 120):
+            assert trace_contour(m, grid) == _trace_contour_reference(m, grid), (m, grid)

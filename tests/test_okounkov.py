@@ -360,3 +360,13 @@ def test_sym_poly_evaluate_checks_length():
     poly = SymEvenPoly(2, {(1, 0): Fraction(1)})
     with pytest.raises(DomainError):
         poly.evaluate((Fraction(1),))
+
+
+def test_expand_closed_orbits_at_rank_8():
+    # every exponent orbit of this expansion arrives complete, so the
+    # symmetry check needs no permutations
+    p = Params(8, Fraction(1, 2), Fraction(1))
+    lam = (1,) * 8
+    poly = okounkov_expand(lam, p)
+    pt = tuple(Fraction(k, k + 2) for k in range(8))
+    assert poly.evaluate(pt) == okounkov_eval(lam, pt, p)

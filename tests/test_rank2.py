@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bcinterp.exactnum import DomainError, PoleError, poch_pm
+from bcinterp import rank2
+from bcinterp.exactnum import SIGN_DEADBAND, DomainError, PoleError, poch_pm
 from bcinterp.okounkov import Params
 from bcinterp.rank2 import (
     HYP_MAX_TERMS,
@@ -279,3 +280,95 @@ def test_in_B_matches_triangles_on_grid():
             assert got == reg.in_union((x1, x2), tol=1e-9), (x1, x2)
             checked += 1
     assert checked > 300
+
+
+# ---------------------------------------------------------------- in_B term signs
+
+
+def _in_B_always_summing(pt, d, rho):
+    """in_B without the term-sign rule: the same polynomial gates and pole
+    whisker, then the boundary series at every point that passes them."""
+    x1, x2 = pt
+    r1, r2 = rho
+    q10 = r1 * r1 + r2 * r2 - x1 * x1 - x2 * x2
+    q11 = (r2 * r2 - x1 * x1) * (r2 * r2 - x2 * x2)
+    if isinstance(x1, Fraction) and isinstance(x2, Fraction):
+        if q10 < 0 or q11 < 0:
+            return False
+    else:
+        scale10 = float(r1 * r1 + r2 * r2) + x1 * x1 + x2 * x2
+        fac1 = float(r2 * r2) + x1 * x1
+        fac2 = float(r2 * r2) + x2 * x2
+        if q10 < -SIGN_DEADBAND * (1.0 + scale10) or q11 < -SIGN_DEADBAND * (1.0 + fac1 * fac2):
+            return False
+    if float(r1) - float(x1) < 1e-6:
+        return True
+    value = R_series((float(x1), float(x2)), d, (float(r1), float(r2)), rel_tol=1e-8)
+    return value >= -SIGN_DEADBAND
+
+
+def _group_rho(d, b):
+    rho2 = Fraction(b + 1, 2)
+    return (rho2 + Fraction(d, 2), rho2)
+
+
+def _window_points(rho, steps=14):
+    """Exact points of the raster window [0, rho1 + 1] with x2 from a few
+    steps below 0 up to x1, plus every x1 with x2 = +-rho2 exactly."""
+    top = rho[0] + 1
+    pts = []
+    for i in range(steps + 1):
+        x1 = top * i / steps
+        pts.extend((x1, top * j / steps) for j in range(-3, i + 1))
+        pts.extend(((x1, rho[1]), (x1, -rho[1])))
+    return pts
+
+
+GROUPS_DB = [(d, b) for d in (1, 2, 3, 4) for b in range(5)]
+
+
+def test_in_B_agrees_with_always_summing_the_series():
+    for d, b in GROUPS_DB:
+        rho = _group_rho(d, b)
+        for pt in _window_points(rho):
+            fpt = (float(pt[0]), float(pt[1]))
+            assert in_B(pt, d, rho) == _in_B_always_summing(pt, d, rho), (d, b, pt)
+            assert in_B(fpt, d, rho) == _in_B_always_summing(fpt, d, rho), (d, b, fpt)
+
+
+def test_R_series_is_at_least_one_in_T1():
+    checked = 0
+    for d, b in GROUPS_DB:
+        rho = _group_rho(d, b)
+        frho = (float(rho[0]), float(rho[1]))
+        reg = Rank2Regions(*rho)
+        for pt in _window_points(rho):
+            if not reg.in_T1(pt):
+                continue
+            for tol in (1e-12, 1e-8):
+                assert R_series(pt, d, frho, rel_tol=tol) >= 1.0, (d, b, pt, tol)
+            checked += 1
+    assert checked > 400
+
+
+def test_in_B_sums_the_series_only_in_T2(monkeypatch):
+    calls = []
+
+    def counting_R_series(pt, *args, **kwargs):
+        calls.append(pt)
+        return R_series(pt, *args, **kwargs)
+
+    monkeypatch.setattr(rank2, "R_series", counting_R_series)
+    for d, b in GROUPS_DB:
+        rho = _group_rho(d, b)
+        for pt in _window_points(rho):
+            if abs(pt[1]) <= rho[1]:
+                for p in (pt, (float(pt[0]), float(pt[1]))):
+                    in_B(p, d, rho)
+                    assert not calls, (d, b, p)
+        # a T2 point that passes both gates and is away from the pole
+        t2 = (rho[1] + Fraction(1, 8), rho[1] + Fraction(1, 8))
+        for p in (t2, (float(t2[0]), float(t2[1])), (t2[0], -t2[1])):
+            assert in_B(p, d, rho)
+            assert len(calls) == 1, (d, b, p)
+            calls.clear()
