@@ -384,6 +384,8 @@ def _region_window(args):
         raise DomainError(f"kind {kind} needs a rank-2 group, got n = {g.n}")
     if kind == "U0" and g.p != 0:
         raise DomainError("kind U0 is defined for p = 0")
+    if kind == "rank2-B" and g.d < 1:
+        raise DomainError(f"kind rank2-B needs d >= 1, got d = {g.d}")
     rho = prm.rho
     tests = {
         "G": lambda pt: in_G(pt, prm),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import SIGN_DEADBAND, DomainError, PoleError, as_exact, is_exact, log_gamma, poch_pm
 
@@ -315,12 +316,58 @@ class Rank2Regions:
         return self.in_T1(pt, tol) or self.in_T2(pt, tol)
 
 
+@lru_cache(maxsize=None)
+def _rho_constants(rho: tuple):
+    """What in_B needs of rho, built once per rho: the numerator and
+    denominator of S = rho1^2 + rho2^2 and of |rho2|, float(S),
+    float(rho2^2) and (float(rho1), float(rho2)).
+
+    float(S) and float(rho2^2) are inf when S is beyond float range, which
+    sends every float point to the exact gates.
+    """
+    r1 = as_exact(rho[0])
+    r2 = as_exact(rho[1])
+    s = r1 * r1 + r2 * r2
+    try:
+        fs, fr2sq = float(s), float(r2 * r2)
+    except OverflowError:
+        fs = fr2sq = math.inf
+    return s.numerator, s.denominator, abs(r2.numerator), r2.denominator, fs, fr2sq, (float(r1), float(r2))
+
+
+def _gates_fail(x1, x2, s_num, s_den, r2_num, r2_den) -> bool:
+    """Whether the exact point (x1, x2) fails a polynomial gate of in_B,
+    q10 = S - x1^2 - x2^2 < 0 or q11 = (rho2^2 - x1^2)(rho2^2 - x2^2) < 0,
+    decided in integers from S = s_num/s_den and |rho2| = r2_num/r2_den.
+
+    With x1 = a/b and x2 = c/e, q10 < 0 exactly when
+    ((ae)^2 + (cb)^2) s_den > s_num (be)^2. The sign of rho2^2 - x^2 is the
+    sign of |rho2| - |x|, so q11 < 0 exactly when one of |x1|, |x2| is below
+    |rho2| and the other above it.
+    """
+    a, b = x1.numerator, x1.denominator
+    c, e = x2.numerator, x2.denominator
+    ae = a * e
+    cb = c * b
+    be = b * e
+    if (ae * ae + cb * cb) * s_den > s_num * be * be:
+        return True
+    u1 = abs(a) * r2_den - r2_num * b
+    u2 = abs(c) * r2_den - r2_num * e
+    return u1 < 0 < u2 or u2 < 0 < u1
+
+
 def in_B(pt, d: int, rho) -> bool:
     """Region decision by the three tests: the weight-1 and column signed
     values nonnegative, then the boundary series nonnegative.
 
-    Exact points get exact sign tests on the two polynomials; floats get the
-    module deadband. The series test always runs in floats with the same
+    Exact points get exact sign tests on the two polynomials, taken in
+    integer arithmetic on the numerators and denominators (_gates_fail).
+    Float points get the module deadband on the float values, scaled by
+    S + x1^2 + x2^2 and (rho2^2 + x1^2)(rho2^2 + x2^2); where a scale is not
+    finite the deadband cannot decide, and the exact tests run at the exact
+    rational values Fraction(x1), Fraction(x2). A nan or inf coordinate
+    raises DomainError. The series test always runs in floats with the same
     deadband, SIGN_DEADBAND. Points that pass both polynomial gates satisfy
     x1 <= rho1, with equality only at rho itself, which is a member; the
     1e-6 whisker below keeps the series away from its parameter pole there.
@@ -330,23 +377,29 @@ def in_B(pt, d: int, rho) -> bool:
     is >= 0, so R >= 1 and the point is a member from the term signs alone.
     """
     x1, x2 = pt
-    r1 = as_exact(rho[0])
-    r2 = as_exact(rho[1])
-    q10 = r1 * r1 + r2 * r2 - x1 * x1 - x2 * x2
-    q11 = (r2 * r2 - x1 * x1) * (r2 * r2 - x2 * x2)
+    s_num, s_den, r2_num, r2_den, fs, fr2sq, frho = _rho_constants(tuple(rho))
     if is_exact(x1) and is_exact(x2):
-        if q10 < 0 or q11 < 0:
+        if _gates_fail(x1, x2, s_num, s_den, r2_num, r2_den):
             return False
     else:
-        scale10 = float(r1 * r1 + r2 * r2) + x1 * x1 + x2 * x2
-        fac1 = float(r2 * r2) + x1 * x1
-        fac2 = float(r2 * r2) + x2 * x2
-        if q10 < -SIGN_DEADBAND * (1.0 + scale10) or q11 < -SIGN_DEADBAND * (1.0 + fac1 * fac2):
+        f1 = float(x1)
+        f2 = float(x2)
+        if not (math.isfinite(f1) and math.isfinite(f2)):
+            raise DomainError(f"point coordinates must be finite, got {pt!r}")
+        y1 = f1 * f1
+        y2 = f2 * f2
+        scale10 = fs + y1 + y2
+        scale11 = (fr2sq + y1) * (fr2sq + y2)
+        if math.isfinite(scale10) and math.isfinite(scale11):
+            q10 = fs - y1 - y2
+            q11 = (fr2sq - y1) * (fr2sq - y2)
+            if q10 < -SIGN_DEADBAND * (1.0 + scale10) or q11 < -SIGN_DEADBAND * (1.0 + scale11):
+                return False
+        elif _gates_fail(Fraction(f1), Fraction(f2), s_num, s_den, r2_num, r2_den):
             return False
-    if float(r1) - float(x1) < 1e-6:
+    if frho[0] - float(x1) < 1e-6:
         return True
     fpt = (float(x1), float(x2))
-    frho = (float(r1), float(r2))
     # Where rho2 - x2 >= 0 and rho2 + x2 >= 0 in these floats, every series
     # parameter is >= 0: the upper ones (rho2 +- x2, d/2) by that test, the
     # lower ones (rho1 +- x1, 1) by the checks of _R_parameters, which raise

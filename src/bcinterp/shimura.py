@@ -177,10 +177,13 @@ def _float_view(pt):
     correctly rounded coordinates and ylo, the smallest of them over the
     nonzero coordinates (1.0 when there is none); sq is None when a
     coordinate lies beyond float range. Any other point is a float point,
-    with sq = [x * x] and ylo None.
+    with sq = [x * x] and ylo None; a nan or inf coordinate raises
+    DomainError.
     """
     if not all(is_exact(x) for x in pt):
         xs = [float(x) for x in pt]
+        if not all(math.isfinite(x) for x in xs):
+            raise DomainError(f"point coordinates must be finite, got {pt!r}")
         return False, [x * x for x in xs], None
     try:
         xs = [float(x) for x in pt]
@@ -198,7 +201,9 @@ def _certified_negative(table, sign, view, exact_value) -> bool:
     table and keep the deadband rule sign * S < -SIGN_DEADBAND (1 + A). The
     values are bit-identical to the Fraction-with-float arithmetic of
     okounkov_eval and column_poly, which rounds psi and c^2 to float before
-    using them.
+    using them. Where A is not finite (a square or a product overflowed) the
+    rule cannot decide, and exact_value() decides at the exact rational
+    value of the point.
 
     Exact points are decided by a filter (Shewchuk, "Adaptive Precision
     Floating-Point Arithmetic and Fast Robust Geometric Predicates", 1997):
@@ -235,8 +240,9 @@ def _certified_negative(table, sign, view, exact_value) -> bool:
         fterms, gamma, floor = table
         if not exact:
             total, absum, _ = _float_sum(fterms, sq)
-            return sign * total < -SIGN_DEADBAND * (1.0 + absum)
-        if sq is not None and ylo >= floor:
+            if math.isfinite(absum):
+                return sign * total < -SIGN_DEADBAND * (1.0 + absum)
+        elif sq is not None and ylo >= floor:
             total, _, mag = _float_sum(fterms, sq)
             thr = gamma * mag
             if total > thr:
@@ -244,6 +250,11 @@ def _certified_negative(table, sign, view, exact_value) -> bool:
             if total < -thr:
                 return sign > 0
     return exact_value() < 0
+
+
+def _exact_point(pt):
+    """pt with every float coordinate replaced by its exact rational value."""
+    return tuple(x if is_exact(x) else Fraction(x) for x in pt)
 
 
 def _check_length(pt, p: Params) -> None:
@@ -259,7 +270,7 @@ def in_G(pt, p: Params) -> Verdict:
     for j in range(1, p.n + 1):
         if j not in tables:
             tables[j] = _filter_table(_column_terms(j, p))
-        if _certified_negative(tables[j], (-1) ** j, view, lambda: phi_j(j, pt, p)):
+        if _certified_negative(tables[j], (-1) ** j, view, lambda: phi_j(j, _exact_point(pt), p)):
             return Verdict(False, j, p.n)
     return Verdict(True, None, p.n)
 
@@ -277,7 +288,7 @@ def in_A_certified(pt, p: Params, max_weight: int) -> Verdict:
     for lam, sign in _signed_Lambda(p.n, max_weight):
         if lam not in tables:
             tables[lam] = _filter_table(_compiled_terms(lam, p))
-        if _certified_negative(tables[lam], sign, view, lambda: sign * okounkov_eval(lam, pt, p)):
+        if _certified_negative(tables[lam], sign, view, lambda: sign * okounkov_eval(lam, _exact_point(pt), p)):
             return Verdict(False, lam, max_weight)
     return Verdict(True, None, max_weight)
 

@@ -161,6 +161,26 @@ def test_huge_coordinate_verdicts():
     assert in_A_certified(huge, p, 6) == Verdict(False, (1,), 6)
 
 
+@pytest.mark.parametrize("pt", [(1e200, 0.0), (1e155, 0.1), (0.0, -1e200)])
+def test_float_points_beyond_the_deadband_scale(pt):
+    # an overflowing scale used to turn the deadband test into -inf < -inf
+    # and report a member; those points get the exact decision at their
+    # exact rational value
+    p = group_params(GroupData(2, 2, 0))
+    exact = tuple(Fraction(x) for x in pt)
+    assert in_G(pt, p) == oracle_G(exact, p) == Verdict(False, 1, 2)
+    assert in_A_certified(pt, p, 6) == oracle_A(exact, p, 6) == Verdict(False, (1,), 6)
+
+
+@pytest.mark.parametrize("pt", [(float("inf"), 0.0), (float("nan"), 0.0), (0.5, float("-inf")), (Fraction(1, 2), float("nan"))])
+def test_non_finite_coordinates_are_domain_errors(pt):
+    p = group_params(GroupData(2, 2, 0))
+    with pytest.raises(DomainError, match="finite"):
+        in_G(pt, p)
+    with pytest.raises(DomainError, match="finite"):
+        in_A_certified(pt, p, 6)
+
+
 def deadband_q(lam, pt, p):
     """q_lam at a float point and its deadband scale, with Fraction psi
     times float factors for the value and sum_T |psi_T| prod |x^2 - c^2|

@@ -213,6 +213,7 @@ def test_region_usage_errors(capsys):
     assert run(capsys, "region", "--kind", "W", "--grid", "9")[0] == 2  # missing --m
     assert run(capsys, "region", "--kind", "G", "--grid", "9")[0] == 2  # missing --group
     assert run(capsys, "region", "--kind", "rank2-B", "--group", "3,2,0")[0] == 2
+    assert run(capsys, "region", "--kind", "rank2-B", "--group", "2,0,1")[0] == 2
     assert run(capsys, "region", "--kind", "U0", "--group", "2,2,0", "--p", "1")[0] == 2
     assert run(capsys, "region", "--kind", "G", "--group", "2,2,0", "--grid", "1")[0] == 2
     assert run(capsys, "region", "--kind", "A", "--group", "2,2,0", "--max-weight", "0")[0] == 2

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcinterp import rank2
+from bcinterp.cli import main
 from bcinterp.exactnum import SIGN_DEADBAND, DomainError, PoleError, poch_pm
 from bcinterp.okounkov import Params
 from bcinterp.rank2 import (
@@ -285,17 +288,27 @@ def test_in_B_matches_triangles_on_grid():
 # ---------------------------------------------------------------- in_B term signs
 
 
+def _fraction_gates_fail(pt, rho):
+    """The polynomial gates of in_B at an exact point, in Fraction
+    arithmetic: q10 < 0 or q11 < 0."""
+    x1, x2 = pt
+    r1, r2 = Fraction(rho[0]), Fraction(rho[1])
+    q10 = r1 * r1 + r2 * r2 - x1 * x1 - x2 * x2
+    q11 = (r2 * r2 - x1 * x1) * (r2 * r2 - x2 * x2)
+    return q10 < 0 or q11 < 0
+
+
 def _in_B_always_summing(pt, d, rho):
     """in_B without the term-sign rule: the same polynomial gates and pole
     whisker, then the boundary series at every point that passes them."""
     x1, x2 = pt
     r1, r2 = rho
-    q10 = r1 * r1 + r2 * r2 - x1 * x1 - x2 * x2
-    q11 = (r2 * r2 - x1 * x1) * (r2 * r2 - x2 * x2)
     if isinstance(x1, Fraction) and isinstance(x2, Fraction):
-        if q10 < 0 or q11 < 0:
+        if _fraction_gates_fail(pt, rho):
             return False
     else:
+        q10 = r1 * r1 + r2 * r2 - x1 * x1 - x2 * x2
+        q11 = (r2 * r2 - x1 * x1) * (r2 * r2 - x2 * x2)
         scale10 = float(r1 * r1 + r2 * r2) + x1 * x1 + x2 * x2
         fac1 = float(r2 * r2) + x1 * x1
         fac2 = float(r2 * r2) + x2 * x2
@@ -372,3 +385,115 @@ def test_in_B_sums_the_series_only_in_T2(monkeypatch):
             assert in_B(p, d, rho)
             assert len(calls) == 1, (d, b, p)
             calls.clear()
+
+
+def test_region_rank2_B_matches_the_oracles(capsys):
+    # the raster end to end: Fraction gates plus the always-summing series
+    grid = 21
+    for group in ("2,1,2", "2,2,3", "2,3,0"):
+        _, d, b = (int(v) for v in group.split(","))
+        rho = _group_rho(d, b)
+        axis = [(rho[0] + 1) * i / (grid - 1) for i in range(grid)]
+        want = ["x,y,member,witness"]
+        for i, x1 in enumerate(axis):
+            for x2 in axis[: i + 1]:
+                member = "1" if _in_B_always_summing((x1, x2), d, rho) else "0"
+                want.append(f"{float(x1):.12g},{float(x2):.12g},{member},")
+        code = main(["region", "--kind", "rank2-B", "--group", group, "--grid", str(grid)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == "\n".join(want) + "\n", group
+
+
+# ---------------------------------------------------------------- in_B gates
+
+
+class _PastGates(Exception):
+    """Raised by a stand-in for _R_parameters: in_B got past both gates."""
+
+
+def _past_gates(*args):
+    raise _PastGates
+
+
+def _in_B_gates_fail(pt, rho):
+    """Whether in_B rejects pt at its polynomial gates. With _R_parameters
+    replaced, in_B returns False only from a gate, returns True only from
+    the pole whisker after both gates, and otherwise raises _PastGates."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rank2, "_R_parameters", _past_gates)
+        try:
+            return not in_B(pt, 1, rho)
+        except _PastGates:
+            return False
+
+
+# cos and sin of Pythagorean angles: rotating rho by one keeps x1^2 + x2^2
+# exactly at rho1^2 + rho2^2
+PYTHAGOREAN = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)), (Fraction(8, 17), Fraction(15, 17))]
+
+
+def _gate_boundary_points(rho):
+    """Exact points on the zero sets of both gates, and just off them."""
+    r1, r2 = Fraction(rho[0]), Fraction(rho[1])
+    on = [(r1, r2), (r2, r1), (-r1, r2), (r2, -r2), (-r2, r2), (r2, 0), (0, -r2)]
+    for x in (Fraction(0), r2 / 3, r2 + Fraction(1, 7), r1, r1 + 1):
+        on.extend(((x, r2), (x, -r2), (r2, x), (-r2, -x)))
+    for c, s in PYTHAGOREAN:
+        for sc, ss in ((c, s), (s, c), (c, -s), (-s, c)):
+            on.append((r1 * sc - r2 * ss, r1 * ss + r2 * sc))
+    eps = Fraction(1, 10**30)
+    pts = []
+    for x1, x2 in on:
+        pts.extend((x1 + u, x2 + v) for u in (0, eps, -eps) for v in (0, eps, -eps))
+    return pts
+
+
+def test_in_B_gates_match_fraction_oracle():
+    rhos = [_group_rho(d, b) for d, b in GROUPS_DB]
+    # rho as a list and as ints
+    rhos += [[Fraction(5, 2), Fraction(1, 2)], (3, 1), (2, 1), [4, 2]]
+    ints = [(i, j) for i in range(-4, 6) for j in range(-2, 5)]
+    mixed = [(i, Fraction(j, 2)) for i, j in ints] + [(Fraction(i, 3), j) for i, j in ints]
+    for rho in rhos:
+        for pt in ints + mixed + _gate_boundary_points(rho) + _window_points(tuple(map(Fraction, rho)), 8):
+            assert _in_B_gates_fail(pt, rho) == _fraction_gates_fail(pt, rho), (rho, pt)
+    # the circle points do lie on the circle
+    for c, s in PYTHAGOREAN:
+        x1, x2 = RHO_SU22[0] * c - RHO_SU22[1] * s, RHO_SU22[0] * s + RHO_SU22[1] * c
+        assert x1 * x1 + x2 * x2 == RHO_SU22[0] ** 2 + RHO_SU22[1] ** 2
+
+
+rational_st = st.fractions(min_value=-40, max_value=40, max_denominator=10**15)
+coord_st = st.one_of(rational_st, st.integers(min_value=-40, max_value=40))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x1=coord_st,
+    x2=coord_st,
+    rho=st.one_of(
+        st.sampled_from([_group_rho(d, b) for d, b in GROUPS_DB]),
+        st.tuples(rational_st, rational_st),
+    ),
+)
+def test_in_B_gates_match_fraction_oracle_at_random_rationals(x1, x2, rho):
+    assert _in_B_gates_fail((x1, x2), rho) == _fraction_gates_fail((x1, x2), rho)
+
+
+def test_in_B_float_points_beyond_the_deadband_scale():
+    # squares that overflow used to turn the deadband test into
+    # -inf < -inf and pass the gates; those points get the exact gates
+    for pt in [(1e200, 0.0), (1e155, 0.1), (-1e200, 0.0), (0.25, 1e160)]:
+        assert not in_B(pt, 2, RHO_SU22), pt
+    # only the scale of q11 overflows here: |x1| > rho2 > |x2| and q10 >= 0
+    rho = (Fraction(2 * 10**90), Fraction(10**90))
+    assert not in_B((1.5e90, 1e80), 2, rho)
+    assert not _in_B_always_summing((Fraction(1.5e90), Fraction(1e80)), 2, rho)
+    assert in_B((5e89, 1e80), 2, rho)
+
+
+@pytest.mark.parametrize("pt", [(math.inf, 0.0), (math.nan, 0.0), (0.5, -math.inf), (Fraction(1, 2), math.nan)])
+def test_in_B_rejects_non_finite_coordinates(pt):
+    with pytest.raises(DomainError, match="finite"):
+        in_B(pt, 2, RHO_SU22)
