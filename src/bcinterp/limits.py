@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import SIGN_DEADBAND, DomainError, PoleError, is_exact, log_gamma
 
@@ -169,14 +170,22 @@ def S_div(x, y, m: int) -> float:
     return _div_diff(float(x), float(y), m, lambda t: s_m(t, m))
 
 
+@lru_cache(maxsize=None)
+def _W_constants(m: int):
+    """What in_W needs of m, built once per m: alpha = (m+1)/2, alpha + 1
+    and float(alpha)."""
+    alpha = Fraction(m + 1, 2)
+    return alpha, alpha + 1, float(alpha)
+
+
 def in_W(pt, m: int) -> bool:
     """Membership in W: the square [alpha, alpha+1]^2 cap {x1 >= x2} with
     the shifted divided difference nonnegative (deadband SIGN_DEADBAND)."""
-    alpha = Fraction(m + 1, 2)
+    alpha, top, falpha = _W_constants(m)
     x1, x2 = pt
-    if not (x2 >= alpha and x1 >= x2 and x1 <= alpha + 1):
+    if not (x2 >= alpha and x1 >= x2 and x1 <= top):
         return False
-    return S_div(float(x1) - float(alpha), float(x2) - float(alpha), m) >= -SIGN_DEADBAND
+    return S_div(float(x1) - falpha, float(x2) - falpha, m) >= -SIGN_DEADBAND
 
 
 def in_G0_rank2(pt, m: int) -> bool:

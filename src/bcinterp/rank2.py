@@ -3,7 +3,12 @@ boundary series R, its Gamma closed form at b=0, the telescoped midpoint
 value, and the three-test region decision.
 
 The series ops are the only place in the package where truncation error
-exists; everything they gate is protected by deadbands sized against it.
+exists. The region decision in_B does not rest on a truncated value: it
+signs the boundary series from a proven enclosure (_R_enclosure), a partial
+sum plus a Raabe-type bound on the tail with the float roundoff counted in
+the radius. rho itself is a member by an exact rule, and only a point the
+enclosure cannot sign falls back to the float value of R_series with the
+module deadband.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import SIGN_DEADBAND, DomainError, PoleError, as_exact, is_exact, log_gamma, poch_pm
+from .shimura import _UNIT_ROUNDOFF, _exact_point
 
 __all__ = [
     "HypSeriesSpec",
@@ -30,9 +36,16 @@ __all__ = [
 HYP_MAX_TERMS = 100000
 HYP_TERM_TOL = 1e-14
 _R_MAX_TERMS = 400000
-# in_B only needs the series sign at points >= 1e-6 from the region
-# boundary, where |R| is orders of magnitude above this truncation level.
-_IN_B_SERIES_TOL = 1e-8
+# _R_enclosure sums at least _ENCLOSURE_START terms and doubles the count
+# up to _ENCLOSURE_MAX while its interval still contains 0.
+_ENCLOSURE_START = 32
+_ENCLOSURE_MAX = 4096
+# A shifted-cubic coefficient A - B counts as >= 0 when the computed
+# (A - B) / (A + B) is at least this (derivation in _tail_cubics_hold).
+_CUBIC_MARGIN = 16 * _UNIT_ROUNDOFF
+# sigma and sigma' sit this fraction of s - 1 outside h(K) and s. Only the
+# chance that the cubics certify depends on it, never the bound itself.
+_SIGMA_GAP = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -182,13 +195,16 @@ def q_rank2_partial_d2(m1: int, m2: int, pt, rho):
 def _R_parameters(pt, d: int, rho):
     """Float upper parameters (rho2+x2, rho2-x2, d/2), lower parameters
     (rho1+x1, rho1-x1) and decay exponent s of the boundary series, after the
-    checks that it is summable: d >= 1, both lower parameters > 0, s > 1."""
+    checks that it is summable: finite coordinates, d >= 1, both lower
+    parameters > 0, s > 1."""
     if not isinstance(d, int) or d < 1:
         raise DomainError(f"d must be a positive integer, got {d}")
     r1 = float(rho[0])
     r2 = float(rho[1])
     x1 = float(pt[0])
     x2 = float(pt[1])
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise DomainError(f"point coordinates must be finite, got {pt!r}")
     u = (r2 + x2, r2 - x2, d / 2.0)
     l = (r1 + x1, r1 - x1)
     if l[0] <= 0 or l[1] <= 0:
@@ -249,6 +265,138 @@ def R_series(pt, d: int, rho, rel_tol: float = 1e-12) -> float:
             break
     tail = term * (k / (s - 1.0) + tail_a1 + tail_a2 / k)
     return total + tail
+
+
+def _tail_cubics_hold(big_u, big_l, k0: int, sig: float, sig2: float) -> bool:
+    """Whether, for every real k >= k0, both
+        k Q(k) - (k + sig) P(k) >= 0   and   (k + sig2) P(k) - k Q(k) >= 0,
+    with P(k) = (k+u0)(k+u1)(k+u2) and Q(k) = (k+l0)(k+l1)(k+1).
+
+    big_u = (k0+u0, k0+u1, k0+u2) and big_l = (k0+l0, k0+l1, k0+1), each
+    rounded once and all > 0. With k = k0 + j, P(k) = j^3 + a2 j^2 + a1 j + a0
+    and Q(k) = j^3 + b2 j^2 + b1 j + b0, whose coefficients are elementary
+    symmetric functions of big_u and big_l, so both cubics in j have
+    coefficients of the form A - B with A, B sums of products of positive
+    floats:
+        j^3: b2 - (a2 + sig),   j^2: (b1 + k0 b2) - (a1 + (k0+sig) a2),
+        j^1: (b0 + k0 b1) - (a0 + (k0+sig) a1),   j^0: k0 b0 - (k0+sig) a0,
+    and the same pairs swapped, with sig2, for the second cubic. A cubic
+    with every coefficient >= 0 is >= 0 for j >= 0.
+
+    Rounding margin (u = 2^-53, g_n = n u / (1 - n u)). Each computed A or B
+    is a sum of products of positive floats, at most 8 roundings deep from
+    the exact k0 + u_i, k0 + l_i, k0 + sig: its relative error is at most
+    g_8, so A >= A^ (1 - g_9), B <= B^ (1 + g_9) and
+    A - B >= (A^ - B^) - g_9 (A^ + B^). The test reads
+    fl(fl(A^ - B^) / fl(A^ + B^)) >= 16 u, which makes (A^ - B^) / (A^ + B^)
+    >= 16 u (1 - 3u) > g_9, so A - B >= 0. No value here is near underflow:
+    every factor is at least the spacing of floats near k0 >= 32. An
+    overflow gives inf / inf = nan, which fails the test.
+    """
+    U0, U1, U2 = big_u
+    L0, L1, L2 = big_l
+    a2 = U0 + U1 + U2
+    a1 = U0 * U1 + U0 * U2 + U1 * U2
+    a0 = U0 * U1 * U2
+    b2 = L0 + L1 + L2
+    b1 = L0 * L1 + L0 * L2 + L1 * L2
+    b0 = L0 * L1 * L2
+    q = (b2, b1 + k0 * b2, b0 + k0 * b1, k0 * b0)
+    for sg, upper in ((sig, True), (sig2, False)):
+        ks = k0 + sg
+        p = (a2 + sg, a1 + ks * a2, a0 + ks * a1, ks * a0)
+        for qc, pc in zip(q, p):
+            pos, neg = (qc, pc) if upper else (pc, qc)
+            if not (pos - neg) / (pos + neg) >= _CUBIC_MARGIN:
+                return False
+    return True
+
+
+def _R_enclosure(u, l, s):
+    """A proven enclosure of the boundary series with float upper parameters
+    u, lower parameters l (both > 0) and decay exponent s > 1, as built by
+    _R_parameters: (value, radius) with |R - value| <= radius. radius is inf
+    where no tail bound was found.
+
+    The sum. The terms t_k, t_0 = 1, t_{k+1} = t_k P(k) / Q(k) with
+    P(k) = (k+u0)(k+u1)(k+u2), Q(k) = (k+l0)(k+l1)(k+1), are summed by the
+    compensated recurrence of R_series, K = 32 terms t_0 .. t_{K-1} at
+    first. A zero term means a factor k + u_i was exactly 0: the series
+    terminates and the sum is the whole value.
+
+    The tail. Once K + u_i > 0 for every i (K exceeds x2 - rho2), every
+    t_k with k >= K has the sign of t_K, and tau_k = |t_k|. If
+        (k + sig) tau_{k+1} <= k tau_k   for all k >= K, with sig > 1,
+    telescoping from K gives (sig - 1) sum_{j>K} tau_j <= K tau_K. If
+        (k + sig2) tau_{k+1} >= k tau_k  for all k >= K,
+    the same telescoping, with k tau_k -> 0 (tau_k ~ k^-s, s > 1), gives
+    (sig2 - 1) sum_{j>K} tau_j >= K tau_K. So the tail from K lies in
+    tau_K [1 + K/(sig2 - 1), 1 + K/(sig - 1)]. With P, Q > 0 the two
+    conditions are the cubics kQ(k) - (k + sig)P(k) >= 0 and
+    (k + sig2)P(k) - kQ(k) >= 0 (the k^4 terms cancel; the leading
+    coefficients are s - sig and sig2 - s), proven for every k >= K by
+    _tail_cubics_hold. This is Raabe's test made quantitative. The term
+    ratio is K/(K + h(K)) at K, h(K) = K(Q(K) - P(K))/P(K), and tends to
+    1 - s/k, so sig and sig2 are put just below and just above both h(K)
+    and s. Where the cubics fail, sig <= 1, or the interval contains 0, K
+    doubles, up to 4096.
+
+    The radius (Higham, "Accuracy and Stability of Numerical Algorithms",
+    ch. 3-4; u = 2^-53, g_n = n u / (1 - n u)). A step of the recurrence
+    rounds 11 times (k + u_i and k + l_i, four products, one product and
+    one quotient with the term), so the computed term is
+    t^_k = t_k (1 + th_k), |th_k| <= g_(11k). The compensated sum of
+    t^_0 .. t^_(K-1) is within (2u + O(K u^2)) sum |t^_k| of their exact
+    sum (Higham (4.8)), and sum |t_k - t^_k| <= g_(11K)/(1 - g_(11K))
+    sum |t^_k|. absum is sum |t^_k| to within g_K. tau_K is
+    |t^_K| (1 + g) with |g| <= g_(11K)/(1 - g_(11K)); the interval's centre
+    and half-width, computed in at most 6 roundings each, add g_6 of
+    tau^ (1 + K/(sig - 1)); the final addition adds u |value|. For
+    K <= 4096, (16K + 32) u times absum + tau^ (1 + K/(sig - 1)) + |value|
+    exceeds the sum of these with room for the rounding of the radius
+    itself, and is added to the half-width.
+    """
+    u0, u1, u2 = u
+    l0, l1 = l
+    gap = _SIGMA_GAP * (s - 1.0)
+    total = comp = absum = 0.0
+    term = 1.0
+    k = 0
+    k0 = _ENCLOSURE_START
+    value, radius = 0.0, math.inf
+    while True:
+        while k < k0:
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            absum += abs(term)
+            term = term * ((k + u0) * (k + u1) * (k + u2)) / ((k + l0) * (k + l1) * (k + 1.0))
+            if term == 0.0:
+                if 0.0 in (k + u0, k + u1, k + u2):
+                    return total, (16 * k + 32) * _UNIT_ROUNDOFF * (absum + abs(total))
+                return total, math.inf
+            k += 1
+        big_u = (k0 + u0, k0 + u1, k0 + u2)
+        if min(big_u) > 0.0:
+            big_l = (k0 + l0, k0 + l1, k0 + 1.0)
+            pk = big_u[0] * big_u[1] * big_u[2]
+            h = k0 * (big_l[0] * big_l[1] * big_l[2] - pk) / pk
+            sig = min(h, s) - gap
+            sig2 = max(h, s) + gap
+            if sig > 1.0 and _tail_cubics_hold(big_u, big_l, k0, sig, sig2):
+                tau = abs(term)
+                lo = k0 / (sig2 - 1.0)
+                hi = k0 / (sig - 1.0)
+                value = total + math.copysign(tau * (1.0 + (lo + hi) / 2.0), term)
+                radius = tau * (hi - lo) / 2.0 + (16 * k0 + 32) * _UNIT_ROUNDOFF * (
+                    absum + tau * (1.0 + hi) + abs(value)
+                )
+                if abs(value) > radius:
+                    return value, radius
+        if k0 >= _ENCLOSURE_MAX:
+            return value, radius
+        k0 *= 2
 
 
 def R_closed_form_b0(pt) -> float:
@@ -320,7 +468,7 @@ class Rank2Regions:
 def _rho_constants(rho: tuple):
     """What in_B needs of rho, built once per rho: the numerator and
     denominator of S = rho1^2 + rho2^2 and of |rho2|, float(S),
-    float(rho2^2) and (float(rho1), float(rho2)).
+    float(rho2^2), (float(rho1), float(rho2)) and rho1 itself.
 
     float(S) and float(rho2^2) are inf when S is beyond float range, which
     sends every float point to the exact gates.
@@ -332,7 +480,7 @@ def _rho_constants(rho: tuple):
         fs, fr2sq = float(s), float(r2 * r2)
     except OverflowError:
         fs = fr2sq = math.inf
-    return s.numerator, s.denominator, abs(r2.numerator), r2.denominator, fs, fr2sq, (float(r1), float(r2))
+    return s.numerator, s.denominator, abs(r2.numerator), r2.denominator, fs, fr2sq, (float(r1), float(r2)), r1
 
 
 def _gates_fail(x1, x2, s_num, s_den, r2_num, r2_den) -> bool:
@@ -364,28 +512,42 @@ def in_B(pt, d: int, rho) -> bool:
     Exact points get exact sign tests on the two polynomials, taken in
     integer arithmetic on the numerators and denominators (_gates_fail).
     Float points get the module deadband on the float values, scaled by
-    S + x1^2 + x2^2 and (rho2^2 + x1^2)(rho2^2 + x2^2); where a scale is not
-    finite the deadband cannot decide, and the exact tests run at the exact
-    rational values Fraction(x1), Fraction(x2). A nan or inf coordinate
-    raises DomainError. The series test always runs in floats with the same
-    deadband, SIGN_DEADBAND. Points that pass both polynomial gates satisfy
-    x1 <= rho1, with equality only at rho itself, which is a member; the
-    1e-6 whisker below keeps the series away from its parameter pole there.
+    S + x1^2 + x2^2 and (rho2^2 + x1^2)(rho2^2 + x2^2). The exact tests run
+    instead at the exact rational values Fraction(x1), Fraction(x2) where a
+    scale is not finite, so that the deadband cannot decide, and where a
+    point passes the deadband tests with float(rho1) - x1 <= 0, which only
+    a point inside their deadband can do. A point that mixes a float with an
+    exact coordinate beyond float range is decided exactly at its rational
+    value. A nan or inf coordinate raises DomainError.
 
-    The series is summed only where |x2| > rho2 (the T2 side). Elsewhere
-    every term (rho2+x2)_k (rho2-x2)_k (d/2)_k / ((rho1+x1)_k (rho1-x1)_k k!)
-    is >= 0, so R >= 1 and the point is a member from the term signs alone.
+    An exact point that passes both gates has x1 <= rho1, with equality
+    only at (rho1, +-rho2), where the series has its parameter pole: rho and
+    its mirror are members by that exact rule. Every other point that
+    passes is decided by the sign of the boundary series, summed in floats
+    from the float coordinates and rho (where rho1 is not a float, a point
+    within its rounding of rho1 raises the DomainError of R_series):
+    - where |x2| <= rho2 (the T1 side) every term
+      (rho2+x2)_k (rho2-x2)_k (d/2)_k / ((rho1+x1)_k (rho1-x1)_k k!) is >= 0,
+      so R >= 1 and the point is a member from the term signs alone;
+    - elsewhere _R_enclosure gives a proven interval for R, and a point is a
+      member when the interval lies in R > 0 and not one when it lies in
+      R < 0;
+    - a point whose interval still contains 0 after 4096 terms keeps the
+      float rule R_series(rel_tol=1e-8) >= -SIGN_DEADBAND. R is exactly 0 at
+      some such points, for example (1, 1) for d = 2, rho = (3/2, 1/2).
     """
+    s_num, s_den, r2_num, r2_den, fs, fr2sq, frho, r1 = _rho_constants(tuple(rho))
     x1, x2 = pt
-    s_num, s_den, r2_num, r2_den, fs, fr2sq, frho = _rho_constants(tuple(rho))
-    if is_exact(x1) and is_exact(x2):
-        if _gates_fail(x1, x2, s_num, s_den, r2_num, r2_den):
-            return False
-    else:
-        f1 = float(x1)
-        f2 = float(x2)
-        if not (math.isfinite(f1) and math.isfinite(f2)):
+    exact = is_exact(x1) and is_exact(x2)
+    if not exact:
+        if not all(math.isfinite(x) for x in pt if not is_exact(x)):
             raise DomainError(f"point coordinates must be finite, got {pt!r}")
+        try:
+            f1, f2 = float(x1), float(x2)
+        except OverflowError:
+            exact = True
+            x1, x2 = _exact_point(pt)
+    if not exact:
         y1 = f1 * f1
         y2 = f2 * f2
         scale10 = fs + y1 + y2
@@ -395,21 +557,26 @@ def in_B(pt, d: int, rho) -> bool:
             q11 = (fr2sq - y1) * (fr2sq - y2)
             if q10 < -SIGN_DEADBAND * (1.0 + scale10) or q11 < -SIGN_DEADBAND * (1.0 + scale11):
                 return False
-        elif _gates_fail(Fraction(f1), Fraction(f2), s_num, s_den, r2_num, r2_den):
+            exact = f1 >= frho[0]
+        else:
+            exact = True
+        if exact:
+            x1, x2 = Fraction(f1), Fraction(f2)
+    if exact:
+        if _gates_fail(x1, x2, s_num, s_den, r2_num, r2_den):
             return False
-    if frho[0] - float(x1) < 1e-6:
-        return True
+        if x1 == r1:
+            return True
     fpt = (float(x1), float(x2))
-    # Where rho2 - x2 >= 0 and rho2 + x2 >= 0 in these floats, every series
+    # _R_parameters raises here exactly where R_series would. Where
+    # rho2 - x2 >= 0 and rho2 + x2 >= 0 in these floats, every series
     # parameter is >= 0: the upper ones (rho2 +- x2, d/2) by that test, the
-    # lower ones (rho1 +- x1, 1) by the checks of _R_parameters, which raise
-    # here exactly where R_series would. Then every term is >= 0 and
-    # R >= t_0 = 1. The float sum R_series would return from the same floats
-    # starts at 1.0 and adds nonnegative terms and an estimate of a
-    # nonnegative tail, so it is nowhere near -SIGN_DEADBAND: the point is a
-    # member without summing.
-    u, _, _ = _R_parameters(fpt, d, frho)
+    # lower ones (rho1 +- x1, 1) by the checks of _R_parameters. Then every
+    # term is >= 0 and R >= t_0 = 1: the point is a member without summing.
+    u, l, s = _R_parameters(fpt, d, frho)
     if u[0] >= 0 and u[1] >= 0:
         return True
-    value = R_series(fpt, d, frho, rel_tol=_IN_B_SERIES_TOL)
-    return value >= -SIGN_DEADBAND
+    value, radius = _R_enclosure(u, l, s)
+    if abs(value) > radius:
+        return value > 0
+    return R_series(fpt, d, frho, rel_tol=1e-8) >= -SIGN_DEADBAND

@@ -175,21 +175,25 @@ def _float_view(pt):
 
     A point whose coordinates are all exact gets the squares of the
     correctly rounded coordinates and ylo, the smallest of them over the
-    nonzero coordinates (1.0 when there is none); sq is None when a
-    coordinate lies beyond float range. Any other point is a float point,
-    with sq = [x * x] and ylo None; a nan or inf coordinate raises
-    DomainError.
+    nonzero coordinates (1.0 when there is none). Any other point is a float
+    point, with sq = [x * x] and ylo None; a nan or inf coordinate raises
+    DomainError. A point with an exact coordinate beyond float range, float
+    coordinates or not, gets (True, None, None): it is decided exactly at
+    its rational value.
     """
-    if not all(is_exact(x) for x in pt):
-        xs = [float(x) for x in pt]
-        if not all(math.isfinite(x) for x in xs):
-            raise DomainError(f"point coordinates must be finite, got {pt!r}")
-        return False, [x * x for x in xs], None
+    exact = True
+    for x in pt:
+        if not is_exact(x):
+            exact = False
+            if not math.isfinite(x):
+                raise DomainError(f"point coordinates must be finite, got {pt!r}")
     try:
         xs = [float(x) for x in pt]
     except OverflowError:
         return True, None, None
     sq = [x * x for x in xs]
+    if not exact:
+        return False, sq, None
     return True, sq, min((y for x, y in zip(pt, sq) if x), default=1.0)
 
 

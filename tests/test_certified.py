@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bcinterp.rank2 as rank2
 import bcinterp.shimura as shimura
 from bcinterp.exactnum import SIGN_DEADBAND, DomainError
 from bcinterp.okounkov import Params, _compiled_terms, _float_sum, okounkov_eval
 from bcinterp.partitions import enumerate_Lambda, weight
+from bcinterp.rank2 import in_B
 from bcinterp.shimura import (
     GroupData,
     Verdict,
@@ -170,6 +172,20 @@ def test_float_points_beyond_the_deadband_scale(pt):
     exact = tuple(Fraction(x) for x in pt)
     assert in_G(pt, p) == oracle_G(exact, p) == Verdict(False, 1, 2)
     assert in_A_certified(pt, p, 6) == oracle_A(exact, p, 6) == Verdict(False, (1,), 6)
+
+
+@pytest.mark.parametrize("pt", [(Fraction(10**400), 0.5), (0.5, Fraction(-(10**400))), (Fraction(10**400, 3), 1e300)])
+def test_mixed_points_beyond_float_range(pt, exact_calls):
+    # float() of the exact coordinate used to raise OverflowError; the
+    # point is decided exactly at its rational value
+    p = group_params(GroupData(2, 2, 0))
+    got_G, got_A = in_G(pt, p), in_A_certified(pt, p, 6)
+    assert exact_calls == {"A": 1, "G": 1}
+    exact = shimura._exact_point(pt)
+    assert got_G == oracle_G(exact, p) == Verdict(False, 1, 2)
+    assert got_A == oracle_A(exact, p, 6) == Verdict(False, (1,), 6)
+    assert rank2._gates_fail(*exact, *rank2._rho_constants(p.rho)[:4])
+    assert in_B(pt, 2, p.rho) is False
 
 
 @pytest.mark.parametrize("pt", [(float("inf"), 0.0), (float("nan"), 0.0), (0.5, float("-inf")), (Fraction(1, 2), float("nan"))])

@@ -180,6 +180,8 @@ def test_R_series_matches_reference_values():
             1,
         )
         assert abs(R_series(pt, d, rho) - float(ref)) <= 5e-12 * (1 + abs(float(ref)))
+        value, radius = rank2._R_enclosure(*rank2._R_parameters(pt, d, rho))
+        assert abs(mp_ctx.mpf(value) - ref) <= radius, (pt, d, rho)
 
 
 def test_R_series_agrees_with_gamma_quotient():
@@ -194,6 +196,14 @@ def test_R_series_rejects_bad_parameters():
         R_series((0.0, 0.0), 2, (1.0, 1.0))  # s = 1: not summable
     with pytest.raises(DomainError):
         R_series((0.0, 0.0), 0, (1.5, 0.5))
+
+
+@pytest.mark.parametrize("pt", [(0.0, math.inf), (0.0, math.nan), (math.nan, 0.0)])
+def test_R_series_rejects_non_finite_coordinates(pt):
+    # every comparison with nan is false, so these used to pass the
+    # parameter checks and sum to nan
+    with pytest.raises(DomainError, match="finite"):
+        R_series(pt, 2, (1.5, 0.5))
 
 
 def test_midpoint_telescoped_values():
@@ -262,7 +272,7 @@ def test_in_B_members_and_non_members():
     rho = RHO_SU22
     assert in_B((Fraction(3, 10), Fraction(1, 10)), 2, rho)
     assert in_B((Fraction(1), Fraction(3, 4)), 2, rho)
-    assert in_B(rho, 2, rho)  # the corner is a member via the pole whisker
+    assert in_B(rho, 2, rho)  # the corner is a member by the exact rule at rho
     assert not in_B((Fraction(8, 5), Fraction(1, 5)), 2, rho)
     assert not in_B((Fraction(2), Fraction(1)), 2, rho)
 
@@ -366,12 +376,13 @@ def test_R_series_is_at_least_one_in_T1():
 
 def test_in_B_sums_the_series_only_in_T2(monkeypatch):
     calls = []
+    enclosure = rank2._R_enclosure
 
-    def counting_R_series(pt, *args, **kwargs):
-        calls.append(pt)
-        return R_series(pt, *args, **kwargs)
+    def counting_R_enclosure(*args):
+        calls.append(args)
+        return enclosure(*args)
 
-    monkeypatch.setattr(rank2, "R_series", counting_R_series)
+    monkeypatch.setattr(rank2, "_R_enclosure", counting_R_enclosure)
     for d, b in GROUPS_DB:
         rho = _group_rho(d, b)
         for pt in _window_points(rho):
@@ -385,6 +396,87 @@ def test_in_B_sums_the_series_only_in_T2(monkeypatch):
             assert in_B(p, d, rho)
             assert len(calls) == 1, (d, b, p)
             calls.clear()
+
+
+def _T2_series_points(d, b):
+    """The window points past both gates, off rho, with |x2| > rho2: the
+    points where in_B signs the series from its enclosure."""
+    rho = _group_rho(d, b)
+    for pt in _window_points(rho):
+        if abs(pt[1]) > rho[1] and pt[0] != rho[0] and not _fraction_gates_fail(pt, rho):
+            yield (float(pt[0]), float(pt[1])), (float(rho[0]), float(rho[1]))
+
+
+def test_R_enclosure_contains_R_series_in_T2():
+    checked = 0
+    for d, b in GROUPS_DB:
+        for fpt, frho in _T2_series_points(d, b):
+            value, radius = rank2._R_enclosure(*rank2._R_parameters(fpt, d, frho))
+            assert abs(R_series(fpt, d, frho) - value) <= radius, (d, b, fpt)
+            checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize("pt, d, rho", [((1.66, 1.58), 4, (2.5, 0.5)), ((1.0, 0.98), 2, (1.5, 0.5))])
+def test_R_enclosure_where_the_first_tail_bound_fails(pt, d, rho):
+    # the cubics fail at K = 32 here; bounds from sigma and sigma' alone
+    # would miss R
+    value, radius = rank2._R_enclosure(*rank2._R_parameters(pt, d, rho))
+    assert abs(R_series(pt, d, rho) - value) <= radius
+
+
+@pytest.mark.parametrize("u, l", [((2.0, -1.0, 1.0), (3.0, 0.5)), ((40.5, -32.0, 0.5), (45.25, 3.75))])
+def test_R_enclosure_at_a_terminating_series(u, l):
+    # the terms die after t_(-u1); the exact finite sum is the value
+    exact = hyp_sum(HypSeriesSpec(tuple(map(Fraction, u)), tuple(map(Fraction, l)), truncation=int(-u[1])))
+    value, radius = rank2._R_enclosure(u, l, 1.0 + sum(l) - sum(u))
+    assert abs(Fraction(value) - exact) <= Fraction(radius) < 1e-7
+
+
+def test_R_enclosure_gives_up_on_an_underflowed_term():
+    # t_2 underflows to 0 with no zero factor: nothing bounds the tail
+    u, l = (2.0, -1.5, 0.5), (1e170, 1e170)
+    assert rank2._R_enclosure(u, l, 1.0 + sum(l) - sum(u))[1] == math.inf
+
+
+def test_in_B_near_the_pole_decides_from_the_series():
+    # float points that pass the gates within a hair of rho1 used to be
+    # members by a 1e-6 whisker; the series is negative at this one
+    rho = (Fraction(5, 4), Fraction(3, 4))
+    pt = (1.25 - 1e-12, 0.75 + 1e-12)
+    assert R_series(pt, 1, (1.25, 0.75), rel_tol=1e-8) < -0.3
+    assert not in_B(pt, 1, rho)
+    # a float point past rho1 inside the gates' deadband gets the exact
+    # gates, which it fails; rho and its mirror are members
+    assert not in_B((1.5 + 1e-12, 0.5), 2, RHO_SU22)
+    assert in_B((1.5, 0.5), 2, RHO_SU22) and in_B((1.5, -0.5), 2, RHO_SU22)
+
+
+def _counting_R_series(monkeypatch):
+    calls = []
+
+    def counting(pt, *args, **kwargs):
+        calls.append(pt)
+        return R_series(pt, *args, **kwargs)
+
+    monkeypatch.setattr(rank2, "R_series", counting)
+    return calls
+
+
+def test_region_rank2_B_rasters_never_need_the_fallback(monkeypatch, capsys):
+    calls = _counting_R_series(monkeypatch)
+    for group in ("2,1,2", "2,2,3"):
+        assert main(["region", "--kind", "rank2-B", "--group", group, "--grid", "100"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_region_rank2_B_falls_back_where_R_vanishes(monkeypatch, capsys):
+    # R is exactly 0 at (1, 1) for group 2,2,0, so no enclosure signs it
+    calls = _counting_R_series(monkeypatch)
+    assert main(["region", "--kind", "rank2-B", "--group", "2,2,0", "--grid", "6"]) == 0
+    assert "1,1,1," in capsys.readouterr().out.splitlines()
+    assert calls == [(1.0, 1.0)]
 
 
 def test_region_rank2_B_matches_the_oracles(capsys):
@@ -419,7 +511,7 @@ def _past_gates(*args):
 def _in_B_gates_fail(pt, rho):
     """Whether in_B rejects pt at its polynomial gates. With _R_parameters
     replaced, in_B returns False only from a gate, returns True only from
-    the pole whisker after both gates, and otherwise raises _PastGates."""
+    the exact rule at rho after both gates, and otherwise raises _PastGates."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rank2, "_R_parameters", _past_gates)
         try:
