@@ -6,13 +6,11 @@ from .exactnum import (
     PoleError,
     gen_pochhammer,
     log_gamma,
-    poch_falling,
     poch_pm,
     poch_rising,
 )
 from .limits import (
     ContourPolyline,
-    LimitProfile,
     S_div,
     c_l_sequence,
     contour_diagonal_crossings,
@@ -47,8 +45,6 @@ from .okounkov import (
 from .partitions import (
     ReverseTableau,
     arm,
-    coarm,
-    coleg,
     conjugate,
     contains,
     enumerate_Lambda,

@@ -2,16 +2,21 @@
 suites, region rasterization, contour emission.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage, 3 domain error during
-computation, 4 I/O. Flag validation failures (bad rationals, bad
-partitions, inconsistent lengths, wrong group shape for a kind) are usage
-errors; the same exception type raised later, by the mathematics, is a
-domain error. All output is deterministic for fixed flags.
+computation, 4 I/O error writing --out or stdout. Flag validation failures
+(bad rationals, bad partitions, inconsistent lengths, wrong group shape for
+a kind) are usage errors; the same exception type raised later, by the
+mathematics, is a domain error. All output is deterministic for fixed flags.
+
+Each cmd_* handler only checks its flags and returns a zero-argument
+compute that gives (text, exit_code); main maps errors to exit codes and
+writes the text, once for every subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -42,7 +47,7 @@ from .okounkov import (
     rectangle_poly,
     verify_characterization,
 )
-from .partitions import enumerate_Lambda, format_partition, parse_partition, weight
+from .partitions import enumerate_Lambda, format_partition, parse_partition
 from .rank2 import R_midpoint_telescoped, R_series, in_B, q_rank2, q_rank2_partial_d2
 from .shimura import (
     GroupData,
@@ -54,8 +59,6 @@ from .shimura import (
     in_U0_knapp_speh,
     shimura_eigenvalue,
 )
-
-import math
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -83,13 +86,8 @@ def _parse_group(text: str, p: int) -> GroupData:
     return GroupData(n, d, b, p)
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-def _fail_usage(exc) -> int:
-    sys.stderr.write(f"error: {exc}\n")
-    return 2
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------- eval / expand
@@ -100,70 +98,43 @@ def _prep_eval(args):
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     p = Params(n, _parse_rational(args.tau), _parse_rational(args.alpha))
-    lam = parse_partition(args.lam)
-    x_text = getattr(args, "x", None)
-    pt = _parse_vector(x_text, n) if x_text is not None else None
-    return p, lam, pt
+    return p, parse_partition(args.lam)
 
 
-def cmd_eval(args) -> int:
-    try:
-        p, lam, pt = _prep_eval(args)
-        if pt is None:
-            raise DomainError("--x is required for eval")
-    except DomainError as exc:
-        return _fail_usage(exc)
-    try:
-        value = okounkov_eval(lam, pt, p)
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    _emit({"value": str(Fraction(value))})
-    return 0
+def cmd_eval(args):
+    p, lam = _prep_eval(args)
+    pt = _parse_vector(args.x, p.n)
+    return lambda: (_json({"value": str(Fraction(okounkov_eval(lam, pt, p)))}), 0)
 
 
-def cmd_expand(args) -> int:
-    try:
-        p, lam, _ = _prep_eval(args)
-    except DomainError as exc:
-        return _fail_usage(exc)
-    try:
-        poly = okounkov_expand(lam, p)
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    _emit(poly.to_json())
-    return 0
+def cmd_expand(args):
+    p, lam = _prep_eval(args)
+    return lambda: (_json(okounkov_expand(lam, p).to_json()), 0)
 
 
 # ---------------------------------------------------------------- eigenvalue
 
 
-def cmd_eigenvalue(args) -> int:
-    try:
-        g = _parse_group(args.group, args.p)
-        mu = parse_partition(args.mu)
-        prm = group_params(g)
-        if len(mu) > g.n:
-            raise DomainError(f"partition {format_partition(mu)!r} has more than n = {g.n} parts")
-        pt = _parse_vector(args.x, g.n)
-    except DomainError as exc:
-        return _fail_usage(exc)
-    try:
+def cmd_eigenvalue(args):
+    g = _parse_group(args.group, args.p)
+    mu = parse_partition(args.mu)
+    prm = group_params(g)
+    if len(mu) > g.n:
+        raise DomainError(f"partition {format_partition(mu)!r} has more than n = {g.n} parts")
+    pt = _parse_vector(args.x, g.n)
+
+    def compute():
         value = shimura_eigenvalue(mu, pt, g)
         kmu = k_constant(mu, prm.tau)
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    _emit(
-        {
+        obj = {
             "eigenvalue": str(Fraction(value)),
             "k_mu": str(Fraction(kmu)),
             "tau": str(prm.tau),
             "alpha": str(prm.alpha),
         }
-    )
-    return 0
+        return _json(obj), 0
+
+    return compute
 
 
 # ---------------------------------------------------------------- verify
@@ -344,18 +315,17 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     runner, default, cap = _SUITES[args.suite]
     budget = args.budget if args.budget is not None else default
     if budget < 0 or budget > cap:
-        return _fail_usage(DomainError(f"budget for {args.suite} must be in [0, {cap}], got {budget}"))
-    try:
+        raise DomainError(f"budget for {args.suite} must be in [0, {cap}], got {budget}")
+
+    def compute():
         checks, failures = runner(budget, args.seed)
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    _emit({"suite": args.suite, "checks": checks, "failures": failures})
-    return 1 if failures else 0
+        return _json({"suite": args.suite, "checks": checks, "failures": failures}), (1 if failures else 0)
+
+    return compute
 
 
 # ---------------------------------------------------------------- region
@@ -404,78 +374,46 @@ def _cell(v):
     return ("1" if v else "0"), ""
 
 
-def cmd_region(args) -> int:
-    try:
-        if args.grid < 2:
-            raise DomainError(f"need grid >= 2, got {args.grid}")
-        if args.max_weight < 1:
-            raise DomainError(f"need max-weight >= 1, got {args.max_weight}")
-        top, test = _region_window(args)
-    except DomainError as exc:
-        return _fail_usage(exc)
-    axis = [top * i / (args.grid - 1) for i in range(args.grid)]
-    labels = [f"{float(v):.12g}" for v in axis]
-    lines = ["x,y,member,witness"]
-    try:
+def cmd_region(args):
+    if args.grid < 2:
+        raise DomainError(f"need grid >= 2, got {args.grid}")
+    if args.max_weight < 1:
+        raise DomainError(f"need max-weight >= 1, got {args.max_weight}")
+    top, test = _region_window(args)
+
+    def compute():
+        axis = [top * i / (args.grid - 1) for i in range(args.grid)]
+        labels = [f"{float(v):.12g}" for v in axis]
+        lines = ["x,y,member,witness"]
         for i, x1 in enumerate(axis):
             for j in range(i + 1):
                 m, w = _cell(test((x1, axis[j])))
                 lines.append(f"{labels[i]},{labels[j]},{m},{w}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    return 0
+        return "\n".join(lines) + "\n", 0
+
+    return compute
 
 
 # ---------------------------------------------------------------- contour / crossing
 
 
-def cmd_contour(args) -> int:
-    try:
-        if args.m < 0:
-            raise DomainError(f"need m >= 0, got {args.m}")
-        if args.grid < 16:
-            raise DomainError(f"need grid >= 16, got {args.grid}")
-    except DomainError as exc:
-        return _fail_usage(exc)
-    try:
-        text = contour_to_csv(trace_contour(args.m, args.grid))
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    return 0
+def cmd_contour(args):
+    if args.m < 0:
+        raise DomainError(f"need m >= 0, got {args.m}")
+    if args.grid < 16:
+        raise DomainError(f"need grid >= 16, got {args.grid}")
+    return lambda: (contour_to_csv(trace_contour(args.m, args.grid)), 0)
 
 
-def cmd_crossing(args) -> int:
-    try:
-        if args.m < 0:
-            raise DomainError(f"need m >= 0, got {args.m}")
-    except DomainError as exc:
-        return _fail_usage(exc)
-    try:
+def cmd_crossing(args):
+    if args.m < 0:
+        raise DomainError(f"need m >= 0, got {args.m}")
+
+    def compute():
         c = crossing_point(args.m)
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    _emit({"c_m": c, "residual": crossing_equation(c, args.m)})
-    return 0
+        return _json({"c_m": c, "residual": crossing_equation(c, args.m)}), 0
+
+    return compute
 
 
 # ---------------------------------------------------------------- parser
@@ -540,14 +478,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc, code: int) -> int:
+    sys.stderr.write(f"error: {exc}\n")
+    return code
+
+
 def main(argv=None) -> int:
+    """Parse argv, run the subcommand's flag checks (DomainError: exit 2),
+    its compute (DomainError: exit 3), then write the text to --out or
+    stdout (OSError: exit 4); otherwise return the compute's exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code else 0
-    return args.run(args)
+    try:
+        compute = args.run(args)
+    except DomainError as exc:
+        return _fail(exc, 2)
+    try:
+        text, code = compute()
+    except DomainError as exc:
+        return _fail(exc, 3)
+    out = getattr(args, "out", None)
+    try:
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        return _fail(exc, 4)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ __all__ = [
     "DomainError",
     "PoleError",
     "poch_rising",
-    "poch_falling",
     "poch_pm",
     "gen_pochhammer",
     "log_gamma",
@@ -57,16 +56,6 @@ def poch_rising(a, k: int):
     out = a ** 0  # 1 of the same kind as a
     for i in range(k):
         out = out * (a + i)
-    return out
-
-
-def poch_falling(a, k: int):
-    """Falling factorial a (a-1) ... (a-k+1)."""
-    if k < 0:
-        raise DomainError(f"falling factorial needs k >= 0, got {k}")
-    out = a ** 0
-    for i in range(k):
-        out = out * (a - i)
     return out
 
 

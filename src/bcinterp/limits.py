@@ -7,14 +7,13 @@ diagonal crossing point with a contour tracer for the S = 0 curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import SIGN_DEADBAND, DomainError, PoleError, is_exact, log_gamma
 
 __all__ = [
-    "LimitProfile",
     "ContourPolyline",
     "gamma_ratio_identity",
     "gamma_ratio_partial",
@@ -35,23 +34,6 @@ __all__ = [
 
 # below this gap the divided difference switches to the derivative
 _DIAG_SWITCH = 1e-8
-
-
-@dataclass(frozen=True)
-class LimitProfile:
-    """The m-th member of the half-integer family: alpha = (m+1)/2."""
-
-    m: int
-    alpha: Fraction = field(default=None)
-
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 0:
-            raise DomainError(f"m must be a nonnegative integer, got {self.m}")
-        want = Fraction(self.m + 1, 2)
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", want)
-        elif Fraction(self.alpha) != want:
-            raise DomainError(f"alpha must be (m+1)/2 = {want}, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -241,23 +223,26 @@ def crossing_equation(c: float, m: int) -> float:
     return out
 
 
-def crossing_point(m: int, scan: int = 512) -> float:
+_CROSSING_SCAN = 512
+
+
+def crossing_point(m: int) -> float:
     """Root of the crossing equation in (0,1) by bisection to width 1e-13.
 
     The equation is strictly decreasing there (the cotangent term has slope
     at most -pi^2 while the sum's slope is below pi^2/6), so the root is
-    unique; a scan over `scan` samples re-checks that instead of assuming it.
+    unique; a scan over _CROSSING_SCAN samples re-checks that instead of
+    assuming it.
     """
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m}")
     lo, hi = 1e-6, 1.0 - 1e-6
-    if scan >= 2:
-        prev = None
-        for k in range(scan):
-            v = crossing_equation(lo + (hi - lo) * k / (scan - 1), m)
-            if prev is not None and v >= prev:
-                raise DomainError(f"crossing equation not decreasing near sample {k} for m = {m}")
-            prev = v
+    prev = None
+    for k in range(_CROSSING_SCAN):
+        v = crossing_equation(lo + (hi - lo) * k / (_CROSSING_SCAN - 1), m)
+        if prev is not None and v >= prev:
+            raise DomainError(f"crossing equation not decreasing near sample {k} for m = {m}")
+        prev = v
     flo = crossing_equation(lo, m)
     fhi = crossing_equation(hi, m)
     if not (flo > 0 > fhi):

@@ -22,8 +22,6 @@ __all__ = [
     "conjugate",
     "arm",
     "leg",
-    "coarm",
-    "coleg",
     "cells",
     "enumerate_Lambda",
     "ReverseTableau",
@@ -111,20 +109,6 @@ def leg(lam, s: Cell) -> int:
     _require_cell(lam, s)
     i, j = s
     return sum(1 for k in range(i, len(lam)) if lam[k] >= j)
-
-
-def coarm(lam, s: Cell) -> int:
-    """Cells strictly left of s in its row: j - 1."""
-    lam = normalize(lam)
-    _require_cell(lam, s)
-    return s[1] - 1
-
-
-def coleg(lam, s: Cell) -> int:
-    """Cells strictly above s in its column: i - 1."""
-    lam = normalize(lam)
-    _require_cell(lam, s)
-    return s[0] - 1
 
 
 def cells(lam):

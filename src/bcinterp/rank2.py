@@ -468,7 +468,7 @@ class Rank2Regions:
 def _rho_constants(rho: tuple):
     """What in_B needs of rho, built once per rho: the numerator and
     denominator of S = rho1^2 + rho2^2 and of |rho2|, float(S),
-    float(rho2^2), (float(rho1), float(rho2)) and rho1 itself.
+    float(rho2^2), (float(rho1), float(rho2)) and rho1, rho2 themselves.
 
     float(S) and float(rho2^2) are inf when S is beyond float range, which
     sends every float point to the exact gates.
@@ -480,7 +480,7 @@ def _rho_constants(rho: tuple):
         fs, fr2sq = float(s), float(r2 * r2)
     except OverflowError:
         fs = fr2sq = math.inf
-    return s.numerator, s.denominator, abs(r2.numerator), r2.denominator, fs, fr2sq, (float(r1), float(r2)), r1
+    return s.numerator, s.denominator, abs(r2.numerator), r2.denominator, fs, fr2sq, (float(r1), float(r2)), r1, r2
 
 
 def _gates_fail(x1, x2, s_num, s_den, r2_num, r2_den) -> bool:
@@ -522,13 +522,14 @@ def in_B(pt, d: int, rho) -> bool:
 
     An exact point that passes both gates has x1 <= rho1, with equality
     only at (rho1, +-rho2), where the series has its parameter pole: rho and
-    its mirror are members by that exact rule. Every other point that
-    passes is decided by the sign of the boundary series, summed in floats
-    from the float coordinates and rho (where rho1 is not a float, a point
-    within its rounding of rho1 raises the DomainError of R_series):
-    - where |x2| <= rho2 (the T1 side) every term
-      (rho2+x2)_k (rho2-x2)_k (d/2)_k / ((rho1+x1)_k (rho1-x1)_k k!) is >= 0,
-      so R >= 1 and the point is a member from the term signs alone;
+    its mirror are members by that exact rule. Where rho2 - x2 >= 0,
+    rho2 + x2 >= 0 and |x1| < rho1 (the T1 side) every term
+    (rho2+x2)_k (rho2-x2)_k (d/2)_k / ((rho1+x1)_k (rho1-x1)_k k!) is >= 0,
+    so R >= 1 and the point is a member from the term signs alone; an exact
+    point is decided so in exact arithmetic, also within float rounding of
+    rho1. Every other point that passes is decided by the sign of the
+    boundary series, summed in floats from the float coordinates and rho:
+    - a float point on the T1 side is a member from the term signs in floats;
     - elsewhere _R_enclosure gives a proven interval for R, and a point is a
       member when the interval lies in R > 0 and not one when it lies in
       R < 0;
@@ -536,7 +537,7 @@ def in_B(pt, d: int, rho) -> bool:
       float rule R_series(rel_tol=1e-8) >= -SIGN_DEADBAND. R is exactly 0 at
       some such points, for example (1, 1) for d = 2, rho = (3/2, 1/2).
     """
-    s_num, s_den, r2_num, r2_den, fs, fr2sq, frho, r1 = _rho_constants(tuple(rho))
+    s_num, s_den, r2_num, r2_den, fs, fr2sq, frho, r1, r2 = _rho_constants(tuple(rho))
     x1, x2 = pt
     exact = is_exact(x1) and is_exact(x2)
     if not exact:
@@ -566,6 +567,10 @@ def in_B(pt, d: int, rho) -> bool:
         if _gates_fail(x1, x2, s_num, s_den, r2_num, r2_den):
             return False
         if x1 == r1:
+            return True
+        # the T1 side, |x1| < rho1 and |x2| <= rho2 (signed), in integers
+        if (abs(x1.numerator) * r1.denominator < r1.numerator * x1.denominator
+                and abs(x2.numerator) * r2.denominator <= r2.numerator * x2.denominator):
             return True
     fpt = (float(x1), float(x2))
     # _R_parameters raises here exactly where R_series would. Where

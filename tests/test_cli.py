@@ -50,6 +50,27 @@ def test_eval_missing_flag_is_usage_error(capsys):
     assert code == 2
 
 
+def test_eval_domain_error_is_compute_error(capsys):
+    # flags parse, but the partition has more parts than n: the mathematics
+    # rejects it while computing
+    code, out, err = run(capsys, "eval", "--n", "1", "--tau", "1", "--alpha", "1/2", "--lambda", "1,1", "--x", "1")
+    assert code == 3
+    assert out == ""
+    assert "error:" in err
+
+
+def test_stdout_write_error_is_io_error(capsys, monkeypatch):
+    def broken(text):
+        raise OSError("stdout closed")
+
+    monkeypatch.setattr(cli.sys.stdout, "write", broken)
+    code = main(["eval", "--n", "2", "--tau", "1", "--alpha", "1/2", "--lambda", "1", "--x", "3/2,1/2"])
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "error: stdout closed\n"
+
+
 def test_expand_single_box(capsys):
     code, out, _ = run(capsys, "expand", "--n", "2", "--tau", "1", "--alpha", "1/2", "--lambda", "1")
     assert code == 0
@@ -259,6 +280,13 @@ def test_contour_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("x,y\n")
+
+
+def test_contour_unwritable_out(capsys):
+    code, out, err = run(capsys, "contour", "--m", "0", "--out", "/nonexistent/dir/x.csv")
+    assert code == 4
+    assert out == ""
+    assert "error:" in err
 
 
 def test_contour_usage_errors(capsys):

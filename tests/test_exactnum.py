@@ -12,7 +12,6 @@ from bcinterp.exactnum import (
     gen_pochhammer,
     is_exact,
     log_gamma,
-    poch_falling,
     poch_pm,
     poch_rising,
 )
@@ -26,11 +25,6 @@ def test_rising_basic():
     assert poch_rising(-2, 4) == 0
 
 
-def test_falling_basic():
-    assert poch_falling(Fraction(7, 2), 2) == Fraction(7, 2) * Fraction(5, 2)
-    assert poch_falling(3, 4) == 0
-
-
 def test_rising_rejects_negative_k():
     with pytest.raises(DomainError):
         poch_rising(1, -1)
@@ -39,12 +33,6 @@ def test_rising_rejects_negative_k():
 @given(small_fractions, st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))
 def test_rising_splits_at_any_point(a, j, k):
     assert poch_rising(a, j + k) == poch_rising(a, j) * poch_rising(a + j, k)
-
-
-@given(small_fractions, st.integers(min_value=0, max_value=6))
-def test_falling_is_rising_reflected(a, k):
-    sign = -1 if k % 2 else 1
-    assert poch_falling(a, k) == sign * poch_rising(-a, k)
 
 
 def test_poch_pm_is_two_sided():

@@ -9,7 +9,6 @@ from bcinterp import limits
 from bcinterp.exactnum import DomainError, PoleError
 from bcinterp.limits import (
     ContourPolyline,
-    LimitProfile,
     S_div,
     c_l_sequence,
     contour_diagonal_crossings,
@@ -30,22 +29,6 @@ from bcinterp.okounkov import Params
 from bcinterp.partitions import weight
 from bcinterp.rank2 import Rank2Regions
 from bcinterp.shimura import in_A_certified, in_G, q_poly
-
-
-# ---------------------------------------------------------------- profile
-
-
-def test_limit_profile_defaults():
-    assert LimitProfile(0).alpha == Fraction(1, 2)
-    assert LimitProfile(3).alpha == Fraction(2)
-    assert LimitProfile(2, Fraction(3, 2)).alpha == Fraction(3, 2)
-
-
-def test_limit_profile_validation():
-    with pytest.raises(DomainError):
-        LimitProfile(-1)
-    with pytest.raises(DomainError):
-        LimitProfile(2, Fraction(1))
 
 
 # ---------------------------------------------------------------- gamma ratios

@@ -8,8 +8,6 @@ from bcinterp.exactnum import DomainError
 from bcinterp.partitions import (
     arm,
     cells,
-    coarm,
-    coleg,
     conjugate,
     contains,
     enumerate_Lambda,
@@ -76,8 +74,6 @@ def test_cell_statistics():
     lam = (4, 2, 1)
     assert arm(lam, (1, 1)) == 3
     assert leg(lam, (1, 1)) == 2
-    assert coarm(lam, (1, 3)) == 2
-    assert coleg(lam, (3, 1)) == 2
     assert arm(lam, (2, 2)) == 0
     assert leg(lam, (2, 1)) == 1
 

@@ -452,6 +452,18 @@ def test_in_B_near_the_pole_decides_from_the_series():
     assert in_B((1.5, 0.5), 2, RHO_SU22) and in_B((1.5, -0.5), 2, RHO_SU22)
 
 
+def test_in_B_exact_T1_point_within_float_rounding_of_rho1():
+    # float(x1) == float(rho1) here, so the float series parameter rho1 - x1
+    # is 0; the exact point has |x2| <= rho2, every term is >= 0 and R >= 1
+    rho = (Fraction(4, 3), Fraction(1, 3))
+    pt = (Fraction(4, 3) - Fraction(1, 10**20), Fraction(1, 3))
+    assert float(pt[0]) == float(rho[0])
+    with pytest.raises(DomainError):
+        R_series(pt, 2, rho)
+    assert in_B(pt, 2, rho)
+    assert in_B((pt[0], -pt[1]), 2, rho)
+
+
 def _counting_R_series(monkeypatch):
     calls = []
 
