@@ -7,7 +7,6 @@ diagonal crossing point with a contour tracer for the S = 0 curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,15 +35,19 @@ __all__ = [
 _DIAG_SWITCH = 1e-8
 
 
-@dataclass(frozen=True)
 class ContourPolyline:
     """One connected component of a traced zero level, as an ordered
     point chain. Closed loops repeat the first point at the end."""
 
-    points: tuple
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple((float(x), float(y)) for x, y in self.points))
+    def __init__(self, points):
+        self.points = tuple((float(x), float(y)) for x, y in points)
+
+    def __eq__(self, other):
+        if other.__class__ is not ContourPolyline:
+            return NotImplemented
+        return self.points == other.points
 
 
 def gamma_ratio_identity(a, b, c, d) -> float:

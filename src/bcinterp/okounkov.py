@@ -19,7 +19,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -57,19 +56,41 @@ __all__ = [
 EXPAND_WEIGHT_GUARD = 8
 
 
-@dataclass(frozen=True)
 class Params:
-    """Interpolation parameters: rank n plus exact rationals (tau, alpha)."""
+    """Interpolation parameters: rank n plus exact rationals (tau, alpha).
 
-    n: int
-    tau: Fraction
-    alpha: Fraction
+    Immutable and compared and hashed by value: a Params keys the compile
+    caches (_compiled_terms, _column_terms, shimura._filter_tables).
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"rank must be >= 1, got {self.n}")
-        object.__setattr__(self, "tau", as_exact(self.tau))
-        object.__setattr__(self, "alpha", as_exact(self.alpha))
+    __slots__ = ("n", "tau", "alpha")
+
+    def __init__(self, n: int, tau, alpha):
+        if n < 1:
+            raise DomainError(f"rank must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "tau", as_exact(tau))
+        object.__setattr__(self, "alpha", as_exact(alpha))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Params is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Params is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Params, (self.n, self.tau, self.alpha)
+
+    def __eq__(self, other):
+        if other.__class__ is not Params:
+            return NotImplemented
+        return (self.n, self.tau, self.alpha) == (other.n, other.tau, other.alpha)
+
+    def __hash__(self):
+        return hash((self.n, self.tau, self.alpha))
+
+    def __repr__(self):
+        return f"Params(n={self.n!r}, tau={self.tau!r}, alpha={self.alpha!r})"
 
     @property
     def rho(self) -> tuple[Fraction, ...]:
@@ -93,7 +114,6 @@ def _orbit_size(e) -> int:
     return size
 
 
-@dataclass
 class SymEvenPoly:
     """Even symmetric polynomial stored on exponents of y_i = x_i^2.
 
@@ -102,12 +122,12 @@ class SymEvenPoly:
     checked at evaluation time.
     """
 
-    n: int
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("n", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, n: int, coeffs=None):
+        self.n = n
         clean: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.coeffs.items():
+        for e, c in (coeffs or {}).items():
             e = tuple(int(v) for v in e)
             if len(e) != self.n or any(v < 0 for v in e):
                 raise DomainError(f"bad exponent vector {e} for n={self.n}")

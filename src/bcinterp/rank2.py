@@ -14,7 +14,6 @@ module deadband.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,20 +47,18 @@ _CUBIC_MARGIN = 16 * _UNIT_ROUNDOFF
 _SIGMA_GAP = 2.0**-20
 
 
-@dataclass(frozen=True)
 class HypSeriesSpec:
     """A hypergeometric sum at unit argument: sum_k prod(upper)_k /
     (prod(lower)_k k!), optionally truncated at k = truncation inclusive."""
 
-    upper: tuple
-    lower: tuple
-    truncation: int | None = None
+    __slots__ = ("upper", "lower", "truncation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(self.upper))
-        object.__setattr__(self, "lower", tuple(self.lower))
-        if self.truncation is not None and self.truncation < 0:
-            raise DomainError(f"truncation must be nonnegative, got {self.truncation}")
+    def __init__(self, upper, lower, truncation: int | None = None):
+        if truncation is not None and truncation < 0:
+            raise DomainError(f"truncation must be nonnegative, got {truncation}")
+        self.upper = tuple(upper)
+        self.lower = tuple(lower)
+        self.truncation = truncation
 
 
 def _nonpos_int_bound(v):
@@ -437,16 +434,14 @@ def R_midpoint_telescoped(b: int) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
 class Rank2Regions:
     """The two closed triangles cut out by rho in the rank-2 chamber."""
 
-    rho1: Fraction
-    rho2: Fraction
+    __slots__ = ("rho1", "rho2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho1", as_exact(self.rho1))
-        object.__setattr__(self, "rho2", as_exact(self.rho2))
+    def __init__(self, rho1, rho2):
+        self.rho1 = as_exact(rho1)
+        self.rho2 = as_exact(rho2)
 
     def in_T1(self, pt, tol=0) -> bool:
         x1, x2 = pt
@@ -536,7 +531,12 @@ def in_B(pt, d: int, rho) -> bool:
     - a point whose interval still contains 0 after 4096 terms keeps the
       float rule R_series(rel_tol=1e-8) >= -SIGN_DEADBAND. R is exactly 0 at
       some such points, for example (1, 1) for d = 2, rho = (3/2, 1/2).
+
+    d must be a positive integer at every point, as for R_series, or
+    DomainError is raised.
     """
+    if not isinstance(d, int) or d < 1:
+        raise DomainError(f"d must be a positive integer, got {d}")
     s_num, s_den, r2_num, r2_den, fs, fr2sq, frho, r1, r2 = _rho_constants(tuple(rho))
     x1, x2 = pt
     exact = is_exact(x1) and is_exact(x2)

@@ -10,7 +10,6 @@ nonnegative on the sets they cut out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,35 +47,68 @@ _UNIT_ROUNDOFF = 2.0**-53
 _FILTER_TINY = 2.0**-1000
 
 
-@dataclass(frozen=True)
 class GroupData:
     """Root data of a rank-n Hermitian symmetric space: medium-root
-    multiplicity d, half short-root multiplicity b, line-bundle twist p."""
+    multiplicity d, half short-root multiplicity b, line-bundle twist p.
+    Immutable and compared and hashed by value."""
 
-    n: int
-    d: int
-    b: int
-    p: int = 0
+    __slots__ = ("n", "d", "b", "p")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"rank must be >= 1, got {self.n}")
-        if self.d < 0 or self.b < 0:
-            raise DomainError(f"multiplicities must be nonnegative, got d={self.d}, b={self.b}")
+    def __init__(self, n: int, d: int, b: int, p: int = 0):
+        if n < 1:
+            raise DomainError(f"rank must be >= 1, got {n}")
+        if d < 0 or b < 0:
+            raise DomainError(f"multiplicities must be nonnegative, got d={d}, b={b}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupData is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GroupData is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return GroupData, (self.n, self.d, self.b, self.p)
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupData:
+            return NotImplemented
+        return (self.n, self.d, self.b, self.p) == (other.n, other.d, other.b, other.p)
+
+    def __hash__(self):
+        return hash((self.n, self.d, self.b, self.p))
+
+    def __repr__(self):
+        return f"GroupData(n={self.n!r}, d={self.d!r}, b={self.b!r}, p={self.p!r})"
 
 
-@dataclass
 class Verdict:
-    """Outcome of a membership test.
+    """Outcome of a membership test, compared by value (and so unhashable).
 
     witness is the first failing partition (tuple) or column index (int);
     None on membership. degree_checked records how far the certification
     went: the weight bound for set-A style tests, the rank for column tests.
     """
 
-    member: bool
-    witness: object
-    degree_checked: int
+    __slots__ = ("member", "witness", "degree_checked")
+
+    def __init__(self, member: bool, witness, degree_checked: int):
+        self.member = member
+        self.witness = witness
+        self.degree_checked = degree_checked
+
+    def __eq__(self, other):
+        if other.__class__ is not Verdict:
+            return NotImplemented
+        return (self.member, self.witness, self.degree_checked) == (
+            other.member, other.witness, other.degree_checked)
+
+    def __repr__(self):
+        return (f"Verdict(member={self.member!r}, witness={self.witness!r}, "
+                f"degree_checked={self.degree_checked!r})")
 
     def witness_str(self):
         if self.witness is None:

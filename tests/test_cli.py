@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -309,3 +312,14 @@ def test_crossing_usage_error(capsys):
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S skips site, so no .pth file imports either module first
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import bcinterp.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -601,3 +601,12 @@ def test_in_B_float_points_beyond_the_deadband_scale():
 def test_in_B_rejects_non_finite_coordinates(pt):
     with pytest.raises(DomainError, match="finite"):
         in_B(pt, 2, RHO_SU22)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_in_B_rejects_d_below_one_at_every_point(d):
+    # a T1 point (exact and float), a gate-failing point and rho itself are
+    # decided before the series, and must still check d as R_series does
+    for pt in [(Fraction(1, 2), Fraction(1, 4)), (0.5, 0.25), (Fraction(2), Fraction(1)), RHO_SU22]:
+        with pytest.raises(DomainError, match="d must be a positive integer"):
+            in_B(pt, d, RHO_SU22)
