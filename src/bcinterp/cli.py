@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -138,157 +137,111 @@ def cmd_eigenvalue(args):
 
 
 # ---------------------------------------------------------------- verify
+#
+# A suite is a generator function of (budget, rng, seed): rng is the one
+# random.Random(seed) of the run, and seed goes to verify_characterization,
+# which seeds its own. For each check a suite yields True or the check's
+# failure message; `ok or f"..."` formats the message only when the check
+# fails. cmd_verify counts what a suite yields.
 
 
-def _rand_fraction(rng) -> Fraction:
-    return Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4)))
+def _draws(rng, n, count, f):
+    """Yield (pt, f(pt)) at count random rational points of length n,
+    drawing again where f raises DomainError."""
+    while count:
+        pt = tuple(Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4))) for _ in range(n))
+        try:
+            value = f(pt)
+        except DomainError:
+            continue
+        count -= 1
+        yield pt, value
 
 
-def _rand_point(rng, n):
-    return tuple(_rand_fraction(rng) for _ in range(n))
-
-
-def _suite_characterization(budget, seed):
-    checks, failures = 0, []
+def _suite_characterization(budget, rng, seed):
     for n in (1, 2):
         for tau, alpha in ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))):
             p = Params(n, tau, alpha)
             for lam in enumerate_Lambda(n, budget):
                 report = verify_characterization(lam, p, extra_weight=2, seed=seed)
-                checks += report["zero_checked"] + report["extra_checked"] + 1
-                if not report["ok"]:
-                    failures.append(
-                        f"characterization failed for lam={format_partition(lam)} n={n} tau={tau} alpha={alpha}"
-                    )
-    return checks, failures
+                yield from [True] * (report["zero_checked"] + report["extra_checked"])
+                yield (report["ok"] or f"characterization failed for lam={format_partition(lam)}"
+                       f" n={n} tau={tau} alpha={alpha}")
 
 
-def _suite_tau1_det(budget, seed):
-    rng = random.Random(seed)
-    checks, failures = 0, []
+def _suite_tau1_det(budget, rng, seed):
     for n in (2, 3):
         for alpha in (Fraction(1, 2), Fraction(1)):
             p = Params(n, Fraction(1), alpha)
             for lam in enumerate_Lambda(n, budget):
-                done = 0
-                while done < 10:
-                    pt = _rand_point(rng, n)
-                    try:
-                        det = det_formula_tau1(lam, pt, alpha)
-                    except DomainError:
-                        continue
-                    done += 1
-                    checks += 1
-                    if det != okounkov_eval(lam, pt, p):
-                        failures.append(
-                            f"det mismatch lam={format_partition(lam)} n={n} alpha={alpha} pt={pt}"
-                        )
-    return checks, failures
+                for pt, det in _draws(rng, n, 10, lambda pt: det_formula_tau1(lam, pt, alpha)):
+                    yield (det == okounkov_eval(lam, pt, p)
+                           or f"det mismatch lam={format_partition(lam)} n={n} alpha={alpha} pt={pt}")
 
 
-def _suite_columns(budget, seed):
-    rng = random.Random(seed)
-    checks, failures = 0, []
+def _suite_columns(budget, rng, seed):
     for n in (2, 3):
         for tau, alpha in ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 2))):
             p = Params(n, tau, alpha)
             for j in range(1, n + 1):
-                for _ in range(budget):
-                    pt = _rand_point(rng, n)
-                    want = okounkov_eval((1,) * j, pt, p)
-                    checks += 2
-                    if column_poly(j, pt, p) != want:
-                        failures.append(f"column_poly mismatch j={j} n={n} tau={tau} pt={pt}")
-                    if column_poly_gf(j, pt, p) != want:
-                        failures.append(f"column_poly_gf mismatch j={j} n={n} tau={tau} pt={pt}")
-    return checks, failures
+                for pt, want in _draws(rng, n, budget, lambda pt: okounkov_eval((1,) * j, pt, p)):
+                    yield column_poly(j, pt, p) == want or f"column_poly mismatch j={j} n={n} tau={tau} pt={pt}"
+                    yield (column_poly_gf(j, pt, p) == want
+                           or f"column_poly_gf mismatch j={j} n={n} tau={tau} pt={pt}")
 
 
-def _suite_rectangles(budget, seed):
-    rng = random.Random(seed)
-    checks, failures = 0, []
+def _suite_rectangles(budget, rng, seed):
     for n in (1, 2, 3):
         for tau, alpha in ((Fraction(1), Fraction(1, 2)), (Fraction(2), Fraction(1))):
             p = Params(n, tau, alpha)
             for l in range(0, budget + 1):
-                for _ in range(10):
-                    pt = _rand_point(rng, n)
-                    checks += 1
-                    if rectangle_poly(l, pt, p) != okounkov_eval((l,) * n, pt, p):
-                        failures.append(f"rectangle mismatch l={l} n={n} tau={tau} pt={pt}")
-    return checks, failures
+                for pt, want in _draws(rng, n, 10, lambda pt: okounkov_eval((l,) * n, pt, p)):
+                    yield (rectangle_poly(l, pt, p) == want
+                           or f"rectangle mismatch l={l} n={n} tau={tau} pt={pt}")
 
 
-def _suite_kmu(budget, seed):
-    checks, failures = 0, []
+def _suite_kmu(budget, rng, seed):
     for n in (1, 2, 3):
         for d in (1, 2, 4):
-            tau = Fraction(d, 2)
             for mu in enumerate_Lambda(n, budget):
-                checks += 1
-                if k_constant(mu, tau) != k_constant_alt(mu, d, n):
-                    failures.append(f"k mismatch mu={format_partition(mu)} n={n} d={d}")
-    return checks, failures
+                yield (k_constant(mu, Fraction(d, 2)) == k_constant_alt(mu, d, n)
+                       or f"k mismatch mu={format_partition(mu)} n={n} d={d}")
 
 
-def _suite_rank2(budget, seed):
-    rng = random.Random(seed)
-    checks, failures = 0, []
+def _suite_rank2(budget, rng, seed):
     for d in (1, 2, 3):
         rho2 = Fraction(3, 4)
         rho = (rho2 + Fraction(d, 2), rho2)
         p = Params(2, Fraction(d, 2), rho2)
         for m1 in range(budget + 1):
             for m2 in range(m1 + 1):
-                done = 0
-                while done < 5:
-                    pt = _rand_point(rng, 2)
-                    try:
-                        got = q_rank2(m1, m2, pt, d, rho)
-                    except PoleError:
-                        continue
-                    done += 1
-                    sign = -1 if (m1 + m2) % 2 else 1
-                    want = sign * okounkov_eval((m1, m2), pt, p)
-                    checks += 1
-                    if got != want:
-                        failures.append(f"q_rank2 mismatch ({m1},{m2}) d={d} pt={pt}")
+                for pt, got in _draws(rng, 2, 5, lambda pt: q_rank2(m1, m2, pt, d, rho)):
+                    want = (-1) ** (m1 + m2) * okounkov_eval((m1, m2), pt, p)
+                    yield got == want or f"q_rank2 mismatch ({m1},{m2}) d={d} pt={pt}"
                     if d == 2:
-                        checks += 1
-                        if q_rank2_partial_d2(m1, m2, pt, rho) != want:
-                            failures.append(f"partial-sum form mismatch ({m1},{m2}) pt={pt}")
+                        yield (q_rank2_partial_d2(m1, m2, pt, rho) == want
+                               or f"partial-sum form mismatch ({m1},{m2}) pt={pt}")
     for b in range(4):
-        rho2 = Fraction(b + 1, 2)
-        mid = float(rho2) + 0.5
-        got = R_series((mid, mid), 2, (float(rho2) + 1.0, float(rho2)))
+        r2 = (b + 1) / 2
+        got = R_series((r2 + 0.5, r2 + 0.5), 2, (r2 + 1.0, r2))
         want = R_midpoint_telescoped(b)
-        checks += 1
-        if abs(got - want) > 1e-8:
-            failures.append(f"R midpoint mismatch b={b}: {got} vs {want}")
-    return checks, failures
+        yield abs(got - want) <= 1e-8 or f"R midpoint mismatch b={b}: {got} vs {want}"
 
 
-def _suite_limits(budget, seed):
-    rng = random.Random(seed)
-    checks, failures = 0, []
+def _suite_limits(budget, rng, seed):
     for m in (0, 1, 2, 3):
         alpha = (m + 1) / 2.0
         ga = math.gamma(alpha)
         for _ in range(budget):
             t = rng.uniform(-0.9, 0.9)
-            checks += 1
-            if abs(r_limit(t + alpha, alpha) + ga * ga / math.pi * s_m(t, m)) > 1e-10:
-                failures.append(f"limit identity violated at t={t} m={m}")
-        checks += 1
-        if abs(s_m_prime(1.0, m) + math.pi / math.factorial(m + 1)) > 1e-12:
-            failures.append(f"derivative value at 1 wrong for m={m}")
+            yield (abs(r_limit(t + alpha, alpha) + ga * ga / math.pi * s_m(t, m)) <= 1e-10
+                   or f"limit identity violated at t={t} m={m}")
+        yield (abs(s_m_prime(1.0, m) + math.pi / math.factorial(m + 1)) <= 1e-12
+               or f"derivative value at 1 wrong for m={m}")
     for l in range(1, 11):
-        checks += 1
-        if r_partial(l, Fraction(1), Fraction(1, 2)) != Fraction(-(2 * l + 1), 2 * l - 1):
-            failures.append(f"r_partial closed form failed at l={l}")
-    checks += 1
-    if abs(crossing_point(0) - 0.5) > 1e-12:
-        failures.append("crossing point for m=0 is not 1/2")
+        yield (r_partial(l, Fraction(1), Fraction(1, 2)) == Fraction(-(2 * l + 1), 2 * l - 1)
+               or f"r_partial closed form failed at l={l}")
+    yield abs(crossing_point(0) - 0.5) <= 1e-12 or "crossing point for m=0 is not 1/2"
     for _ in range(5):
         a = rng.uniform(0.2, 2.0)
         b = rng.uniform(0.2, 2.0)
@@ -296,12 +249,9 @@ def _suite_limits(budget, seed):
         d = a + b - c
         if d <= 0.05:
             continue
-        checks += 1
         got = gamma_ratio_partial(a, b, c, d, 100000)
         want = gamma_ratio_identity(a, b, c, d)
-        if abs(got - want) > 1e-4:
-            failures.append(f"gamma product mismatch at ({a},{b},{c},{d})")
-    return checks, failures
+        yield abs(got - want) <= 1e-4 or f"gamma product mismatch at ({a},{b},{c},{d})"
 
 
 _SUITES = {
@@ -322,8 +272,10 @@ def cmd_verify(args):
         raise DomainError(f"budget for {args.suite} must be in [0, {cap}], got {budget}")
 
     def compute():
-        checks, failures = runner(budget, args.seed)
-        return _json({"suite": args.suite, "checks": checks, "failures": failures}), (1 if failures else 0)
+        import random  # here, not at module level: only verify draws random points
+        checks = list(runner(budget, random.Random(args.seed), args.seed))
+        failures = [c for c in checks if c is not True]
+        return _json({"suite": args.suite, "checks": len(checks), "failures": failures}), (1 if failures else 0)
 
     return compute
 

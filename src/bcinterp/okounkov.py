@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -464,6 +463,7 @@ def verify_characterization(lam, p: Params, extra_weight: int = 2, samples: int 
         for mu in enumerate_Lambda(p.n, w + extra_weight)
         if weight(mu) > w and not contains(mu, lam)
     ]
+    import random  # here, not at module level: only the verify path draws samples
     rng = random.Random(seed)
     chosen = pool if len(pool) <= samples else sorted(rng.sample(pool, samples))
     extra_failures = []

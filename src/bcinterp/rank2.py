@@ -463,7 +463,10 @@ class Rank2Regions:
 def _rho_constants(rho: tuple):
     """What in_B needs of rho, built once per rho: the numerator and
     denominator of S = rho1^2 + rho2^2 and of |rho2|, float(S),
-    float(rho2^2), (float(rho1), float(rho2)) and rho1, rho2 themselves.
+    float(rho2^2), (float(rho1), float(rho2)), rho1, rho2 themselves, and
+    d_bound = ceil(4 (rho1 - rho2)). The boundary series decays like k^-s
+    with s = 1 + 2 (rho1 - rho2) - d/2, so it is summable (s > 1) exactly
+    when the integer d is below d_bound.
 
     float(S) and float(rho2^2) are inf when S is beyond float range, which
     sends every float point to the exact gates.
@@ -475,7 +478,9 @@ def _rho_constants(rho: tuple):
         fs, fr2sq = float(s), float(r2 * r2)
     except OverflowError:
         fs = fr2sq = math.inf
-    return s.numerator, s.denominator, abs(r2.numerator), r2.denominator, fs, fr2sq, (float(r1), float(r2)), r1, r2
+    d_bound = math.ceil(4 * (r1 - r2))
+    return (s.numerator, s.denominator, abs(r2.numerator), r2.denominator, fs, fr2sq, (float(r1), float(r2)),
+            r1, r2, d_bound)
 
 
 def _gates_fail(x1, x2, s_num, s_den, r2_num, r2_den) -> bool:
@@ -532,12 +537,16 @@ def in_B(pt, d: int, rho) -> bool:
       float rule R_series(rel_tol=1e-8) >= -SIGN_DEADBAND. R is exactly 0 at
       some such points, for example (1, 1) for d = 2, rho = (3/2, 1/2).
 
-    d must be a positive integer at every point, as for R_series, or
-    DomainError is raised.
+    d must be a positive integer and the boundary series summable for d
+    and rho (s > 1, a condition that does not depend on the point), as for
+    R_series, or DomainError is raised at every point.
     """
     if not isinstance(d, int) or d < 1:
         raise DomainError(f"d must be a positive integer, got {d}")
-    s_num, s_den, r2_num, r2_den, fs, fr2sq, frho, r1, r2 = _rho_constants(tuple(rho))
+    s_num, s_den, r2_num, r2_den, fs, fr2sq, frho, r1, r2, d_bound = _rho_constants(tuple(rho))
+    if d >= d_bound:
+        s = 1 + 2 * (r1 - r2) - Fraction(d, 2)
+        raise DomainError(f"series decays like k^-s with s = {s} <= 1: not summable")
     x1, x2 = pt
     exact = is_exact(x1) and is_exact(x2)
     if not exact:

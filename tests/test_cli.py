@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -8,6 +9,8 @@ import pytest
 import bcinterp.cli as cli
 from bcinterp.exactnum import DomainError
 from bcinterp.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -153,20 +156,54 @@ def test_verify_budget_cap(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    monkeypatch.setitem(cli._SUITES, "kmu", (lambda budget, seed: (3, ["boom"]), 1, 5))
+    monkeypatch.setitem(cli._SUITES, "kmu", (lambda budget, rng, seed: iter([True, "boom", True]), 1, 5))
     code, out, _ = run(capsys, "verify", "--suite", "kmu")
     assert code == 1
     assert json.loads(out)["failures"] == ["boom"]
 
 
 def test_verify_compute_error_exits_three(capsys, monkeypatch):
-    def broken(budget, seed):
+    def broken(budget, rng, seed):
+        yield True
         raise DomainError("no such check")
 
     monkeypatch.setitem(cli._SUITES, "kmu", (broken, 1, 5))
     code, _, err = run(capsys, "verify", "--suite", "kmu")
     assert code == 3
     assert "error:" in err
+
+
+# the checks of every suite at its default budget with --seed 0
+DEFAULT_CHECKS = {
+    "characterization": 156,
+    "tau1-det": 400,
+    "columns": 500,
+    "rectangles": 240,
+    "kmu": 102,
+    "rank2": 204,
+    "limits": 220,
+}
+
+
+def test_verify_default_budgets_pin_check_counts(capsys):
+    assert sorted(DEFAULT_CHECKS) == sorted(cli._SUITES)
+    for suite, checks in DEFAULT_CHECKS.items():
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "0")
+        assert code == 0, suite
+        assert json.loads(out) == {"suite": suite, "checks": checks, "failures": []}
+
+
+def test_verify_names_each_mismatch_of_a_real_suite(capsys, monkeypatch):
+    # a wrong column_poly_gf fails the second of the two checks at each of
+    # the 10 points that budget 1 draws
+    monkeypatch.setattr(cli, "column_poly_gf", lambda j, pt, p: cli.column_poly(j, pt, p) + 1)
+    code, out, _ = run(capsys, "verify", "--suite", "columns", "--budget", "1")
+    data = json.loads(out)
+    assert code == 1
+    assert data["checks"] == 20
+    assert len(data["failures"]) == 10
+    assert all(f.startswith("column_poly_gf mismatch j=") and " pt=(" in f for f in data["failures"])
+    assert "column_poly_gf mismatch j=1 n=2 tau=1 pt=(" in data["failures"][0]
 
 
 def test_verify_is_deterministic(capsys):
@@ -315,11 +352,27 @@ def test_no_subcommand_is_usage_error(capsys):
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # -S skips site, so no .pth file imports either module first
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    # -S skips site, so no .pth file imports any of them first
+    src = os.path.join(ROOT, "src")
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import bcinterp.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'random') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_examples_print_their_output_comments(capsys):
+    # every `bcinterp ...` line of README.md followed by a `# {...}` line
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        lines = fh.read().splitlines()
+    examples = [
+        (cmd, nxt[2:])
+        for cmd, nxt in zip(lines, lines[1:])
+        if cmd.startswith("bcinterp ") and nxt.startswith("# {")
+    ]
+    assert [shlex.split(cmd)[1:3] for cmd, _ in examples] == [
+        ["eval", "--n"], ["expand", "--n"], ["eigenvalue", "--group"], ["crossing", "--m"]
+    ]
+    for cmd, want in examples:
+        assert run(capsys, *shlex.split(cmd)[1:]) == (0, want + "\n", ""), cmd

@@ -578,7 +578,8 @@ coord_st = st.one_of(rational_st, st.integers(min_value=-40, max_value=40))
     x2=coord_st,
     rho=st.one_of(
         st.sampled_from([_group_rho(d, b) for d, b in GROUPS_DB]),
-        st.tuples(rational_st, rational_st),
+        # in_B raises for rho1 - rho2 <= 1/4 at d = 1: the series is not summable
+        st.tuples(rational_st, rational_st).filter(lambda rho: rho[0] - rho[1] > Fraction(1, 4)),
     ),
 )
 def test_in_B_gates_match_fraction_oracle_at_random_rationals(x1, x2, rho):
@@ -610,3 +611,21 @@ def test_in_B_rejects_d_below_one_at_every_point(d):
     for pt in [(Fraction(1, 2), Fraction(1, 4)), (0.5, 0.25), (Fraction(2), Fraction(1)), RHO_SU22]:
         with pytest.raises(DomainError, match="d must be a positive integer"):
             in_B(pt, d, RHO_SU22)
+
+
+def test_in_B_rejects_a_non_summable_series_at_every_point():
+    # s = 1 + 2(rho1 - rho2) - d/2 = 0 for this rho and d = 2. A T1 point
+    # (exact and float), a gate-failing point and rho itself are decided
+    # before the series, and must still check s > 1 as R_series does
+    rho = (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(DomainError, match="not summable"):
+        R_series((0.25, 0.125), 2, rho)
+    for pt in [(Fraction(1, 4), Fraction(1, 8)), (0.25, 0.125), (Fraction(2), Fraction(0)), rho]:
+        with pytest.raises(DomainError, match="not summable"):
+            in_B(pt, 2, rho)
+    # the bound is exact: s = 1 (rho1 - rho2 = 1/4, d = 1) is not summable,
+    # and a gap larger by 10^-12 is
+    pt = (Fraction(1, 4), Fraction(1, 8))
+    with pytest.raises(DomainError, match="not summable"):
+        in_B(pt, 1, (Fraction(3, 4), Fraction(1, 2)))
+    assert in_B(pt, 1, (Fraction(3, 4) + Fraction(1, 10**12), Fraction(1, 2)))
