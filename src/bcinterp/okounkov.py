@@ -3,7 +3,9 @@ closed forms for special shapes, the vanishing characterization, and exact
 interpolation back from values on the shifted lattice.
 
 The compiled reverse-tableau terms of P_lam are the one engine: okounkov_eval
-sums them at a point, and okounkov_expand multiplies them out into monomials.
+sums them at a point, in integer arithmetic at an exact point (_numerator,
+which also decides the signs behind shimura.in_G and in_A_certified), and
+okounkov_expand multiplies them out into monomials.
 interpolate_from_values runs the triangular back-substitution in the P basis
 and expands the resulting combination of P_mu the same way.
 
@@ -59,10 +61,11 @@ class Params:
     """Interpolation parameters: rank n plus exact rationals (tau, alpha).
 
     Immutable and compared and hashed by value: a Params keys the compile
-    caches (_compiled_terms, _column_terms, shimura._filter_tables).
+    caches (_compiled_terms, _column_terms) on every evaluation, so its
+    hash is computed once, here.
     """
 
-    __slots__ = ("n", "tau", "alpha")
+    __slots__ = ("n", "tau", "alpha", "_hash")
 
     def __init__(self, n: int, tau, alpha):
         if n < 1:
@@ -70,6 +73,7 @@ class Params:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "tau", as_exact(tau))
         object.__setattr__(self, "alpha", as_exact(alpha))
+        object.__setattr__(self, "_hash", hash((n, self.tau, self.alpha)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Params is immutable: cannot set {name!r}")
@@ -86,7 +90,7 @@ class Params:
         return (self.n, self.tau, self.alpha) == (other.n, other.tau, other.alpha)
 
     def __hash__(self):
-        return hash((self.n, self.tau, self.alpha))
+        return self._hash
 
     def __repr__(self):
         return f"Params(n={self.n!r}, tau={self.tau!r}, alpha={self.alpha!r})"
@@ -176,81 +180,123 @@ class SymEvenPoly:
         }
 
 
-@lru_cache(maxsize=None)
-def _compiled_terms(lam: tuple[int, ...], p: Params):
-    """Point-independent tableau data: (psi_T, ((coordinate index, c^2), ...)).
+class _Compiled:
+    """The terms of one tableau or column sum, compiled once per (lam, p) or
+    (j, p): E = sum_T psi_T prod_(idx, c^2) (x_idx^2 - c^2).
 
-    c is the additive constant a'(s) + tau (n - T(s) - l'(s)) + alpha of the
-    factor attached to cell s.
+    terms holds (psi, ((coordinate index, c^2), ...)) in exact rationals,
+    with the same number `cells` of factors in every term. The exact kernel
+    works on them scaled to integers: den is the lcm P of the psi
+    denominators, lsc the lcm L of the c^2 denominators, factors the
+    distinct (idx, C = c^2 L), and iterms the (Psi = psi P, factor
+    positions) of each term. fterms is the float companion (float(psi),
+    ((idx, float(c^2)), ...)), or None when a constant is beyond float range.
     """
+
+    __slots__ = ("terms", "cells", "den", "lsc", "factors", "iterms", "fterms")
+
+    def __init__(self, terms):
+        self.terms = terms
+        self.cells = len(terms[0][1])
+        pos: dict = {}
+        ks = [tuple(pos.setdefault(f, len(pos)) for f in facs) for _, facs in terms]
+        self.den = math.lcm(*[psi.denominator for psi, _ in terms])
+        self.lsc = math.lcm(*[csq.denominator for _, csq in pos])
+        self.iterms = tuple((psi.numerator * (self.den // psi.denominator), k) for (psi, _), k in zip(terms, ks))
+        self.factors = tuple((idx, csq.numerator * (self.lsc // csq.denominator)) for idx, csq in pos)
+        try:
+            ffacs = [(idx, float(csq)) for idx, csq in pos]
+            self.fterms = tuple((float(psi), tuple(ffacs[i] for i in k)) for (psi, _), k in zip(terms, ks))
+        except OverflowError:
+            self.fterms = None
+
+
+@lru_cache(maxsize=None)
+def _compiled_terms(lam: tuple[int, ...], p: Params) -> _Compiled:
+    """The reverse-tableau terms of P_lam: psi_T and, per cell s, the
+    coordinate index T(s) - 1 and c^2, where c is the additive constant
+    a'(s) + tau (n - T(s) - l'(s)) + alpha of the factor attached to s.
+    """
+    shape = cells(lam)
+    csq: dict = {}  # c^2 by (a'(s), n - T(s) - l'(s))
     terms = []
     for tab in reverse_tableaux(lam, p.n):
-        psi = psi_tableau(tab, p.tau)
         facs = []
-        for (i, j) in cells(lam):
+        for (i, j) in shape:
             t = tab.entry(i, j)
-            c = (j - 1) + p.tau * (p.n - t - (i - 1)) + p.alpha
-            facs.append((t - 1, c * c))
-        terms.append((psi, tuple(facs)))
-    return tuple(terms)
+            key = (j - 1, p.n - t - (i - 1))
+            if key not in csq:
+                csq[key] = (key[0] + p.tau * key[1] + p.alpha) ** 2
+            facs.append((t - 1, csq[key]))
+        terms.append((psi_tableau(tab, p.tau), tuple(facs)))
+    return _Compiled(tuple(terms))
 
 
 @lru_cache(maxsize=None)
-def _column_terms(j: int, p: Params):
+def _column_terms(j: int, p: Params) -> _Compiled:
     """The column subset sum in the shape of _compiled_terms: psi = 1 and,
     for the k-th member i of a j-subset, the factor x_i^2 - rho_{i+j-k}^2."""
     rsq = [r * r for r in p.rho]
-    return tuple(
+    return _Compiled(tuple(
         (1, tuple((i - 1, rsq[i + j - k - 1]) for k, i in enumerate(subset, start=1)))
         for subset in itertools.combinations(range(1, p.n + 1), j)
-    )
+    ))
 
 
-def _term_sum(terms, sq):
-    """sum_T psi_T prod (sq[idx] - c^2) over compiled terms: exact when sq
-    is exact, plain float arithmetic otherwise."""
+def _scaled_point(pt):
+    """(A_i^2, Q^2) for an exact point x_i = A_i / Q, Q the lcm of the
+    coordinate denominators."""
+    ratios = [x.as_integer_ratio() for x in pt]
+    q = math.lcm(*[d for _, d in ratios])
+    return [(a * (q // d)) ** 2 for a, d in ratios], q * q
+
+
+def _numerator(comp: _Compiled, a2, q2) -> int:
+    """The exact kernel: the integer N with E = N / (P (Q^2 L)^K) at the
+    scaled point (a2, q2), K = comp.cells. Every factor x^2 - c^2 is
+    (A^2 L - C Q^2) / (Q^2 L), so N = sum_T Psi_T prod (A_idx^2 L - C Q^2)."""
+    lsc = comp.lsc
+    vals = [a2[idx] * lsc - csq * q2 for idx, csq in comp.factors]
     total = 0
-    for psi, facs in terms:
+    for prod, ks in comp.iterms:
+        for k in ks:
+            prod *= vals[k]
+        total += prod
+    return total
+
+
+def _evaluate(comp: _Compiled, pt):
+    """E at pt: an exact Fraction at an exact point by the integer kernel;
+    at any other point, plain float arithmetic on the exact constants."""
+    if all(map(is_exact, pt)):
+        a2, q2 = _scaled_point(pt)
+        return Fraction(_numerator(comp, a2, q2), comp.den * (q2 * comp.lsc) ** comp.cells)
+    sq = [x * x for x in pt]
+    total = 0
+    for psi, facs in comp.terms:
         prod = psi
         for idx, csq in facs:
             prod = prod * (sq[idx] - csq)
         total = total + prod
-    if isinstance(total, int):
-        total = Fraction(total)
     return total
-
-
-def _float_companion(terms):
-    """The compiled terms with psi and every c^2 rounded to float.
-
-    Raises OverflowError when a constant lies beyond float range.
-    """
-    return tuple((float(psi), tuple((idx, float(csq)) for idx, csq in facs)) for psi, facs in terms)
 
 
 def _float_sum(fterms, sq):
     """Float tableau sum over a float companion at float squares sq.
 
-    Returns (S, A, M): the sum S = sum_T psi_T prod (sq - c^2), the absolute
-    sum A = sum_T |psi_T prod (sq - c^2)| of the computed terms, and the
-    magnitude M = sum_T |psi_T| prod (sq + c^2). A is the scale of the
-    float-point deadband; M bounds the roundoff of S at a rounded exact
-    point (see shimura._certified_negative).
+    Returns (S, A): the sum S = sum_T psi_T prod (sq - c^2) and the absolute
+    sum A = sum_T |psi_T prod (sq - c^2)| of the computed terms, the scale
+    of the float-point deadband.
     """
     total = 0.0
     absum = 0.0
-    mag = 0.0
     for psi, facs in fterms:
         prod = psi
-        m = abs(psi)
         for idx, csq in facs:
-            y = sq[idx]
-            prod *= y - csq
-            m *= y + csq
+            prod *= sq[idx] - csq
         total += prod
         absum += abs(prod)
-        mag += m
-    return total, absum, mag
+    return total, absum
 
 
 def okounkov_eval(lam, pt, p: Params):
@@ -263,7 +309,7 @@ def okounkov_eval(lam, pt, p: Params):
         raise DomainError(f"partition {list(lam)} has more than n={p.n} parts")
     if len(pt) != p.n:
         raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-    return _term_sum(_compiled_terms(lam, p), [x * x for x in pt])
+    return _evaluate(_compiled_terms(lam, p), pt)
 
 
 def rank1_poly(l: int, x, alpha):
@@ -323,7 +369,17 @@ def det_formula_tau1(lam, pt, alpha):
             van = van * (sq[i] - sq[j])
     if van == 0:
         raise DomainError("coinciding squared coordinates make the alternant quotient singular")
-    mat = [[rank1_poly(kappa[j], pt[i], alpha) for j in range(n)] for i in range(n)]
+    # row i holds rank1_poly(kappa_j, x_i, alpha): prefixes of one product
+    mat = []
+    for x in pt:
+        prod = Fraction(1) if is_exact(x) and is_exact(alpha) else 1.0
+        xsq = x * x
+        prefixes = [prod]
+        for i in range(kappa[0]):
+            c = i + alpha
+            prod = prod * (xsq - c * c)
+            prefixes.append(prod)
+        mat.append([prefixes[k] for k in kappa])
     num = _det_exact(mat)
     if is_exact(num) and is_exact(van):
         return Fraction(num) / Fraction(van)
@@ -336,7 +392,7 @@ def column_poly(j: int, pt, p: Params):
         raise DomainError(f"column height {j} outside 1..{p.n}")
     if len(pt) != p.n:
         raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-    return _term_sum(_column_terms(j, p), [x * x for x in pt])
+    return _evaluate(_column_terms(j, p), pt)
 
 
 def _poly_mul_trunc(a, b, deg):
@@ -544,7 +600,7 @@ def interpolate_from_values(values, d: int, p: Params) -> SymEvenPoly:
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for mu, c in coeff_P.items():
         if c != 0:
-            for e, v in _expand_terms(_compiled_terms(mu, p), p.n).items():
+            for e, v in _expand_terms(_compiled_terms(mu, p).terms, p.n).items():
                 coeffs[e] = coeffs.get(e, 0) + c * v
     return SymEvenPoly(p.n, coeffs)
 
@@ -558,4 +614,4 @@ def okounkov_expand(lam, p: Params) -> SymEvenPoly:
         raise DomainError(f"expansion guarded to weight <= {EXPAND_WEIGHT_GUARD}, got {w}")
     if len(lam) > p.n:
         raise DomainError(f"partition {list(lam)} has more than n={p.n} parts")
-    return SymEvenPoly(p.n, _expand_terms(_compiled_terms(lam, p), p.n))
+    return SymEvenPoly(p.n, _expand_terms(_compiled_terms(lam, p).terms, p.n))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import SIGN_DEADBAND, DomainError, PoleError, as_exact, is_exact, log_gamma, poch_pm
-from .shimura import _UNIT_ROUNDOFF, _exact_point
+from .shimura import _exact_point
 
 __all__ = [
     "HypSeriesSpec",
@@ -31,6 +31,9 @@ __all__ = [
     "R_midpoint_telescoped",
     "in_B",
 ]
+
+# Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
 
 HYP_MAX_TERMS = 100000
 HYP_TERM_TOL = 1e-14

@@ -1,7 +1,7 @@
-"""Filtered sign decisions at exact points: the float filter in in_G and
-in_A_certified must give the verdict and witness of the pure-exact oracle,
-fall back to exact arithmetic where the float sum cannot decide, and keep
-the deadband rule at float points."""
+"""Sign decisions of in_G and in_A_certified: exact points are decided by
+the integer kernel okounkov._numerator, which must agree with a plain
+Fraction sum over the compiled terms, and float points keep the deadband
+rule."""
 
 from fractions import Fraction
 
@@ -12,43 +12,61 @@ from hypothesis import strategies as st
 import bcinterp.rank2 as rank2
 import bcinterp.shimura as shimura
 from bcinterp.exactnum import SIGN_DEADBAND, DomainError
-from bcinterp.okounkov import Params, _compiled_terms, _float_sum, okounkov_eval
+from bcinterp.okounkov import Params, _column_terms, _compiled_terms, column_poly, okounkov_eval
 from bcinterp.partitions import enumerate_Lambda, weight
 from bcinterp.rank2 import in_B
 from bcinterp.shimura import (
     GroupData,
     Verdict,
-    _filter_table,
     group_params,
     in_A_certified,
     in_G,
-    q_poly,
 )
 
 GROUPS = [GroupData(2, 2, 0), GroupData(2, 4, 3), GroupData(2, 1, 1), GroupData(2, 3, 1, p=1)]
 # Group parameters are half-integers, so their lattice nodes are exact
-# floats and the float sum there is often exactly 0. Non-dyadic parameters
-# put roundoff into every node, where P_lam still vanishes exactly.
+# floats. Non-dyadic parameters put roundoff into every node, where P_lam
+# still vanishes exactly.
 RANK2 = [group_params(g) for g in GROUPS] + [
     Params(2, Fraction(1, 3), Fraction(2, 5)),
     Params(2, Fraction(5, 7), Fraction(3, 11)),
 ]
 RANK3 = [group_params(GroupData(3, 2, 1)), Params(3, Fraction(2, 3), Fraction(1, 7))]
 coords_st = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+HUGE = [
+    (Fraction(10**400), Fraction(1)),
+    (Fraction(10**400, 3), Fraction(-(10**399))),
+    (Fraction(1, 10**400), Fraction(0)),
+    (Fraction(3, 2) + Fraction(1, 10**400), Fraction(1, 10**400)),
+    (Fraction(0), Fraction(0)),
+]
+
+
+def reference_sum(comp, pt):
+    """sum_T psi_T prod (x_idx^2 - c^2) over compiled terms, term by term
+    in Fraction arithmetic; shares nothing with the integer kernel."""
+    sq = [Fraction(x) ** 2 for x in pt]
+    total = Fraction(0)
+    for psi, facs in comp.terms:
+        prod = Fraction(psi)
+        for idx, csq in facs:
+            prod *= sq[idx] - csq
+        total += prod
+    return total
 
 
 def oracle_A(pt, p, max_weight):
-    """in_A_certified by the sign of the exact okounkov_eval value only."""
+    """in_A_certified by the sign of (-1)^|lam| times the reference sum."""
     for lam in enumerate_Lambda(p.n, max_weight):
-        if lam and q_poly(lam, pt, p) < 0:
+        if lam and (-1) ** weight(lam) * reference_sum(_compiled_terms(lam, p), pt) < 0:
             return Verdict(False, lam, max_weight)
     return Verdict(True, None, max_weight)
 
 
 def oracle_G(pt, p):
-    """in_G through q_poly(1^j) = (-1)^j P_{1^j}, the tableau sum."""
+    """in_G by the sign of phi_j = (-1)^j times the reference column sum."""
     for j in range(1, p.n + 1):
-        if q_poly((1,) * j, pt, p) < 0:
+        if (-1) ** j * reference_sum(_column_terms(j, p), pt) < 0:
             return Verdict(False, j, p.n)
     return Verdict(True, None, p.n)
 
@@ -63,57 +81,97 @@ def nodes(p, max_weight=4):
     return [p.node(mu) for mu in enumerate_Lambda(p.n, max_weight)]
 
 
-@pytest.fixture
-def exact_calls(monkeypatch):
-    """Count the exact re-decisions of in_A_certified and in_G."""
-    calls = {"A": 0, "G": 0}
-    eval_, phi = shimura.okounkov_eval, shimura.phi_j
+def off_nodes(p):
+    """Points 10^-20 off the lattice nodes, along each axis and a diagonal."""
+    eps = Fraction(1, 10**20)
+    steps = [(eps,) + (0,) * (p.n - 1), (-eps,) + (0,) * (p.n - 1), (0,) * (p.n - 1) + (eps,), (eps,) * p.n]
+    return [tuple(x + d for x, d in zip(node, step)) for node in nodes(p) for step in steps]
 
-    def counted_eval(*args):
-        calls["A"] += 1
-        return eval_(*args)
 
-    def counted_phi(*args):
-        calls["G"] += 1
-        return phi(*args)
+def huge_points(p):
+    """HUGE, padded to rank p.n with a coordinate beyond float range."""
+    return [pt + (Fraction(-(10**401), 7),) * (p.n - 2) for pt in HUGE]
 
-    monkeypatch.setattr(shimura, "okounkov_eval", counted_eval)
-    monkeypatch.setattr(shimura, "phi_j", counted_phi)
-    return calls
+
+def assert_kernel_exact(pt, p, max_weight):
+    """okounkov_eval and column_poly, both through the integer kernel, equal
+    the reference sum exactly."""
+    for lam in enumerate_Lambda(p.n, max_weight):
+        got = okounkov_eval(lam, pt, p)
+        assert type(got) is Fraction and got == reference_sum(_compiled_terms(lam, p), pt), (lam, pt)
+    for j in range(1, p.n + 1):
+        got = column_poly(j, pt, p)
+        assert type(got) is Fraction and got == reference_sum(_column_terms(j, p), pt), (j, pt)
 
 
 @pytest.mark.parametrize("p", RANK2 + RANK3)
-def test_agrees_at_lattice_nodes(p, exact_calls):
+def test_kernel_matches_reference_at_and_off_nodes(p):
+    w = 6 if p.n == 2 else 4
+    for pt in nodes(p) + off_nodes(p):
+        assert_kernel_exact(pt, p, w)
+
+
+@pytest.mark.parametrize("p", [RANK2[0], RANK2[4], RANK3[1]])
+def test_kernel_matches_reference_beyond_float_range(p):
+    for pt in huge_points(p):
+        assert_kernel_exact(pt, p, 6 if p.n == 2 else 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(RANK2 + RANK3), x=st.tuples(coords_st, coords_st, coords_st))
+def test_kernel_matches_reference_at_random_rationals(p, x):
+    assert_kernel_exact(x[: p.n], p, 6 if p.n == 2 else 4)
+
+
+@pytest.mark.parametrize("p", [RANK2[0], RANK2[4], RANK3[1]])
+def test_kernel_scaling_is_integral(p):
+    # Psi / P and C / L give back psi and c^2, factor by factor
+    comps = [_compiled_terms(lam, p) for lam in enumerate_Lambda(p.n, 5)]
+    for comp in comps + [_column_terms(j, p) for j in range(1, p.n + 1)]:
+        assert all(len(facs) == comp.cells for _, facs in comp.terms)
+        ints = [comp.den, comp.lsc] + [psi for psi, _ in comp.iterms] + [c for _, c in comp.factors]
+        assert all(type(v) is int for v in ints)
+        assert [Fraction(psi, comp.den) for psi, _ in comp.iterms] == [psi for psi, _ in comp.terms]
+        factors = [(idx, Fraction(c, comp.lsc)) for idx, c in comp.factors]
+        assert len(set(factors)) == len(factors)
+        assert [tuple(factors[k] for k in ks) for _, ks in comp.iterms] == [facs for _, facs in comp.terms]
+
+
+def test_exact_points_never_use_floats(monkeypatch):
+    # the float companion serves float points only
+    def no_floats(*args):
+        raise AssertionError("float sum at an exact point")
+
+    monkeypatch.setattr(shimura, "_float_sum", no_floats)
+    for p in RANK2 + RANK3:
+        for pt in nodes(p, 3) + huge_points(p):
+            assert_agrees(pt, p)
+
+
+@pytest.mark.parametrize("p", RANK2 + RANK3)
+def test_agrees_at_lattice_nodes(p):
     for pt in nodes(p):
         assert_agrees(pt, p)
-    # P_lam vanishes exactly at mu + rho unless lam is inside mu, so the
-    # float sum cannot decide there and the exact value must have been used
-    assert exact_calls["A"] > 0
-    assert exact_calls["G"] > 0
 
 
-def test_fallback_runs_at_rho(exact_calls):
+def test_rho_is_a_member():
+    # phi_1, phi_2 and many q_lam vanish exactly at rho
     p = group_params(GroupData(2, 2, 0))
-    assert in_G(p.rho, p).member
-    assert exact_calls["G"] == 2  # phi_1 and phi_2 both vanish at rho
-    assert in_A_certified(p.rho, p, 6).member
-    assert exact_calls["A"] >= len(enumerate_Lambda(2, 6)) - 1
+    assert in_G(p.rho, p) == Verdict(True, None, 2)
+    assert in_A_certified(p.rho, p, 6) == Verdict(True, None, 6)
 
 
-def test_generic_point_needs_no_fallback(exact_calls):
+def test_generic_point_is_a_member():
     p = group_params(GroupData(2, 4, 3))
     pt = (Fraction(1, 3), Fraction(1, 7))
-    assert in_A_certified(pt, p, 8).member
-    assert in_G(pt, p).member
-    assert exact_calls == {"A": 0, "G": 0}
+    assert in_A_certified(pt, p, 8) == Verdict(True, None, 8)
+    assert in_G(pt, p) == Verdict(True, None, 2)
 
 
 @pytest.mark.parametrize("p", RANK2)
 def test_agrees_just_off_zeros(p):
-    eps = Fraction(1, 10**20)
-    for x1, x2 in nodes(p):
-        for d1, d2 in ((eps, 0), (-eps, 0), (0, eps), (0, -eps), (eps, -eps)):
-            assert_agrees((x1 + d1, x2 + d2), p)
+    for pt in off_nodes(p):
+        assert_agrees(pt, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,29 +186,7 @@ def test_agrees_at_random_rationals_rank3(p, x):
     assert_agrees(x, p)
 
 
-@settings(max_examples=40, deadline=None)
-@given(p=st.sampled_from(RANK2), x1=coords_st, x2=coords_st)
-def test_float_sum_within_bound(p, x1, x2):
-    # the a-priori bound itself: |S - E| <= gamma * M at rounded exact points
-    sq = [float(x) * float(x) for x in (x1, x2)]
-    for lam in enumerate_Lambda(2, 8)[1:]:
-        fterms, gamma, floor = _filter_table(_compiled_terms(lam, p))
-        assert floor <= min([y for y in sq if y] + [1.0])
-        total, _, mag = _float_sum(fterms, sq)
-        exact = okounkov_eval(lam, (x1, x2), p)
-        assert abs(Fraction(total) - exact) <= Fraction(gamma * mag), lam
-
-
-@pytest.mark.parametrize(
-    "pt",
-    [
-        (Fraction(10**400), Fraction(1)),
-        (Fraction(10**400, 3), Fraction(-(10**399))),
-        (Fraction(1, 10**400), Fraction(0)),
-        (Fraction(3, 2) + Fraction(1, 10**400), Fraction(1, 10**400)),
-        (Fraction(0), Fraction(0)),
-    ],
-)
+@pytest.mark.parametrize("pt", HUGE)
 def test_coordinates_beyond_float_range(pt):
     for p in RANK2:
         assert_agrees(pt, p)
@@ -175,12 +211,15 @@ def test_float_points_beyond_the_deadband_scale(pt):
 
 
 @pytest.mark.parametrize("pt", [(Fraction(10**400), 0.5), (0.5, Fraction(-(10**400))), (Fraction(10**400, 3), 1e300)])
-def test_mixed_points_beyond_float_range(pt, exact_calls):
+def test_mixed_points_beyond_float_range(pt, monkeypatch):
     # float() of the exact coordinate used to raise OverflowError; the
-    # point is decided exactly at its rational value
+    # point is decided by the integer kernel at its rational value
     p = group_params(GroupData(2, 2, 0))
+    calls = []
+    numerator = shimura._numerator
+    monkeypatch.setattr(shimura, "_numerator", lambda *args: calls.append(args[0]) or numerator(*args))
     got_G, got_A = in_G(pt, p), in_A_certified(pt, p, 6)
-    assert exact_calls == {"A": 1, "G": 1}
+    assert calls == [_column_terms(1, p), _compiled_terms((1,), p)]
     exact = shimura._exact_point(pt)
     assert got_G == oracle_G(exact, p) == Verdict(False, 1, 2)
     assert got_A == oracle_A(exact, p, 6) == Verdict(False, (1,), 6)
@@ -204,7 +243,7 @@ def deadband_q(lam, pt, p):
     sq = [x * x for x in pt]
     total = 0
     scale = 0.0
-    for psi, facs in _compiled_terms(lam, p):
+    for psi, facs in _compiled_terms(lam, p).terms:
         prod = psi
         mag = abs(float(psi))
         for idx, csq in facs:
