@@ -316,11 +316,18 @@ def rank1_poly(l: int, x, alpha):
     """One-variable interpolation polynomial: prod_{i=0}^{l-1} (x^2 - (i+alpha)^2)."""
     if l < 0:
         raise DomainError(f"need l >= 0, got {l}")
-    out = Fraction(1) if is_exact(x) and is_exact(alpha) else 1.0
+    return _rank1_prefixes(l, x, alpha)[l]
+
+
+def _rank1_prefixes(l: int, x, alpha):
+    """[rank1_poly(k, x, alpha) for k = 0..l], from one running product."""
+    prod = Fraction(1) if is_exact(x) and is_exact(alpha) else 1.0
     xsq = x * x
+    out = [prod]
     for i in range(l):
         c = i + alpha
-        out = out * (xsq - c * c)
+        prod = prod * (xsq - c * c)
+        out.append(prod)
     return out
 
 
@@ -369,16 +376,10 @@ def det_formula_tau1(lam, pt, alpha):
             van = van * (sq[i] - sq[j])
     if van == 0:
         raise DomainError("coinciding squared coordinates make the alternant quotient singular")
-    # row i holds rank1_poly(kappa_j, x_i, alpha): prefixes of one product
+    # row i holds rank1_poly(kappa_j, x_i, alpha); kappa_0 is the largest
     mat = []
     for x in pt:
-        prod = Fraction(1) if is_exact(x) and is_exact(alpha) else 1.0
-        xsq = x * x
-        prefixes = [prod]
-        for i in range(kappa[0]):
-            c = i + alpha
-            prod = prod * (xsq - c * c)
-            prefixes.append(prod)
+        prefixes = _rank1_prefixes(kappa[0], x, alpha)
         mat.append([prefixes[k] for k in kappa])
     num = _det_exact(mat)
     if is_exact(num) and is_exact(van):

@@ -150,13 +150,17 @@ def phi_j(j: int, pt, p: Params):
 
 
 @lru_cache(maxsize=None)
+def _signed_columns(p: Params):
+    """(j, sign of phi_j, compiled column terms) for j = 1..n."""
+    return tuple((j, (-1) ** j, _column_terms(j, p)) for j in range(1, p.n + 1))
+
+
+@lru_cache(maxsize=None)
 def _signed_sums(p: Params, max_weight: int):
-    """(key, sign, compiled terms) of the sums whose signs decide a point:
-    (lam, sign of q_lam) for the nonempty lam of Lambda^max_weight in
-    enumeration order, or, for max_weight 0, (j, sign of phi_j) for
-    j = 1..n."""
-    if not max_weight:
-        return tuple((j, (-1) ** j, _column_terms(j, p)) for j in range(1, p.n + 1))
+    """(lam, sign of q_lam, compiled terms of P_lam) for the nonempty lam of
+    Lambda^max_weight in enumeration order. Every table is compiled on the
+    first call for (p, max_weight), also when the first point to ask fails
+    at lam = (1)."""
     return tuple(
         (lam, -1 if weight(lam) % 2 else 1, _compiled_terms(lam, p))
         for lam in enumerate_Lambda(p.n, max_weight) if lam
@@ -217,7 +221,7 @@ def _check_length(pt, p: Params) -> None:
 def in_G(pt, p: Params) -> Verdict:
     """Column-positivity membership: all phi_j >= 0, witness first failure."""
     _check_length(pt, p)
-    j = _first_negative(pt, _signed_sums(p, 0))
+    j = _first_negative(pt, _signed_columns(p))
     return Verdict(j is None, j, p.n)
 
 

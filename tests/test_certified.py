@@ -82,9 +82,10 @@ def nodes(p, max_weight=4):
 
 
 def off_nodes(p):
-    """Points 10^-20 off the lattice nodes, along each axis and a diagonal."""
-    eps = Fraction(1, 10**20)
-    steps = [(eps,) + (0,) * (p.n - 1), (-eps,) + (0,) * (p.n - 1), (0,) * (p.n - 1) + (eps,), (eps,) * p.n]
+    """Points 10^-20 off the lattice nodes: both ways along the first and
+    the last axis, along both diagonals through them, and along (1, ..., 1)."""
+    eps, mid = Fraction(1, 10**20), (0,) * (p.n - 2)
+    steps = [(eps, *mid, 0), (-eps, *mid, 0), (0, *mid, eps), (0, *mid, -eps), (eps, *mid, -eps), (eps,) * p.n]
     return [tuple(x + d for x, d in zip(node, step)) for node in nodes(p) for step in steps]
 
 
