@@ -52,8 +52,8 @@ from .shimura import (
     GroupData,
     Verdict,
     group_params,
-    in_A_certified,
-    in_G,
+    in_A_raster,
+    in_G_raster,
     in_square,
     in_U0_knapp_speh,
     shimura_eigenvalue,
@@ -284,11 +284,13 @@ def cmd_verify(args):
 
 
 def _region_window(args):
-    """Window half-width rho1 + 1 and the membership test for a kind; the
-    test returns a bool or a Verdict.
+    """Window half-width rho1 + 1 and the rows of the raster for a kind: a
+    function of the axis that yields, for each i, the cells (a bool or a
+    Verdict) at (axis[i], axis[j]) for j <= i.
 
-    The raster is two-dimensional, so every kind that takes a group needs a
-    rank-2 one.
+    A and G come a row at a time from the raster kernel in shimura; every
+    other kind maps its per-point test over the row. The raster is
+    two-dimensional, so every kind that takes a group needs a rank-2 one.
     """
     kind = args.kind
     if kind == "W":
@@ -297,7 +299,7 @@ def _region_window(args):
         if args.m < 0:
             raise DomainError(f"need m >= 0, got {args.m}")
         m = args.m
-        return Fraction(m + 1, 2) + 2, lambda pt: in_W(pt, m)
+        return Fraction(m + 1, 2) + 2, _point_rows(lambda pt: in_W(pt, m))
     if args.group is None:
         raise DomainError(f"--group is required for kind {kind}")
     g = _parse_group(args.group, args.p)
@@ -308,15 +310,23 @@ def _region_window(args):
         raise DomainError("kind U0 is defined for p = 0")
     if kind == "rank2-B" and g.d < 1:
         raise DomainError(f"kind rank2-B needs d >= 1, got d = {g.d}")
+    if kind == "rank2-B" and g.d > 2:
+        # in_B's three tests miss q_(2,2) < 0 in T2 for d >= 3 (README)
+        raise DomainError(f"kind rank2-B is the positivity set only for d <= 2, got d = {g.d}")
     rho = prm.rho
-    tests = {
-        "G": lambda pt: in_G(pt, prm),
-        "A": lambda pt: in_A_certified(pt, prm, args.max_weight),
-        "square": lambda pt: in_square(pt, prm),
-        "U0": lambda pt: in_U0_knapp_speh(pt, g.b),
-        "rank2-B": lambda pt: in_B(pt, g.d, rho),
+    rows = {
+        "G": lambda axis: in_G_raster(axis, prm),
+        "A": lambda axis: in_A_raster(axis, prm, args.max_weight),
+        "square": _point_rows(lambda pt: in_square(pt, prm)),
+        "U0": _point_rows(lambda pt: in_U0_knapp_speh(pt, g.b)),
+        "rank2-B": _point_rows(lambda pt: in_B(pt, g.d, rho)),
     }
-    return rho[0] + 1, tests[kind]
+    return rho[0] + 1, rows[kind]
+
+
+def _point_rows(test):
+    """The rows of a raster from a per-point test."""
+    return lambda axis: ([test((x1, x2)) for x2 in axis[: i + 1]] for i, x1 in enumerate(axis))
 
 
 def _cell(v):
@@ -331,16 +341,16 @@ def cmd_region(args):
         raise DomainError(f"need grid >= 2, got {args.grid}")
     if args.max_weight < 1:
         raise DomainError(f"need max-weight >= 1, got {args.max_weight}")
-    top, test = _region_window(args)
+    top, rows = _region_window(args)
 
     def compute():
         axis = [top * i / (args.grid - 1) for i in range(args.grid)]
         labels = [f"{float(v):.12g}" for v in axis]
         lines = ["x,y,member,witness"]
-        for i, x1 in enumerate(axis):
-            for j in range(i + 1):
-                m, w = _cell(test((x1, axis[j])))
-                lines.append(f"{labels[i]},{labels[j]},{m},{w}")
+        for label, row in zip(labels, rows(axis)):
+            for y, cell in zip(labels, row):
+                m, w = _cell(cell)
+                lines.append(f"{label},{y},{m},{w}")
         return "\n".join(lines) + "\n", 0
 
     return compute

@@ -3,9 +3,14 @@ closed forms for special shapes, the vanishing characterization, and exact
 interpolation back from values on the shifted lattice.
 
 The compiled reverse-tableau terms of P_lam are the one engine: okounkov_eval
-sums them at a point, in integer arithmetic at an exact point (_numerator,
-which also decides the signs behind shimura.in_G and in_A_certified), and
-okounkov_expand multiplies them out into monomials.
+sums them at a point, in integer arithmetic at an exact point, and
+okounkov_expand multiplies them out into monomials. The integer kernel
+tabulates each term's factors per coordinate over an axis of values
+(_axis_table) and combines the tables by one dot product per point
+(_weights); a single point is the case of one-element axes (_numerator),
+and the rasters of shimura.in_G_raster and in_A_raster build the tables
+once over their whole axis. The same kernel decides the signs behind
+shimura.in_G and in_A_certified.
 interpolate_from_values runs the triangular back-substitution in the P basis
 and expands the resulting combination of P_mu the same way.
 
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -182,31 +188,52 @@ class SymEvenPoly:
 
 class _Compiled:
     """The terms of one tableau or column sum, compiled once per (lam, p) or
-    (j, p): E = sum_T psi_T prod_(idx, c^2) (x_idx^2 - c^2).
+    (j, p): E = sum_T psi_T prod_(idx, c^2) (x_idx^2 - c^2) in n coordinates.
 
     terms holds (psi, ((coordinate index, c^2), ...)) in exact rationals,
     with the same number `cells` of factors in every term. The exact kernel
-    works on them scaled to integers: den is the lcm P of the psi
-    denominators, lsc the lcm L of the c^2 denominators, factors the
-    distinct (idx, C = c^2 L), and iterms the (Psi = psi P, factor
-    positions) of each term. fterms is the float companion (float(psi),
-    ((idx, float(c^2)), ...)), or None when a constant is beyond float range.
+    works on them scaled to integers and split by coordinate. den is the
+    lcm P of the psi denominators, lsc the lcm L of the c^2 denominators,
+    and consts[idx] the distinct C = c^2 L of coordinate idx. The products
+    of a term's factors in one coordinate form a prefix tree: node 0 is the
+    empty product, and chains[idx] holds (parent node, position in
+    consts[idx]) for nodes 1, 2, .... fold holds per term (Psi = psi P,
+    its nodes in all coordinates but the last as positions in their rows
+    laid end to end, its node in the last coordinate). fterms is the float
+    companion (float(psi), ((idx, float(c^2)), ...)), or None when a
+    constant is beyond float range.
     """
 
-    __slots__ = ("terms", "cells", "den", "lsc", "factors", "iterms", "fterms")
+    __slots__ = ("terms", "cells", "den", "lsc", "consts", "chains", "fold", "fterms")
 
-    def __init__(self, terms):
+    def __init__(self, terms, n: int):
         self.terms = terms
         self.cells = len(terms[0][1])
-        pos: dict = {}
-        ks = [tuple(pos.setdefault(f, len(pos)) for f in facs) for _, facs in terms]
-        self.den = math.lcm(*[psi.denominator for psi, _ in terms])
-        self.lsc = math.lcm(*[csq.denominator for _, csq in pos])
-        self.iterms = tuple((psi.numerator * (self.den // psi.denominator), k) for (psi, _), k in zip(terms, ks))
-        self.factors = tuple((idx, csq.numerator * (self.lsc // csq.denominator)) for idx, csq in pos)
+        self.den = den = math.lcm(*[psi.denominator for psi, _ in terms])
+        pos = [{} for _ in range(n)]  # per coordinate: c^2 -> position
+        trees = [{} for _ in range(n)]  # per coordinate: (parent, position) -> node
+        ends = []
+        for psi, facs in terms:
+            split = [[] for _ in range(n)]
+            for idx, csq in facs:
+                split[idx].append(pos[idx].setdefault(csq, len(pos[idx])))
+            nodes = []
+            for tree, ks in zip(trees, split):
+                node = 0
+                for k in sorted(ks):
+                    node = tree.setdefault((node, k), len(tree) + 1)
+                nodes.append(node)
+            ends.append((psi.numerator * (den // psi.denominator), nodes))
+        offsets = [0, *itertools.accumulate(len(tree) + 1 for tree in trees)]
+        self.fold = tuple(
+            (psi, tuple(off + node for off, node in zip(offsets, nodes[:-1])), nodes[-1]) for psi, nodes in ends
+        )
+        self.lsc = lsc = math.lcm(*[csq.denominator for cpos in pos for csq in cpos])
+        self.consts = tuple(tuple(csq.numerator * (lsc // csq.denominator) for csq in cpos) for cpos in pos)
+        self.chains = tuple(tuple(tree) for tree in trees)
         try:
-            ffacs = [(idx, float(csq)) for idx, csq in pos]
-            self.fterms = tuple((float(psi), tuple(ffacs[i] for i in k)) for (psi, _), k in zip(terms, ks))
+            floats = {csq: float(csq) for cpos in pos for csq in cpos}
+            self.fterms = tuple((float(psi), tuple((idx, floats[csq]) for idx, csq in facs)) for psi, facs in terms)
         except OverflowError:
             self.fterms = None
 
@@ -229,7 +256,7 @@ def _compiled_terms(lam: tuple[int, ...], p: Params) -> _Compiled:
                 csq[key] = (key[0] + p.tau * key[1] + p.alpha) ** 2
             facs.append((t - 1, csq[key]))
         terms.append((psi_tableau(tab, p.tau), tuple(facs)))
-    return _Compiled(tuple(terms))
+    return _Compiled(tuple(terms), p.n)
 
 
 @lru_cache(maxsize=None)
@@ -240,37 +267,65 @@ def _column_terms(j: int, p: Params) -> _Compiled:
     return _Compiled(tuple(
         (1, tuple((i - 1, rsq[i + j - k - 1]) for k, i in enumerate(subset, start=1)))
         for subset in itertools.combinations(range(1, p.n + 1), j)
-    ))
+    ), p.n)
 
 
-def _scaled_point(pt):
-    """(A_i^2, Q^2) for an exact point x_i = A_i / Q, Q the lcm of the
-    coordinate denominators."""
-    ratios = [x.as_integer_ratio() for x in pt]
+def _scaled_axis(axis):
+    """(Q^2, [A_i^2]) for exact values x_i = A_i / Q, Q the lcm of their
+    denominators: one common denominator for all of them."""
+    ratios = [x.as_integer_ratio() for x in axis]
     q = math.lcm(*[d for _, d in ratios])
-    return [(a * (q // d)) ** 2 for a, d in ratios], q * q
+    return q * q, [(a * (q // d)) ** 2 for a, d in ratios]
 
 
-def _numerator(comp: _Compiled, a2, q2) -> int:
-    """The exact kernel: the integer N with E = N / (P (Q^2 L)^K) at the
-    scaled point (a2, q2), K = comp.cells. Every factor x^2 - c^2 is
-    (A^2 L - C Q^2) / (Q^2 L), so N = sum_T Psi_T prod (A_idx^2 L - C Q^2)."""
-    lsc = comp.lsc
-    vals = [a2[idx] * lsc - csq * q2 for idx, csq in comp.factors]
-    total = 0
-    for prod, ks in comp.iterms:
+def _axis_table(comp: _Compiled, idx: int, q2: int, a2s):
+    """Step one of the exact kernel. At x = A/Q every factor x_idx^2 - c^2
+    is (A_idx^2 L - C Q^2) / (Q^2 L), so E = N / (P (Q^2 L)^K), K =
+    comp.cells, with N = sum_T Psi_T prod_idx F_T,idx(A_idx) and F_T,idx
+    the product of the term's factors in coordinate idx. This gives, for
+    each A^2 in a2s, the row of products at every node of coordinate idx."""
+    return [_node_row(comp, idx, q2, a2) for a2 in a2s]
+
+
+def _node_row(comp: _Compiled, idx: int, q2: int, a2: int):
+    """The products at every node of coordinate idx at one value A^2, one
+    multiplication a node."""
+    al = a2 * comp.lsc
+    vals = [al - c * q2 for c in comp.consts[idx]]
+    row = [1]
+    for parent, k in comp.chains[idx]:
+        row.append(row[parent] * vals[k])
+    return row
+
+
+def _weights(comp: _Compiled, heads):
+    """Step two: given one _axis_table row for each coordinate but the
+    last, the sums of Psi_T prod F_T,idx over the terms, collected by the
+    term's node in the last coordinate. N is their dot product with the
+    last coordinate's row."""
+    flat = heads[0] if len(heads) == 1 else [v for row in heads for v in row]
+    w = [0] * (len(comp.chains[-1]) + 1)
+    for psi, ks, s in comp.fold:
         for k in ks:
-            prod *= vals[k]
-        total += prod
-    return total
+            psi *= flat[k]
+        w[s] += psi
+    return w
+
+
+def _numerator(comp: _Compiled, q2: int, a2) -> int:
+    """N at one point with scaled squares a2 over Q^2 = q2: the kernel
+    over one-element axes."""
+    rows = [_node_row(comp, idx, q2, v) for idx, v in enumerate(a2)]
+    tail = rows.pop()
+    return sum(map(operator.mul, _weights(comp, rows), tail))
 
 
 def _evaluate(comp: _Compiled, pt):
     """E at pt: an exact Fraction at an exact point by the integer kernel;
     at any other point, plain float arithmetic on the exact constants."""
     if all(map(is_exact, pt)):
-        a2, q2 = _scaled_point(pt)
-        return Fraction(_numerator(comp, a2, q2), comp.den * (q2 * comp.lsc) ** comp.cells)
+        q2, a2 = _scaled_axis(pt)
+        return Fraction(_numerator(comp, q2, a2), comp.den * (q2 * comp.lsc) ** comp.cells)
     sq = [x * x for x in pt]
     total = 0
     for psi, facs in comp.terms:

@@ -512,6 +512,11 @@ def in_B(pt, d: int, rho) -> bool:
     """Region decision by the three tests: the weight-1 and column signed
     values nonnegative, then the boundary series nonnegative.
 
+    These three tests give the positivity set only for d <= 2. For d >= 3,
+    T2 holds points with alpha < x2 < alpha + 1 < x1, where q_(2,2) < 0
+    while all three pass, so in_B returns True at some points outside the
+    set; the region command rejects rank2-B with d >= 3.
+
     Exact points get exact sign tests on the two polynomials, taken in
     integer arithmetic on the numerators and denominators (_gates_fail).
     Float points get the module deadband on the float values, scaled by

@@ -10,22 +10,25 @@ nonnegative on the sets they cut out.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, is_exact
+from .exactnum import SIGN_DEADBAND, DomainError, as_exact, is_exact
 from .okounkov import (
     Params,
+    _axis_table,
     _column_terms,
     _compiled_terms,
     _float_sum,
     _numerator,
-    _scaled_point,
+    _scaled_axis,
+    _weights,
     column_poly,
     k_constant,
     okounkov_eval,
 )
-from .partitions import enumerate_Lambda, format_partition, normalize, weight
+from .partitions import enumerate_Lambda, normalize, weight
 
 __all__ = [
     "GroupData",
@@ -36,6 +39,8 @@ __all__ = [
     "phi_j",
     "in_G",
     "in_A_certified",
+    "in_G_raster",
+    "in_A_raster",
     "in_square",
     "in_U0_knapp_speh",
     "SIGN_DEADBAND",
@@ -107,10 +112,13 @@ class Verdict:
                 f"degree_checked={self.degree_checked!r})")
 
     def witness_str(self):
+        """The witness as text: a partition as its parts joined by commas
+        (witnesses come normalized from enumerate_Lambda), a column index
+        as the number; None on membership."""
         if self.witness is None:
             return None
         if isinstance(self.witness, tuple):
-            return format_partition(self.witness)
+            return ",".join(map(str, self.witness))
         return str(self.witness)
 
     def to_json(self) -> dict:
@@ -190,7 +198,7 @@ def _first_negative(pt, signed):
     """
     sq = scaled = None
     if all(map(is_exact, pt)):
-        scaled = _scaled_point(pt)
+        scaled = _scaled_axis(pt)
     else:
         for x in pt:
             if not is_exact(x) and not math.isfinite(x):
@@ -207,7 +215,7 @@ def _first_negative(pt, signed):
                     return key
                 continue
         if scaled is None:
-            scaled = _scaled_point(_exact_point(pt))
+            scaled = _scaled_axis(_exact_point(pt))
         if sign * _numerator(comp, *scaled) < 0:
             return key
     return None
@@ -235,6 +243,51 @@ def in_A_certified(pt, p: Params, max_weight: int) -> Verdict:
     _check_length(pt, p)
     lam = _first_negative(pt, _signed_sums(p, max_weight))
     return Verdict(lam is None, lam, max_weight)
+
+
+def _raster(axis, p: Params, signed, degree):
+    """Yield, for i = 0, 1, ..., the row [Verdict at (axis[i], axis[j]) for
+    j <= i] of the rank-2 sign test over signed that _first_negative
+    makes, for exact axis values.
+
+    The raster shares one denominator Q, so each sum's two tables
+    (okounkov._axis_table) are built once over the axis. A row folds x1
+    into one weight vector per sum, and each point still undecided costs
+    one integer dot product per sum.
+    """
+    if p.n != 2:
+        raise DomainError(f"a raster needs rank 2, got n = {p.n}")
+    q2, a2s = _scaled_axis([as_exact(x) for x in axis])
+    tables = [(key, sign, comp, _axis_table(comp, 0, q2, a2s), _axis_table(comp, 1, q2, a2s))
+              for key, sign, comp in signed]
+    mul = operator.mul
+    for i in range(len(a2s)):
+        keys = [None] * (i + 1)
+        pending = range(i + 1)
+        for key, sign, comp, head, tail in tables:
+            w = [sign * v for v in _weights(comp, (head[i],))]
+            failed = [j for j in pending if sum(map(mul, w, tail[j])) < 0]
+            if failed:
+                for j in failed:
+                    keys[j] = key
+                pending = [j for j in pending if keys[j] is None]
+                if not pending:
+                    break
+        yield [Verdict(k is None, k, degree) for k in keys]
+
+
+def in_G_raster(axis, p: Params):
+    """in_G on the rank-2 raster of an exact axis: yields, for each i,
+    [in_G((axis[i], axis[j]), p) for j <= i]."""
+    yield from _raster(axis, p, _signed_columns(p), p.n)
+
+
+def in_A_raster(axis, p: Params, max_weight: int):
+    """in_A_certified on the rank-2 raster of an exact axis: yields, for
+    each i, [in_A_certified((axis[i], axis[j]), p, max_weight) for j <= i]."""
+    if max_weight < 1:
+        raise DomainError(f"need max_weight >= 1, got {max_weight}")
+    yield from _raster(axis, p, _signed_sums(p, max_weight), max_weight)
 
 
 def in_square(pt, p: Params) -> bool:

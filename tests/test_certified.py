@@ -1,7 +1,7 @@
 """Sign decisions of in_G and in_A_certified: exact points are decided by
-the integer kernel okounkov._numerator, which must agree with a plain
-Fraction sum over the compiled terms, and float points keep the deadband
-rule."""
+the integer table kernel of okounkov (per-coordinate tables, then one dot
+product), which must agree with a plain Fraction sum over the compiled
+terms, and float points keep the deadband rule."""
 
 from fractions import Fraction
 
@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 import bcinterp.rank2 as rank2
 import bcinterp.shimura as shimura
 from bcinterp.exactnum import SIGN_DEADBAND, DomainError
-from bcinterp.okounkov import Params, _column_terms, _compiled_terms, column_poly, okounkov_eval
+from bcinterp.okounkov import (
+    Params,
+    _axis_table,
+    _column_terms,
+    _compiled_terms,
+    _scaled_axis,
+    _weights,
+    column_poly,
+    okounkov_eval,
+)
 from bcinterp.partitions import enumerate_Lambda, weight
 from bcinterp.rank2 import in_B
 from bcinterp.shimura import (
@@ -20,7 +29,9 @@ from bcinterp.shimura import (
     Verdict,
     group_params,
     in_A_certified,
+    in_A_raster,
     in_G,
+    in_G_raster,
 )
 
 GROUPS = [GroupData(2, 2, 0), GroupData(2, 4, 3), GroupData(2, 1, 1), GroupData(2, 3, 1, p=1)]
@@ -94,15 +105,31 @@ def huge_points(p):
     return [pt + (Fraction(-(10**401), 7),) * (p.n - 2) for pt in HUGE]
 
 
+def table_value(comp, pt, extra):
+    """E at pt from the kernel's per-coordinate tables over one shared axis
+    that holds pt's coordinates and the values extra, so its common
+    denominator differs from pt's own."""
+    n = len(pt)
+    q2, a2s = _scaled_axis(list(pt) + extra)
+    tables = [_axis_table(comp, idx, q2, a2s) for idx in range(n)]
+    w = _weights(comp, [tables[idx][idx] for idx in range(n - 1)])
+    num = sum(a * b for a, b in zip(w, tables[-1][n - 1]))
+    return Fraction(num, comp.den * (q2 * comp.lsc) ** comp.cells)
+
+
 def assert_kernel_exact(pt, p, max_weight):
-    """okounkov_eval and column_poly, both through the integer kernel, equal
-    the reference sum exactly."""
+    """okounkov_eval and column_poly (the table kernel over one-element
+    axes) and the tables over a shared axis equal the reference sum
+    exactly."""
+    extra = [Fraction(7, 36), Fraction(-5, 22)]
     for lam in enumerate_Lambda(p.n, max_weight):
-        got = okounkov_eval(lam, pt, p)
-        assert type(got) is Fraction and got == reference_sum(_compiled_terms(lam, p), pt), (lam, pt)
+        comp, got = _compiled_terms(lam, p), okounkov_eval(lam, pt, p)
+        want = reference_sum(comp, pt)
+        assert type(got) is Fraction and got == want == table_value(comp, pt, extra), (lam, pt)
     for j in range(1, p.n + 1):
-        got = column_poly(j, pt, p)
-        assert type(got) is Fraction and got == reference_sum(_column_terms(j, p), pt), (j, pt)
+        comp, got = _column_terms(j, p), column_poly(j, pt, p)
+        want = reference_sum(comp, pt)
+        assert type(got) is Fraction and got == want == table_value(comp, pt, extra), (j, pt)
 
 
 @pytest.mark.parametrize("p", RANK2 + RANK3)
@@ -126,16 +153,33 @@ def test_kernel_matches_reference_at_random_rationals(p, x):
 
 @pytest.mark.parametrize("p", [RANK2[0], RANK2[4], RANK3[1]])
 def test_kernel_scaling_is_integral(p):
-    # Psi / P and C / L give back psi and c^2, factor by factor
+    # Psi / P and C / L give back psi and the c^2 of each coordinate's
+    # factors, term by term, read off the prefix trees
     comps = [_compiled_terms(lam, p) for lam in enumerate_Lambda(p.n, 5)]
     for comp in comps + [_column_terms(j, p) for j in range(1, p.n + 1)]:
         assert all(len(facs) == comp.cells for _, facs in comp.terms)
-        ints = [comp.den, comp.lsc] + [psi for psi, _ in comp.iterms] + [c for _, c in comp.factors]
+        ints = [comp.den, comp.lsc] + [psi for psi, _, _ in comp.fold] + [c for cs in comp.consts for c in cs]
         assert all(type(v) is int for v in ints)
-        assert [Fraction(psi, comp.den) for psi, _ in comp.iterms] == [psi for psi, _ in comp.terms]
-        factors = [(idx, Fraction(c, comp.lsc)) for idx, c in comp.factors]
-        assert len(set(factors)) == len(factors)
-        assert [tuple(factors[k] for k in ks) for _, ks in comp.iterms] == [facs for _, facs in comp.terms]
+        for consts, chain in zip(comp.consts, comp.chains):
+            assert len(set(consts)) == len(consts) and len(set(chain)) == len(chain)
+            assert all(parent <= node for node, (parent, _) in enumerate(chain))
+
+        def path(idx, node):
+            out = []
+            while node:
+                node, k = comp.chains[idx][node - 1]
+                out.append(Fraction(comp.consts[idx][k], comp.lsc))
+            return sorted(out)
+
+        starts = [0]
+        for chain in comp.chains:
+            starts.append(starts[-1] + len(chain) + 1)
+        assert len(comp.fold) == len(comp.terms)
+        for (psi, ks, last), (want_psi, facs) in zip(comp.fold, comp.terms):
+            assert Fraction(psi, comp.den) == want_psi
+            nodes = [k - start for k, start in zip(ks, starts)] + [last]
+            for idx, node in enumerate(nodes):
+                assert path(idx, node) == sorted(c for i, c in facs if i == idx)
 
 
 def test_exact_points_never_use_floats(monkeypatch):
@@ -153,6 +197,25 @@ def test_exact_points_never_use_floats(monkeypatch):
 def test_agrees_at_lattice_nodes(p):
     for pt in nodes(p):
         assert_agrees(pt, p)
+
+
+@pytest.mark.parametrize("p", RANK2)
+def test_rasters_match_point_tests(p):
+    # an axis with negative values, ints and unrelated denominators
+    axis = [Fraction(-3, 2), 0, Fraction(1, 3), Fraction(5, 4), 2, Fraction(7, 3), *p.rho, Fraction(10**30 + 1, 10**30)]
+    rows_A, rows_G = in_A_raster(axis, p, 8), in_G_raster(axis, p)
+    for i, (row_A, row_G) in enumerate(zip(rows_A, rows_G, strict=True)):
+        assert row_A == [in_A_certified((axis[i], x2), p, 8) for x2 in axis[: i + 1]], i
+        assert row_G == [in_G((axis[i], x2), p) for x2 in axis[: i + 1]], i
+
+
+def test_rasters_need_an_exact_rank_2_axis():
+    with pytest.raises(DomainError, match="exact"):
+        next(in_G_raster([0.5, Fraction(1)], RANK2[0]))
+    with pytest.raises(DomainError, match="rank 2"):
+        next(in_A_raster([Fraction(1)], RANK3[0], 4))
+    with pytest.raises(DomainError, match="max_weight"):
+        next(in_A_raster([Fraction(1)], RANK2[0], 0))
 
 
 def test_rho_is_a_member():

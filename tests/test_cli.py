@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -7,8 +9,11 @@ import sys
 import pytest
 
 import bcinterp.cli as cli
+import bcinterp.shimura as shimura
 from bcinterp.exactnum import DomainError
 from bcinterp.cli import main
+from bcinterp.partitions import format_partition
+from bcinterp.shimura import GroupData, group_params, in_A_certified, in_G
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -254,6 +259,85 @@ def test_region_u0_inside_G(capsys):
     for key, (m, _) in u.items():
         if m == "1":
             assert g[key][0] == "1", key
+
+
+# kind, group, --p, grid, --max-weight. Window tops 5/2 (2,1,1), 7/2
+# (2,4,0) and 5/2 (2,1,0 at p = 1) over an even grid - 1 share a factor
+# with their denominator, so the raster's common denominator is not every
+# point's own.
+RASTER_CASES = [
+    (kind, group, p, grid, w)
+    for group, p, grid, w in (
+        ("2,1,1", 0, 21, 6),
+        ("2,4,3", 0, 17, 6),
+        ("2,4,0", 0, 15, 8),
+        ("2,2,5", 0, 12, 6),
+        ("2,1,0", 1, 21, 6),
+        ("2,3,1", 1, 10, 7),
+    )
+    for kind in ("A", "G")
+]
+
+
+@pytest.mark.parametrize("kind,group,p,grid,w", RASTER_CASES)
+def test_region_A_G_rows_match_point_tests(capsys, monkeypatch, kind, group, p, grid, w):
+    # every row of the raster kernel against in_A_certified / in_G called
+    # point by point; the per-point kernel never runs on a raster
+    _, d, b = (int(v) for v in group.split(","))
+    prm = group_params(GroupData(2, d, b, p))
+    top = prm.rho[0] + 1
+    axis = [top * i / (grid - 1) for i in range(grid)]
+    want = ["x,y,member,witness"]
+    for i, x1 in enumerate(axis):
+        for x2 in axis[: i + 1]:
+            v = in_A_certified((x1, x2), prm, w) if kind == "A" else in_G((x1, x2), prm)
+            witness = "" if v.member else format_partition(v.witness) if kind == "A" else str(v.witness)
+            want.append(f"{float(x1):.12g},{float(x2):.12g},{int(v.member)},{witness}")
+
+    def per_point(*args):
+        raise AssertionError("per-point kernel on a raster")
+
+    monkeypatch.setattr(shimura, "_numerator", per_point)
+    argv = ["region", "--kind", kind, "--group", group, "--p", str(p), "--grid", str(grid), "--max-weight", str(w)]
+    assert run(capsys, *argv) == (0, "\n".join(want) + "\n", "")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_region_rank2_B_inside_A8(capsys, d):
+    # rank2-B is the positivity set for d <= 2, so its members pass every
+    # q_lam up to weight 8
+    for b in range(4):
+        group = f"2,{d},{b}"
+        _, b_text, _ = run(capsys, "region", "--kind", "rank2-B", "--group", group, "--grid", "41")
+        _, a_text, _ = run(capsys, "region", "--kind", "A", "--group", group, "--grid", "41", "--max-weight", "8")
+        bb, aa = parse_region(b_text), parse_region(a_text)
+        assert bb.keys() == aa.keys()
+        assert [key for key, (m, _) in bb.items() if m == "1" and aa[key][0] != "1"] == [], group
+
+
+def test_region_rank2_B_rejects_d_3_and_up(capsys):
+    # in_B's three tests miss q_(2,2) < 0 there
+    for group in ("2,3,0", "2,4,2", "2,6,5"):
+        code, out, err = run(capsys, "region", "--kind", "rank2-B", "--group", group, "--grid", "9")
+        assert (code, out) == (2, ""), group
+        assert "positivity set only for d <= 2" in err
+
+
+def test_exact_rasters_match_benchmark_references(capsys):
+    # every A and G raster the benchmark runs, byte for byte against its
+    # recorded reference
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
+        refs = json.load(fh)
+    argvs = [a for a in workloads.all_commands() if a[0] == "region" and a[a.index("--kind") + 1] in ("A", "G")]
+    assert len(argvs) == 35
+    for argv in argvs:
+        ref = refs[" ".join(argv)]
+        code, out, _ = run(capsys, *argv)
+        assert code == ref["rc"], argv
+        assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"], argv
 
 
 def test_region_W_window(capsys):
