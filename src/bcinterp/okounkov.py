@@ -6,10 +6,10 @@ The compiled reverse-tableau terms of P_lam are the one engine: okounkov_eval
 sums them at a point, in integer arithmetic at an exact point, and
 okounkov_expand multiplies them out into monomials. The integer kernel
 tabulates each term's factors per coordinate over an axis of values
-(_axis_table) and combines the tables by one dot product per point
-(_weights); a single point is the case of one-element axes (_numerator),
-and the rasters of shimura.in_G_raster and in_A_raster build the tables
-once over their whole axis. The same kernel decides the signs behind
+(_node_row at each value) and combines the tables by one dot product per
+point (_weights); a single point is the case of one-element axes
+(_numerator), and the rasters of shimura.in_G_raster and in_A_raster build
+the tables once over their whole axis. The same kernel decides the signs behind
 shimura.in_G and in_A_certified.
 interpolate_from_values runs the triangular back-substitution in the P basis
 and expands the resulting combination of P_mu the same way.
@@ -278,18 +278,13 @@ def _scaled_axis(axis):
     return q * q, [(a * (q // d)) ** 2 for a, d in ratios]
 
 
-def _axis_table(comp: _Compiled, idx: int, q2: int, a2s):
+def _node_row(comp: _Compiled, idx: int, q2: int, a2: int):
     """Step one of the exact kernel. At x = A/Q every factor x_idx^2 - c^2
     is (A_idx^2 L - C Q^2) / (Q^2 L), so E = N / (P (Q^2 L)^K), K =
     comp.cells, with N = sum_T Psi_T prod_idx F_T,idx(A_idx) and F_T,idx
-    the product of the term's factors in coordinate idx. This gives, for
-    each A^2 in a2s, the row of products at every node of coordinate idx."""
-    return [_node_row(comp, idx, q2, a2) for a2 in a2s]
-
-
-def _node_row(comp: _Compiled, idx: int, q2: int, a2: int):
-    """The products at every node of coordinate idx at one value A^2, one
-    multiplication a node."""
+    the product of the term's factors in coordinate idx. This gives the
+    products at every node of coordinate idx at one value A^2, one
+    multiplication a node; a raster tabulates it over its axis."""
     al = a2 * comp.lsc
     vals = [al - c * q2 for c in comp.consts[idx]]
     row = [1]
@@ -299,7 +294,7 @@ def _node_row(comp: _Compiled, idx: int, q2: int, a2: int):
 
 
 def _weights(comp: _Compiled, heads):
-    """Step two: given one _axis_table row for each coordinate but the
+    """Step two: given one _node_row row for each coordinate but the
     last, the sums of Psi_T prod F_T,idx over the terms, collected by the
     term's node in the last coordinate. N is their dot product with the
     last coordinate's row."""

@@ -17,10 +17,10 @@ from functools import lru_cache
 from .exactnum import SIGN_DEADBAND, DomainError, as_exact, is_exact
 from .okounkov import (
     Params,
-    _axis_table,
     _column_terms,
     _compiled_terms,
     _float_sum,
+    _node_row,
     _numerator,
     _scaled_axis,
     _weights,
@@ -250,22 +250,21 @@ def _raster(axis, p: Params, signed, degree):
     j <= i] of the rank-2 sign test over signed that _first_negative
     makes, for exact axis values.
 
-    The raster shares one denominator Q, so each sum's two tables
-    (okounkov._axis_table) are built once over the axis. A row folds x1
+    The raster shares one denominator Q, so each sum's table of x2 values
+    (okounkov._node_row at every axis value) is built once. A row folds x1
     into one weight vector per sum, and each point still undecided costs
     one integer dot product per sum.
     """
     if p.n != 2:
         raise DomainError(f"a raster needs rank 2, got n = {p.n}")
     q2, a2s = _scaled_axis([as_exact(x) for x in axis])
-    tables = [(key, sign, comp, _axis_table(comp, 0, q2, a2s), _axis_table(comp, 1, q2, a2s))
-              for key, sign, comp in signed]
+    tables = [(key, sign, comp, [_node_row(comp, 1, q2, a2) for a2 in a2s]) for key, sign, comp in signed]
     mul = operator.mul
-    for i in range(len(a2s)):
+    for i, a2 in enumerate(a2s):
         keys = [None] * (i + 1)
         pending = range(i + 1)
-        for key, sign, comp, head, tail in tables:
-            w = [sign * v for v in _weights(comp, (head[i],))]
+        for key, sign, comp, tail in tables:
+            w = [sign * v for v in _weights(comp, (_node_row(comp, 0, q2, a2),))]
             failed = [j for j in pending if sum(map(mul, w, tail[j])) < 0]
             if failed:
                 for j in failed:

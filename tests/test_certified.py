@@ -14,9 +14,9 @@ import bcinterp.shimura as shimura
 from bcinterp.exactnum import SIGN_DEADBAND, DomainError
 from bcinterp.okounkov import (
     Params,
-    _axis_table,
     _column_terms,
     _compiled_terms,
+    _node_row,
     _scaled_axis,
     _weights,
     column_poly,
@@ -111,7 +111,7 @@ def table_value(comp, pt, extra):
     denominator differs from pt's own."""
     n = len(pt)
     q2, a2s = _scaled_axis(list(pt) + extra)
-    tables = [_axis_table(comp, idx, q2, a2s) for idx in range(n)]
+    tables = [[_node_row(comp, idx, q2, a2) for a2 in a2s] for idx in range(n)]
     w = _weights(comp, [tables[idx][idx] for idx in range(n - 1)])
     num = sum(a * b for a, b in zip(w, tables[-1][n - 1]))
     return Fraction(num, comp.den * (q2 * comp.lsc) ** comp.cells)
