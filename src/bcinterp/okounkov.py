@@ -7,10 +7,10 @@ sums them at a point, in integer arithmetic at an exact point, and
 okounkov_expand multiplies them out into monomials. The integer kernel
 tabulates each term's factors per coordinate over an axis of values
 (_node_row at each value) and combines the tables by one dot product per
-point (_weights); a single point is the case of one-element axes
-(_numerator), and the rasters of shimura.in_G_raster and in_A_raster build
-the tables once over their whole axis. The same kernel decides the signs behind
-shimura.in_G and in_A_certified.
+point (_weights). A single point is the case of one-element axes
+(_numerator), which also decides the signs behind shimura.in_G and
+in_A_certified; the rasters of shimura.in_G_raster and in_A_raster build
+the tables once over their whole axis.
 interpolate_from_values runs the triangular back-substitution in the P basis
 and expands the resulting combination of P_mu the same way.
 

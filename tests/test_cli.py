@@ -326,7 +326,8 @@ def test_region_rank2_B_rejects_d_3_and_up(capsys):
 def test_exact_rasters_match_benchmark_references(capsys):
     # every A and G raster the benchmark runs, byte for byte against its
     # recorded reference
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
