@@ -4,8 +4,9 @@ suites, region rasterization, contour emission.
 Exit codes: 0 ok, 1 verification failure, 2 usage, 3 domain error during
 computation, 4 I/O error writing --out or stdout. Flag validation failures
 (bad rationals, bad partitions, inconsistent lengths, wrong group shape for
-a kind) are usage errors; the same exception type raised later, by the
-mathematics, is a domain error. All output is deterministic for fixed flags.
+a kind, a region window beyond float range) are usage errors; the same
+exception type raised later, by the mathematics, is a domain error. All
+output is deterministic for fixed flags.
 
 Each cmd_* handler only checks its flags and returns a zero-argument
 compute that gives (text, exit_code); main maps errors to exit codes and
@@ -47,7 +48,7 @@ from .okounkov import (
     verify_characterization,
 )
 from .partitions import enumerate_Lambda, format_partition, parse_partition
-from .rank2 import R_midpoint_telescoped, R_series, in_B, q_rank2, q_rank2_partial_d2
+from .rank2 import R_midpoint_telescoped, R_series, in_B_raster, q_rank2, q_rank2_partial_d2
 from .shimura import (
     GroupData,
     Verdict,
@@ -288,7 +289,8 @@ def _region_window(args):
     function of the axis that yields, for each i, the cells (a bool or a
     Verdict) at (axis[i], axis[j]) for j <= i.
 
-    A and G come a row at a time from the raster kernel in shimura; every
+    A and G come a row at a time from the raster kernel in shimura, and
+    rank2-B from in_B_raster, which takes its gates from the G rows; every
     other kind maps its per-point test over the row. The raster is
     two-dimensional, so every kind that takes a group needs a rank-2 one.
     """
@@ -319,7 +321,7 @@ def _region_window(args):
         "A": lambda axis: in_A_raster(axis, prm, args.max_weight),
         "square": _point_rows(lambda pt: in_square(pt, prm)),
         "U0": _point_rows(lambda pt: in_U0_knapp_speh(pt, g.b)),
-        "rank2-B": _point_rows(lambda pt: in_B(pt, g.d, rho)),
+        "rank2-B": lambda axis: in_B_raster(axis, g.d, rho),
     }
     return rho[0] + 1, rows[kind]
 
@@ -342,6 +344,10 @@ def cmd_region(args):
     if args.max_weight < 1:
         raise DomainError(f"need max-weight >= 1, got {args.max_weight}")
     top, rows = _region_window(args)
+    try:
+        float(top)
+    except OverflowError as exc:
+        raise DomainError("the raster window is beyond float range") from exc
 
     def compute():
         axis = [top * i / (args.grid - 1) for i in range(args.grid)]

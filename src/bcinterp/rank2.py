@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import SIGN_DEADBAND, DomainError, PoleError, as_exact, is_exact, log_gamma, poch_pm
-from .shimura import _exact_point
+from .okounkov import Params
+from .shimura import _exact_point, _first_negative, _signed_columns, in_G_raster
 
 __all__ = [
     "HypSeriesSpec",
@@ -30,6 +31,7 @@ __all__ = [
     "R_closed_form_b0",
     "R_midpoint_telescoped",
     "in_B",
+    "in_B_raster",
 ]
 
 # Unit roundoff of IEEE double precision.
@@ -464,69 +466,52 @@ class Rank2Regions:
 
 @lru_cache(maxsize=None)
 def _rho_constants(rho: tuple):
-    """What in_B needs of rho, built once per rho: the numerator and
-    denominator of S = rho1^2 + rho2^2 and of |rho2|, float(S),
-    float(rho2^2), (float(rho1), float(rho2)), rho1, rho2 themselves, and
+    """What in_B needs of rho, built once per rho: p = Params(2, rho1 - rho2,
+    rho2), whose shift vector is rho, so that the gates of in_B are its
+    column tests; (float(rho1), float(rho2)); rho1, rho2 themselves; and
     d_bound = ceil(4 (rho1 - rho2)). The boundary series decays like k^-s
     with s = 1 + 2 (rho1 - rho2) - d/2, so it is summable (s > 1) exactly
     when the integer d is below d_bound.
-
-    float(S) and float(rho2^2) are inf when S is beyond float range, which
-    sends every float point to the exact gates.
     """
     r1 = as_exact(rho[0])
     r2 = as_exact(rho[1])
-    s = r1 * r1 + r2 * r2
-    try:
-        fs, fr2sq = float(s), float(r2 * r2)
-    except OverflowError:
-        fs = fr2sq = math.inf
-    d_bound = math.ceil(4 * (r1 - r2))
-    return (s.numerator, s.denominator, abs(r2.numerator), r2.denominator, fs, fr2sq, (float(r1), float(r2)),
-            r1, r2, d_bound)
+    return Params(2, r1 - r2, r2), (float(r1), float(r2)), r1, r2, math.ceil(4 * (r1 - r2))
 
 
-def _gates_fail(x1, x2, s_num, s_den, r2_num, r2_den) -> bool:
-    """Whether the exact point (x1, x2) fails a polynomial gate of in_B,
-    q10 = S - x1^2 - x2^2 < 0 or q11 = (rho2^2 - x1^2)(rho2^2 - x2^2) < 0,
-    decided in integers from S = s_num/s_den and |rho2| = r2_num/r2_den.
-
-    With x1 = a/b and x2 = c/e, q10 < 0 exactly when
-    ((ae)^2 + (cb)^2) s_den > s_num (be)^2. The sign of rho2^2 - x^2 is the
-    sign of |rho2| - |x|, so q11 < 0 exactly when one of |x1|, |x2| is below
-    |rho2| and the other above it.
-    """
-    a, b = x1.numerator, x1.denominator
-    c, e = x2.numerator, x2.denominator
-    ae = a * e
-    cb = c * b
-    be = b * e
-    if (ae * ae + cb * cb) * s_den > s_num * be * be:
-        return True
-    u1 = abs(a) * r2_den - r2_num * b
-    u2 = abs(c) * r2_den - r2_num * e
-    return u1 < 0 < u2 or u2 < 0 < u1
+def _checked_constants(d, rho):
+    """_rho_constants(rho), after the checks that d is a positive integer
+    and the boundary series summable; DomainError otherwise."""
+    if not isinstance(d, int) or d < 1:
+        raise DomainError(f"d must be a positive integer, got {d}")
+    consts = _rho_constants(tuple(rho))
+    _, _, r1, r2, d_bound = consts
+    if d >= d_bound:
+        s = 1 + 2 * (r1 - r2) - Fraction(d, 2)
+        raise DomainError(f"series decays like k^-s with s = {s} <= 1: not summable")
+    return consts
 
 
 def in_B(pt, d: int, rho) -> bool:
     """Region decision by the three tests: the weight-1 and column signed
-    values nonnegative, then the boundary series nonnegative.
+    values q10 = rho1^2 + rho2^2 - x1^2 - x2^2 and
+    q11 = (rho2^2 - x1^2)(rho2^2 - x2^2) nonnegative, then the boundary
+    series nonnegative.
 
     These three tests give the positivity set only for d <= 2. For d >= 3,
     T2 holds points with alpha < x2 < alpha + 1 < x1, where q_(2,2) < 0
     while all three pass, so in_B returns True at some points outside the
     set; the region command rejects rank2-B with d >= 3.
 
-    Exact points get exact sign tests on the two polynomials, taken in
-    integer arithmetic on the numerators and denominators (_gates_fail).
-    Float points get the module deadband on the float values, scaled by
-    S + x1^2 + x2^2 and (rho2^2 + x1^2)(rho2^2 + x2^2). The exact tests run
-    instead at the exact rational values Fraction(x1), Fraction(x2) where a
-    scale is not finite, so that the deadband cannot decide, and where a
-    point passes the deadband tests with float(rho1) - x1 <= 0, which only
-    a point inside their deadband can do. A point that mixes a float with an
-    exact coordinate beyond float range is decided exactly at its rational
-    value. A nan or inf coordinate raises DomainError.
+    The two gates are the column tests phi_1 = -q10 and phi_2 = q11 of
+    Params(2, rho1 - rho2, rho2), whose shift vector is rho, and are decided
+    as in_G decides them (shimura._first_negative): exact points by the
+    sign of an integer numerator; float points by the deadband rule,
+    measured against the sum of the absolute terms; at its exact rational
+    value a float point where that sum is not finite, and a point that mixes
+    a float with an exact coordinate beyond float range. A nan or inf
+    coordinate raises DomainError. A float point that passes the gates with
+    float(rho1) - x1 <= 0, which only a point inside their deadband can do,
+    gets the exact gates at Fraction(x1), Fraction(x2).
 
     An exact point that passes both gates has x1 <= rho1, with equality
     only at (rho1, +-rho2), where the series has its parameter pole: rho and
@@ -549,40 +534,40 @@ def in_B(pt, d: int, rho) -> bool:
     and rho (s > 1, a condition that does not depend on the point), as for
     R_series, or DomainError is raised at every point.
     """
-    if not isinstance(d, int) or d < 1:
-        raise DomainError(f"d must be a positive integer, got {d}")
-    s_num, s_den, r2_num, r2_den, fs, fr2sq, frho, r1, r2, d_bound = _rho_constants(tuple(rho))
-    if d >= d_bound:
-        s = 1 + 2 * (r1 - r2) - Fraction(d, 2)
-        raise DomainError(f"series decays like k^-s with s = {s} <= 1: not summable")
+    p, frho, r1, r2, _ = _checked_constants(d, rho)
+    return _first_negative(pt, _signed_columns(p)) is None and _past_gates(pt, d, p, frho, r1, r2)
+
+
+def in_B_raster(axis, d: int, rho):
+    """in_B on the rank-2 raster of an exact axis: yields, for each i,
+    [in_B((axis[i], axis[j]), d, rho) for j <= i]. The gates are the rows
+    of in_G_raster for the Params whose column tests they are; the rest of
+    in_B runs only at the points that pass both."""
+    p, frho, r1, r2, _ = _checked_constants(d, rho)
+    for x1, row in zip(axis, in_G_raster(axis, p)):
+        yield [v.member and _past_gates((x1, x2), d, p, frho, r1, r2) for x2, v in zip(axis, row)]
+
+
+def _past_gates(pt, d: int, p: Params, frho, r1, r2) -> bool:
+    """in_B at a point that passes both gates, from the constants of
+    _rho_constants: the exact gates again for a float point with
+    x1 >= rho1 in floats, then the exact rule at rho, the T1 rule and the
+    sign of the boundary series."""
     x1, x2 = pt
     exact = is_exact(x1) and is_exact(x2)
     if not exact:
-        if not all(math.isfinite(x) for x in pt if not is_exact(x)):
-            raise DomainError(f"point coordinates must be finite, got {pt!r}")
         try:
             f1, f2 = float(x1), float(x2)
         except OverflowError:
             exact = True
             x1, x2 = _exact_point(pt)
-    if not exact:
-        y1 = f1 * f1
-        y2 = f2 * f2
-        scale10 = fs + y1 + y2
-        scale11 = (fr2sq + y1) * (fr2sq + y2)
-        if math.isfinite(scale10) and math.isfinite(scale11):
-            q10 = fs - y1 - y2
-            q11 = (fr2sq - y1) * (fr2sq - y2)
-            if q10 < -SIGN_DEADBAND * (1.0 + scale10) or q11 < -SIGN_DEADBAND * (1.0 + scale11):
-                return False
-            exact = f1 >= frho[0]
         else:
-            exact = True
-        if exact:
-            x1, x2 = Fraction(f1), Fraction(f2)
+            exact = f1 >= frho[0]
+            if exact:
+                x1, x2 = Fraction(f1), Fraction(f2)
+                if _first_negative((x1, x2), _signed_columns(p)) is not None:
+                    return False
     if exact:
-        if _gates_fail(x1, x2, s_num, s_den, r2_num, r2_den):
-            return False
         if x1 == r1:
             return True
         # the T1 side, |x1| < rho1 and |x2| <= rho2 (signed), in integers

@@ -186,15 +186,19 @@ def _first_negative(pt, signed):
 
     Exact points are decided by the sign of the integer numerator of E
     (okounkov._numerator). A point with a float coordinate is a float point:
-    the float sum S and its absolute sum A over the float companion keep the
-    deadband rule sign * S < -SIGN_DEADBAND (1 + A). Those values are
+    the float sum S and its absolute sum A over the float companion, at the
+    float squares of all coordinates, keep the deadband rule
+    sign * S < -SIGN_DEADBAND (1 + A). At an all-float point S is
     bit-identical to the Fraction-with-float arithmetic of okounkov_eval and
-    column_poly, which rounds psi and c^2 to float before using them. Where
-    the rule cannot decide (A is not finite because a square or a product
-    overflowed, or a constant is beyond float range), and at a point with
-    an exact coordinate beyond float range, the integer numerator at the
-    exact rational value of the point decides. A nan or inf coordinate
-    raises DomainError.
+    column_poly, which rounds psi and c^2 to float before using them. At a
+    mixed point (exact and float coordinates) it can differ from them in
+    the last bits: the decision rounds the exact coordinate to float first,
+    while okounkov_eval keeps a factor in that coordinate exact until it
+    meets a float. Where the rule cannot decide (A is not finite because a
+    square or a product overflowed, or a constant is beyond float range),
+    and at a point with an exact coordinate beyond float range, the integer
+    numerator at the exact rational value of the point decides. A nan or
+    inf coordinate raises DomainError.
     """
     sq = scaled = None
     if all(map(is_exact, pt)):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bcinterp.rank2 as rank2
 import bcinterp.shimura as shimura
 from bcinterp.exactnum import SIGN_DEADBAND, DomainError
 from bcinterp.okounkov import (
@@ -287,7 +286,9 @@ def test_mixed_points_beyond_float_range(pt, monkeypatch):
     exact = shimura._exact_point(pt)
     assert got_G == oracle_G(exact, p) == Verdict(False, 1, 2)
     assert got_A == oracle_A(exact, p, 6) == Verdict(False, (1,), 6)
-    assert rank2._gates_fail(*exact, *rank2._rho_constants(p.rho)[:4])
+    # the point fails a gate of in_B, q10 < 0 or q11 < 0, in Fraction arithmetic
+    (x1, x2), (r1, r2) = exact, p.rho
+    assert r1 * r1 + r2 * r2 - x1 * x1 - x2 * x2 < 0 or (r2 * r2 - x1 * x1) * (r2 * r2 - x2 * x2) < 0
     assert in_B(pt, 2, p.rho) is False
 
 

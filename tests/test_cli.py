@@ -1,4 +1,3 @@
-import hashlib
 import importlib.util
 import json
 import os
@@ -323,22 +322,27 @@ def test_region_rank2_B_rejects_d_3_and_up(capsys):
         assert "positivity set only for d <= 2" in err
 
 
+def _perfbench_module(name):
+    """A module of perfbench, loaded from its file: the tests only read it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_exact_rasters_match_benchmark_references(capsys):
-    # every A and G raster the benchmark runs, byte for byte against its
-    # recorded reference
-    path = os.path.join(ROOT, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    # every region raster the benchmark runs against its recorded reference,
+    # by the benchmark's own checker: A, G and U0 byte for byte, the
+    # float-decided rank2-B and W by rows and flags
+    workloads, check = _perfbench_module("workloads"), _perfbench_module("check")
     with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
         refs = json.load(fh)
-    argvs = [a for a in workloads.all_commands() if a[0] == "region" and a[a.index("--kind") + 1] in ("A", "G")]
-    assert len(argvs) == 35
+    argvs = [a for a in workloads.all_commands() if a[0] == "region"]
+    assert len(argvs) == 52
+    assert {a[a.index("--kind") + 1] for a in argvs} == {"A", "G", "U0", "rank2-B", "W"}
     for argv in argvs:
-        ref = refs[" ".join(argv)]
         code, out, _ = run(capsys, *argv)
-        assert code == ref["rc"], argv
-        assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"], argv
+        assert check.check(refs[" ".join(argv)], code, out.encode()) is None, argv
 
 
 def test_region_W_window(capsys):
@@ -363,6 +367,17 @@ def test_region_usage_errors(capsys):
     assert run(capsys, "region", "--kind", "U0", "--group", "2,2,0", "--p", "1")[0] == 2
     assert run(capsys, "region", "--kind", "G", "--group", "2,2,0", "--grid", "1")[0] == 2
     assert run(capsys, "region", "--kind", "A", "--group", "2,2,0", "--max-weight", "0")[0] == 2
+
+
+def test_region_window_beyond_float_range_is_usage_error(capsys):
+    # the axis labels are floats, so such a window is rejected with the
+    # flags, before any point is tested
+    huge = str(10**400)
+    cases = [("W", "--m", huge)] + [(kind, "--group", f"2,1,{huge}") for kind in ("G", "A", "rank2-B", "U0", "square")]
+    for kind, flag, value in cases:
+        code, out, err = run(capsys, "region", "--kind", kind, flag, value, "--grid", "4")
+        assert (code, out) == (2, ""), kind
+        assert "beyond float range" in err, kind
 
 
 def test_region_group_kinds_need_rank_2(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcinterp import rank2
+from bcinterp import rank2, shimura
 from bcinterp.cli import main
 from bcinterp.exactnum import SIGN_DEADBAND, DomainError, PoleError, poch_pm
 from bcinterp.okounkov import Params
@@ -19,6 +19,7 @@ from bcinterp.rank2 import (
     R_series,
     hyp_sum,
     in_B,
+    in_B_raster,
     q_rank2,
     q_rank2_partial_d2,
 )
@@ -510,6 +511,36 @@ def test_region_rank2_B_matches_the_oracles(capsys):
     # for d >= 3 the three tests are not the positivity set: a usage error
     assert main(["region", "--kind", "rank2-B", "--group", "2,3,0", "--grid", str(grid)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def _no_per_point_kernel(*args):
+    raise AssertionError("per-point kernel on a raster")
+
+
+def test_in_B_raster_matches_point_tests():
+    # an axis with negative values, ints, rho itself, +-rho2 and points a
+    # hair off rho1, rho2 and 1
+    cases = [(d, _group_rho(d, b)) for d in (1, 2) for b in range(6)] + [(1, (Fraction(7, 5), Fraction(1, 3)))]
+    eps = Fraction(1, 10**30)
+    for d, rho in cases:
+        r1, r2 = rho
+        axis = [Fraction(-3, 2), 0, Fraction(1, 3), 1, 2, r1, r2, -r2, r2 + eps, r1 + eps, 1 + eps]
+        with pytest.MonkeyPatch.context() as mp:
+            # the gates come from the raster kernel, never the per-point one
+            mp.setattr(shimura, "_numerator", _no_per_point_kernel)
+            rows = list(in_B_raster(axis, d, rho))
+        assert len(rows) == len(axis)
+        for i, row in enumerate(rows):
+            assert row == [in_B((axis[i], x2), d, rho) for x2 in axis[: i + 1]], (d, rho, i)
+
+
+def test_in_B_raster_needs_an_exact_axis_and_a_summable_series():
+    with pytest.raises(DomainError, match="exact"):
+        next(in_B_raster([0.5, Fraction(1)], 2, RHO_SU22))
+    with pytest.raises(DomainError, match="d must be a positive integer"):
+        next(in_B_raster([Fraction(1)], 0, RHO_SU22))
+    with pytest.raises(DomainError, match="not summable"):
+        next(in_B_raster([Fraction(1)], 2, (Fraction(1, 2), Fraction(1, 2))))
 
 
 # ---------------------------------------------------------------- in_B gates
