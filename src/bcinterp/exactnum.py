@@ -36,6 +36,39 @@ class PoleError(DomainError):
     integer, or a vanishing factor in the denominator of an exact product."""
 
 
+class Frozen:
+    """Base of the immutable value classes: a subclass sets its slots once,
+    through _freeze, and is compared, printed and pickled by the slots named
+    in _fields; it is unhashable unless it defines __hash__."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _freeze(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+
 def is_exact(value) -> bool:
     """True for values kept in exact arithmetic (int or Fraction)."""
     return isinstance(value, (int, Fraction))

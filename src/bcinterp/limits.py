@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, PoleError, is_exact, log_gamma
+from .exactnum import SIGN_DEADBAND, DomainError, Frozen, PoleError, is_exact, log_gamma
 
 __all__ = [
     "ContourPolyline",
@@ -35,19 +35,14 @@ __all__ = [
 _DIAG_SWITCH = 1e-8
 
 
-class ContourPolyline:
+class ContourPolyline(Frozen):
     """One connected component of a traced zero level, as an ordered
     point chain. Closed loops repeat the first point at the end."""
 
-    __slots__ = ("points",)
+    _fields = __slots__ = ("points",)
 
     def __init__(self, points):
-        self.points = tuple((float(x), float(y)) for x, y in points)
-
-    def __eq__(self, other):
-        if other.__class__ is not ContourPolyline:
-            return NotImplemented
-        return self.points == other.points
+        self._freeze(tuple((float(x), float(y)) for x, y in points))
 
 
 def gamma_ratio_identity(a, b, c, d) -> float:

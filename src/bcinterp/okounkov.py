@@ -29,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import DomainError, as_exact, gen_pochhammer, is_exact, poch_rising
+from .exactnum import DomainError, Frozen, as_exact, gen_pochhammer, is_exact, poch_rising
 from .partitions import (
     arm,
     cells,
@@ -63,7 +63,7 @@ __all__ = [
 EXPAND_WEIGHT_GUARD = 8
 
 
-class Params:
+class Params(Frozen):
     """Interpolation parameters: rank n plus exact rationals (tau, alpha).
 
     Immutable and compared and hashed by value: a Params keys the compile
@@ -71,35 +71,17 @@ class Params:
     hash is computed once, here.
     """
 
-    __slots__ = ("n", "tau", "alpha", "_hash")
+    _fields = ("n", "tau", "alpha")
+    __slots__ = (*_fields, "_hash")
 
     def __init__(self, n: int, tau, alpha):
         if n < 1:
             raise DomainError(f"rank must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "tau", as_exact(tau))
-        object.__setattr__(self, "alpha", as_exact(alpha))
-        object.__setattr__(self, "_hash", hash((n, self.tau, self.alpha)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Params is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Params is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return Params, (self.n, self.tau, self.alpha)
-
-    def __eq__(self, other):
-        if other.__class__ is not Params:
-            return NotImplemented
-        return (self.n, self.tau, self.alpha) == (other.n, other.tau, other.alpha)
+        tau, alpha = as_exact(tau), as_exact(alpha)
+        self._freeze(n, tau, alpha, hash((n, tau, alpha)))
 
     def __hash__(self):
         return self._hash
-
-    def __repr__(self):
-        return f"Params(n={self.n!r}, tau={self.tau!r}, alpha={self.alpha!r})"
 
     @property
     def rho(self) -> tuple[Fraction, ...]:
@@ -212,11 +194,19 @@ class _Compiled:
         self.den = den = math.lcm(*[psi.denominator for psi, _ in terms])
         pos = [{} for _ in range(n)]  # per coordinate: c^2 -> position
         trees = [{} for _ in range(n)]  # per coordinate: (parent, position) -> node
+        # by the id of a factor object (terms keep them all alive), its
+        # coordinate and position: terms share factor objects, so each is
+        # hashed by its c^2 value once
+        seen = {}
         ends = []
         for psi, facs in terms:
             split = [[] for _ in range(n)]
-            for idx, csq in facs:
-                split[idx].append(pos[idx].setdefault(csq, len(pos[idx])))
+            for fac in facs:
+                hit = seen.get(id(fac))
+                if hit is None:
+                    idx, csq = fac
+                    hit = seen[id(fac)] = idx, pos[idx].setdefault(csq, len(pos[idx]))
+                split[hit[0]].append(hit[1])
             nodes = []
             for tree, ks in zip(trees, split):
                 node = 0
@@ -232,10 +222,17 @@ class _Compiled:
         self.consts = tuple(tuple(csq.numerator * (lsc // csq.denominator) for csq in cpos) for cpos in pos)
         self.chains = tuple(tuple(tree) for tree in trees)
         try:
-            floats = {csq: float(csq) for cpos in pos for csq in cpos}
-            self.fterms = tuple((float(psi), tuple((idx, floats[csq]) for idx, csq in facs)) for psi, facs in terms)
+            floats = [[float(csq) for csq in cpos] for cpos in pos]
+            ffacs = {key: (idx, floats[idx][k]) for key, (idx, k) in seen.items()}
+            self.fterms = tuple((float(psi), tuple([ffacs[id(fac)] for fac in facs])) for psi, facs in terms)
         except OverflowError:
             self.fterms = None
+
+
+@lru_cache(maxsize=None)
+def _c_square(p: Params, a: int, k: int) -> Fraction:
+    """c^2 for c = a + tau k + alpha, built once per Params."""
+    return (a + p.tau * k + p.alpha) ** 2
 
 
 @lru_cache(maxsize=None)
@@ -244,19 +241,19 @@ def _compiled_terms(lam: tuple[int, ...], p: Params) -> _Compiled:
     coordinate index T(s) - 1 and c^2, where c is the additive constant
     a'(s) + tau (n - T(s) - l'(s)) + alpha of the factor attached to s.
     """
-    shape = cells(lam)
-    csq: dict = {}  # c^2 by (a'(s), n - T(s) - l'(s))
-    terms = []
-    for tab in reverse_tableaux(lam, p.n):
-        facs = []
-        for (i, j) in shape:
-            t = tab.entry(i, j)
-            key = (j - 1, p.n - t - (i - 1))
-            if key not in csq:
-                csq[key] = (key[0] + p.tau * key[1] + p.alpha) ** 2
-            facs.append((t - 1, csq[key]))
-        terms.append((psi_tableau(tab, p.tau), tuple(facs)))
-    return _Compiled(tuple(terms), p.n)
+    n = p.n
+    # per cell in row-major order, the factor at index T(s) for each entry
+    # it can hold: entries strictly decrease down a column, so T(s) <= n - i
+    factors = [
+        (None, *((t - 1, _c_square(p, j, n - t - i)) for t in range(1, n - i + 1)))
+        for i, part in enumerate(lam)
+        for j in range(part)
+    ]
+    terms = [
+        (psi_tableau(tab, p.tau), tuple(map(operator.getitem, factors, itertools.chain.from_iterable(tab.rows))))
+        for tab in reverse_tableaux(lam, n)
+    ]
+    return _Compiled(tuple(terms), n)
 
 
 @lru_cache(maxsize=None)
@@ -458,20 +455,6 @@ def _poly_mul_trunc(a, b, deg):
     return out
 
 
-def _series_inv(a, deg):
-    # requires a[0] == 1
-    out = [Fraction(0)] * (deg + 1)
-    out[0] = Fraction(1)
-    for k in range(1, deg + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            ai = a[i] if i < len(a) else Fraction(0)
-            if ai != 0:
-                acc = acc + ai * out[k - i]
-        out[k] = -acc
-    return out
-
-
 def column_poly_gf(j: int, pt, p: Params):
     """Column shape 1^j as the t^j coefficient of
     prod_i (1 + t x_i^2) / prod_{i=j}^{n} (1 + t rho_i^2)."""
@@ -479,15 +462,12 @@ def column_poly_gf(j: int, pt, p: Params):
         raise DomainError(f"column height {j} outside 1..{p.n}")
     if len(pt) != p.n:
         raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-    num = [Fraction(1)]
+    series = [Fraction(1)]
     for x in pt:
-        num = _poly_mul_trunc(num, [Fraction(1), x * x], j)
-    den = [Fraction(1)]
-    for i in range(j, p.n + 1):
-        r = p.rho[i - 1]
-        den = _poly_mul_trunc(den, [Fraction(1), r * r], j)
-    inv = _series_inv(den, j)
-    series = _poly_mul_trunc(num, inv, j)
+        series = _poly_mul_trunc(series, [Fraction(1), x * x], j)
+    for r in p.rho[j - 1:]:
+        # 1 / (1 + t r^2) = sum_k (-r^2)^k t^k
+        series = _poly_mul_trunc(series, [(-r * r) ** k for k in range(j + 1)], j)
     return series[j]
 
 

@@ -1,5 +1,5 @@
 """Partitions, Young-diagram cell statistics, reverse tableaux, and the
-branching weights that drive the tableau sum in `interpolation`.
+branching weights that drive the tableau sum in `okounkov`.
 
 Cells are 1-based (row, column) pairs. Partitions are canonically tuples
 with trailing zeros stripped; every public function normalizes first.
@@ -7,7 +7,9 @@ with trailing zeros stripped; every public function normalizes first.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import DomainError, PoleError, is_exact
 
@@ -84,9 +86,11 @@ def contains(lam, mu) -> bool:
 
 def conjugate(lam) -> tuple[int, ...]:
     lam = normalize(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    out = []
+    for i in range(len(lam), 0, -1):
+        # columns lam_{i+1} < j <= lam_i have length i
+        out.extend([i] * (lam[i - 1] - len(out)))
+    return tuple(out)
 
 
 def _require_cell(lam: tuple[int, ...], s: Cell) -> None:
@@ -161,20 +165,23 @@ class ReverseTableau:
         return self.rows[i - 1][j - 1]
 
     def max_entry(self) -> int:
-        return max((e for row in self.rows for e in row), default=0)
+        return max(map(max, self.rows), default=0)
 
     def chain(self, upto: int | None = None) -> list[tuple[int, ...]]:
         """Shapes lam^(i) = cells with entry > i, for i = 0..upto.
 
         lam^(0) is the full shape; lam^(upto) is empty once upto covers the
-        largest entry. Entries weakly decrease along rows, so each shape is
-        a prefix count per row.
+        largest entry. Entries weakly decrease along rows and strictly down
+        columns, so lam^(i) drops the entries i from the ends of the rows of
+        lam^(i-1), and its empty rows are the last ones.
         """
         if upto is None:
             upto = self.max_entry()
-        out = []
-        for i in range(upto + 1):
-            out.append(normalize(sum(1 for e in row if e > i) for row in self.rows))
+        shape = [len(row) for row in self.rows]
+        out = [tuple(shape)]
+        for i in range(1, upto + 1):
+            shape = [k - row.count(i) for k, row in zip(shape, self.rows)]
+            out.append(tuple(filter(None, shape)))
         return out
 
     def __eq__(self, other):
@@ -223,10 +230,28 @@ def reverse_tableaux(lam, n: int):
     yield from fill(0)
 
 
-def _b_factor(lam: tuple[int, ...], s: Cell, tau):
-    a = arm(lam, s)
-    l = leg(lam, s)
-    return tau * l + a + tau, tau * l + a + 1
+# typed: a float tau's (tau, 1) must not share an entry with an equal exact tau
+@lru_cache(maxsize=None, typed=True)
+def _psi_pair(lam: tuple[int, ...], mu: tuple[int, ...], tn, td):
+    """psi_skew(lam, mu, tn / td) as (num, den), memoized, for normalized
+    lam containing mu. The cells (i, j) of mu that count have lam_i > mu_i
+    and equal j-th columns (equal legs). With tau = tn / td a b-factor is
+    (tn l + td a + tn) / (tn l + td a + td); a float tau has td = 1."""
+    lam_cols = conjugate(lam)
+    mu_cols = conjugate(mu)
+    num = den = 1
+    for i, (outer, inner) in enumerate(zip(lam, mu), start=1):
+        if outer == inner:
+            continue
+        for j in range(1, inner + 1):
+            l = mu_cols[j - 1] - i
+            if lam_cols[j - 1] - i == l:
+                b_mu, b_lam = tn * l + td * (inner - j), tn * l + td * (outer - j)
+                if b_mu + td == 0 or b_lam + tn == 0:
+                    raise PoleError(f"branching weight has a pole at cell {(i, j)}")
+                num = num * ((b_mu + tn) * (b_lam + td))
+                den = den * ((b_mu + td) * (b_lam + tn))
+    return num, den
 
 
 def psi_skew(lam, mu, tau):
@@ -234,35 +259,27 @@ def psi_skew(lam, mu, tau):
 
     Product over cells s of mu whose lam-arm strictly exceeds the mu-arm
     while the legs agree, of b_mu(s) / b_lam(s) with
-    b_nu(s) = (tau l(s) + a(s) + tau) / (tau l(s) + a(s) + 1).
+    b_nu(s) = (tau l(s) + a(s) + tau) / (tau l(s) + a(s) + 1), computed in
+    integers: a Fraction for exact tau, a float for a float tau.
     """
     lam = normalize(lam)
     mu = normalize(mu)
     if not contains(lam, mu):
         raise DomainError(f"{list(mu)} is not contained in {list(lam)}")
-    num = tau ** 0
-    den = tau ** 0
-    for s in cells(mu):
-        a_mu = arm(mu, s)
-        l_mu = leg(mu, s)
-        a_lam = arm(lam, s)
-        l_lam = leg(lam, s)
-        if a_lam > a_mu and l_lam == l_mu:
-            mu_num, mu_den = _b_factor(mu, s, tau)
-            lam_num, lam_den = _b_factor(lam, s, tau)
-            if mu_den == 0 or lam_num == 0:
-                raise PoleError(f"branching weight has a pole at cell {s}")
-            num = num * (mu_num * lam_den)
-            den = den * (mu_den * lam_num)
-    if is_exact(num) and is_exact(den):
-        return Fraction(num) / Fraction(den)
-    return num / den
+    return _psi([(lam, mu)], tau)
 
 
 def psi_tableau(tab: ReverseTableau, tau):
     """Total weight psi_T: product of psi_skew along the shape chain."""
     chain = tab.chain()
-    out = tau ** 0
-    for outer, inner in zip(chain, chain[1:]):
-        out = out * psi_skew(outer, inner, tau)
-    return out
+    return _psi(zip(chain, chain[1:]), tau)
+
+
+def _psi(steps, tau):
+    """The product of psi_skew over the (outer, inner) steps: for exact tau
+    one Fraction of the multiplied-out pairs of _psi_pair, for a float tau
+    the product of their quotients."""
+    if is_exact(tau):
+        pairs = [_psi_pair(*step, tau.numerator, tau.denominator) for step in steps]
+        return Fraction(math.prod(num for num, _ in pairs), math.prod(den for _, den in pairs))
+    return math.prod((num / den for num, den in (_psi_pair(*step, tau, 1) for step in steps)), start=1.0)

@@ -194,11 +194,12 @@ def q_rank2_partial_d2(m1: int, m2: int, pt, rho):
     return pref * series
 
 
-def _R_parameters(pt, d: int, rho):
+def _R_parameters(pt, d: int, rho, lower=None):
     """Float upper parameters (rho2+x2, rho2-x2, d/2), lower parameters
     (rho1+x1, rho1-x1) and decay exponent s of the boundary series, after the
     checks that it is summable: finite coordinates, d >= 1, both lower
-    parameters > 0, s > 1."""
+    parameters > 0, s > 1. lower, when given, replaces the lower parameters
+    summed in floats (in_B passes them rounded from exact values)."""
     if not isinstance(d, int) or d < 1:
         raise DomainError(f"d must be a positive integer, got {d}")
     r1 = float(rho[0])
@@ -207,8 +208,8 @@ def _R_parameters(pt, d: int, rho):
     x2 = float(pt[1])
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise DomainError(f"point coordinates must be finite, got {pt!r}")
+    l = lower or (r1 + x1, r1 - x1)
     u = (r2 + x2, r2 - x2, d / 2.0)
-    l = (r1 + x1, r1 - x1)
     if l[0] <= 0 or l[1] <= 0:
         raise DomainError("series parameter at or below a pole: need |x1| < rho1")
     s = 1.0 + sum(l) - sum(u)
@@ -521,7 +522,8 @@ def in_B(pt, d: int, rho) -> bool:
     so R >= 1 and the point is a member from the term signs alone; an exact
     point is decided so in exact arithmetic, also within float rounding of
     rho1. Every other point that passes is decided by the sign of the
-    boundary series, summed in floats from the float coordinates and rho:
+    boundary series, summed in floats from the float coordinates and rho
+    (an exact point's rho1 +- x1 rounded once from their exact values):
     - a float point on the T1 side is a member from the term signs in floats;
     - elsewhere _R_enclosure gives a proven interval for R, and a point is a
       member when the interval lies in R > 0 and not one when it lies in
@@ -575,12 +577,13 @@ def _past_gates(pt, d: int, p: Params, frho, r1, r2) -> bool:
                 and abs(x2.numerator) * r2.denominator <= r2.numerator * x2.denominator):
             return True
     fpt = (float(x1), float(x2))
-    # _R_parameters raises here exactly where R_series would. Where
-    # rho2 - x2 >= 0 and rho2 + x2 >= 0 in these floats, every series
-    # parameter is >= 0: the upper ones (rho2 +- x2, d/2) by that test, the
-    # lower ones (rho1 +- x1, 1) by the checks of _R_parameters. Then every
-    # term is >= 0 and R >= t_0 = 1: the point is a member without summing.
-    u, l, s = _R_parameters(fpt, d, frho)
+    # An exact point gets lower parameters rho1 +- x1 rounded once from their
+    # exact values, > 0 also within float rounding of rho1. Where rho2 - x2
+    # and rho2 + x2 are >= 0 in floats, every series parameter is >= 0 (the
+    # lower ones by the checks of _R_parameters), so every term is >= 0 and
+    # R >= t_0 = 1: the point is a member without summing.
+    lower = (float(r1 + x1), float(r1 - x1)) if exact else None
+    u, l, s = _R_parameters(fpt, d, frho, lower)
     if u[0] >= 0 and u[1] >= 0:
         return True
     value, radius = _R_enclosure(u, l, s)

@@ -14,7 +14,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, as_exact, is_exact
+from .exactnum import SIGN_DEADBAND, DomainError, Frozen, as_exact, is_exact
 from .okounkov import (
     Params,
     _column_terms,
@@ -46,70 +46,39 @@ __all__ = [
     "SIGN_DEADBAND",
 ]
 
-class GroupData:
+class GroupData(Frozen):
     """Root data of a rank-n Hermitian symmetric space: medium-root
     multiplicity d, half short-root multiplicity b, line-bundle twist p.
     Immutable and compared and hashed by value; the hash is computed once,
     in __init__."""
 
-    __slots__ = ("n", "d", "b", "p", "_hash")
+    _fields = ("n", "d", "b", "p")
+    __slots__ = (*_fields, "_hash")
 
     def __init__(self, n: int, d: int, b: int, p: int = 0):
         if n < 1:
             raise DomainError(f"rank must be >= 1, got {n}")
         if d < 0 or b < 0:
             raise DomainError(f"multiplicities must be nonnegative, got d={d}, b={b}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_hash", hash((n, d, b, p)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GroupData is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GroupData is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return GroupData, (self.n, self.d, self.b, self.p)
-
-    def __eq__(self, other):
-        if other.__class__ is not GroupData:
-            return NotImplemented
-        return (self.n, self.d, self.b, self.p) == (other.n, other.d, other.b, other.p)
+        self._freeze(n, d, b, p, hash((n, d, b, p)))
 
     def __hash__(self):
         return self._hash
 
-    def __repr__(self):
-        return f"GroupData(n={self.n!r}, d={self.d!r}, b={self.b!r}, p={self.p!r})"
 
-
-class Verdict:
-    """Outcome of a membership test, compared by value (and so unhashable).
+class Verdict(Frozen):
+    """Outcome of a membership test: immutable, so that raster cells share
+    it, and compared by value (and so unhashable).
 
     witness is the first failing partition (tuple) or column index (int);
     None on membership. degree_checked records how far the certification
     went: the weight bound for set-A style tests, the rank for column tests.
     """
 
-    __slots__ = ("member", "witness", "degree_checked")
+    _fields = __slots__ = ("member", "witness", "degree_checked")
 
     def __init__(self, member: bool, witness, degree_checked: int):
-        self.member = member
-        self.witness = witness
-        self.degree_checked = degree_checked
-
-    def __eq__(self, other):
-        if other.__class__ is not Verdict:
-            return NotImplemented
-        return (self.member, self.witness, self.degree_checked) == (
-            other.member, other.witness, other.degree_checked)
-
-    def __repr__(self):
-        return (f"Verdict(member={self.member!r}, witness={self.witness!r}, "
-                f"degree_checked={self.degree_checked!r})")
+        self._freeze(member, witness, degree_checked)
 
     def witness_str(self):
         """The witness as text: a partition as its parts joined by commas
@@ -257,26 +226,29 @@ def _raster(axis, p: Params, signed, degree):
     The raster shares one denominator Q, so each sum's table of x2 values
     (okounkov._node_row at every axis value) is built once. A row folds x1
     into one weight vector per sum, and each point still undecided costs
-    one integer dot product per sum.
+    one integer dot product per sum. Cells with the same outcome share one
+    Verdict: one for membership and one per sum.
     """
     if p.n != 2:
         raise DomainError(f"a raster needs rank 2, got n = {p.n}")
     q2, a2s = _scaled_axis([as_exact(x) for x in axis])
-    tables = [(key, sign, comp, [_node_row(comp, 1, q2, a2) for a2 in a2s]) for key, sign, comp in signed]
+    member = Verdict(True, None, degree)
+    tables = [(Verdict(False, key, degree), sign, comp, [_node_row(comp, 1, q2, a2) for a2 in a2s])
+              for key, sign, comp in signed]
     mul = operator.mul
     for i, a2 in enumerate(a2s):
-        keys = [None] * (i + 1)
+        row = [member] * (i + 1)
         pending = range(i + 1)
-        for key, sign, comp, tail in tables:
+        for verdict, sign, comp, tail in tables:
             w = [sign * v for v in _weights(comp, (_node_row(comp, 0, q2, a2),))]
             failed = [j for j in pending if sum(map(mul, w, tail[j])) < 0]
             if failed:
                 for j in failed:
-                    keys[j] = key
-                pending = [j for j in pending if keys[j] is None]
+                    row[j] = verdict
+                pending = [j for j in pending if row[j] is member]
                 if not pending:
                     break
-        yield [Verdict(k is None, k, degree) for k in keys]
+        yield row
 
 
 def in_G_raster(axis, p: Params):

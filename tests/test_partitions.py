@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcinterp.exactnum import DomainError
+from bcinterp.exactnum import DomainError, PoleError, is_exact
+from bcinterp.okounkov import Params, _compiled_terms
+from bcinterp.partitions import _psi_pair
 from bcinterp.partitions import (
     arm,
     cells,
@@ -192,3 +194,61 @@ def test_psi_tableau_is_product_over_chain():
 def test_psi_skew_requires_containment():
     with pytest.raises(DomainError):
         psi_skew((1,), (2,), Fraction(1))
+
+
+def reference_psi_skew(lam, mu, tau):
+    """The branching weight in Fraction (or float) arithmetic, cell by cell
+    through arm and leg: the test oracle for the integer psi_skew."""
+    num = tau ** 0
+    den = tau ** 0
+    for s in cells(mu):
+        a_mu, l_mu = arm(mu, s), leg(mu, s)
+        a_lam, l_lam = arm(lam, s), leg(lam, s)
+        if a_lam > a_mu and l_lam == l_mu:
+            mu_num, mu_den = tau * l_mu + a_mu + tau, tau * l_mu + a_mu + 1
+            lam_num, lam_den = tau * l_lam + a_lam + tau, tau * l_lam + a_lam + 1
+            if mu_den == 0 or lam_num == 0:
+                raise PoleError(f"branching weight has a pole at cell {s}")
+            num = num * (mu_num * lam_den)
+            den = den * (mu_den * lam_num)
+    if is_exact(num) and is_exact(den):
+        return Fraction(num) / Fraction(den)
+    return num / den
+
+
+@pytest.mark.parametrize("tau", [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), 0.7])
+def test_psi_matches_the_fraction_reference_at_rank_up_to_4(tau):
+    steps = {}  # (outer, inner) -> reference psi_skew, each pair once
+    for n, max_weight in ((2, 8), (3, 6), (4, 5)):
+        for lam in enumerate_Lambda(n, max_weight):
+            for t in reverse_tableaux(lam, n):
+                shapes = [normalize(sum(1 for e in row if e > i) for row in t.rows) for i in range(t.max_entry() + 1)]
+                assert t.chain() == shapes
+                want = tau ** 0
+                for big, small in zip(shapes, shapes[1:]):
+                    if (big, small) not in steps:
+                        steps[big, small] = reference_psi_skew(big, small, tau)
+                        assert psi_skew(big, small, tau) == steps[big, small]
+                    want = want * steps[big, small]
+                got = psi_tableau(t, tau)
+                assert got == want and type(got) is type(want)
+
+
+def test_psi_skew_pole_still_raises():
+    with pytest.raises(PoleError):
+        psi_skew((2,), (1,), Fraction(-1))
+    with pytest.raises(PoleError):
+        reference_psi_skew((2,), (1,), Fraction(-1))
+
+
+def test_psi_memo_is_shared_across_params_with_one_tau():
+    lam = (3, 2, 1)
+    p, q = Params(3, Fraction(3, 2), Fraction(1, 2)), Params(3, Fraction(3, 2), Fraction(5, 2))
+    _compiled_terms.cache_clear()
+    _psi_pair.cache_clear()
+    first = [psi for psi, _ in _compiled_terms(lam, p).terms]
+    misses = _psi_pair.cache_info().misses
+    second = [psi for psi, _ in _compiled_terms(lam, q).terms]
+    info = _psi_pair.cache_info()
+    assert first == second
+    assert info.misses == misses and info.hits > 0

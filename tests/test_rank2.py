@@ -519,12 +519,12 @@ def _no_per_point_kernel(*args):
 
 def test_in_B_raster_matches_point_tests():
     # an axis with negative values, ints, rho itself, +-rho2 and points a
-    # hair off rho1, rho2 and 1
+    # hair off rho1 (on both sides), rho2 and 1
     cases = [(d, _group_rho(d, b)) for d in (1, 2) for b in range(6)] + [(1, (Fraction(7, 5), Fraction(1, 3)))]
     eps = Fraction(1, 10**30)
     for d, rho in cases:
         r1, r2 = rho
-        axis = [Fraction(-3, 2), 0, Fraction(1, 3), 1, 2, r1, r2, -r2, r2 + eps, r1 + eps, 1 + eps]
+        axis = [Fraction(-3, 2), 0, Fraction(1, 3), 1, 2, r1, r2, -r2, r2 + eps, r1 - eps, r1 + eps, 1 + eps]
         with pytest.MonkeyPatch.context() as mp:
             # the gates come from the raster kernel, never the per-point one
             mp.setattr(shimura, "_numerator", _no_per_point_kernel)
@@ -532,6 +532,18 @@ def test_in_B_raster_matches_point_tests():
         assert len(rows) == len(axis)
         for i, row in enumerate(rows):
             assert row == [in_B((axis[i], x2), d, rho) for x2 in axis[: i + 1]], (d, rho, i)
+
+
+def test_in_B_exact_T2_point_within_float_rounding_of_rho1():
+    # float(x1) == float(rho1) here, but rho1 - x1 = 1e-30 > 0: the lower
+    # series parameter is rounded from its exact value, not summed in floats
+    eps = Fraction(1, 10**30)
+    for d, rho in ((2, (Fraction(3, 2), Fraction(1, 2))), (1, (Fraction(7, 5), Fraction(1, 3)))):
+        r1, r2 = rho
+        pt = (r1 - eps, r2 + eps)
+        assert float(pt[0]) == float(r1)
+        assert in_B(pt, d, rho)
+        assert list(in_B_raster([r2 + eps, r1 - eps], d, rho))[1][0]
 
 
 def test_in_B_raster_needs_an_exact_axis_and_a_summable_series():

@@ -15,6 +15,7 @@ from bcinterp import (
     Rank2Regions,
     SymEvenPoly,
     Verdict,
+    in_G_raster,
     okounkov_eval,
 )
 from bcinterp.okounkov import _compiled_terms
@@ -63,6 +64,20 @@ def test_verdict_compares_by_value_and_is_unhashable():
     assert repr(Verdict(False, 1, 2)) == "Verdict(member=False, witness=1, degree_checked=2)"
     with pytest.raises(TypeError):
         hash(Verdict(True, None, 2))
+
+
+def test_verdict_is_immutable_and_shared_within_a_raster():
+    v = Verdict(False, (2, 1), 6)
+    with pytest.raises(AttributeError):
+        v.member = True
+    with pytest.raises(AttributeError):
+        del v.witness
+    assert (v.member, v.witness) == (False, (2, 1))
+    assert copy.copy(v) == v and copy.deepcopy(v) == v
+    p = Params(2, Fraction(1), Fraction(1, 2))
+    cells = [v for row in in_G_raster([Fraction(k, 4) for k in range(12)], p) for v in row]
+    distinct = {id(v) for v in cells}
+    assert len(cells) == 78 and len(distinct) == len({(v.member, v.witness) for v in cells}) == 3
 
 
 def test_keyword_and_default_construction():
