@@ -316,6 +316,15 @@ def _region_window(args):
         # in_B's three tests miss q_(2,2) < 0 in T2 for d >= 3 (README)
         raise DomainError(f"kind rank2-B is the positivity set only for d <= 2, got d = {g.d}")
     rho = prm.rho
+    if rho[0] + 1 <= 0:
+        raise DomainError(f"the window [0, rho1 + 1] is empty: rho1 + 1 = {rho[0] + 1}")
+    if kind == "rank2-B" and prm.alpha < -Fraction(g.d, 4):
+        # With rho1 = alpha + d/2 and rho2 = alpha, |rho2| <= rho1 exactly
+        # when alpha >= -d/4, and only then do the gates keep |x1| <= rho1,
+        # off the poles of the series at rho1 -+ x1 = 0: if
+        # x1^2 > rho1^2 >= rho2^2, phi_2 = (rho2^2 - x1^2)(rho2^2 - x2^2) >= 0
+        # forces x2^2 >= rho2^2, and then phi_1 = rho1^2 + rho2^2 - x1^2 - x2^2 < 0.
+        raise DomainError(f"kind rank2-B needs alpha >= -d/4, got alpha = {prm.alpha} for d = {g.d}")
     rows = {
         "G": lambda axis: in_G_raster(axis, prm),
         "A": lambda axis: in_A_raster(axis, prm, args.max_weight),

@@ -21,9 +21,10 @@ __all__ = [
     "SIGN_DEADBAND",
 ]
 
-# Relative sign deadband for decisions taken at float points: a float value
-# v with scale s counts as negative only when v < -SIGN_DEADBAND * (1 + s).
-# Exact points never use it.
+# Deadband of the float decisions that are not polynomial signs (every
+# polynomial sign is decided at the exact value of the point): in_W on the
+# float S_div, the segment whisker of in_U0_knapp_speh at float points, and
+# the R_series fallback of in_B where the enclosure of R contains 0.
 SIGN_DEADBAND = 1e-9
 
 

@@ -171,18 +171,16 @@ def in_W(pt, m: int) -> bool:
 def in_G0_rank2(pt, m: int) -> bool:
     """The rank-2 phi-set for the alpha = (m+1)/2 family: the triangle
     [0, alpha]^2 cap C, or the T2 square with the weight-1 signed value
-    nonnegative at rho = (alpha+1, alpha)."""
+    nonnegative at rho = (alpha+1, alpha). Every comparison is exact; a
+    float coordinate is taken as the binary rational it holds."""
     alpha = Fraction(m + 1, 2)
     x1, x2 = pt
     if 0 <= x2 <= x1 <= alpha:
         return True
     if not (alpha <= x2 <= x1 <= alpha + 1):
         return False
-    q10 = (alpha + 1) ** 2 + alpha * alpha - x1 * x1 - x2 * x2
-    if is_exact(x1) and is_exact(x2):
-        return q10 >= 0
-    scale = float((alpha + 1) ** 2 + alpha * alpha) + x1 * x1 + x2 * x2
-    return q10 >= -SIGN_DEADBAND * (1.0 + scale)
+    x1, x2 = Fraction(x1), Fraction(x2)
+    return (alpha + 1) ** 2 + alpha * alpha - x1 * x1 - x2 * x2 >= 0
 
 
 def c_l_sequence(pt, m: int, l_max: int):

@@ -173,20 +173,20 @@ class _Compiled:
     (j, p): E = sum_T psi_T prod_(idx, c^2) (x_idx^2 - c^2) in n coordinates.
 
     terms holds (psi, ((coordinate index, c^2), ...)) in exact rationals,
-    with the same number `cells` of factors in every term. The exact kernel
-    works on them scaled to integers and split by coordinate. den is the
-    lcm P of the psi denominators, lsc the lcm L of the c^2 denominators,
-    and consts[idx] the distinct C = c^2 L of coordinate idx. The products
-    of a term's factors in one coordinate form a prefix tree: node 0 is the
-    empty product, and chains[idx] holds (parent node, position in
-    consts[idx]) for nodes 1, 2, .... fold holds per term (Psi = psi P,
-    its nodes in all coordinates but the last as positions in their rows
-    laid end to end, its node in the last coordinate). fterms is the float
-    companion (float(psi), ((idx, float(c^2)), ...)), or None when a
-    constant is beyond float range.
+    with the same number `cells` of factors in every term. The integer
+    kernel, which signs the sum at every point (a float coordinate at its
+    binary value), works on them scaled to integers and split by
+    coordinate. den is the lcm P of the psi denominators, lsc the lcm L of
+    the c^2 denominators, and consts[idx] the distinct C = c^2 L of
+    coordinate idx. The products of a term's factors in one coordinate form
+    a prefix tree: node 0 is the empty product, and chains[idx] holds
+    (parent node, position in consts[idx]) for nodes 1, 2, .... fold holds
+    per term (Psi = psi P, its nodes in all coordinates but the last as
+    positions in their rows laid end to end, its node in the last
+    coordinate).
     """
 
-    __slots__ = ("terms", "cells", "den", "lsc", "consts", "chains", "fold", "fterms")
+    __slots__ = ("terms", "cells", "den", "lsc", "consts", "chains", "fold")
 
     def __init__(self, terms, n: int):
         self.terms = terms
@@ -221,12 +221,6 @@ class _Compiled:
         self.lsc = lsc = math.lcm(*[csq.denominator for cpos in pos for csq in cpos])
         self.consts = tuple(tuple(csq.numerator * (lsc // csq.denominator) for csq in cpos) for cpos in pos)
         self.chains = tuple(tuple(tree) for tree in trees)
-        try:
-            floats = [[float(csq) for csq in cpos] for cpos in pos]
-            ffacs = {key: (idx, floats[idx][k]) for key, (idx, k) in seen.items()}
-            self.fterms = tuple((float(psi), tuple([ffacs[id(fac)] for fac in facs])) for psi, facs in terms)
-        except OverflowError:
-            self.fterms = None
 
 
 @lru_cache(maxsize=None)
@@ -326,24 +320,6 @@ def _evaluate(comp: _Compiled, pt):
             prod = prod * (sq[idx] - csq)
         total = total + prod
     return total
-
-
-def _float_sum(fterms, sq):
-    """Float tableau sum over a float companion at float squares sq.
-
-    Returns (S, A): the sum S = sum_T psi_T prod (sq - c^2) and the absolute
-    sum A = sum_T |psi_T prod (sq - c^2)| of the computed terms, the scale
-    of the float-point deadband.
-    """
-    total = 0.0
-    absum = 0.0
-    for psi, facs in fterms:
-        prod = psi
-        for idx, csq in facs:
-            prod *= sq[idx] - csq
-        total += prod
-        absum += abs(prod)
-    return total, absum
 
 
 def okounkov_eval(lam, pt, p: Params):

@@ -503,31 +503,25 @@ def in_B(pt, d: int, rho) -> bool:
     while all three pass, so in_B returns True at some points outside the
     set; the region command rejects rank2-B with d >= 3.
 
+    Every point is taken at its exact value, a float coordinate as the
+    binary rational it holds; a nan or inf coordinate raises DomainError.
     The two gates are the column tests phi_1 = -q10 and phi_2 = q11 of
-    Params(2, rho1 - rho2, rho2), whose shift vector is rho, and are decided
-    as in_G decides them (shimura._first_negative): exact points by the
-    sign of an integer numerator; float points by the deadband rule,
-    measured against the sum of the absolute terms; at its exact rational
-    value a float point where that sum is not finite, and a point that mixes
-    a float with an exact coordinate beyond float range. A nan or inf
-    coordinate raises DomainError. A float point that passes the gates with
-    float(rho1) - x1 <= 0, which only a point inside their deadband can do,
-    gets the exact gates at Fraction(x1), Fraction(x2).
+    Params(2, rho1 - rho2, rho2), whose shift vector is rho, decided as
+    in_G decides them (shimura._first_negative), by the sign of an integer
+    numerator.
 
-    An exact point that passes both gates has x1 <= rho1, with equality
-    only at (rho1, +-rho2), where the series has its parameter pole: rho and
-    its mirror are members by that exact rule. Where rho2 - x2 >= 0,
+    Where |rho2| < rho1, a point that passes both gates has x1 <= rho1,
+    with equality only at (rho1, +-rho2), where the series has its
+    parameter pole: rho and its mirror are members by that exact rule. Where rho2 - x2 >= 0,
     rho2 + x2 >= 0 and |x1| < rho1 (the T1 side) every term
     (rho2+x2)_k (rho2-x2)_k (d/2)_k / ((rho1+x1)_k (rho1-x1)_k k!) is >= 0,
-    so R >= 1 and the point is a member from the term signs alone; an exact
-    point is decided so in exact arithmetic, also within float rounding of
-    rho1. Every other point that passes is decided by the sign of the
-    boundary series, summed in floats from the float coordinates and rho
-    (an exact point's rho1 +- x1 rounded once from their exact values):
-    - a float point on the T1 side is a member from the term signs in floats;
-    - elsewhere _R_enclosure gives a proven interval for R, and a point is a
-      member when the interval lies in R > 0 and not one when it lies in
-      R < 0;
+    so R >= 1 and the point is a member from the term signs alone, decided
+    in exact arithmetic. Every other point that passes is decided by the
+    sign of the boundary series, summed in floats from float(x1),
+    float(x2) and rho, with rho1 +- x1 rounded once from their exact
+    values:
+    - _R_enclosure gives a proven interval for R, and a point is a member
+      when the interval lies in R > 0 and not one when it lies in R < 0;
     - a point whose interval still contains 0 after 4096 terms keeps the
       float rule R_series(rel_tol=1e-8) >= -SIGN_DEADBAND. R is exactly 0 at
       some such points, for example (1, 1) for d = 2, rho = (3/2, 1/2).
@@ -537,7 +531,8 @@ def in_B(pt, d: int, rho) -> bool:
     R_series, or DomainError is raised at every point.
     """
     p, frho, r1, r2, _ = _checked_constants(d, rho)
-    return _first_negative(pt, _signed_columns(p)) is None and _past_gates(pt, d, p, frho, r1, r2)
+    pt = _exact_point(pt)
+    return _first_negative(pt, _signed_columns(p)) is None and _past_gates(pt, d, frho, r1, r2)
 
 
 def in_B_raster(axis, d: int, rho):
@@ -547,43 +542,27 @@ def in_B_raster(axis, d: int, rho):
     in_B runs only at the points that pass both."""
     p, frho, r1, r2, _ = _checked_constants(d, rho)
     for x1, row in zip(axis, in_G_raster(axis, p)):
-        yield [v.member and _past_gates((x1, x2), d, p, frho, r1, r2) for x2, v in zip(axis, row)]
+        yield [v.member and _past_gates((x1, x2), d, frho, r1, r2) for x2, v in zip(axis, row)]
 
 
-def _past_gates(pt, d: int, p: Params, frho, r1, r2) -> bool:
-    """in_B at a point that passes both gates, from the constants of
-    _rho_constants: the exact gates again for a float point with
-    x1 >= rho1 in floats, then the exact rule at rho, the T1 rule and the
-    sign of the boundary series."""
+def _past_gates(pt, d: int, frho, r1, r2) -> bool:
+    """in_B at an exact point that passes both gates, from the constants of
+    _rho_constants: the exact rule at rho, the T1 rule and the sign of the
+    boundary series."""
     x1, x2 = pt
-    exact = is_exact(x1) and is_exact(x2)
-    if not exact:
-        try:
-            f1, f2 = float(x1), float(x2)
-        except OverflowError:
-            exact = True
-            x1, x2 = _exact_point(pt)
-        else:
-            exact = f1 >= frho[0]
-            if exact:
-                x1, x2 = Fraction(f1), Fraction(f2)
-                if _first_negative((x1, x2), _signed_columns(p)) is not None:
-                    return False
-    if exact:
-        if x1 == r1:
-            return True
-        # the T1 side, |x1| < rho1 and |x2| <= rho2 (signed), in integers
-        if (abs(x1.numerator) * r1.denominator < r1.numerator * x1.denominator
-                and abs(x2.numerator) * r2.denominator <= r2.numerator * x2.denominator):
-            return True
+    if x1 == r1:
+        return True
+    # the T1 side, |x1| < rho1 and |x2| <= rho2 (signed), in integers
+    if (abs(x1.numerator) * r1.denominator < r1.numerator * x1.denominator
+            and abs(x2.numerator) * r2.denominator <= r2.numerator * x2.denominator):
+        return True
     fpt = (float(x1), float(x2))
-    # An exact point gets lower parameters rho1 +- x1 rounded once from their
-    # exact values, > 0 also within float rounding of rho1. Where rho2 - x2
-    # and rho2 + x2 are >= 0 in floats, every series parameter is >= 0 (the
+    # The lower parameters rho1 +- x1 are rounded once from their exact
+    # values, > 0 also within float rounding of rho1. Where rho2 - x2 and
+    # rho2 + x2 are >= 0 in floats, every series parameter is >= 0 (the
     # lower ones by the checks of _R_parameters), so every term is >= 0 and
     # R >= t_0 = 1: the point is a member without summing.
-    lower = (float(r1 + x1), float(r1 - x1)) if exact else None
-    u, l, s = _R_parameters(fpt, d, frho, lower)
+    u, l, s = _R_parameters(fpt, d, frho, (float(r1 + x1), float(r1 - x1)))
     if u[0] >= 0 and u[1] >= 0:
         return True
     value, radius = _R_enclosure(u, l, s)

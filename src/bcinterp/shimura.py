@@ -9,7 +9,6 @@ nonnegative on the sets they cut out.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +18,6 @@ from .okounkov import (
     Params,
     _column_terms,
     _compiled_terms,
-    _float_sum,
     _node_row,
     _numerator,
     _scaled_axis,
@@ -145,50 +143,24 @@ def _signed_sums(p: Params, max_weight: int):
 
 
 def _exact_point(pt):
-    """pt with every float coordinate replaced by its exact rational value."""
-    return tuple(x if is_exact(x) else Fraction(x) for x in pt)
+    """pt at its exact value: a float coordinate as the binary rational it
+    holds. A nan or inf coordinate raises DomainError."""
+    try:
+        return tuple(x if is_exact(x) else Fraction.from_float(x) for x in pt)
+    except (ValueError, OverflowError):
+        raise DomainError(f"point coordinates must be finite, got {pt!r}") from None
 
 
 def _first_negative(pt, signed):
     """The first key of signed, a tuple of (key, sign, compiled terms of a
     sum E), with sign * E < 0 at pt; None when there is none.
 
-    Exact points are decided by the sign of the integer numerator of E
-    (okounkov._numerator). A point with a float coordinate is a float point:
-    the float sum S and its absolute sum A over the float companion, at the
-    float squares of all coordinates, keep the deadband rule
-    sign * S < -SIGN_DEADBAND (1 + A). At an all-float point S is
-    bit-identical to the Fraction-with-float arithmetic of okounkov_eval and
-    column_poly, which rounds psi and c^2 to float before using them. At a
-    mixed point (exact and float coordinates) it can differ from them in
-    the last bits: the decision rounds the exact coordinate to float first,
-    while okounkov_eval keeps a factor in that coordinate exact until it
-    meets a float. Where the rule cannot decide (A is not finite because a
-    square or a product overflowed, or a constant is beyond float range),
-    and at a point with an exact coordinate beyond float range, the integer
-    numerator at the exact rational value of the point decides. A nan or
-    inf coordinate raises DomainError.
+    Every point is decided at its exact value, a float coordinate taken as
+    the binary rational it holds, by the sign of the integer numerator of E
+    (okounkov._numerator). A nan or inf coordinate raises DomainError.
     """
-    sq = scaled = None
-    if all(map(is_exact, pt)):
-        scaled = _scaled_axis(pt)
-    else:
-        for x in pt:
-            if not is_exact(x) and not math.isfinite(x):
-                raise DomainError(f"point coordinates must be finite, got {pt!r}")
-        try:
-            sq = [x * x for x in map(float, pt)]
-        except OverflowError:
-            pass
+    scaled = _scaled_axis(_exact_point(pt))
     for key, sign, comp in signed:
-        if sq is not None and comp.fterms is not None:
-            total, absum = _float_sum(comp.fterms, sq)
-            if math.isfinite(absum):
-                if sign * total < -SIGN_DEADBAND * (1.0 + absum):
-                    return key
-                continue
-        if scaled is None:
-            scaled = _scaled_axis(_exact_point(pt))
         if sign * _numerator(comp, *scaled) < 0:
             return key
     return None

@@ -1,7 +1,8 @@
-"""Sign decisions of in_G and in_A_certified: exact points are decided by
-the integer table kernel of okounkov (per-coordinate tables, then one dot
+"""Sign decisions of in_G and in_A_certified: every point is decided at
+its exact value (a float coordinate as the binary rational it holds) by the
+integer table kernel of okounkov (per-coordinate tables, then one dot
 product), which must agree with a plain Fraction sum over the compiled
-terms, and float points keep the deadband rule."""
+terms at Fraction(x)."""
 
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bcinterp.shimura as shimura
-from bcinterp.exactnum import SIGN_DEADBAND, DomainError
+from bcinterp.exactnum import DomainError
 from bcinterp.okounkov import (
     Params,
     _column_terms,
@@ -181,12 +182,9 @@ def test_kernel_scaling_is_integral(p):
                 assert path(idx, node) == sorted(c for i, c in facs if i == idx)
 
 
-def test_exact_points_never_use_floats(monkeypatch):
-    # the float companion serves float points only
-    def no_floats(*args):
-        raise AssertionError("float sum at an exact point")
-
-    monkeypatch.setattr(shimura, "_float_sum", no_floats)
+def test_exact_points_never_use_floats():
+    # there is no float sign engine: exact points, huge ones included, get
+    # the oracle's verdicts from the integer kernel
     for p in RANK2 + RANK3:
         for pt in nodes(p, 3) + huge_points(p):
             assert_agrees(pt, p)
@@ -264,9 +262,9 @@ def test_huge_coordinate_verdicts():
 
 @pytest.mark.parametrize("pt", [(1e200, 0.0), (1e155, 0.1), (0.0, -1e200)])
 def test_float_points_beyond_the_deadband_scale(pt):
-    # an overflowing scale used to turn the deadband test into -inf < -inf
-    # and report a member; those points get the exact decision at their
-    # exact rational value
+    # an overflowing scale used to turn the float deadband test into
+    # -inf < -inf and report a member; every point is decided at its exact
+    # rational value
     p = group_params(GroupData(2, 2, 0))
     exact = tuple(Fraction(x) for x in pt)
     assert in_G(pt, p) == oracle_G(exact, p) == Verdict(False, 1, 2)
@@ -301,37 +299,25 @@ def test_non_finite_coordinates_are_domain_errors(pt):
         in_A_certified(pt, p, 6)
 
 
-def deadband_q(lam, pt, p):
-    """q_lam at a float point and its deadband scale, with Fraction psi
-    times float factors for the value and sum_T |psi_T| prod |x^2 - c^2|
-    for the scale; independent of _float_sum."""
-    sq = [x * x for x in pt]
-    total = 0
-    scale = 0.0
-    for psi, facs in _compiled_terms(lam, p).terms:
-        prod = psi
-        mag = abs(float(psi))
-        for idx, csq in facs:
-            fac = sq[idx] - csq
-            prod = prod * fac
-            mag = mag * abs(float(fac))
-        total = total + prod
-        scale += mag
-    sign = -1 if weight(lam) % 2 else 1
-    return sign * total, scale
-
-
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from(RANK2), x1=coords_st, x2=coords_st)
-def test_float_points_keep_deadband_rule(p, x1, x2):
+def test_float_points_match_the_exact_oracle(p, x1, x2):
     pt = (float(x1), float(x2))
-    want = Verdict(True, None, 6)
-    for lam in enumerate_Lambda(2, 6)[1:]:
-        value, scale = deadband_q(lam, pt, p)
-        if value < -SIGN_DEADBAND * (1.0 + scale):
-            want = Verdict(False, lam, 6)
-            break
-    assert in_A_certified(pt, p, 6) == want
+    exact = (Fraction(pt[0]), Fraction(pt[1]))
+    assert in_A_certified(pt, p, 6) == oracle_A(exact, p, 6)
+    assert in_G(pt, p) == oracle_G(exact, p)
+
+
+def test_float_points_near_a_zero_set_get_the_exact_verdict():
+    # phi_2 = (1/4 - x1^2)(1/4 - x2^2) < 0 at the first point and phi_1 < 0
+    # at the second, each by less than 1e-12: in_G, in_A_certified and the
+    # gates of in_B must all see the sign of the exact value
+    p = group_params(GroupData(2, 2, 0))
+    for pt, column, lam in [((0.3, 0.5 + 1e-12), 2, (1, 1)), ((1.5, 0.5 + 1e-12), 1, (1,))]:
+        exact = (Fraction(pt[0]), Fraction(pt[1]))
+        assert in_G(pt, p) == oracle_G(exact, p) == Verdict(False, column, 2)
+        assert in_A_certified(pt, p, 6) == oracle_A(exact, p, 6) == Verdict(False, lam, 6)
+        assert in_B(pt, 2, p.rho) is False
 
 
 def test_wrong_length_is_domain_error():

@@ -4,10 +4,13 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import bcinterp.cli as cli
+import bcinterp.rank2 as rank2
 import bcinterp.shimura as shimura
 from bcinterp.exactnum import DomainError
 from bcinterp.cli import main
@@ -330,19 +333,36 @@ def _perfbench_module(name):
     return module
 
 
-def test_exact_rasters_match_benchmark_references(capsys):
+def test_exact_rasters_match_benchmark_references(capsys, monkeypatch):
     # every region raster the benchmark runs against its recorded reference,
     # by the benchmark's own checker: A, G and U0 byte for byte, the
-    # float-decided rank2-B and W by rows and flags
+    # float-decided rank2-B and W by rows and flags. Every point that
+    # reaches a polynomial sign decision on the way is exact
     workloads, check = _perfbench_module("workloads"), _perfbench_module("check")
     with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
         refs = json.load(fh)
     argvs = [a for a in workloads.all_commands() if a[0] == "region"]
     assert len(argvs) == 52
     assert {a[a.index("--kind") + 1] for a in argvs} == {"A", "G", "U0", "rank2-B", "W"}
+    reached, inexact = Counter(), []
+
+    def exact_only(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(pt, *args):
+            reached[name] += 1
+            if not all(isinstance(x, (int, Fraction)) for x in pt):
+                inexact.append((name, pt))
+            return inner(pt, *args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((shimura, "_first_negative"), (rank2, "_first_negative"), (rank2, "_past_gates")):
+        exact_only(module, name)
     for argv in argvs:
         code, out, _ = run(capsys, *argv)
         assert check.check(refs[" ".join(argv)], code, out.encode()) is None, argv
+    assert reached["_past_gates"] > 0 and inexact == []
 
 
 def test_region_W_window(capsys):
@@ -357,6 +377,24 @@ def test_region_rank2_B(capsys):
     assert code == 0
     rows = parse_region(out)
     assert rows[("0", "0")][0] == "1"
+
+
+def test_region_windows_that_make_no_sense_are_usage_errors(capsys):
+    # the window is [0, rho1 + 1] with rho1 = (d + b + 1 + p)/2, so a
+    # negative p can empty it; rank2-B also needs alpha = (b + 1 + p)/2
+    # >= -d/4, or its gates let x1 past rho1, onto a pole of the series
+    for kind in ("G", "A", "square", "rank2-B"):
+        for d in (1, 2):
+            for b in range(4):
+                for p in range(-8, 1):
+                    rejected = Fraction(d + b + 1 + p, 2) + 1 <= 0
+                    if kind == "rank2-B":
+                        rejected = rejected or Fraction(b + 1 + p, 2) < -Fraction(d, 4)
+                    argv = ("region", "--kind", kind, "--group", f"2,{d},{b}", "--p", str(p), "--grid", "41")
+                    code, out, err = run(capsys, *argv)
+                    assert code == (2 if rejected else 0), (argv, err)
+    code, out, err = run(capsys, "region", "--kind", "G", "--group", "2,2,0", "--p", "-5", "--grid", "3")
+    assert (code, out) == (2, "") and "window" in err
 
 
 def test_region_usage_errors(capsys):

@@ -171,7 +171,9 @@ def test_in_G0_rank2_examples():
 
 
 def test_in_G0_rank2_matches_column_test():
-    # the closed-form region equals the phi-positivity set on the chamber box
+    # the closed-form region equals the phi-positivity set on the chamber
+    # box, at exact points and at float points, also 1e-12 off the grid,
+    # where both decide at the exact value of the point
     for m in (0, 1):
         alpha = Fraction(m + 1, 2)
         p = Params(2, Fraction(1), alpha)
@@ -180,6 +182,14 @@ def test_in_G0_rank2_matches_column_test():
             for j in range(i + 1):
                 pt = (top * i / 12, top * j / 12)
                 assert in_G0_rank2(pt, m) == in_G(pt, p).member, pt
+                for e1, e2 in ((0, 0), (0, 1e-12), (-1e-12, 0), (-1e-12, 1e-12), (1e-12, -1e-12)):
+                    fpt = (float(pt[0]) + e1, float(pt[1]) + e2)
+                    if 0 <= fpt[1] <= fpt[0] <= top:
+                        assert in_G0_rank2(fpt, m) == in_G(fpt, p).member, fpt
+    # phi_1 < 0 by about 1e-12 here
+    p = Params(2, Fraction(1), Fraction(1, 2))
+    assert in_G((1.5, 0.5 + 1e-12), p).witness == 1
+    assert not in_G0_rank2((1.5, 0.5 + 1e-12), 0)
 
 
 # ---------------------------------------------------------------- c_l sequence

@@ -310,21 +310,14 @@ def _fraction_gates_fail(pt, rho):
 
 
 def _in_B_always_summing(pt, d, rho):
-    """in_B without the term-sign rule: the same polynomial gates and pole
-    whisker, then the boundary series at every point that passes them."""
+    """in_B without the term-sign rule: the same polynomial gates, in
+    Fraction arithmetic at the exact value of the point (a float coordinate
+    as Fraction(x)), and pole whisker, then the boundary series at every
+    point that passes them."""
     x1, x2 = pt
     r1, r2 = rho
-    if isinstance(x1, Fraction) and isinstance(x2, Fraction):
-        if _fraction_gates_fail(pt, rho):
-            return False
-    else:
-        q10 = r1 * r1 + r2 * r2 - x1 * x1 - x2 * x2
-        q11 = (r2 * r2 - x1 * x1) * (r2 * r2 - x2 * x2)
-        scale10 = float(r1 * r1 + r2 * r2) + x1 * x1 + x2 * x2
-        fac1 = float(r2 * r2) + x1 * x1
-        fac2 = float(r2 * r2) + x2 * x2
-        if q10 < -SIGN_DEADBAND * (1.0 + scale10) or q11 < -SIGN_DEADBAND * (1.0 + fac1 * fac2):
-            return False
+    if _fraction_gates_fail((Fraction(x1), Fraction(x2)), rho):
+        return False
     if float(r1) - float(x1) < 1e-6:
         return True
     value = R_series((float(x1), float(x2)), d, (float(r1), float(r2)), rel_tol=1e-8)
@@ -447,8 +440,8 @@ def test_in_B_near_the_pole_decides_from_the_series():
     pt = (1.25 - 1e-12, 0.75 + 1e-12)
     assert R_series(pt, 1, (1.25, 0.75), rel_tol=1e-8) < -0.3
     assert not in_B(pt, 1, rho)
-    # a float point past rho1 inside the gates' deadband gets the exact
-    # gates, which it fails; rho and its mirror are members
+    # a float point past rho1 fails the gates at its exact value; rho and
+    # its mirror are members
     assert not in_B((1.5 + 1e-12, 0.5), 2, RHO_SU22)
     assert in_B((1.5, 0.5), 2, RHO_SU22) and in_B((1.5, -0.5), 2, RHO_SU22)
 
@@ -633,8 +626,8 @@ def test_in_B_gates_match_fraction_oracle_at_random_rationals(x1, x2, rho):
 
 
 def test_in_B_float_points_beyond_the_deadband_scale():
-    # squares that overflow used to turn the deadband test into
-    # -inf < -inf and pass the gates; those points get the exact gates
+    # squares that overflow used to turn the float deadband test into
+    # -inf < -inf and pass the gates; every point gets the exact gates
     for pt in [(1e200, 0.0), (1e155, 0.1), (-1e200, 0.0), (0.25, 1e160)]:
         assert not in_B(pt, 2, RHO_SU22), pt
     # only the scale of q11 overflows here: |x1| > rho2 > |x2| and q10 >= 0
