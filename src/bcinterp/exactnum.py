@@ -21,10 +21,10 @@ __all__ = [
     "SIGN_DEADBAND",
 ]
 
-# Deadband of the float decisions that are not polynomial signs (every
-# polynomial sign is decided at the exact value of the point): in_W on the
-# float S_div, the segment whisker of in_U0_knapp_speh at float points, and
-# the R_series fallback of in_B where the enclosure of R contains 0.
+# Deadband of the two float decisions left (every polynomial sign, and every
+# other comparison with a point, is decided at the exact value of the
+# point): in_W on the float S_div, and the R_series fallback of in_B where
+# the enclosure of R contains 0.
 SIGN_DEADBAND = 1e-9
 
 
@@ -73,6 +73,20 @@ class Frozen:
 def is_exact(value) -> bool:
     """True for values kept in exact arithmetic (int or Fraction)."""
     return isinstance(value, (int, Fraction))
+
+
+def _exact_point(pt):
+    """pt at its exact value, a float coordinate as the binary rational it
+    holds (an exact pt comes back as it is); DomainError at nan or inf."""
+    for x in pt:
+        if not isinstance(x, (int, Fraction)):
+            break
+    else:
+        return pt
+    try:
+        return tuple([x if isinstance(x, (int, Fraction)) else Fraction.from_float(x) for x in pt])
+    except (ValueError, OverflowError):
+        raise DomainError(f"point coordinates must be finite, got {pt!r}") from None
 
 
 def as_exact(value) -> Fraction:

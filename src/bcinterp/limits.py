@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, Frozen, PoleError, is_exact, log_gamma
+from .exactnum import SIGN_DEADBAND, DomainError, Frozen, PoleError, _exact_point, is_exact, log_gamma
 
 __all__ = [
     "ContourPolyline",
@@ -160,9 +160,13 @@ def _W_constants(m: int):
 
 def in_W(pt, m: int) -> bool:
     """Membership in W: the square [alpha, alpha+1]^2 cap {x1 >= x2} with
-    the shifted divided difference nonnegative (deadband SIGN_DEADBAND)."""
+    the shifted divided difference nonnegative (deadband SIGN_DEADBAND), the
+    square tested at the exact point; DomainError at a nan or inf coordinate."""
     alpha, top, falpha = _W_constants(m)
     x1, x2 = pt
+    # the type checks, not a call, are what a raster's exact point pays
+    if x1.__class__ is not Fraction or x2.__class__ is not Fraction:
+        x1, x2 = _exact_point(pt)
     if not (x2 >= alpha and x1 >= x2 and x1 <= top):
         return False
     return S_div(float(x1) - falpha, float(x2) - falpha, m) >= -SIGN_DEADBAND
@@ -171,15 +175,14 @@ def in_W(pt, m: int) -> bool:
 def in_G0_rank2(pt, m: int) -> bool:
     """The rank-2 phi-set for the alpha = (m+1)/2 family: the triangle
     [0, alpha]^2 cap C, or the T2 square with the weight-1 signed value
-    nonnegative at rho = (alpha+1, alpha). Every comparison is exact; a
-    float coordinate is taken as the binary rational it holds."""
+    nonnegative at rho = (alpha+1, alpha). Every comparison is exact, a float
+    as its binary rational; DomainError at a nan or inf coordinate."""
     alpha = Fraction(m + 1, 2)
-    x1, x2 = pt
+    x1, x2 = _exact_point(pt)
     if 0 <= x2 <= x1 <= alpha:
         return True
     if not (alpha <= x2 <= x1 <= alpha + 1):
         return False
-    x1, x2 = Fraction(x1), Fraction(x2)
     return (alpha + 1) ** 2 + alpha * alpha - x1 * x1 - x2 * x2 >= 0
 
 

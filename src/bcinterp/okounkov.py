@@ -2,22 +2,21 @@
 closed forms for special shapes, the vanishing characterization, and exact
 interpolation back from values on the shifted lattice.
 
-The compiled reverse-tableau terms of P_lam are the one engine: okounkov_eval
-sums them at a point, in integer arithmetic at an exact point, and
-okounkov_expand multiplies them out into monomials. The integer kernel
-tabulates each term's factors per coordinate over an axis of values
-(_node_row at each value) and combines the tables by one dot product per
-point (_weights). A single point is the case of one-element axes
-(_numerator), which also decides the signs behind shimura.in_G and
-in_A_certified; the rasters of shimura.in_G_raster and in_A_raster build
-the tables once over their whole axis.
-interpolate_from_values runs the triangular back-substitution in the P basis
-and expands the resulting combination of P_mu the same way.
+The reverse-tableau terms of P_lam, compiled once per (lam, p) into integer
+form, are the one engine; the column tests phi_j are the case lam = 1^j.
+The integer kernel tabulates each term's factors per coordinate over an
+axis of values (_node_row) and combines the tables by one dot product per
+point (_weights). A single point, taken at its exact value (a float as its
+binary rational), is the case of one-element axes (_numerator): it gives
+okounkov_eval and the signs behind shimura.in_G and in_A_certified, whose
+rasters build the tables once over their whole axis. okounkov_expand and
+interpolate_from_values (a triangular back-substitution in the P basis)
+multiply the terms out from the same prefix trees (_expand).
 
-Everything downstream (eigenvalues, region tests) funnels through
-okounkov_eval, so this module carries the cross-formula oracles: the tau=1
-determinant, the column/rectangle closed forms, and the two k-constant
-derivations must all agree with the tableau sum exactly.
+Everything downstream funnels through the compiled terms, so this module
+carries the cross-formula oracles: the tau=1 determinant, the column subset
+sum and its generating function, the rectangle closed form and the two
+k-constant derivations must all agree with the tableau sum exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import DomainError, Frozen, as_exact, gen_pochhammer, is_exact, poch_rising
+from .exactnum import DomainError, Frozen, _exact_point, as_exact, gen_pochhammer, is_exact, poch_rising
 from .partitions import (
     arm,
     cells,
@@ -67,8 +66,8 @@ class Params(Frozen):
     """Interpolation parameters: rank n plus exact rationals (tau, alpha).
 
     Immutable and compared and hashed by value: a Params keys the compile
-    caches (_compiled_terms, _column_terms) on every evaluation, so its
-    hash is computed once, here.
+    cache _compiled_terms on every evaluation, so its hash is computed once,
+    here.
     """
 
     _fields = ("n", "tau", "alpha")
@@ -169,13 +168,10 @@ class SymEvenPoly:
 
 
 class _Compiled:
-    """The terms of one tableau or column sum, compiled once per (lam, p) or
-    (j, p): E = sum_T psi_T prod_(idx, c^2) (x_idx^2 - c^2) in n coordinates.
-
-    terms holds (psi, ((coordinate index, c^2), ...)) in exact rationals,
-    with the same number `cells` of factors in every term. The integer
-    kernel, which signs the sum at every point (a float coordinate at its
-    binary value), works on them scaled to integers and split by
+    """The terms (psi, ((idx, c^2), ...)) of one tableau sum
+    E = sum_T psi_T prod (x_idx^2 - c^2) in n coordinates, with the same
+    number `cells` of factors in every term, compiled once per (lam, p) into
+    the only form the kernel reads: scaled to integers and split by
     coordinate. den is the lcm P of the psi denominators, lsc the lcm L of
     the c^2 denominators, and consts[idx] the distinct C = c^2 L of
     coordinate idx. The products of a term's factors in one coordinate form
@@ -186,15 +182,14 @@ class _Compiled:
     coordinate).
     """
 
-    __slots__ = ("terms", "cells", "den", "lsc", "consts", "chains", "fold")
+    __slots__ = ("cells", "den", "lsc", "consts", "chains", "fold")
 
     def __init__(self, terms, n: int):
-        self.terms = terms
         self.cells = len(terms[0][1])
         self.den = den = math.lcm(*[psi.denominator for psi, _ in terms])
         pos = [{} for _ in range(n)]  # per coordinate: c^2 -> position
         trees = [{} for _ in range(n)]  # per coordinate: (parent, position) -> node
-        # by the id of a factor object (terms keep them all alive), its
+        # by the id of a factor object (terms keeps them all alive), its
         # coordinate and position: terms share factor objects, so each is
         # hashed by its c^2 value once
         seen = {}
@@ -250,17 +245,6 @@ def _compiled_terms(lam: tuple[int, ...], p: Params) -> _Compiled:
     return _Compiled(tuple(terms), n)
 
 
-@lru_cache(maxsize=None)
-def _column_terms(j: int, p: Params) -> _Compiled:
-    """The column subset sum in the shape of _compiled_terms: psi = 1 and,
-    for the k-th member i of a j-subset, the factor x_i^2 - rho_{i+j-k}^2."""
-    rsq = [r * r for r in p.rho]
-    return _Compiled(tuple(
-        (1, tuple((i - 1, rsq[i + j - k - 1]) for k, i in enumerate(subset, start=1)))
-        for subset in itertools.combinations(range(1, p.n + 1), j)
-    ), p.n)
-
-
 def _scaled_axis(axis):
     """(Q^2, [A_i^2]) for exact values x_i = A_i / Q, Q the lcm of their
     denominators: one common denominator for all of them."""
@@ -306,33 +290,17 @@ def _numerator(comp: _Compiled, q2: int, a2) -> int:
     return sum(map(operator.mul, _weights(comp, rows), tail))
 
 
-def _evaluate(comp: _Compiled, pt):
-    """E at pt: an exact Fraction at an exact point by the integer kernel;
-    at any other point, plain float arithmetic on the exact constants."""
-    if all(map(is_exact, pt)):
-        q2, a2 = _scaled_axis(pt)
-        return Fraction(_numerator(comp, q2, a2), comp.den * (q2 * comp.lsc) ** comp.cells)
-    sq = [x * x for x in pt]
-    total = 0
-    for psi, facs in comp.terms:
-        prod = psi
-        for idx, csq in facs:
-            prod = prod * (sq[idx] - csq)
-        total = total + prod
-    return total
-
-
-def okounkov_eval(lam, pt, p: Params):
-    """Evaluate P_lam at pt by the reverse-tableau sum.
-
-    Exact (Fraction) when pt is exact; plain float arithmetic otherwise.
-    """
+def okounkov_eval(lam, pt, p: Params) -> Fraction:
+    """P_lam at pt by the reverse-tableau sum, exactly, a float coordinate
+    taken as the binary rational it holds; DomainError at nan or inf."""
     lam = normalize(lam)
     if len(lam) > p.n:
         raise DomainError(f"partition {list(lam)} has more than n={p.n} parts")
     if len(pt) != p.n:
         raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-    return _evaluate(_compiled_terms(lam, p), pt)
+    comp = _compiled_terms(lam, p)
+    q2, a2 = _scaled_axis(_exact_point(pt))
+    return Fraction(_numerator(comp, q2, a2), comp.den * (q2 * comp.lsc) ** comp.cells)
 
 
 def rank1_poly(l: int, x, alpha):
@@ -411,12 +379,18 @@ def det_formula_tau1(lam, pt, alpha):
 
 
 def column_poly(j: int, pt, p: Params):
-    """Column shape 1^j by the explicit subset sum over i_1 < ... < i_j."""
+    """Column shape 1^j by the explicit subset sum over i_1 < ... < i_j of
+    prod_k (x_{i_k}^2 - rho_{i_k + j - k}^2)."""
     if not 1 <= j <= p.n:
         raise DomainError(f"column height {j} outside 1..{p.n}")
     if len(pt) != p.n:
         raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-    return _evaluate(_column_terms(j, p), pt)
+    rsq = [r * r for r in p.rho]
+    sq = [x * x for x in pt]
+    return sum(
+        math.prod(sq[i] - rsq[i + j - k] for k, i in enumerate(subset, start=1))
+        for subset in itertools.combinations(range(p.n), j)
+    )
 
 
 def _poly_mul_trunc(a, b, deg):
@@ -549,27 +523,26 @@ def verify_characterization(lam, p: Params, extra_weight: int = 2, samples: int 
     }
 
 
-def _expand_terms(terms, n: int) -> dict:
-    """Multiply out sum_T psi_T prod (y_idx - c^2) over compiled terms into
-    a map from full exponent vectors in y to coefficients.
-
-    The factors of one term on one coordinate multiply out to a univariate
-    polynomial; the term's monomials are the products of one coefficient
-    from each coordinate.
-    """
-    out: dict[tuple[int, ...], Fraction] = {}
-    for psi, facs in terms:
-        rows = [[Fraction(1)] for _ in range(n)]
-        for idx, csq in facs:
-            row = rows[idx]
-            rows[idx] = [a - csq * b for a, b in zip([0] + row, row + [0])]
-        for choice in itertools.product(*(enumerate(row) for row in rows)):
-            coeff = psi
-            for _, c in choice:
-                coeff = coeff * c
-            e = tuple(k for k, _ in choice)
-            out[e] = out.get(e, 0) + coeff
-    return out
+def _expand(comp: _Compiled) -> tuple[dict, int]:
+    """The compiled sum multiplied out in y_idx = x_idx^2: (integer
+    numerators by exponent vector, their denominator P L^K). A factor is
+    (L y - C) / L, so each tree node is an integer coefficient list, its
+    parent's times (L y - C), and a term is Psi times its nodes' lists."""
+    lsc, polys = comp.lsc, []
+    for consts, chain in zip(comp.consts, comp.chains):
+        rows = [[1]]
+        for parent, k in chain:
+            f, c = rows[parent], consts[k]
+            rows.append([lsc * a - c * b for a, b in zip([0, *f], [*f, 0])])
+        polys.append(rows)
+    tail = polys.pop()
+    flat = [row for rows in polys for row in rows]
+    out: dict[tuple[int, ...], int] = {}
+    for psi, ks, s in comp.fold:
+        for choice in itertools.product(*(enumerate(flat[k]) for k in ks), enumerate(tail[s])):
+            e = tuple(m for m, _ in choice)
+            out[e] = out.get(e, 0) + psi * math.prod(c for _, c in choice)
+    return out, comp.den * lsc ** comp.cells
 
 
 def interpolate_from_values(values, d: int, p: Params) -> SymEvenPoly:
@@ -578,7 +551,7 @@ def interpolate_from_values(values, d: int, p: Params) -> SymEvenPoly:
 
     Runs the triangular back-substitution in the P basis (a vanishing
     diagonal detects a non-generic tau) and expands the result
-    sum_mu coeff_P[mu] P_mu from the compiled tableau terms.
+    sum_mu coeff_P[mu] P_mu from the compiled tableau terms (_expand).
     """
     if d < 0:
         raise DomainError(f"negative degree bound {d}")
@@ -607,18 +580,21 @@ def interpolate_from_values(values, d: int, p: Params) -> SymEvenPoly:
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for mu, c in coeff_P.items():
         if c != 0:
-            for e, v in _expand_terms(_compiled_terms(mu, p).terms, p.n).items():
+            nums, den = _expand(_compiled_terms(mu, p))
+            c /= den
+            for e, v in nums.items():
                 coeffs[e] = coeffs.get(e, 0) + c * v
     return SymEvenPoly(p.n, coeffs)
 
 
 def okounkov_expand(lam, p: Params) -> SymEvenPoly:
     """Full coefficient map of P_lam, multiplied out from its compiled
-    tableau terms. Guarded to |lam| <= 8."""
+    tableau terms (_expand). Guarded to |lam| <= 8."""
     lam = normalize(lam)
     w = weight(lam)
     if w > EXPAND_WEIGHT_GUARD:
         raise DomainError(f"expansion guarded to weight <= {EXPAND_WEIGHT_GUARD}, got {w}")
     if len(lam) > p.n:
         raise DomainError(f"partition {list(lam)} has more than n={p.n} parts")
-    return SymEvenPoly(p.n, _expand_terms(_compiled_terms(lam, p).terms, p.n))
+    nums, den = _expand(_compiled_terms(lam, p))
+    return SymEvenPoly(p.n, {e: Fraction(v, den) for e, v in nums.items()})

@@ -17,9 +17,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, PoleError, as_exact, is_exact, log_gamma, poch_pm
+from .exactnum import SIGN_DEADBAND, DomainError, PoleError, _exact_point, as_exact, is_exact, log_gamma, poch_pm
 from .okounkov import Params
-from .shimura import _exact_point, _first_negative, _signed_columns, in_G_raster
+from .shimura import _first_negative, _signed_columns, in_G_raster
 
 __all__ = [
     "HypSeriesSpec",
@@ -510,9 +510,10 @@ def in_B(pt, d: int, rho) -> bool:
     in_G decides them (shimura._first_negative), by the sign of an integer
     numerator.
 
-    Where |rho2| < rho1, a point that passes both gates has x1 <= rho1,
-    with equality only at (rho1, +-rho2), where the series has its
-    parameter pole: rho and its mirror are members by that exact rule. Where rho2 - x2 >= 0,
+    Where |rho2| < rho1, a point that passes both gates has |x1| <= rho1,
+    with equality only at (+-rho1, +-rho2), where the series has its
+    parameter pole: R is even in x1 and in x2, and rho and its mirrors are
+    members by that exact rule. Where rho2 - x2 >= 0,
     rho2 + x2 >= 0 and |x1| < rho1 (the T1 side) every term
     (rho2+x2)_k (rho2-x2)_k (d/2)_k / ((rho1+x1)_k (rho1-x1)_k k!) is >= 0,
     so R >= 1 and the point is a member from the term signs alone, decided
@@ -547,14 +548,13 @@ def in_B_raster(axis, d: int, rho):
 
 def _past_gates(pt, d: int, frho, r1, r2) -> bool:
     """in_B at an exact point that passes both gates, from the constants of
-    _rho_constants: the exact rule at rho, the T1 rule and the sign of the
-    boundary series."""
+    _rho_constants: the exact rule at rho and its mirrors, the T1 rule and
+    the sign of the boundary series."""
     x1, x2 = pt
-    if x1 == r1:
-        return True
-    # the T1 side, |x1| < rho1 and |x2| <= rho2 (signed), in integers
-    if (abs(x1.numerator) * r1.denominator < r1.numerator * x1.denominator
-            and abs(x2.numerator) * r2.denominator <= r2.numerator * x2.denominator):
+    # |x1| against rho1 in integers: equal at rho and its mirrors; less, with
+    # |x2| <= rho2 (signed), on the T1 side
+    a1, b1 = abs(x1.numerator) * r1.denominator, r1.numerator * x1.denominator
+    if a1 == b1 or a1 < b1 and abs(x2.numerator) * r2.denominator <= r2.numerator * x2.denominator:
         return True
     fpt = (float(x1), float(x2))
     # The lower parameters rho1 +- x1 are rounded once from their exact

@@ -2,9 +2,10 @@
 parameters, operator eigenvalues, and membership tests for the positivity
 sets decided by signed polynomial values.
 
-Convention for signs: q_poly(lam) = (-1)^{|lam|} P_lam, and phi_j is the
-column case written with the (rho^2 - x^2) factor order, so both are
-nonnegative on the sets they cut out.
+Convention for signs: q_poly(lam) = (-1)^{|lam|} P_lam and phi_j is its
+column case lam = 1^j, so both are nonnegative on the sets they cut out.
+Every value and sign is taken at the exact value of the point (a float as
+its binary rational); a nan or inf coordinate raises DomainError.
 """
 
 from __future__ import annotations
@@ -13,16 +14,14 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, Frozen, as_exact, is_exact
+from .exactnum import SIGN_DEADBAND, DomainError, Frozen, _exact_point, as_exact
 from .okounkov import (
     Params,
-    _column_terms,
     _compiled_terms,
     _node_row,
     _numerator,
     _scaled_axis,
     _weights,
-    column_poly,
     k_constant,
     okounkov_eval,
 )
@@ -115,19 +114,18 @@ def q_poly(lam, pt, p: Params):
 
 
 def phi_j(j: int, pt, p: Params):
-    """Column test polynomial: sum over j-subsets of prod (rho^2 - x^2).
-
-    Equals q_poly(1^j, ...) identically.
-    """
-    value = column_poly(j, pt, p)
-    # 0 - value, not -value: a float zero stays +0.0
-    return 0 - value if j % 2 else value
+    """Column test polynomial: sum over j-subsets of prod (rho^2 - x^2),
+    that is q_poly(1^j, ...)."""
+    if not 1 <= j <= p.n:
+        raise DomainError(f"column height {j} outside 1..{p.n}")
+    return q_poly((1,) * j, pt, p)
 
 
 @lru_cache(maxsize=None)
 def _signed_columns(p: Params):
-    """(j, sign of phi_j, compiled column terms) for j = 1..n."""
-    return tuple((j, (-1) ** j, _column_terms(j, p)) for j in range(1, p.n + 1))
+    """(j, sign of phi_j, compiled terms of P_(1^j)) for j = 1..n; the
+    j = 1 entry is the same object as the (1,) of in_A_certified."""
+    return tuple((j, (-1) ** j, _compiled_terms((1,) * j, p)) for j in range(1, p.n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -140,15 +138,6 @@ def _signed_sums(p: Params, max_weight: int):
         (lam, -1 if weight(lam) % 2 else 1, _compiled_terms(lam, p))
         for lam in enumerate_Lambda(p.n, max_weight) if lam
     )
-
-
-def _exact_point(pt):
-    """pt at its exact value: a float coordinate as the binary rational it
-    holds. A nan or inf coordinate raises DomainError."""
-    try:
-        return tuple(x if is_exact(x) else Fraction.from_float(x) for x in pt)
-    except (ValueError, OverflowError):
-        raise DomainError(f"point coordinates must be finite, got {pt!r}") from None
 
 
 def _first_negative(pt, signed):
@@ -239,6 +228,7 @@ def in_A_raster(axis, p: Params, max_weight: int):
 
 def in_square(pt, p: Params) -> bool:
     """The closed box [0, rho_n]^n intersected with the decreasing chamber."""
+    pt = _exact_point(pt)
     rho_n = p.rho[p.n - 1]
     for a, b in zip(pt, pt[1:]):
         if a < b:
@@ -256,12 +246,15 @@ def in_U0_knapp_speh(pt, b: int) -> bool:
     b = 0 the printed region otherwise sticks out of the column-positive
     set it must embed into (see the decision log).
 
-    A segment x1 - x2 = j is tested exactly at exact points and with the
-    SIGN_DEADBAND whisker at float points.
+    Every comparison is exact, a segment x1 - x2 = j included; a float
+    coordinate is taken as the binary rational it holds.
     """
     if b < 0:
         raise DomainError(f"need b >= 0, got {b}")
     x1, x2 = pt
+    # the type checks, not a call, are what a raster's exact point pays
+    if x1.__class__ is not Fraction or x2.__class__ is not Fraction:
+        x1, x2 = _exact_point(pt)
     rho2 = Fraction(b + 1, 2)
     in_box = 0 <= x2 <= x1 <= rho2
     if not in_box:
@@ -269,10 +262,7 @@ def in_U0_knapp_speh(pt, b: int) -> bool:
     if x1 + x2 <= 1:
         return True
     k = (b - 1) // 2 if b >= 3 else 0
-    exact = is_exact(x1) and is_exact(x2)
     for j in range(1, k + 1):
-        if x1 - x2 >= j and x1 + x2 <= j + 1:
-            return True
-        if x1 - x2 == j if exact else abs(x1 - x2 - j) <= SIGN_DEADBAND:
+        if x1 - x2 >= j and x1 + x2 <= j + 1 or x1 - x2 == j:
             return True
     return False

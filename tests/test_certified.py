@@ -1,10 +1,13 @@
 """Sign decisions of in_G and in_A_certified: every point is decided at
 its exact value (a float coordinate as the binary rational it holds) by the
 integer table kernel of okounkov (per-coordinate tables, then one dot
-product), which must agree with a plain Fraction sum over the compiled
-terms at Fraction(x)."""
+product), which must agree with a plain Fraction sum over the reverse
+tableaux at Fraction(x), and with the column subset sum for in_G."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +15,9 @@ from hypothesis import strategies as st
 
 import bcinterp.shimura as shimura
 from bcinterp.exactnum import DomainError
+from bcinterp.limits import in_G0_rank2, in_W
 from bcinterp.okounkov import (
     Params,
-    _column_terms,
     _compiled_terms,
     _node_row,
     _scaled_axis,
@@ -22,7 +25,7 @@ from bcinterp.okounkov import (
     column_poly,
     okounkov_eval,
 )
-from bcinterp.partitions import enumerate_Lambda, weight
+from bcinterp.partitions import cells, enumerate_Lambda, psi_tableau, reverse_tableaux, weight
 from bcinterp.rank2 import in_B
 from bcinterp.shimura import (
     GroupData,
@@ -32,6 +35,8 @@ from bcinterp.shimura import (
     in_A_raster,
     in_G,
     in_G_raster,
+    in_square,
+    in_U0_knapp_speh,
 )
 
 GROUPS = [GroupData(2, 2, 0), GroupData(2, 4, 3), GroupData(2, 1, 1), GroupData(2, 3, 1, p=1)]
@@ -53,12 +58,28 @@ HUGE = [
 ]
 
 
-def reference_sum(comp, pt):
-    """sum_T psi_T prod (x_idx^2 - c^2) over compiled terms, term by term
+@lru_cache(maxsize=None)
+def reference_terms(lam, p):
+    """The terms of P_lam, one per reverse tableau T, enumerated here:
+    (psi_T, ((T(s) - 1, c^2) for each cell s)) with the cell constant
+    c = a'(s) + tau (n - T(s) - l'(s)) + alpha."""
+    out = []
+    for t in reverse_tableaux(lam, p.n):
+        facs = []
+        for i, j in cells(lam):
+            k = t.entry(i, j)
+            c = (j - 1) + p.tau * (p.n - k - (i - 1)) + p.alpha
+            facs.append((k - 1, c * c))
+        out.append((psi_tableau(t, p.tau), tuple(facs)))
+    return tuple(out)
+
+
+def reference_sum(lam, p, pt):
+    """sum_T psi_T prod (x_idx^2 - c^2) over reference_terms, term by term
     in Fraction arithmetic; shares nothing with the integer kernel."""
     sq = [Fraction(x) ** 2 for x in pt]
     total = Fraction(0)
-    for psi, facs in comp.terms:
+    for psi, facs in reference_terms(lam, p):
         prod = Fraction(psi)
         for idx, csq in facs:
             prod *= sq[idx] - csq
@@ -69,17 +90,46 @@ def reference_sum(comp, pt):
 def oracle_A(pt, p, max_weight):
     """in_A_certified by the sign of (-1)^|lam| times the reference sum."""
     for lam in enumerate_Lambda(p.n, max_weight):
-        if lam and (-1) ** weight(lam) * reference_sum(_compiled_terms(lam, p), pt) < 0:
+        if lam and (-1) ** weight(lam) * reference_sum(lam, p, pt) < 0:
             return Verdict(False, lam, max_weight)
     return Verdict(True, None, max_weight)
 
 
 def oracle_G(pt, p):
-    """in_G by the sign of phi_j = (-1)^j times the reference column sum."""
+    """in_G by the sign of phi_j = (-1)^j times the column subset sum."""
     for j in range(1, p.n + 1):
-        if (-1) ** j * reference_sum(_column_terms(j, p), pt) < 0:
+        if (-1) ** j * column_poly(j, tuple(map(Fraction, pt)), p) < 0:
             return Verdict(False, j, p.n)
     return Verdict(True, None, p.n)
+
+
+def decoded_terms(comp):
+    """The terms of a compiled sum read back from its integer form:
+    (Psi / P, sorted (coordinate index, C / L) of its factors) per fold
+    entry, each coordinate's factors from the path of its node to the root
+    of that coordinate's prefix tree."""
+    starts = [0]
+    for chain in comp.chains:
+        starts.append(starts[-1] + len(chain) + 1)
+    out = []
+    for psi, ks, last in comp.fold:
+        facs = []
+        for idx, node in enumerate([k - start for k, start in zip(ks, starts)] + [last]):
+            while node:
+                node, k = comp.chains[idx][node - 1]
+                facs.append((idx, Fraction(comp.consts[idx][k], comp.lsc)))
+        out.append((Fraction(psi, comp.den), tuple(sorted(facs))))
+    return out
+
+
+def column_subset_terms(j, p):
+    """The column subset sum as terms: psi = 1 and, for the k-th member i
+    of a j-subset of 1..n, the factor x_i^2 - rho_{i+j-k}^2."""
+    rsq = [r * r for r in p.rho]
+    return [
+        (Fraction(1), tuple(sorted((i - 1, rsq[i + j - k - 1]) for k, i in enumerate(subset, start=1))))
+        for subset in itertools.combinations(range(1, p.n + 1), j)
+    ]
 
 
 def assert_agrees(pt, p):
@@ -118,18 +168,17 @@ def table_value(comp, pt, extra):
 
 
 def assert_kernel_exact(pt, p, max_weight):
-    """okounkov_eval and column_poly (the table kernel over one-element
-    axes) and the tables over a shared axis equal the reference sum
-    exactly."""
+    """okounkov_eval (the table kernel over one-element axes) and the
+    tables over a shared axis equal the reference sum exactly, and at the
+    columns also the subset sum column_poly."""
     extra = [Fraction(7, 36), Fraction(-5, 22)]
     for lam in enumerate_Lambda(p.n, max_weight):
         comp, got = _compiled_terms(lam, p), okounkov_eval(lam, pt, p)
-        want = reference_sum(comp, pt)
+        want = reference_sum(lam, p, pt)
         assert type(got) is Fraction and got == want == table_value(comp, pt, extra), (lam, pt)
     for j in range(1, p.n + 1):
-        comp, got = _column_terms(j, p), column_poly(j, pt, p)
-        want = reference_sum(comp, pt)
-        assert type(got) is Fraction and got == want == table_value(comp, pt, extra), (j, pt)
+        got = okounkov_eval((1,) * j, pt, p)
+        assert got == column_poly(j, pt, p) == reference_sum((1,) * j, p, pt), (j, pt)
 
 
 @pytest.mark.parametrize("p", RANK2 + RANK3)
@@ -154,32 +203,32 @@ def test_kernel_matches_reference_at_random_rationals(p, x):
 @pytest.mark.parametrize("p", [RANK2[0], RANK2[4], RANK3[1]])
 def test_kernel_scaling_is_integral(p):
     # Psi / P and C / L give back psi and the c^2 of each coordinate's
-    # factors, term by term, read off the prefix trees
-    comps = [_compiled_terms(lam, p) for lam in enumerate_Lambda(p.n, 5)]
-    for comp in comps + [_column_terms(j, p) for j in range(1, p.n + 1)]:
-        assert all(len(facs) == comp.cells for _, facs in comp.terms)
+    # factors, term by term, read off the prefix trees, against the terms
+    # enumerated here from the reverse tableaux in the same order
+    for lam in enumerate_Lambda(p.n, 5):
+        comp = _compiled_terms(lam, p)
+        want = [(psi, tuple(sorted(facs))) for psi, facs in reference_terms(lam, p)]
+        assert all(len(facs) == comp.cells for _, facs in want)
         ints = [comp.den, comp.lsc] + [psi for psi, _, _ in comp.fold] + [c for cs in comp.consts for c in cs]
         assert all(type(v) is int for v in ints)
         for consts, chain in zip(comp.consts, comp.chains):
             assert len(set(consts)) == len(consts) and len(set(chain)) == len(chain)
             assert all(parent <= node for node, (parent, _) in enumerate(chain))
+        assert decoded_terms(comp) == want, lam
 
-        def path(idx, node):
-            out = []
-            while node:
-                node, k = comp.chains[idx][node - 1]
-                out.append(Fraction(comp.consts[idx][k], comp.lsc))
-            return sorted(out)
 
-        starts = [0]
-        for chain in comp.chains:
-            starts.append(starts[-1] + len(chain) + 1)
-        assert len(comp.fold) == len(comp.terms)
-        for (psi, ks, last), (want_psi, facs) in zip(comp.fold, comp.terms):
-            assert Fraction(psi, comp.den) == want_psi
-            nodes = [k - start for k, start in zip(ks, starts)] + [last]
-            for idx, node in enumerate(nodes):
-                assert path(idx, node) == sorted(c for i, c in facs if i == idx)
+@pytest.mark.parametrize(
+    "tau, alpha", [(1, Fraction(1, 2)), (Fraction(1, 2), 1), (Fraction(-1, 2), Fraction(3, 2)), (Fraction(2, 3), Fraction(1, 7))]
+)
+def test_column_tableau_terms_are_the_subset_terms(tau, alpha):
+    # the compiled tableau sum of 1^j has the terms of the column subset
+    # sum, as a multiset, so in_G's column tests are the sums of (1^j)
+    for n in range(1, 6):
+        p = Params(n, tau, alpha)
+        for j in range(1, n + 1):
+            want = Counter(column_subset_terms(j, p))
+            assert Counter(decoded_terms(_compiled_terms((1,) * j, p))) == want, (n, j)
+            assert Counter((psi, tuple(sorted(facs))) for psi, facs in reference_terms((1,) * j, p)) == want
 
 
 def test_exact_points_never_use_floats():
@@ -280,8 +329,8 @@ def test_mixed_points_beyond_float_range(pt, monkeypatch):
     numerator = shimura._numerator
     monkeypatch.setattr(shimura, "_numerator", lambda *args: calls.append(args[0]) or numerator(*args))
     got_G, got_A = in_G(pt, p), in_A_certified(pt, p, 6)
-    assert calls == [_column_terms(1, p), _compiled_terms((1,), p)]
-    exact = shimura._exact_point(pt)
+    assert calls == [_compiled_terms((1,), p)] * 2
+    exact = tuple(map(Fraction, pt))
     assert got_G == oracle_G(exact, p) == Verdict(False, 1, 2)
     assert got_A == oracle_A(exact, p, 6) == Verdict(False, (1,), 6)
     # the point fails a gate of in_B, q10 < 0 or q11 < 0, in Fraction arithmetic
@@ -290,13 +339,30 @@ def test_mixed_points_beyond_float_range(pt, monkeypatch):
     assert in_B(pt, 2, p.rho) is False
 
 
-@pytest.mark.parametrize("pt", [(float("inf"), 0.0), (float("nan"), 0.0), (0.5, float("-inf")), (Fraction(1, 2), float("nan"))])
+NON_FINITE = [(float("inf"), 0.0), (float("nan"), 0.0), (0.5, float("-inf")), (Fraction(1, 2), float("nan"))]
+
+
+@pytest.mark.parametrize("pt", NON_FINITE)
 def test_non_finite_coordinates_are_domain_errors(pt):
     p = group_params(GroupData(2, 2, 0))
     with pytest.raises(DomainError, match="finite"):
         in_G(pt, p)
     with pytest.raises(DomainError, match="finite"):
         in_A_certified(pt, p, 6)
+
+
+@pytest.mark.parametrize("test", [
+    lambda pt: in_W(pt, 0),
+    lambda pt: in_G0_rank2(pt, 0),
+    lambda pt: in_U0_knapp_speh(pt, 3),
+    lambda pt: in_square(pt, group_params(GroupData(2, 2, 0))),
+], ids=["in_W", "in_G0_rank2", "in_U0_knapp_speh", "in_square"])
+@pytest.mark.parametrize("pt", NON_FINITE)
+def test_region_tests_reject_non_finite_coordinates(test, pt):
+    # these used to call such a point a non-member: every comparison with
+    # nan is false
+    with pytest.raises(DomainError, match="finite"):
+        test(pt)
 
 
 @settings(max_examples=40, deadline=None)

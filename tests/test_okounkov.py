@@ -30,6 +30,7 @@ from bcinterp.partitions import (
     reverse_tableaux,
     weight,
 )
+from bcinterp.shimura import GroupData, group_params, phi_j, q_poly, shimura_eigenvalue
 
 P_HALF = Params(2, Fraction(1), Fraction(1, 2))
 
@@ -115,6 +116,48 @@ def test_eval_matches_naive_rank3():
     for lam in [(2, 1), (2, 2, 1), (3, 1, 1)]:
         for pt in rational_points(3, 4, seed=11):
             assert okounkov_eval(lam, pt, p) == naive_eval(lam, pt, p)
+
+
+FLOAT_POINTS = [
+    (Params(2, Fraction(1, 2), Fraction(3, 2)), (2.3, -0.1)),
+    (Params(3, Fraction(2, 3), Fraction(1, 7)), (1e-3, 4.75, -1.3)),
+]
+
+
+@pytest.mark.parametrize("p, pt", FLOAT_POINTS)
+def test_float_points_are_evaluated_at_their_exact_value(p, pt):
+    # a float coordinate is the binary rational it holds: every value is the
+    # exact Fraction there, computed by the integer kernel
+    exact = tuple(map(Fraction, pt))
+    for lam in enumerate_Lambda(p.n, 4):
+        want = naive_eval(lam, exact, p)
+        got = okounkov_eval(lam, pt, p)
+        assert type(got) is Fraction and got == want, lam
+        assert q_poly(lam, pt, p) == (-1) ** weight(lam) * want, lam
+    for j in range(1, p.n + 1):
+        assert phi_j(j, pt, p) == (-1) ** j * naive_eval((1,) * j, exact, p) == (-1) ** j * column_poly(j, exact, p)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coordinates_are_domain_errors(bad):
+    g = GroupData(2, 2, 0)
+    p, pt = group_params(g), (Fraction(1, 2), bad)
+    for call in (
+        lambda: okounkov_eval((2, 1), pt, p),
+        lambda: q_poly((1,), pt, p),
+        lambda: phi_j(2, pt, p),
+        lambda: shimura_eigenvalue((1, 1), pt, g),
+    ):
+        with pytest.raises(DomainError, match="finite"):
+            call()
+
+
+def test_eigenvalue_at_a_float_point_is_exact():
+    g = GroupData(2, 2, 3)
+    p, pt = group_params(g), (2.3, 0.1)
+    got = shimura_eigenvalue((2, 1), pt, g)
+    assert type(got) is Fraction
+    assert got == k_constant((2, 1), p.tau) * naive_eval((2, 1), tuple(map(Fraction, pt)), p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,7 +314,10 @@ def test_expand_evaluates_like_eval():
                 poly = okounkov_expand(lam, p)
                 assert poly.degree() == weight(lam)
                 for pt in pts:
-                    assert poly.evaluate(pt) == okounkov_eval(lam, pt, p), (n, tau, alpha, lam, pt)
+                    # expand and eval share the compiled terms, so naive_eval
+                    # is the independent check
+                    want = naive_eval(lam, pt, p)
+                    assert poly.evaluate(pt) == okounkov_eval(lam, pt, p) == want, (n, tau, alpha, lam, pt)
 
 
 def test_expand_needs_only_own_tableau_terms():

@@ -246,9 +246,9 @@ def test_psi_memo_is_shared_across_params_with_one_tau():
     p, q = Params(3, Fraction(3, 2), Fraction(1, 2)), Params(3, Fraction(3, 2), Fraction(5, 2))
     _compiled_terms.cache_clear()
     _psi_pair.cache_clear()
-    first = [psi for psi, _ in _compiled_terms(lam, p).terms]
+    first = [psi for psi, _, _ in _compiled_terms(lam, p).fold]
     misses = _psi_pair.cache_info().misses
-    second = [psi for psi, _ in _compiled_terms(lam, q).terms]
+    second = [psi for psi, _, _ in _compiled_terms(lam, q).fold]
     info = _psi_pair.cache_info()
     assert first == second
     assert info.misses == misses and info.hits > 0

@@ -446,6 +446,17 @@ def test_in_B_near_the_pole_decides_from_the_series():
     assert in_B((1.5, 0.5), 2, RHO_SU22) and in_B((1.5, -0.5), 2, RHO_SU22)
 
 
+def test_in_B_mirrors_of_rho_are_members():
+    # both gates pass at (-rho1, +-rho2) and R is even in x1: the exact rule
+    # at rho covers its mirrors in x1, where the series has its pole too
+    for d, rho in ((2, RHO_SU22), (1, _group_rho(1, 0))):
+        r1, r2 = rho
+        for x2 in (r2, -r2):
+            assert in_B((-r1, x2), d, rho)
+            assert in_B((-float(r1), float(x2)), d, rho)
+        assert not in_B((-r1 - Fraction(1, 10**12), r2), d, rho)
+
+
 def test_in_B_exact_T1_point_within_float_rounding_of_rho1():
     # float(x1) == float(rho1) here, so the float series parameter rho1 - x1
     # is 0; the exact point has |x2| <= rho2, every term is >= 0 and R >= 1

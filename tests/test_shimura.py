@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcinterp.exactnum import DomainError
-from bcinterp.okounkov import Params, k_constant, okounkov_eval
+from bcinterp.okounkov import Params, column_poly, k_constant, okounkov_eval
 from bcinterp.partitions import enumerate_Lambda
 from bcinterp.shimura import (
     GroupData,
@@ -102,14 +102,15 @@ def test_q_poly_positive_on_origin():
 @settings(max_examples=50, deadline=None)
 @given(j=st.sampled_from([1, 2]), x1=coords_st, x2=coords_st)
 def test_phi_j_is_q_of_column(j, x1, x2):
-    assert phi_j(j, (x1, x2), P22) == q_poly((1,) * j, (x1, x2), P22)
+    want = (-1) ** j * column_poly(j, (x1, x2), P22)
+    assert phi_j(j, (x1, x2), P22) == q_poly((1,) * j, (x1, x2), P22) == want
 
 
 def test_phi_j_rank3():
     p = group_params(GroupData(3, 2, 1))
     for j in (1, 2, 3):
         for pt in rational_points(3, 4, seed=j):
-            assert phi_j(j, pt, p) == q_poly((1,) * j, pt, p)
+            assert phi_j(j, pt, p) == q_poly((1,) * j, pt, p) == (-1) ** j * column_poly(j, pt, p)
 
 
 def test_phi_j_rejects_bad_height():
@@ -197,8 +198,12 @@ def test_in_U0_segment_is_exact_at_exact_points():
     assert in_U0_knapp_speh((Fraction(7, 4), Fraction(3, 4)), 3)
     off = (Fraction(7, 4) + Fraction(1, 10**12), Fraction(3, 4))
     assert not in_U0_knapp_speh(off, 3)
-    # float points keep the deadband whisker
-    assert in_U0_knapp_speh((float(off[0]), float(off[1])), 3)
+    # a float point is decided at the binary rational it holds: off the
+    # segment by 1e-12, or by 2^-52 for (2.3, 1.3) with b = 4, is off it,
+    # and a binary-exact point on the segment is on it
+    assert not in_U0_knapp_speh((float(off[0]), float(off[1])), 3)
+    assert Fraction(2.3) - Fraction(1.3) != 1 and not in_U0_knapp_speh((2.3, 1.3), 4)
+    assert in_U0_knapp_speh((1.75, 0.75), 3) and in_U0_knapp_speh((2.5, 1.5), 4)
 
 
 def test_u0_inside_certified_set():
