@@ -28,7 +28,7 @@ from .limits import (
     crossing_point,
     gamma_ratio_identity,
     gamma_ratio_partial,
-    in_W,
+    in_W_raster,
     r_limit,
     r_partial,
     s_m,
@@ -55,8 +55,8 @@ from .shimura import (
     group_params,
     in_A_raster,
     in_G_raster,
-    in_square,
-    in_U0_knapp_speh,
+    in_square_raster,
+    in_U0_raster,
     shimura_eigenvalue,
 )
 
@@ -289,10 +289,12 @@ def _region_window(args):
     function of the axis that yields, for each i, the cells (a bool or a
     Verdict) at (axis[i], axis[j]) for j <= i.
 
-    A and G come a row at a time from the raster kernel in shimura, and
-    rank2-B from in_B_raster, which takes its gates from the G rows; every
-    other kind maps its per-point test over the row. The raster is
-    two-dimensional, so every kind that takes a group needs a rank-2 one.
+    Every kind comes a row at a time from a raster generator: A and G from
+    the raster kernel in shimura, rank2-B from in_B_raster, which takes its
+    gates from the G rows, and square, U0 and W from the row-range rasters,
+    which bound each row's members by exact bisection on the axis. The
+    raster is two-dimensional, so every kind that takes a group needs a
+    rank-2 one.
     """
     kind = args.kind
     if kind == "W":
@@ -301,7 +303,7 @@ def _region_window(args):
         if args.m < 0:
             raise DomainError(f"need m >= 0, got {args.m}")
         m = args.m
-        return Fraction(m + 1, 2) + 2, _point_rows(lambda pt: in_W(pt, m))
+        return Fraction(m + 1, 2) + 2, lambda axis: in_W_raster(axis, m)
     if args.group is None:
         raise DomainError(f"--group is required for kind {kind}")
     g = _parse_group(args.group, args.p)
@@ -328,23 +330,18 @@ def _region_window(args):
     rows = {
         "G": lambda axis: in_G_raster(axis, prm),
         "A": lambda axis: in_A_raster(axis, prm, args.max_weight),
-        "square": _point_rows(lambda pt: in_square(pt, prm)),
-        "U0": _point_rows(lambda pt: in_U0_knapp_speh(pt, g.b)),
+        "square": lambda axis: in_square_raster(axis, prm),
+        "U0": lambda axis: in_U0_raster(axis, g.b),
         "rank2-B": lambda axis: in_B_raster(axis, g.d, rho),
     }
     return rho[0] + 1, rows[kind]
 
 
-def _point_rows(test):
-    """The rows of a raster from a per-point test."""
-    return lambda axis: ([test((x1, x2)) for x2 in axis[: i + 1]] for i, x1 in enumerate(axis))
-
-
 def _cell(v):
-    """The member and witness columns for a bool or a Verdict."""
+    """The member and witness columns, joined, for a bool or a Verdict."""
     if isinstance(v, Verdict):
-        return ("1" if v.member else "0"), (v.witness_str() or "")
-    return ("1" if v else "0"), ""
+        return ("1," if v.member else "0,") + (v.witness_str() or "")
+    return "1," if v else "0,"
 
 
 def cmd_region(args):
@@ -362,10 +359,16 @@ def cmd_region(args):
         axis = [top * i / (args.grid - 1) for i in range(args.grid)]
         labels = [f"{float(v):.12g}" for v in axis]
         lines = ["x,y,member,witness"]
+        # a raster repeats a few distinct cells, so each is formatted once,
+        # keyed by value: the bool, or a Verdict's (member, witness)
+        texts = {}
         for label, row in zip(labels, rows(axis)):
             for y, cell in zip(labels, row):
-                m, w = _cell(cell)
-                lines.append(f"{label},{y},{m},{w}")
+                key = cell if cell.__class__ is bool else (cell.member, cell.witness)
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = _cell(cell)
+                lines.append(f"{label},{y},{text}")
         return "\n".join(lines) + "\n", 0
 
     return compute

@@ -97,6 +97,15 @@ def as_exact(value) -> Fraction:
     raise DomainError(f"expected an exact rational, got {value!r}")
 
 
+def _ascending_axis(axis) -> list[Fraction]:
+    """The axis of a row-range raster as Fractions; DomainError unless every
+    value is exact and the axis is ascending (ties allowed)."""
+    out = [as_exact(x) for x in axis]
+    if any(a > b for a, b in zip(out, out[1:])):
+        raise DomainError("a raster axis must be ascending")
+    return out
+
+
 def poch_rising(a, k: int):
     """Rising factorial (a)_k = a (a+1) ... (a+k-1); empty product for k = 0."""
     if k < 0:

@@ -7,10 +7,11 @@ diagonal crossing point with a contour tracer for the S = 0 curve.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, Frozen, PoleError, _exact_point, is_exact, log_gamma
+from .exactnum import SIGN_DEADBAND, DomainError, Frozen, PoleError, _ascending_axis, _exact_point, is_exact, log_gamma
 
 __all__ = [
     "ContourPolyline",
@@ -22,6 +23,7 @@ __all__ = [
     "s_m_prime",
     "S_div",
     "in_W",
+    "in_W_raster",
     "in_G0_rank2",
     "c_l_sequence",
     "crossing_equation",
@@ -144,6 +146,12 @@ def _div_diff(xf: float, yf: float, m: int, s) -> float:
     return (s(xf) - s(yf)) / (xf - yf)
 
 
+def _s_table(ts, m: int):
+    """t -> s_m(t, m) over the floats t of ts, one s_m call per distinct t:
+    a lookup for the s of _div_diff."""
+    return {t: s_m(t, m) for t in ts}.__getitem__
+
+
 def S_div(x, y, m: int) -> float:
     """Symmetrized divided difference (s_m(x) - s_m(y))/(x - y), continued
     across the diagonal by the analytic derivative."""
@@ -152,8 +160,8 @@ def S_div(x, y, m: int) -> float:
 
 @lru_cache(maxsize=None)
 def _W_constants(m: int):
-    """What in_W needs of m, built once per m: alpha = (m+1)/2, alpha + 1
-    and float(alpha)."""
+    """What in_W and in_W_raster need of m, built once per m:
+    alpha = (m+1)/2, alpha + 1 and float(alpha)."""
     alpha = Fraction(m + 1, 2)
     return alpha, alpha + 1, float(alpha)
 
@@ -163,13 +171,35 @@ def in_W(pt, m: int) -> bool:
     the shifted divided difference nonnegative (deadband SIGN_DEADBAND), the
     square tested at the exact point; DomainError at a nan or inf coordinate."""
     alpha, top, falpha = _W_constants(m)
-    x1, x2 = pt
-    # the type checks, not a call, are what a raster's exact point pays
-    if x1.__class__ is not Fraction or x2.__class__ is not Fraction:
-        x1, x2 = _exact_point(pt)
+    x1, x2 = _exact_point(pt)
     if not (x2 >= alpha and x1 >= x2 and x1 <= top):
         return False
     return S_div(float(x1) - falpha, float(x2) - falpha, m) >= -SIGN_DEADBAND
+
+
+def in_W_raster(axis, m: int):
+    """in_W on the raster of an ascending exact axis: yields, for each i,
+    [in_W((axis[i], axis[j]), m) for j <= i].
+
+    The square is the index range of the axis values in [alpha, alpha + 1],
+    found by exact bisection. A row inside it is False below alpha and
+    signs S_div from there on, reading s_m from one table of the shifted
+    floats float(x) - float(alpha): the float operations of in_W, so the
+    same flags. Every other row is empty.
+    """
+    if not isinstance(m, int) or m < 0:
+        raise DomainError(f"m must be a nonnegative integer, got {m}")
+    alpha, top, falpha = _W_constants(m)
+    axis = _ascending_axis(axis)
+    lo, hi = bisect_left(axis, alpha), bisect_right(axis, top)
+    ts = [float(x) - falpha for x in axis[lo:hi]]
+    s_at = _s_table(ts, m)
+    for i in range(len(axis)):
+        if lo <= i < hi:
+            xf = ts[i - lo]
+            yield [False] * lo + [_div_diff(xf, yf, m, s_at) >= -SIGN_DEADBAND for yf in ts[: i - lo + 1]]
+        else:
+            yield [False] * (i + 1)
 
 
 def in_G0_rank2(pt, m: int) -> bool:
@@ -352,7 +382,7 @@ def trace_contour(m: int, grid: int):
     h = _CONTOUR_BOX / grid
     # node (i, j) is S_div(i*h, j*h, m), from one s_m per grid line
     axis = [i * h for i in range(grid + 1)]
-    s_at = {t: s_m(t, m) for t in axis}.__getitem__
+    s_at = _s_table(axis, m)
     nodes = [[_div_diff(x, y, m, s_at) for x in axis] for y in axis]
     segments = []
     for j in range(grid):

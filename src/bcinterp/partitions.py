@@ -161,6 +161,13 @@ class ReverseTableau:
         if tuple(len(r) for r in self.rows) != self.shape:
             raise DomainError("filling does not match the shape")
 
+    @classmethod
+    def _trusted(cls, shape: tuple[int, ...], rows: tuple[tuple[int, ...], ...]):
+        """A tableau from a normal shape and matching tuple rows, unchecked."""
+        tab = object.__new__(cls)
+        tab.shape, tab.rows = shape, rows
+        return tab
+
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
 
@@ -198,7 +205,9 @@ def reverse_tableaux(lam, n: int):
     """Yield every reverse tableau of shape lam with entries in {1..n}.
 
     Yields in lexicographic order of the row-major reading word. The branch
-    bounds are exact, so no partial filling is ever abandoned.
+    bounds are exact, so no partial filling is ever abandoned. Rows are
+    filled one at a time as tuples that the tableaux below them share, so a
+    yielded tableau is neither re-normalized nor copied.
     """
     lam = normalize(lam)
     if n < 0:
@@ -209,25 +218,27 @@ def reverse_tableaux(lam, n: int):
     if len(lam) > n:
         return
     conj = conjugate(lam)
-    order = cells(lam)
-    rows = [[0] * p for p in lam]
 
-    def fill(idx: int):
-        if idx == len(order):
-            yield ReverseTableau(lam, rows)
+    def row_fillings(i: int, above, row):
+        # row i (1-based), filled up to len(row); entries below must fit
+        # strictly beneath, so cell (i, j) is at least conj_j - i + 1
+        j = len(row)
+        if j == lam[i - 1]:
+            yield row
             return
-        i, j = order[idx]
-        hi = n
-        if j > 1:
-            hi = min(hi, rows[i - 1][j - 2])
-        if i > 1:
-            hi = min(hi, rows[i - 2][j - 1] - 1)
-        lo = conj[j - 1] - i + 1  # entries below must fit strictly beneath
-        for v in range(max(lo, 1), hi + 1):
-            rows[i - 1][j - 1] = v
-            yield from fill(idx + 1)
+        hi = min(n, row[-1] if row else n, above[j] - 1 if above else n)
+        for v in range(max(conj[j] - i + 1, 1), hi + 1):
+            yield from row_fillings(i, above, row + (v,))
 
-    yield from fill(0)
+    def fill(rows):
+        i = len(rows) + 1
+        if i > len(lam):
+            yield ReverseTableau._trusted(lam, rows)
+            return
+        for row in row_fillings(i, rows[-1] if rows else None, ()):
+            yield from fill(rows + (row,))
+
+    yield from fill(())
 
 
 # typed: a float tau's (tau, 1) must not share an entry with an equal exact tau

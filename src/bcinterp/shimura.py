@@ -11,10 +11,11 @@ its binary rational); a nan or inf coordinate raises DomainError.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, Frozen, _exact_point, as_exact
+from .exactnum import SIGN_DEADBAND, DomainError, Frozen, _ascending_axis, _exact_point, as_exact
 from .okounkov import (
     Params,
     _compiled_terms,
@@ -40,6 +41,8 @@ __all__ = [
     "in_A_raster",
     "in_square",
     "in_U0_knapp_speh",
+    "in_square_raster",
+    "in_U0_raster",
     "SIGN_DEADBAND",
 ]
 
@@ -227,9 +230,10 @@ def in_A_raster(axis, p: Params, max_weight: int):
 
 
 def in_square(pt, p: Params) -> bool:
-    """The closed box [0, rho_n]^n intersected with the decreasing chamber."""
+    """The closed box [0, rho_n]^n intersected with the decreasing chamber;
+    rho_n = tau * 0 + alpha is read as p.alpha."""
     pt = _exact_point(pt)
-    rho_n = p.rho[p.n - 1]
+    rho_n = p.alpha
     for a, b in zip(pt, pt[1:]):
         if a < b:
             return False
@@ -251,10 +255,7 @@ def in_U0_knapp_speh(pt, b: int) -> bool:
     """
     if b < 0:
         raise DomainError(f"need b >= 0, got {b}")
-    x1, x2 = pt
-    # the type checks, not a call, are what a raster's exact point pays
-    if x1.__class__ is not Fraction or x2.__class__ is not Fraction:
-        x1, x2 = _exact_point(pt)
+    x1, x2 = _exact_point(pt)
     rho2 = Fraction(b + 1, 2)
     in_box = 0 <= x2 <= x1 <= rho2
     if not in_box:
@@ -266,3 +267,54 @@ def in_U0_knapp_speh(pt, b: int) -> bool:
         if x1 - x2 >= j and x1 + x2 <= j + 1 or x1 - x2 == j:
             return True
     return False
+
+
+# The row-range rasters below take an ascending exact axis, so x2 <= x1 in
+# every cell, and each remaining constraint bounds x2 on one side along a
+# row: a row's members are one index range of the axis, found by exact
+# bisection, plus (for U0) a few isolated segment points.
+
+
+def in_square_raster(axis, p: Params):
+    """in_square on the rank-2 raster of an ascending exact axis: yields,
+    for each i, [in_square((axis[i], axis[j]), p) for j <= i]. A row with
+    0 <= x1 <= alpha holds the cells with x2 >= 0; any other row is empty."""
+    if p.n != 2:
+        raise DomainError(f"a raster needs rank 2, got n = {p.n}")
+    axis = _ascending_axis(axis)
+    lo = bisect_left(axis, 0)
+    for i, x1 in enumerate(axis):
+        if 0 <= x1 <= p.alpha:
+            yield [False] * lo + [True] * (i + 1 - lo)
+        else:
+            yield [False] * (i + 1)
+
+
+def in_U0_raster(axis, b: int):
+    """in_U0_knapp_speh on the raster of an ascending exact axis: yields,
+    for each i, [in_U0_knapp_speh((axis[i], axis[j]), b) for j <= i].
+
+    In a row with 0 <= x1 <= rho2 the base triangle is x2 <= 1 - x1 and
+    the shifted triangle j is x2 <= min(x1 - j, j + 1 - x1), so the members
+    are the cells with 0 <= x2 <= the largest of these bounds, plus the
+    cells with x2 == x1 - j >= 0 exactly (the segments).
+    """
+    if b < 0:
+        raise DomainError(f"need b >= 0, got {b}")
+    axis = _ascending_axis(axis)
+    rho2 = Fraction(b + 1, 2)
+    shifts = range(1, (b - 1) // 2 + 1)  # empty for b < 3
+    lo = bisect_left(axis, 0)
+    for i, x1 in enumerate(axis):
+        n = i + 1
+        if not 0 <= x1 <= rho2:
+            yield [False] * n
+            continue
+        bound = max([1 - x1] + [min(x1 - j, j + 1 - x1) for j in shifts])
+        hi = max(lo, bisect_right(axis, bound, 0, n))
+        row = [False] * lo + [True] * (hi - lo) + [False] * (n - hi)
+        for j in shifts:
+            if x1 - j >= 0:
+                for k in range(bisect_left(axis, x1 - j, 0, n), bisect_right(axis, x1 - j, 0, n)):
+                    row[k] = True
+        yield row

@@ -15,7 +15,8 @@ import bcinterp.shimura as shimura
 from bcinterp.exactnum import DomainError
 from bcinterp.cli import main
 from bcinterp.partitions import format_partition
-from bcinterp.shimura import GroupData, group_params, in_A_certified, in_G
+from bcinterp.limits import in_W
+from bcinterp.shimura import GroupData, group_params, in_A_certified, in_G, in_square, in_U0_knapp_speh
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -301,6 +302,36 @@ def test_region_A_G_rows_match_point_tests(capsys, monkeypatch, kind, group, p, 
 
     monkeypatch.setattr(shimura, "_numerator", per_point)
     argv = ["region", "--kind", kind, "--group", group, "--p", str(p), "--grid", str(grid), "--max-weight", str(w)]
+    assert run(capsys, *argv) == (0, "\n".join(want) + "\n", "")
+
+
+# kind, flags, window top, per-point test. Grid 41 puts the U0 segments of
+# 2,2,3 and 2,1,4 (window [0, 4]) on nodes.
+ROW_RANGE_CASES = [
+    *(("U0", f"2,{d},{b}", 0, grid) for d, b, grid in ((2, 3, 41), (1, 4, 41), (3, 0, 21), (4, 7, 33), (1, 6, 12))),
+    *(("square", f"2,{d},{b}", p, grid) for d, b, p, grid in ((2, 0, 0, 21), (1, 3, 1, 17), (4, 2, -3, 12))),
+    *(("W", None, m, grid) for m, grid in ((0, 41), (1, 21), (2, 17), (3, 30))),
+]
+
+
+@pytest.mark.parametrize("kind,group,p,grid", ROW_RANGE_CASES)
+def test_region_row_range_rows_match_point_tests(capsys, kind, group, p, grid):
+    # every row of the U0, square and W rasters against in_U0_knapp_speh,
+    # in_square and in_W called point by point (p is --m for W)
+    if kind == "W":
+        top, test = Fraction(p + 1, 2) + 2, lambda pt: in_W(pt, p)
+        argv = ["region", "--kind", "W", "--m", str(p), "--grid", str(grid)]
+    else:
+        g = GroupData(2, *(int(v) for v in group.split(",")[1:]), p)
+        prm = group_params(g)
+        top = prm.rho[0] + 1
+        test = (lambda pt: in_U0_knapp_speh(pt, g.b)) if kind == "U0" else (lambda pt: in_square(pt, prm))
+        argv = ["region", "--kind", kind, "--group", group, "--p", str(p), "--grid", str(grid)]
+    axis = [top * i / (grid - 1) for i in range(grid)]
+    want = ["x,y,member,witness"]
+    for i, x1 in enumerate(axis):
+        for x2 in axis[: i + 1]:
+            want.append(f"{float(x1):.12g},{float(x2):.12g},{int(test((x1, x2)))},")
     assert run(capsys, *argv) == (0, "\n".join(want) + "\n", "")
 
 

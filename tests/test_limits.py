@@ -19,6 +19,7 @@ from bcinterp.limits import (
     gamma_ratio_partial,
     in_G0_rank2,
     in_W,
+    in_W_raster,
     r_limit,
     r_partial,
     s_m,
@@ -160,6 +161,37 @@ def test_in_W_examples():
     assert not in_W((0.4, 0.3), 0)  # below the square
     assert not in_W((1.6, 0.6), 0)  # past x1 = alpha + 1
     assert in_W((Fraction(5, 4), Fraction(9, 8)), 1)
+
+
+def w_edge_axis(alpha):
+    """An ascending axis with negative values, ints (a tie of 1 and
+    Fraction(1) among them), alpha, alpha + 1 and alpha +- 10^-30."""
+    eps = Fraction(1, 10**30)
+    values = [Fraction(-3, 2), 0, 1, Fraction(1), Fraction(4, 3), 2, 3, alpha - eps, alpha, alpha + eps,
+              alpha + Fraction(1, 7), alpha + Fraction(1, 2), alpha + 1 - eps, alpha + 1, alpha + 1 + eps]
+    return sorted(values)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_in_W_raster_matches_point_tests(m):
+    # the CLI window [0, alpha + 2] at several grids, and the edge axis
+    alpha = Fraction(m + 1, 2)
+    axes = [[(alpha + 2) * i / (grid - 1) for i in range(grid)] for grid in (2, 3, 7, 21, 41)]
+    for axis in axes + [w_edge_axis(alpha)]:
+        rows = list(in_W_raster(axis, m))
+        assert len(rows) == len(axis)
+        for i, row in enumerate(rows):
+            assert row == [in_W((axis[i], x2), m) for x2 in axis[: i + 1]], (m, i)
+    assert any(any(row) for row in rows) and not all(all(row) for row in rows)
+
+
+def test_in_W_raster_needs_an_ascending_exact_axis():
+    with pytest.raises(DomainError, match="exact"):
+        next(in_W_raster([Fraction(1), 1.5], 0))
+    with pytest.raises(DomainError, match="ascending"):
+        next(in_W_raster([Fraction(3, 2), Fraction(1)], 0))
+    with pytest.raises(DomainError, match="nonnegative integer"):
+        next(in_W_raster([Fraction(1)], -1))
 
 
 def test_in_G0_rank2_examples():

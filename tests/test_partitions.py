@@ -8,6 +8,7 @@ from bcinterp.exactnum import DomainError, PoleError, is_exact
 from bcinterp.okounkov import Params, _compiled_terms
 from bcinterp.partitions import _psi_pair
 from bcinterp.partitions import (
+    ReverseTableau,
     arm,
     cells,
     conjugate,
@@ -154,6 +155,43 @@ def test_chain_shapes_nest():
 
 def test_tableau_count_2_1_three_vars():
     assert len(list(reverse_tableaux((2, 1), 3))) == 8
+
+
+def reference_reverse_tableaux(lam, n):
+    """Every reverse tableau of shape lam over {1..n} as its tuple rows, in
+    reading-word order, filled cell by cell with the bounds checked at each
+    cell: the oracle for reverse_tableaux."""
+    rows = [[0] * part for part in lam]
+    order = cells(lam)
+    out = []
+
+    def fill(idx):
+        if idx == len(order):
+            out.append(tuple(map(tuple, rows)))
+            return
+        i, j = order[idx]
+        hi = min(n, rows[i - 1][j - 2] if j > 1 else n, rows[i - 2][j - 1] - 1 if i > 1 else n)
+        lo = max(1, sum(1 for part in lam if part >= j) - i + 1)
+        for v in range(lo, hi + 1):
+            rows[i - 1][j - 1] = v
+            fill(idx + 1)
+
+    fill(0)
+    return out
+
+
+def test_reverse_tableaux_match_the_cell_by_cell_reference():
+    # the same tableaux in the same order, with normal shapes and tuple rows
+    # equal to what the checked constructor makes of them
+    for n, max_weight in ((1, 6), (2, 8), (3, 6), (4, 5)):
+        for lam in enumerate_Lambda(n + 1, max_weight):
+            tabs = list(reverse_tableaux(lam, n))
+            want = reference_reverse_tableaux(lam, n) if len(lam) <= n else []
+            assert [t.rows for t in tabs] == want, (lam, n)
+            for t in tabs:
+                assert t.shape == lam and type(t.shape) is tuple
+                assert all(type(row) is tuple for row in t.rows)
+                assert t == ReverseTableau(lam, t.rows) and t.shape == ReverseTableau(lam, t.rows).shape
 
 
 # ---------------------------------------------------------------- weights

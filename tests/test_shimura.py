@@ -15,7 +15,9 @@ from bcinterp.shimura import (
     in_A_certified,
     in_G,
     in_U0_knapp_speh,
+    in_U0_raster,
     in_square,
+    in_square_raster,
     phi_j,
     q_poly,
     shimura_eigenvalue,
@@ -204,6 +206,73 @@ def test_in_U0_segment_is_exact_at_exact_points():
     assert not in_U0_knapp_speh((float(off[0]), float(off[1])), 3)
     assert Fraction(2.3) - Fraction(1.3) != 1 and not in_U0_knapp_speh((2.3, 1.3), 4)
     assert in_U0_knapp_speh((1.75, 0.75), 3) and in_U0_knapp_speh((2.5, 1.5), 4)
+
+
+def edge_axis(alpha):
+    """An ascending axis with negative values, ints (a tie of 0 and
+    Fraction(0) among them), alpha, alpha + 1, alpha +- 10^-30 and points
+    an integer apart, so that the U0 segments x1 - x2 = j meet nodes."""
+    eps = Fraction(1, 10**30)
+    values = [Fraction(-3, 2), -1, 0, Fraction(0), eps, Fraction(1, 3), Fraction(1, 2), 1, Fraction(4, 3), 2, 3,
+              alpha - 2, alpha - 1, alpha - eps, alpha, alpha + eps, alpha + 1 - eps, alpha + 1, alpha + 1 + eps]
+    return sorted(values)
+
+
+def cli_axis(top, grid):
+    return [top * i / (grid - 1) for i in range(grid)]
+
+
+def assert_rows_match(rows, axis, test):
+    rows = list(rows)
+    assert len(rows) == len(axis)
+    for i, row in enumerate(rows):
+        assert row == [test((axis[i], x2)) for x2 in axis[: i + 1]], (i, axis[i])
+
+
+@pytest.mark.parametrize("b", range(8))
+def test_in_U0_raster_matches_point_tests(b):
+    # the CLI windows of d = 1..4; grid 41 of 2,2,3 and 2,1,4 (top 4) and
+    # grid 33 of 2,2,7 (top 6) put segments x1 - x2 = j on nodes
+    test = lambda pt: in_U0_knapp_speh(pt, b)
+    for d in range(1, 5):
+        top = group_params(GroupData(2, d, b)).rho[0] + 1
+        for grid in (2, 7, 33, 41):
+            assert_rows_match(in_U0_raster(cli_axis(top, grid), b), cli_axis(top, grid), test)
+    axis = edge_axis(Fraction(b + 1, 2))
+    assert_rows_match(in_U0_raster(axis, b), axis, test)
+
+
+def test_in_U0_raster_hits_segment_nodes():
+    # b = 3, d = 2: the window is [0, 4] and grid 41 steps by 1/10, so the
+    # j = 1 segment past its triangle is on the grid: in the row x1 = 17/10
+    # the triangle ends at x2 = 3/10 and the segment holds x2 = 7/10 alone
+    axis = cli_axis(Fraction(4), 41)
+    row = list(in_U0_raster(axis, 3))[17]
+    assert [j for j, member in enumerate(row) if member] == [0, 1, 2, 3, 7]
+
+
+@pytest.mark.parametrize("g", [GroupData(2, 1, 0), GroupData(2, 2, 3), GroupData(2, 4, 1, 1), GroupData(2, 3, 2, -3),
+                               GroupData(2, 6, 0, -3), GroupData(2, 6, 5, 2)])
+def test_in_square_raster_matches_point_tests(g):
+    p = group_params(g)
+    test = lambda pt: in_square(pt, p)
+    for grid in (2, 7, 21):
+        axis = cli_axis(p.rho[0] + 1, grid)
+        assert_rows_match(in_square_raster(axis, p), axis, test)
+    axis = edge_axis(p.alpha)
+    assert_rows_match(in_square_raster(axis, p), axis, test)
+
+
+def test_row_rasters_need_an_ascending_exact_axis():
+    for rows in (lambda axis: in_U0_raster(axis, 3), lambda axis: in_square_raster(axis, P22)):
+        with pytest.raises(DomainError, match="exact"):
+            next(rows([Fraction(0), 0.5]))
+        with pytest.raises(DomainError, match="ascending"):
+            next(rows([Fraction(1), Fraction(1, 2)]))
+    with pytest.raises(DomainError, match="rank 2"):
+        next(in_square_raster([Fraction(1)], group_params(GroupData(3, 1, 1))))
+    with pytest.raises(DomainError, match="b >= 0"):
+        next(in_U0_raster([Fraction(1)], -1))
 
 
 def test_u0_inside_certified_set():
