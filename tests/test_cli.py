@@ -305,7 +305,7 @@ def test_region_A_G_rows_match_point_tests(capsys, monkeypatch, kind, group, p, 
     assert run(capsys, *argv) == (0, "\n".join(want) + "\n", "")
 
 
-# kind, flags, window top, per-point test. Grid 41 puts the U0 segments of
+# kind, group, --p (--m for W), grid. Grid 41 puts the U0 segments of
 # 2,2,3 and 2,1,4 (window [0, 4]) on nodes.
 ROW_RANGE_CASES = [
     *(("U0", f"2,{d},{b}", 0, grid) for d, b, grid in ((2, 3, 41), (1, 4, 41), (3, 0, 21), (4, 7, 33), (1, 6, 12))),
