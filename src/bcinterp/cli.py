@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .exactnum import DomainError, PoleError
 from .limits import (
+    _contour_step,
     contour_to_csv,
     crossing_equation,
     crossing_point,
@@ -380,8 +381,7 @@ def cmd_region(args):
 def cmd_contour(args):
     if args.m < 0:
         raise DomainError(f"need m >= 0, got {args.m}")
-    if args.grid < 16:
-        raise DomainError(f"need grid >= 16, got {args.grid}")
+    _contour_step(args.grid)
     return lambda: (contour_to_csv(trace_contour(args.m, args.grid)), 0)
 
 

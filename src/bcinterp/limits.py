@@ -49,8 +49,14 @@ class ContourPolyline(Frozen):
 
 def gamma_ratio_identity(a, b, c, d) -> float:
     """Value of the infinite product prod_n (n+a)(n+b)/((n+c)(n+d)) under
-    the balance condition a+b = c+d, namely Gamma(c)Gamma(d)/(Gamma(a)Gamma(b))."""
-    if abs(float(a) + float(b) - float(c) - float(d)) > 1e-12:
+    the balance condition a+b = c+d, namely Gamma(c)Gamma(d)/(Gamma(a)Gamma(b)).
+    The balance is decided exactly when all four inputs are exact, and to
+    within 1e-12 of the float sums otherwise."""
+    if all(is_exact(v) for v in (a, b, c, d)):
+        unbalanced = a + b != c + d
+    else:
+        unbalanced = abs(float(a) + float(b) - float(c) - float(d)) > 1e-12
+    if unbalanced:
         raise DomainError(f"parameters must balance: a+b = c+d, got {a}+{b} vs {c}+{d}")
     lc, sc = log_gamma(float(c))
     ld, sd = log_gamma(float(d))
@@ -286,6 +292,10 @@ def crossing_point(m: int) -> float:
 
 
 _CONTOUR_BOX = 1.2
+# the finest contour grid: every axis gap, h = 1.2/grid less rounding, stays
+# above _DIAG_SWITCH, which the node signs of _inside_rows rely on (half the
+# grid where h would reach _DIAG_SWITCH itself)
+_CONTOUR_MAX_GRID = int(_CONTOUR_BOX / (2 * _DIAG_SWITCH))
 
 
 def _march_cell(x0, x1, y0, y1, f00, f10, f11, f01, fmid):
@@ -335,25 +345,24 @@ def _key(p):
 
 def _join_segments(segments):
     """Chain shared endpoints into polylines; deterministic ordering."""
+    keys = [(_key(a), _key(b)) for a, b in segments]
     adj = {}
-    for idx, (a, b) in enumerate(segments):
-        adj.setdefault(_key(a), []).append(idx)
-        adj.setdefault(_key(b), []).append(idx)
+    for idx, (ka, kb) in enumerate(keys):
+        adj.setdefault(ka, []).append(idx)
+        adj.setdefault(kb, []).append(idx)
     used = [False] * len(segments)
 
-    def walk(start_idx, start_point):
-        chain = [start_point]
-        idx = start_idx
-        point = start_point
+    def walk(idx, point, key):
+        chain = [point]
         while True:
             used[idx] = True
+            ka, kb = keys[idx]
             a, b = segments[idx]
-            point = b if _key(a) == _key(point) else a
+            point, key = (b, kb) if ka == key else (a, ka)
             chain.append(point)
-            nxt = [j for j in adj.get(_key(point), ()) if not used[j]]
-            if not nxt:
+            idx = next((j for j in adj[key] if not used[j]), None)
+            if idx is None:
                 return chain
-            idx = nxt[0]
 
     open_ends = sorted(
         (k, idxs[0]) for k, idxs in adj.items() if len(idxs) == 1
@@ -363,38 +372,87 @@ def _join_segments(segments):
         if used[idx]:
             continue
         a, b = segments[idx]
-        start = a if _key(a) == k else b
-        out.append(walk(idx, start))
+        out.append(walk(idx, a if keys[idx][0] == k else b, k))
     for idx in range(len(segments)):  # remaining closed loops
         if used[idx]:
             continue
-        out.append(walk(idx, segments[idx][0]))
+        out.append(walk(idx, segments[idx][0], keys[idx][0]))
     out.sort(key=lambda ch: _key(ch[0]))
     return out
+
+
+def _contour_step(grid) -> float:
+    """The node spacing h = 1.2/grid of trace_contour, after checking that
+    grid is an integer in [16, _CONTOUR_MAX_GRID]; DomainError otherwise."""
+    if not isinstance(grid, int) or not 16 <= grid <= _CONTOUR_MAX_GRID:
+        raise DomainError(f"grid must be an integer in [16, {_CONTOUR_MAX_GRID}], got {grid}")
+    return _CONTOUR_BOX / grid
+
+
+def _inside_rows(axis, m: int, s_at):
+    """The inside nodes of trace_contour as one bitmask per row: for
+    j = 0, 1, ..., bit i of the j-th mask is set when
+    _div_diff(axis[i], axis[j], m, s_at) <= 0.
+
+    axis is strictly increasing, with every gap above _DIAG_SWITCH. So off
+    the diagonal the node value is fl(fl(s_i - s_j) / fl(x_i - x_j)), with
+    s_i = s_at(axis[i]): the denominator is nonzero with the sign of i - j,
+    and |denominator| <= 1.2, so the quotient is 0 (or -0.0) exactly when
+    s_i == s_j and has the sign of s_i - s_j otherwise. The node is thus
+    inside when i < j and s_i >= s_j, or i > j and s_i <= s_j. Each row
+    takes two bisections of the sorted table, which index prefix masks over
+    the sort order. The diagonal node is s_m'(axis[j]), from _div_diff.
+    """
+    s = [s_at(t) for t in axis]
+    order = sorted(range(len(s)), key=s.__getitem__)
+    ascending = [s[i] for i in order]
+    prefix = [0]  # prefix[k]: the indices of the k smallest s values
+    for i in order:
+        prefix.append(prefix[-1] | 1 << i)
+    full = prefix[-1]
+    for j, y in enumerate(axis):
+        below = (1 << j) - 1
+        above = full ^ below ^ 1 << j
+        at_least = full ^ prefix[bisect_left(ascending, s[j])]
+        at_most = prefix[bisect_right(ascending, s[j])]
+        yield (at_least & below) | (at_most & above) | (_div_diff(y, y, m, s_at) <= 0) << j
 
 
 def trace_contour(m: int, grid: int):
     """Marching-squares trace of the zero level of (x, y) -> S_div(x, y, m)
     over [0, 1.2]^2. Returns the connected components as ContourPolyline
-    objects, ordered by starting point."""
-    if not isinstance(grid, int) or grid < 16:
-        raise DomainError(f"grid must be an integer >= 16, got {grid}")
-    h = _CONTOUR_BOX / grid
-    # node (i, j) is S_div(i*h, j*h, m), from one s_m per grid line
+    objects, ordered by starting point.
+
+    Nodes are signed a row at a time from the s_m table (_inside_rows); only
+    the cells whose four corners do not all share a sign evaluate their
+    corners and centre and go to _march_cell, in row-major order. The node
+    signs assume every axis gap h = 1.2/grid is above _DIAG_SWITCH, so a
+    grid above _CONTOUR_MAX_GRID raises DomainError, as does one below 16.
+    """
+    h = _contour_step(grid)
     axis = [i * h for i in range(grid + 1)]
     s_at = _s_table(axis, m)
-    nodes = [[_div_diff(x, y, m, s_at) for x in axis] for y in axis]
+    cells = (1 << grid) - 1
     segments = []
-    for j in range(grid):
-        y0, y1 = j * h, (j + 1) * h
-        for i in range(grid):
-            x0, x1 = i * h, (i + 1) * h
-            f00, f10 = nodes[j][i], nodes[j][i + 1]
-            f01, f11 = nodes[j + 1][i], nodes[j + 1][i + 1]
-            if (f00 <= 0) == (f10 <= 0) == (f11 <= 0) == (f01 <= 0):
-                continue
+    rows = _inside_rows(axis, m, s_at)
+    bottom = next(rows)
+    for j, top in enumerate(rows):
+        # cell i changes sign when nodes i, i+1 of rows j, j+1 are not all alike
+        vertical = bottom ^ top
+        marked = ((bottom ^ bottom >> 1) | (top ^ top >> 1) | vertical | vertical >> 1) & cells
+        y0, y1 = axis[j], axis[j + 1]
+        while marked:
+            low = marked & -marked
+            marked ^= low
+            i = low.bit_length() - 1
+            x0, x1 = axis[i], axis[i + 1]
+            f00 = _div_diff(x0, y0, m, s_at)
+            f10 = _div_diff(x1, y0, m, s_at)
+            f01 = _div_diff(x0, y1, m, s_at)
+            f11 = _div_diff(x1, y1, m, s_at)
             fmid = S_div((x0 + x1) / 2.0, (y0 + y1) / 2.0, m)
             segments.extend(_march_cell(x0, x1, y0, y1, f00, f10, f11, f01, fmid))
+        bottom = top
     return [ContourPolyline(tuple(chain)) for chain in _join_segments(segments)]
 
 

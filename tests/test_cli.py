@@ -501,6 +501,8 @@ def test_contour_unwritable_out(capsys):
 def test_contour_usage_errors(capsys):
     assert run(capsys, "contour", "--m", "0", "--grid", "8")[0] == 2
     assert run(capsys, "contour", "--m", "-1")[0] == 2
+    # past the finest grid the node signs can rely on
+    assert run(capsys, "contour", "--m", "0", "--grid", "60000001")[0] == 2
 
 
 def test_crossing_m0(capsys):

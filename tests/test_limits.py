@@ -47,6 +47,19 @@ def test_gamma_ratio_identity_needs_balance():
         gamma_ratio_identity(1.0, 1.0, 1.0, 1.5)
 
 
+def test_gamma_ratio_identity_exact_balance():
+    # exactly balanced, yet the float sums differ by about 3.6e-12
+    args = (Fraction(294056, 27), Fraction(984971, 28), Fraction(795782, 31), Fraction(478050143, 23436))
+    assert args[0] + args[1] == args[2] + args[3]
+    assert abs(float(args[0]) + float(args[1]) - float(args[2]) - float(args[3])) > 1e-12
+    assert math.isfinite(gamma_ratio_identity(*args))
+    # exact inputs off balance by less than the float tolerance still raise
+    with pytest.raises(DomainError):
+        gamma_ratio_identity(Fraction(1), Fraction(1), Fraction(1), Fraction(1) + Fraction(1, 10**15))
+    # a float input keeps the float rule
+    assert gamma_ratio_identity(1.0, Fraction(1), 1, 1.0 + 1e-13) > 0
+
+
 def test_gamma_ratio_partial_converges():
     args = (0.75, 1.75, 1.25, 1.25)
     exact = gamma_ratio_identity(*args)
@@ -366,10 +379,55 @@ def test_certified_witnesses_track_the_limit_region():
             assert in_A_certified(pt, p, 20).member, (m, pt)
 
 
-def _trace_contour_reference(m, grid):
-    """trace_contour with the node table built by S_div at every node."""
+def _join_segments_per_step(segments):
+    """_join_segments as it was before each endpoint's key was computed once:
+    every step of a walk recomputes _key."""
+    _key = limits._key
+    adj = {}
+    for idx, (a, b) in enumerate(segments):
+        adj.setdefault(_key(a), []).append(idx)
+        adj.setdefault(_key(b), []).append(idx)
+    used = [False] * len(segments)
+
+    def walk(start_idx, start_point):
+        chain = [start_point]
+        idx = start_idx
+        point = start_point
+        while True:
+            used[idx] = True
+            a, b = segments[idx]
+            point = b if _key(a) == _key(point) else a
+            chain.append(point)
+            nxt = [j for j in adj.get(_key(point), ()) if not used[j]]
+            if not nxt:
+                return chain
+            idx = nxt[0]
+
+    open_ends = sorted((k, idxs[0]) for k, idxs in adj.items() if len(idxs) == 1)
+    out = []
+    for k, idx in open_ends:
+        if used[idx]:
+            continue
+        a, b = segments[idx]
+        out.append(walk(idx, a if _key(a) == k else b))
+    for idx in range(len(segments)):
+        if used[idx]:
+            continue
+        out.append(walk(idx, segments[idx][0]))
+    out.sort(key=lambda ch: _key(ch[0]))
+    return out
+
+
+def _trace_contour_all_nodes(m, grid, node=None):
+    """trace_contour as a cell-by-cell loop over all (grid+1)^2 node values,
+    node(x, y) (by default _div_diff on one s_m table), joined by
+    _join_segments_per_step."""
     h = limits._CONTOUR_BOX / grid
-    nodes = [[S_div(i * h, j * h, m) for i in range(grid + 1)] for j in range(grid + 1)]
+    axis = [i * h for i in range(grid + 1)]
+    if node is None:
+        s_at = limits._s_table(axis, m)
+        node = lambda x, y: limits._div_diff(x, y, m, s_at)  # noqa: E731
+    nodes = [[node(x, y) for x in axis] for y in axis]
     segments = []
     for j in range(grid):
         y0, y1 = j * h, (j + 1) * h
@@ -381,11 +439,56 @@ def _trace_contour_reference(m, grid):
                 continue
             fmid = S_div((x0 + x1) / 2.0, (y0 + y1) / 2.0, m)
             segments.extend(limits._march_cell(x0, x1, y0, y1, f00, f10, f11, f01, fmid))
-    return [ContourPolyline(tuple(chain)) for chain in limits._join_segments(segments)]
+    return [ContourPolyline(tuple(chain)) for chain in _join_segments_per_step(segments)]
 
 
 def test_trace_contour_matches_S_div_at_every_node():
     # the diagonal nodes i = j take the s_m_prime branch in every grid
     for m in range(5):
         for grid in (16, 37, 96, 120):
-            assert trace_contour(m, grid) == _trace_contour_reference(m, grid), (m, grid)
+            want = _trace_contour_all_nodes(m, grid, lambda x, y: S_div(x, y, m))
+            assert trace_contour(m, grid) == want, (m, grid)
+
+
+# 300, 312, 321 and 348 are the benchmark's contour grids
+_ORACLE_GRIDS = (16, 17, 24, 36, 48, 96, 300, 312, 321, 348)
+
+
+def test_trace_contour_csv_matches_all_nodes_tracer():
+    # t = 1.0 lies on the axis of grids 36, 300 and 348, where s_m has ties
+    assert 1.0 in [i * (limits._CONTOUR_BOX / 36) for i in range(37)]
+    for m in range(6):
+        for grid in _ORACLE_GRIDS:
+            want = contour_to_csv(_trace_contour_all_nodes(m, grid))
+            assert contour_to_csv(trace_contour(m, grid)) == want, (m, grid)
+
+
+@pytest.mark.parametrize("grid", [36, 348])
+def test_inside_rows_sign_every_node(grid):
+    h = limits._contour_step(grid)
+    axis = [i * h for i in range(grid + 1)]
+    for m in range(6):
+        s_at = limits._s_table(axis, m)
+        if m == 0:  # the tied table values take the s_i == s_j branch
+            assert len({s_at(t) for t in axis}) < len(axis)
+        rows = list(limits._inside_rows(axis, m, s_at))
+        assert len(rows) == grid + 1
+        for j, (y, row) in enumerate(zip(axis, rows)):
+            want = sum((limits._div_diff(x, y, m, s_at) <= 0) << i for i, x in enumerate(axis))
+            assert row == want, (m, grid, j)
+
+
+def test_join_segments_matches_per_step_keys():
+    # closed loops, open chains and a shared vertex, in a scrambled order
+    square = [((0.0, 0.0), (1.0, 0.0)), ((1.0, 1.0), (1.0, 0.0)), ((1.0, 1.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, 1.0))]
+    chain = [((2.0, 0.5), (3.0, 0.5)), ((4.0, 0.25), (3.0, 0.5)), ((2.0, 0.5), (2.0, -1.0))]
+    segments = [chain[1], square[2], chain[0], square[0], square[3], chain[2], square[1]]
+    assert limits._join_segments(segments) == _join_segments_per_step(segments)
+
+
+def test_trace_contour_grid_bound():
+    top = limits._CONTOUR_MAX_GRID
+    assert limits._CONTOUR_BOX / top >= 2 * limits._DIAG_SWITCH
+    for grid in (top + 1, 10**12, 16.0):
+        with pytest.raises(DomainError):
+            trace_contour(0, grid)
