@@ -111,8 +111,8 @@ def r_limit(t, alpha) -> float:
 
 
 def s_m(t, m: int) -> float:
-    """sin(pi t) / ((t+1)...(t+m)); exactly 0.0 at integer t outside the
-    pole set {-1, ..., -m}."""
+    """sin(pi t) / g(t), g(t) = (t+1)...(t+m); exactly 0.0 at integer t
+    outside the pole set {-1, ..., -m}. DomainError where g overflows."""
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m}")
     tf = float(t)
@@ -124,12 +124,15 @@ def s_m(t, m: int) -> float:
     den = 1.0
     for i in range(1, m + 1):
         den *= tf + i
+    if not math.isfinite(den):
+        raise DomainError(f"(t+1)...(t+m) overflows a float at t = {t}, m = {m}")
     return math.sin(math.pi * tf) / den
 
 
 def s_m_prime(t, m: int) -> float:
-    """Derivative of s_m by the quotient rule, with g(t) = (t+1)...(t+m):
-    (pi cos(pi t) g - sin(pi t) g') / g^2."""
+    """Derivative of s_m: (pi cos(pi t) - sin(pi t) g'(t)/g(t)) / g(t), with
+    g'/g = sum 1/(t+i), so g is never squared. DomainError where g
+    overflows."""
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m}")
     tf = float(t)
@@ -140,8 +143,9 @@ def s_m_prime(t, m: int) -> float:
             raise PoleError(f"t = {tf} is a zero of the denominator")
         g *= tf + i
         dsum += 1.0 / (tf + i)
-    gprime = g * dsum
-    return (math.pi * math.cos(math.pi * tf) * g - math.sin(math.pi * tf) * gprime) / (g * g)
+    if not math.isfinite(g):
+        raise DomainError(f"(t+1)...(t+m) overflows a float at t = {t}, m = {m}")
+    return (math.pi * math.cos(math.pi * tf) - math.sin(math.pi * tf) * dsum) / g
 
 
 def _div_diff(xf: float, yf: float, m: int, s) -> float:

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import DomainError, PoleError, is_exact
+from .exactnum import DomainError, PoleError, as_exact
 
 Cell = tuple[int, int]
 
@@ -241,13 +241,12 @@ def reverse_tableaux(lam, n: int):
     yield from fill(())
 
 
-# typed: a float tau's (tau, 1) must not share an entry with an equal exact tau
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _psi_pair(lam: tuple[int, ...], mu: tuple[int, ...], tn, td):
     """psi_skew(lam, mu, tn / td) as (num, den), memoized, for normalized
     lam containing mu. The cells (i, j) of mu that count have lam_i > mu_i
     and equal j-th columns (equal legs). With tau = tn / td a b-factor is
-    (tn l + td a + tn) / (tn l + td a + td); a float tau has td = 1."""
+    (tn l + td a + tn) / (tn l + td a + td)."""
     lam_cols = conjugate(lam)
     mu_cols = conjugate(mu)
     num = den = 1
@@ -271,7 +270,8 @@ def psi_skew(lam, mu, tau):
     Product over cells s of mu whose lam-arm strictly exceeds the mu-arm
     while the legs agree, of b_mu(s) / b_lam(s) with
     b_nu(s) = (tau l(s) + a(s) + tau) / (tau l(s) + a(s) + 1), computed in
-    integers: a Fraction for exact tau, a float for a float tau.
+    integers as a Fraction. tau must be exact, as in Params; a float tau
+    raises DomainError.
     """
     lam = normalize(lam)
     mu = normalize(mu)
@@ -287,10 +287,8 @@ def psi_tableau(tab: ReverseTableau, tau):
 
 
 def _psi(steps, tau):
-    """The product of psi_skew over the (outer, inner) steps: for exact tau
-    one Fraction of the multiplied-out pairs of _psi_pair, for a float tau
-    the product of their quotients."""
-    if is_exact(tau):
-        pairs = [_psi_pair(*step, tau.numerator, tau.denominator) for step in steps]
-        return Fraction(math.prod(num for num, _ in pairs), math.prod(den for _, den in pairs))
-    return math.prod((num / den for num, den in (_psi_pair(*step, tau, 1) for step in steps)), start=1.0)
+    """The product of psi_skew over the (outer, inner) steps, one Fraction of
+    the multiplied-out pairs of _psi_pair; DomainError unless tau is exact."""
+    tau = as_exact(tau)
+    pairs = [_psi_pair(*step, tau.numerator, tau.denominator) for step in steps]
+    return Fraction(math.prod(num for num, _ in pairs), math.prod(den for _, den in pairs))

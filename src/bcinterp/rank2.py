@@ -1,9 +1,10 @@
-"""Rank-2 hypergeometric machinery: the closed q_{(m1,m2)} formula, the
-boundary series R, its Gamma closed form at b=0, the telescoped midpoint
-value, and the three-test region decision.
+"""Rank-2 hypergeometric machinery: the closed q_{(m1,m2)} formula, a
+Pochhammer prefactor times an exact terminating hypergeometric sum
+(hyp_sum); the boundary series R, its Gamma closed form at b=0, the
+telescoped midpoint value, and the three-test region decision.
 
-The series ops are the only place in the package where truncation error
-exists. The region decision in_B does not rest on a truncated value: it
+The boundary series ops are the only place in the package where truncation
+error exists. The region decision in_B does not rest on a truncated value: it
 signs the boundary series from a proven enclosure (_R_enclosure), a partial
 sum plus a Raabe-type bound on the tail with the float roundoff counted in
 the radius. rho itself is a member by an exact rule, and only a point the
@@ -17,12 +18,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, PoleError, _exact_point, as_exact, is_exact, log_gamma, poch_pm
+from .exactnum import SIGN_DEADBAND, DomainError, PoleError, _exact_point, as_exact, log_gamma, poch_pm
 from .okounkov import Params
 from .shimura import _first_negative, _signed_columns, in_G_raster
 
 __all__ = [
-    "HypSeriesSpec",
     "Rank2Regions",
     "hyp_sum",
     "q_rank2",
@@ -37,8 +37,6 @@ __all__ = [
 # Unit roundoff of IEEE double precision.
 _UNIT_ROUNDOFF = 2.0**-53
 
-HYP_MAX_TERMS = 100000
-HYP_TERM_TOL = 1e-14
 _R_MAX_TERMS = 400000
 # _R_enclosure sums at least _ENCLOSURE_START terms and doubles the count
 # up to _ENCLOSURE_MAX while its interval still contains 0.
@@ -52,91 +50,48 @@ _CUBIC_MARGIN = 16 * _UNIT_ROUNDOFF
 _SIGMA_GAP = 2.0**-20
 
 
-class HypSeriesSpec:
-    """A hypergeometric sum at unit argument: sum_k prod(upper)_k /
-    (prod(lower)_k k!), optionally truncated at k = truncation inclusive."""
+def hyp_sum(upper, lower, truncation: int) -> Fraction:
+    """The terminating hypergeometric sum at unit argument
+    sum_{k <= truncation} prod(upper)_k / (prod(lower)_k k!), in exact
+    arithmetic: every parameter must be exact and truncation a nonnegative
+    integer, or DomainError is raised.
 
-    __slots__ = ("upper", "lower", "truncation")
-
-    def __init__(self, upper, lower, truncation: int | None = None):
-        if truncation is not None and truncation < 0:
-            raise DomainError(f"truncation must be nonnegative, got {truncation}")
-        self.upper = tuple(upper)
-        self.lower = tuple(lower)
-        self.truncation = truncation
-
-
-def _nonpos_int_bound(v):
-    """-v when v is a nonpositive integer (the index where (v)_k dies), else None."""
-    if is_exact(v):
-        v = as_exact(v)
-        if v <= 0 and v.denominator == 1:
-            return int(-v)
-        return None
-    f = float(v)
-    if f <= 0.0 and f == math.floor(f):
-        return int(-f)
-    return None
-
-
-def hyp_sum(spec: HypSeriesSpec):
-    """Evaluate the series. Exact (Fraction) for truncated sums with exact
-    parameters; float otherwise, iterating until |term| < 1e-14 (1 + |sum|)
-    or 100000 terms, whichever first.
-
-    A nonpositive-integer upper parameter terminates the series there; a
-    lower parameter reaching zero earlier, with a live term, is a pole.
+    The sum stops at its first zero term, where a nonpositive-integer upper
+    parameter terminates the series; a lower parameter reaching zero under
+    a live term is a pole (PoleError).
     """
-    upper, lower = spec.upper, spec.lower
-    bounds = [b for b in (_nonpos_int_bound(u) for u in upper) if b is not None]
-    term_bound = min(bounds) if bounds else None
-    if spec.truncation is None and term_bound is None:
-        if len(upper) > len(lower) + 1:
-            raise DomainError("series diverges: too many upper parameters")
-        if len(upper) == len(lower) + 1:
-            gap = sum(lower) - sum(upper)
-            if not gap > 0:
-                raise DomainError(f"series diverges: parameter excess {gap} is not positive")
-
-    exact = spec.truncation is not None and all(is_exact(v) for v in upper + lower)
-    if exact:
-        term = Fraction(1)
-        total = Fraction(0)
-    else:
-        upper = tuple(float(v) for v in upper)
-        lower = tuple(float(v) for v in lower)
-        term = 1.0
-        total = 0.0
-
-    last = spec.truncation if spec.truncation is not None else HYP_MAX_TERMS
-    if term_bound is not None:
-        last = min(last, term_bound)
-    k = 0
-    while True:
-        total = total + term
-        if k >= last:
-            break
+    if not isinstance(truncation, int) or truncation < 0:
+        raise DomainError(f"truncation must be a nonnegative integer, got {truncation!r}")
+    upper = [as_exact(v) for v in upper]
+    lower = [as_exact(v) for v in lower]
+    term = total = Fraction(1)
+    for k in range(truncation):
         num = term
         for u in upper:
-            num = num * (u + k)
-        den = 1
+            num *= u + k
+        if num == 0:
+            break
+        den = k + 1
         for l in lower:
-            den = den * (l + k)
-        den = den * (k + 1)
+            den *= l + k
         if den == 0:
-            if num == 0:
-                term = num  # dead series; loop exits via the zero-term check
-            else:
-                raise PoleError(f"lower parameter hits zero at term {k + 1}")
-        else:
-            term = num / den if not exact else Fraction(num) / Fraction(den)
-        k += 1
-        if term == 0:
-            break
-        if spec.truncation is None and abs(term) < HYP_TERM_TOL * (1 + abs(total)):
-            total = total + term
-            break
+            raise PoleError(f"lower parameter hits zero at term {k + 1}")
+        term = num / den
+        total += term
     return total
+
+
+def _q_setup(m1: int, m2: int, pt, rho):
+    """What q_rank2 and q_rank2_partial_d2 share, after the check
+    m1 >= m2 >= 0: rho1, rho2, x1, x2 as exact values, M = m1 - m2 and the
+    Pochhammer prefactor (alpha±x1)_{m2} (alpha±x2)_{m2} (m2+rho1±x1)_M,
+    alpha = rho2."""
+    if m1 < m2 or m2 < 0:
+        raise DomainError(f"need m1 >= m2 >= 0, got ({m1}, {m2})")
+    r1, r2, x1, x2 = map(as_exact, (rho[0], rho[1], pt[0], pt[1]))
+    big_m = m1 - m2
+    pref = poch_pm(r2, x1, m2) * poch_pm(r2, x2, m2) * poch_pm(m2 + r1, x1, big_m)
+    return r1, r2, x1, x2, big_m, pref
 
 
 def q_rank2(m1: int, m2: int, pt, d: int, rho):
@@ -146,52 +101,23 @@ def q_rank2(m1: int, m2: int, pt, d: int, rho):
     Requires rho1 - rho2 = d/2 (the rank-2 parameter dictionary with
     alpha = rho2). Exact on rational points.
     """
-    if m1 < m2 or m2 < 0:
-        raise DomainError(f"need m1 >= m2 >= 0, got ({m1}, {m2})")
     if not isinstance(d, int) or d < 1:
         raise DomainError(f"d must be a positive integer, got {d}")
-    r1 = as_exact(rho[0])
-    r2 = as_exact(rho[1])
+    r1, r2, x1, x2, big_m, pref = _q_setup(m1, m2, pt, rho)
     half = Fraction(d, 2)
     if r1 - r2 != half:
         raise DomainError(f"rho must satisfy rho1 - rho2 = d/2, got {r1} - {r2} != {half}")
-    x1 = as_exact(pt[0])
-    x2 = as_exact(pt[1])
-    alpha = r2
-    big_m = m1 - m2
-    pref = poch_pm(alpha, x1, m2) * poch_pm(alpha, x2, m2) * poch_pm(m2 + r1, x1, big_m)
-    series = hyp_sum(
-        HypSeriesSpec(
-            upper=(Fraction(-big_m), m2 + alpha + x2, m2 + alpha - x2, half),
-            lower=(1 - big_m - half, m2 + r1 + x1, m2 + r1 - x1),
-            truncation=big_m,
-        )
-    )
-    return pref * series
+    upper = (-big_m, m2 + r2 + x2, m2 + r2 - x2, half)
+    return pref * hyp_sum(upper, (1 - big_m - half, m2 + r1 + x1, m2 + r1 - x1), big_m)
 
 
 def q_rank2_partial_d2(m1: int, m2: int, pt, rho):
     """The d=2 rewrite: same prefactor times the (m1-m2)-th partial sum of
     the series with upper (m2+alpha±x2, 1) and lower (m2+rho1±x1)."""
-    if m1 < m2 or m2 < 0:
-        raise DomainError(f"need m1 >= m2 >= 0, got ({m1}, {m2})")
-    r1 = as_exact(rho[0])
-    r2 = as_exact(rho[1])
+    r1, r2, x1, x2, big_m, pref = _q_setup(m1, m2, pt, rho)
     if r1 - r2 != 1:
         raise DomainError(f"d=2 form needs rho1 - rho2 = 1, got {r1} - {r2}")
-    x1 = as_exact(pt[0])
-    x2 = as_exact(pt[1])
-    alpha = r2
-    big_m = m1 - m2
-    pref = poch_pm(alpha, x1, m2) * poch_pm(alpha, x2, m2) * poch_pm(m2 + r1, x1, big_m)
-    series = hyp_sum(
-        HypSeriesSpec(
-            upper=(m2 + alpha + x2, m2 + alpha - x2, Fraction(1)),
-            lower=(m2 + r1 + x1, m2 + r1 - x1),
-            truncation=big_m,
-        )
-    )
-    return pref * series
+    return pref * hyp_sum((m2 + r2 + x2, m2 + r2 - x2, 1), (m2 + r1 + x1, m2 + r1 - x1), big_m)
 
 
 def _R_parameters(pt, d: int, rho, lower=None):

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, Frozen, _ascending_axis, _exact_point, as_exact
+from .exactnum import DomainError, Frozen, _ascending_axis, _exact_point, as_exact
 from .okounkov import (
     Params,
     _compiled_terms,
@@ -43,7 +43,6 @@ __all__ = [
     "in_U0_knapp_speh",
     "in_square_raster",
     "in_U0_raster",
-    "SIGN_DEADBAND",
 ]
 
 class GroupData(Frozen):

@@ -364,15 +364,22 @@ def _perfbench_module(name):
     return module
 
 
+def _benchmark_references():
+    """The benchmark's commands, its checker and its recorded references,
+    read only."""
+    workloads, check = _perfbench_module("workloads"), _perfbench_module("check")
+    with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
+        refs = json.load(fh)
+    return workloads.all_commands(), check, refs
+
+
 def test_exact_rasters_match_benchmark_references(capsys, monkeypatch):
     # every region raster the benchmark runs against its recorded reference,
     # by the benchmark's own checker: A, G and U0 byte for byte, the
     # float-decided rank2-B and W by rows and flags. Every point that
     # reaches a polynomial sign decision on the way is exact
-    workloads, check = _perfbench_module("workloads"), _perfbench_module("check")
-    with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
-        refs = json.load(fh)
-    argvs = [a for a in workloads.all_commands() if a[0] == "region"]
+    commands, check, refs = _benchmark_references()
+    argvs = [a for a in commands if a[0] == "region"]
     assert len(argvs) == 52
     assert {a[a.index("--kind") + 1] for a in argvs} == {"A", "G", "U0", "rank2-B", "W"}
     reached, inexact = Counter(), []
@@ -394,6 +401,19 @@ def test_exact_rasters_match_benchmark_references(capsys, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert check.check(refs[" ".join(argv)], code, out.encode()) is None, argv
     assert reached["_past_gates"] > 0 and inexact == []
+
+
+def test_other_commands_match_benchmark_references(capsys):
+    # every command the benchmark runs besides the rasters (every verify
+    # suite, expand, eval, eigenvalue, contour and crossing) against its
+    # recorded reference, by the benchmark's own checker
+    commands, check, refs = _benchmark_references()
+    argvs = [a for a in commands if a[0] != "region"]
+    assert len(argvs) == 56
+    assert {a[0] for a in argvs} == {"verify", "expand", "eval", "eigenvalue", "contour", "crossing"}
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        assert check.check(refs[" ".join(argv)], code, out.encode()) is None, argv
 
 
 def test_region_W_window(capsys):
@@ -503,6 +523,14 @@ def test_contour_usage_errors(capsys):
     assert run(capsys, "contour", "--m", "-1")[0] == 2
     # past the finest grid the node signs can rely on
     assert run(capsys, "contour", "--m", "0", "--grid", "60000001")[0] == 2
+
+
+@pytest.mark.parametrize("argv", ["contour --m 170 --grid 16", "region --kind W --m 170 --grid 200"])
+def test_overflowing_s_m_is_a_domain_error(capsys, argv):
+    # (t+1)...(t+170) overflows a float inside the window: one error line
+    code, out, err = run(capsys, *shlex.split(argv))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_crossing_m0(capsys):

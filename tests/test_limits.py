@@ -148,6 +148,22 @@ def test_s_m_prime_matches_difference_quotient():
             assert abs(s_m_prime(t, m) - num) < 1e-8
 
 
+def test_s_m_prime_at_m_100_matches_mpmath():
+    # g = (t+1)...(t+100) is about 1e158 here, so g*g would overflow; the
+    # derivative itself is of order 1e-159
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for t in (0.1, 0.5, 1.1):
+            want = mp.diff(lambda u: mp.sin(mp.pi * u) / mp.fprod(u + i for i in range(1, 101)), mp.mpf(t))
+            assert abs(s_m_prime(t, 100) - want) <= 1e-12 * abs(want)
+
+
+def test_s_m_and_s_m_prime_reject_an_overflowing_denominator():
+    for f in (s_m, s_m_prime):
+        with pytest.raises(DomainError, match="overflows"):
+            f(1.2, 170)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     x=st.floats(min_value=0.0, max_value=1.2, allow_nan=False),

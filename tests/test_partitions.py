@@ -235,8 +235,8 @@ def test_psi_skew_requires_containment():
 
 
 def reference_psi_skew(lam, mu, tau):
-    """The branching weight in Fraction (or float) arithmetic, cell by cell
-    through arm and leg: the test oracle for the integer psi_skew."""
+    """The branching weight in Fraction arithmetic, cell by cell through arm
+    and leg: the test oracle for the integer psi_skew."""
     num = tau ** 0
     den = tau ** 0
     for s in cells(mu):
@@ -249,13 +249,16 @@ def reference_psi_skew(lam, mu, tau):
                 raise PoleError(f"branching weight has a pole at cell {s}")
             num = num * (mu_num * lam_den)
             den = den * (mu_den * lam_num)
-    if is_exact(num) and is_exact(den):
-        return Fraction(num) / Fraction(den)
     return num / den
 
 
 @pytest.mark.parametrize("tau", [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), 0.7])
 def test_psi_matches_the_fraction_reference_at_rank_up_to_4(tau):
+    if not is_exact(tau):
+        # no Params holds a float tau, and the branching weights take none
+        with pytest.raises(DomainError):
+            psi_tableau(next(reverse_tableaux((2, 1), 2)), tau)
+        return
     steps = {}  # (outer, inner) -> reference psi_skew, each pair once
     for n, max_weight in ((2, 8), (3, 6), (4, 5)):
         for lam in enumerate_Lambda(n, max_weight):
@@ -270,6 +273,14 @@ def test_psi_matches_the_fraction_reference_at_rank_up_to_4(tau):
                     want = want * steps[big, small]
                 got = psi_tableau(t, tau)
                 assert got == want and type(got) is type(want)
+
+
+def test_psi_rejects_a_float_tau():
+    with pytest.raises(DomainError, match="exact"):
+        psi_skew((2,), (1,), 0.7)
+    # also where no cell counts, so the weight would be 1 at any tau
+    with pytest.raises(DomainError, match="exact"):
+        psi_skew((1, 1), (1,), 0.5)
 
 
 def test_psi_skew_pole_still_raises():

@@ -11,8 +11,6 @@ from bcinterp.cli import main
 from bcinterp.exactnum import SIGN_DEADBAND, DomainError, PoleError, poch_pm
 from bcinterp.okounkov import Params
 from bcinterp.rank2 import (
-    HYP_MAX_TERMS,
-    HypSeriesSpec,
     Rank2Regions,
     R_closed_form_b0,
     R_midpoint_telescoped,
@@ -33,50 +31,36 @@ RHO_SU22 = (Fraction(3, 2), Fraction(1, 2))
 
 def test_truncated_sum_is_exact():
     # Chu-Vandermonde: 2F1(-2, 1/2; 1) = (1/2)_2 / (1)_2
-    spec = HypSeriesSpec((Fraction(-2), Fraction(1, 2)), (Fraction(1),), truncation=2)
-    got = hyp_sum(spec)
+    got = hyp_sum((Fraction(-2), Fraction(1, 2)), (Fraction(1),), 2)
     assert got == Fraction(3, 8)
     assert isinstance(got, Fraction)
 
 
 def test_terminating_upper_parameter_stops_series():
-    spec = HypSeriesSpec((-2.0, 0.5), (1.0,))
-    assert abs(hyp_sum(spec) - 0.375) < 1e-15
+    # a truncation past the terminating index adds nothing
+    got = hyp_sum((-2, Fraction(1, 2)), (1,), 6)
+    assert got == Fraction(3, 8) and isinstance(got, Fraction)
     # the whole tail dies with the zero term
-    assert hyp_sum(HypSeriesSpec((-1.0,), ())) == 0.0
+    assert hyp_sum((-1,), (), 5) == 0
 
 
 def test_terminating_beats_lower_pole():
     # upper kills the series at k=1, before the lower parameter reaches zero
-    spec = HypSeriesSpec((Fraction(-1), Fraction(5)), (Fraction(-2),), truncation=4)
-    assert hyp_sum(spec) == Fraction(7, 2)
+    assert hyp_sum((Fraction(-1), Fraction(5)), (Fraction(-2),), 4) == Fraction(7, 2)
 
 
-def test_gauss_value_at_unit_argument():
-    # 2F1(1/2, 1/2; 7/2) = Gamma(7/2) Gamma(5/2) / Gamma(3)^2 = 45 pi / 128
-    spec = HypSeriesSpec((0.5, 0.5), (3.5,))
-    assert abs(hyp_sum(spec) - 45.0 * math.pi / 128.0) < 1e-9
-
-
-def test_divergent_specs_rejected():
+def test_float_parameter_and_negative_truncation_rejected():
     with pytest.raises(DomainError):
-        hyp_sum(HypSeriesSpec((1.0, 1.0, 1.0), (1.0,)))
-    with pytest.raises(DomainError):
-        hyp_sum(HypSeriesSpec((1.0, 2.0), (3.0,)))  # zero parameter excess
-    with pytest.raises(DomainError):
-        HypSeriesSpec((1.0,), (2.0,), truncation=-1)
+        hyp_sum((1,), (2,), -1)
+    with pytest.raises(DomainError, match="exact"):
+        hyp_sum((0.5,), (Fraction(3, 2),), 3)
+    with pytest.raises(DomainError, match="exact"):
+        hyp_sum((Fraction(1, 2),), (1.5,), 3)
 
 
 def test_lower_pole_raises():
-    spec = HypSeriesSpec((Fraction(1, 2), Fraction(1, 3)), (Fraction(-2),), truncation=5)
     with pytest.raises(PoleError):
-        hyp_sum(spec)
-
-
-def test_float_parameters_give_float():
-    got = hyp_sum(HypSeriesSpec((0.5,), (1.5,), truncation=3))
-    assert isinstance(got, float)
-    assert HYP_MAX_TERMS == 100000
+        hyp_sum((Fraction(1, 2), Fraction(1, 3)), (Fraction(-2),), 5)
 
 
 # ---------------------------------------------------------------- q_rank2
@@ -231,7 +215,7 @@ def test_partial_sums_decrease_to_R_in_open_square():
         upper = (rho[1] + x2, rho[1] - x2, Fraction(1))
         lower = (rho[0] + x1, rho[0] - x1)
         limit = R_series((float(x1), float(x2)), 2, (float(rho[0]), float(rho[1])))
-        partials = [hyp_sum(HypSeriesSpec(upper, lower, truncation=m)) for m in range(11)]
+        partials = [hyp_sum(upper, lower, m) for m in range(11)]
         assert partials[0] == 1
         for a, b in zip(partials, partials[1:]):
             assert b < a
@@ -243,13 +227,7 @@ def test_partial_d2_is_prefactor_times_partial_sum():
     rho = (Fraction(7, 4), Fraction(3, 4))
     pt = (Fraction(5, 4), Fraction(1))
     for m in range(4):
-        series = hyp_sum(
-            HypSeriesSpec(
-                (rho[1] + pt[1], rho[1] - pt[1], Fraction(1)),
-                (rho[0] + pt[0], rho[0] - pt[0]),
-                truncation=m,
-            )
-        )
+        series = hyp_sum((rho[1] + pt[1], rho[1] - pt[1], Fraction(1)), (rho[0] + pt[0], rho[0] - pt[0]), m)
         assert q_rank2_partial_d2(m, 0, pt, rho) == poch_pm(rho[0], pt[0], m) * series
 
 
@@ -422,7 +400,7 @@ def test_R_enclosure_where_the_first_tail_bound_fails(pt, d, rho):
 @pytest.mark.parametrize("u, l", [((2.0, -1.0, 1.0), (3.0, 0.5)), ((40.5, -32.0, 0.5), (45.25, 3.75))])
 def test_R_enclosure_at_a_terminating_series(u, l):
     # the terms die after t_(-u1); the exact finite sum is the value
-    exact = hyp_sum(HypSeriesSpec(tuple(map(Fraction, u)), tuple(map(Fraction, l)), truncation=int(-u[1])))
+    exact = hyp_sum(map(Fraction, u), map(Fraction, l), int(-u[1]))
     value, radius = rank2._R_enclosure(u, l, 1.0 + sum(l) - sum(u))
     assert abs(Fraction(value) - exact) <= Fraction(radius) < 1e-7
 

@@ -10,7 +10,6 @@ from bcinterp import (
     ContourPolyline,
     DomainError,
     GroupData,
-    HypSeriesSpec,
     Params,
     Rank2Regions,
     SymEvenPoly,
@@ -86,9 +85,6 @@ def test_keyword_and_default_construction():
     assert GroupData(3, 1, 2).p == 0
     p = Params(n=3, tau=Fraction(1, 2), alpha=2)
     assert (p.n, p.tau, p.alpha) == (3, Fraction(1, 2), Fraction(2))
-    spec = HypSeriesSpec([Fraction(-2), Fraction(1, 2)], [Fraction(1)], truncation=2)
-    assert (spec.upper, spec.lower, spec.truncation) == ((Fraction(-2), Fraction(1, 2)), (Fraction(1),), 2)
-    assert HypSeriesSpec((1.0,), (2.0,)).truncation is None
     poly = SymEvenPoly(2)
     assert poly.n == 2 and poly.coeffs == {} and poly.degree() == 0
     reg = Rank2Regions(rho2=Fraction(1, 2), rho1=3)
@@ -103,7 +99,6 @@ def test_keyword_and_default_construction():
         lambda: GroupData(0, 2, 0),
         lambda: GroupData(2, -1, 0),
         lambda: GroupData(2, 2, -1, p=1),
-        lambda: HypSeriesSpec((1.0,), (2.0,), truncation=-1),
         lambda: SymEvenPoly(2, {(1,): 1}),
     ],
 )
