@@ -37,6 +37,7 @@ from .limits import (
     trace_contour,
 )
 from .okounkov import (
+    EXPAND_WEIGHT_GUARD,
     Params,
     column_poly,
     column_poly_gf,
@@ -48,7 +49,7 @@ from .okounkov import (
     rectangle_poly,
     verify_characterization,
 )
-from .partitions import enumerate_Lambda, format_partition, parse_partition
+from .partitions import enumerate_Lambda, format_partition, parse_partition, weight
 from .rank2 import R_midpoint_telescoped, R_series, in_B_raster, q_rank2, q_rank2_partial_d2
 from .shimura import (
     GroupData,
@@ -99,7 +100,10 @@ def _prep_eval(args):
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     p = Params(n, _parse_rational(args.tau), _parse_rational(args.alpha))
-    return p, parse_partition(args.lam)
+    lam = parse_partition(args.lam)
+    if len(lam) > n:
+        raise DomainError(f"partition {format_partition(lam)!r} has more than n = {n} parts")
+    return p, lam
 
 
 def cmd_eval(args):
@@ -110,6 +114,8 @@ def cmd_eval(args):
 
 def cmd_expand(args):
     p, lam = _prep_eval(args)
+    if weight(lam) > EXPAND_WEIGHT_GUARD:
+        raise DomainError(f"expansion guarded to weight <= {EXPAND_WEIGHT_GUARD}, got {weight(lam)}")
     return lambda: (_json(okounkov_expand(lam, p).to_json()), 0)
 
 

@@ -23,7 +23,7 @@ __all__ = [
 
 # Deadband of the two float decisions left (every polynomial sign, and every
 # other comparison with a point, is decided at the exact value of the
-# point): in_W on the float S_div, and the R_series fallback of in_B where
+# point): in_W on the float S_div, and the _R_sum fallback of in_B where
 # the enclosure of R contains 0.
 SIGN_DEADBAND = 1e-9
 
@@ -147,3 +147,15 @@ def log_gamma(t) -> tuple[float, int]:
     if tf < 0.0 and int(math.floor(tf)) % 2 != 0:
         sign = -1
     return math.lgamma(tf), sign
+
+
+def _gamma_quotient(nums, dens) -> float:
+    """prod Gamma(a) for a in nums over prod Gamma(b) for b in dens, through
+    log_gamma: PoleError at a pole of a numerator Gamma, else 0.0 at a pole
+    of a denominator Gamma."""
+    logs = [log_gamma(a) for a in nums]
+    try:
+        logs += [(-lg, sg) for lg, sg in map(log_gamma, dens)]
+    except PoleError:
+        return 0.0
+    return math.prod(sg for _, sg in logs) * math.exp(sum(lg for lg, _ in logs))

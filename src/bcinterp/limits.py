@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, Frozen, PoleError, _ascending_axis, _exact_point, is_exact, log_gamma
+from .exactnum import SIGN_DEADBAND, DomainError, Frozen, PoleError, _ascending_axis, _exact_point, _gamma_quotient, is_exact
 
 __all__ = [
     "ContourPolyline",
@@ -51,18 +51,15 @@ def gamma_ratio_identity(a, b, c, d) -> float:
     """Value of the infinite product prod_n (n+a)(n+b)/((n+c)(n+d)) under
     the balance condition a+b = c+d, namely Gamma(c)Gamma(d)/(Gamma(a)Gamma(b)).
     The balance is decided exactly when all four inputs are exact, and to
-    within 1e-12 of the float sums otherwise."""
+    within 1e-12 of the float sums otherwise. A pole of Gamma(a) or Gamma(b)
+    gives 0.0, the product's value; one of Gamma(c) or Gamma(d) raises."""
     if all(is_exact(v) for v in (a, b, c, d)):
         unbalanced = a + b != c + d
     else:
         unbalanced = abs(float(a) + float(b) - float(c) - float(d)) > 1e-12
     if unbalanced:
         raise DomainError(f"parameters must balance: a+b = c+d, got {a}+{b} vs {c}+{d}")
-    lc, sc = log_gamma(float(c))
-    ld, sd = log_gamma(float(d))
-    la, sa = log_gamma(float(a))
-    lb, sb = log_gamma(float(b))
-    return sc * sd * sa * sb * math.exp(lc + ld - la - lb)
+    return _gamma_quotient((c, d), (a, b))
 
 
 def gamma_ratio_partial(a, b, c, d, terms: int) -> float:
@@ -84,16 +81,13 @@ def r_partial(l: int, t, alpha):
     if l < 0:
         raise DomainError(f"need l >= 0, got {l}")
     tsq = t * t
-    out = None
+    out = Fraction(1) if is_exact(t) and is_exact(alpha) else 1.0
     for n in range(l):
         node = n + alpha
         nsq = node * node
         if nsq == 0:
             raise PoleError(f"zero node at n = {n}: alpha = {alpha}")
-        fac = (nsq - tsq) / nsq if not is_exact(nsq) else Fraction(nsq - tsq, 1) / nsq
-        out = fac if out is None else out * fac
-    if out is None:
-        return Fraction(1) if is_exact(t) and is_exact(alpha) else 1.0
+        out = out * (nsq - tsq) / nsq
     return out
 
 
@@ -101,13 +95,8 @@ def r_limit(t, alpha) -> float:
     """Limit of r_partial: Gamma(alpha)^2 / (Gamma(alpha+t) Gamma(alpha-t)).
     Poles of the denominator Gammas are zeros of the limit and return 0.0;
     a pole of Gamma(alpha) itself raises."""
-    la, sa = log_gamma(float(alpha))
-    try:
-        lp, sp = log_gamma(float(alpha) + float(t))
-        lm, sm_ = log_gamma(float(alpha) - float(t))
-    except PoleError:
-        return 0.0
-    return sp * sm_ * math.exp(2.0 * la - lp - lm)
+    a, tf = float(alpha), float(t)
+    return _gamma_quotient((a, a), (a + tf, a - tf))
 
 
 def s_m(t, m: int) -> float:
@@ -302,9 +291,10 @@ _CONTOUR_BOX = 1.2
 _CONTOUR_MAX_GRID = int(_CONTOUR_BOX / (2 * _DIAG_SWITCH))
 
 
-def _march_cell(x0, x1, y0, y1, f00, f10, f11, f01, fmid):
+def _march_cell(x0, x1, y0, y1, f00, f10, f11, f01, node):
     """Zero-level segments for one cell; corners are (x0,y0) (x1,y0)
-    (x1,y1) (x0,y1). Sign convention: a corner is inside when f <= 0."""
+    (x1,y1) (x0,y1). Sign convention: a corner is inside when f <= 0.
+    node(x, y) is called at the centre only in a saddle cell."""
 
     def bottom():
         return (x0 + (x1 - x0) * f00 / (f00 - f10), y0)
@@ -334,6 +324,7 @@ def _march_cell(x0, x1, y0, y1, f00, f10, f11, f01, fmid):
     if mask in (7, 8):
         return [(top(), left())]
     # opposite corners: join through the center when it is inside
+    fmid = node((x0 + x1) / 2.0, (y0 + y1) / 2.0)
     if mask == 5:
         if fmid <= 0:
             return [(left(), top()), (bottom(), right())]
@@ -429,9 +420,10 @@ def trace_contour(m: int, grid: int):
 
     Nodes are signed a row at a time from the s_m table (_inside_rows); only
     the cells whose four corners do not all share a sign evaluate their
-    corners and centre and go to _march_cell, in row-major order. The node
-    signs assume every axis gap h = 1.2/grid is above _DIAG_SWITCH, so a
-    grid above _CONTOUR_MAX_GRID raises DomainError, as does one below 16.
+    corners and go to _march_cell, in row-major order (S_div at the centre
+    of a saddle cell). The node signs assume every axis gap h = 1.2/grid is
+    above _DIAG_SWITCH, so a grid above _CONTOUR_MAX_GRID raises
+    DomainError, as does one below 16.
     """
     h = _contour_step(grid)
     axis = [i * h for i in range(grid + 1)]
@@ -454,8 +446,7 @@ def trace_contour(m: int, grid: int):
             f10 = _div_diff(x1, y0, m, s_at)
             f01 = _div_diff(x0, y1, m, s_at)
             f11 = _div_diff(x1, y1, m, s_at)
-            fmid = S_div((x0 + x1) / 2.0, (y0 + y1) / 2.0, m)
-            segments.extend(_march_cell(x0, x1, y0, y1, f00, f10, f11, f01, fmid))
+            segments.extend(_march_cell(x0, x1, y0, y1, f00, f10, f11, f01, lambda x, y: S_div(x, y, m)))
         bottom = top
     return [ContourPolyline(tuple(chain)) for chain in _join_segments(segments)]
 

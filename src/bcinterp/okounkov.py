@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import DomainError, Frozen, _exact_point, as_exact, gen_pochhammer, is_exact, poch_rising
+from .exactnum import DomainError, Frozen, _exact_point, as_exact, gen_pochhammer, poch_rising
 from .partitions import (
     arm,
     cells,
@@ -304,7 +304,8 @@ def okounkov_eval(lam, pt, p: Params) -> Fraction:
 
 
 def rank1_poly(l: int, x, alpha):
-    """One-variable interpolation polynomial: prod_{i=0}^{l-1} (x^2 - (i+alpha)^2)."""
+    """One-variable interpolation polynomial: prod_{i=0}^{l-1} (x^2 - (i+alpha)^2),
+    exactly; x and alpha must be exact."""
     if l < 0:
         raise DomainError(f"need l >= 0, got {l}")
     return _rank1_prefixes(l, x, alpha)[l]
@@ -312,7 +313,8 @@ def rank1_poly(l: int, x, alpha):
 
 def _rank1_prefixes(l: int, x, alpha):
     """[rank1_poly(k, x, alpha) for k = 0..l], from one running product."""
-    prod = Fraction(1) if is_exact(x) and is_exact(alpha) else 1.0
+    x, alpha = as_exact(x), as_exact(alpha)
+    prod = Fraction(1)
     xsq = x * x
     out = [prod]
     for i in range(l):
@@ -352,8 +354,9 @@ def _det_exact(rows):
 def det_formula_tau1(lam, pt, alpha):
     """Alternant quotient det[p_{(lam+delta)_j}(x_i)] / prod_{i<j}(x_i^2 - x_j^2).
 
-    The tau=1 closed form; requires pairwise-distinct squared coordinates.
+    The tau=1 closed form, exact; requires pairwise-distinct squared coordinates.
     """
+    pt = [as_exact(x) for x in pt]
     n = len(pt)
     lam = normalize(lam)
     if len(lam) > n:
@@ -372,10 +375,7 @@ def det_formula_tau1(lam, pt, alpha):
     for x in pt:
         prefixes = _rank1_prefixes(kappa[0], x, alpha)
         mat.append([prefixes[k] for k in kappa])
-    num = _det_exact(mat)
-    if is_exact(num) and is_exact(van):
-        return Fraction(num) / Fraction(van)
-    return num / van
+    return Fraction(_det_exact(mat)) / van
 
 
 def column_poly(j: int, pt, p: Params):
@@ -437,13 +437,12 @@ def rectangle_poly(l: int, pt, p: Params):
 
 
 def k_constant(mu, tau):
-    """The hook-style constant: prod over cells of (tau leg + arm + 1)."""
+    """The hook-style constant: prod over cells of (tau leg + arm + 1), tau exact."""
     mu = normalize(mu)
-    out = tau ** 0
+    tau = as_exact(tau)
+    out = Fraction(1)
     for s in cells(mu):
         out = out * (tau * leg(mu, s) + arm(mu, s) + 1)
-    if is_exact(out):
-        return Fraction(out)
     return out
 
 

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, PoleError, _exact_point, as_exact, log_gamma, poch_pm
+from .exactnum import SIGN_DEADBAND, DomainError, PoleError, _exact_point, _gamma_quotient, as_exact, poch_pm
 from .okounkov import Params
 from .shimura import _first_negative, _signed_columns, in_G_raster
 
@@ -120,12 +120,11 @@ def q_rank2_partial_d2(m1: int, m2: int, pt, rho):
     return pref * hyp_sum((m2 + r2 + x2, m2 + r2 - x2, 1), (m2 + r1 + x1, m2 + r1 - x1), big_m)
 
 
-def _R_parameters(pt, d: int, rho, lower=None):
+def _R_parameters(pt, d: int, rho):
     """Float upper parameters (rho2+x2, rho2-x2, d/2), lower parameters
-    (rho1+x1, rho1-x1) and decay exponent s of the boundary series, after the
-    checks that it is summable: finite coordinates, d >= 1, both lower
-    parameters > 0, s > 1. lower, when given, replaces the lower parameters
-    summed in floats (in_B passes them rounded from exact values)."""
+    (rho1+x1, rho1-x1) and decay exponent s of the boundary series, summed
+    in floats, after the checks that it is summable: finite coordinates,
+    d >= 1, both lower parameters > 0, s > 1."""
     if not isinstance(d, int) or d < 1:
         raise DomainError(f"d must be a positive integer, got {d}")
     r1 = float(rho[0])
@@ -134,7 +133,7 @@ def _R_parameters(pt, d: int, rho, lower=None):
     x2 = float(pt[1])
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise DomainError(f"point coordinates must be finite, got {pt!r}")
-    l = lower or (r1 + x1, r1 - x1)
+    l = (r1 + x1, r1 - x1)
     u = (r2 + x2, r2 - x2, d / 2.0)
     if l[0] <= 0 or l[1] <= 0:
         raise DomainError("series parameter at or below a pole: need |x1| < rho1")
@@ -145,14 +144,18 @@ def _R_parameters(pt, d: int, rho, lower=None):
 
 
 def R_series(pt, d: int, rho, rel_tol: float = 1e-12) -> float:
-    """The boundary series sum_k (rho2±x2)_k (d/2)_k / ((rho1±x1)_k k!).
+    """The boundary series sum_k (rho2±x2)_k (d/2)_k / ((rho1±x1)_k k!), by _R_sum."""
+    return _R_sum(*_R_parameters(pt, d, rho), rel_tol)
 
-    Terms decay like k^{-(d/2+1)}, too slowly to sum term-by-term to full
-    precision, so the loop stops once a three-term Euler-Maclaurin tail
-    estimate is below rel_tol and adds that tail. The tail coefficients come
-    from matching the asymptotic expansion of log(term ratio).
+
+def _R_sum(u, l, s, rel_tol: float) -> float:
+    """The boundary series with float upper parameters u, lower parameters
+    l (both > 0) and decay exponent s > 1. Terms decay like k^{-(d/2+1)},
+    too slowly to sum term-by-term to full precision, so the loop stops
+    once a three-term Euler-Maclaurin tail estimate is below rel_tol and
+    adds that tail. The tail coefficients come from matching the
+    asymptotic expansion of log(term ratio).
     """
-    u, l, s = _R_parameters(pt, d, rho)
     u2 = sum(v * v for v in u)
     l2 = sum(v * v for v in l) + 1.0
     u3 = sum(v ** 3 for v in u)
@@ -243,13 +246,13 @@ def _tail_cubics_hold(big_u, big_l, k0: int, sig: float, sig2: float) -> bool:
 
 def _R_enclosure(u, l, s):
     """A proven enclosure of the boundary series with float upper parameters
-    u, lower parameters l (both > 0) and decay exponent s > 1, as built by
-    _R_parameters: (value, radius) with |R - value| <= radius. radius is inf
-    where no tail bound was found.
+    u, lower parameters l (both > 0) and decay exponent s > 1, the
+    parameters of _R_sum: (value, radius) with |R - value| <= radius at
+    these floats. radius is inf where no tail bound was found.
 
     The sum. The terms t_k, t_0 = 1, t_{k+1} = t_k P(k) / Q(k) with
     P(k) = (k+u0)(k+u1)(k+u2), Q(k) = (k+l0)(k+l1)(k+1), are summed by the
-    compensated recurrence of R_series, K = 32 terms t_0 .. t_{K-1} at
+    compensated recurrence of _R_sum, K = 32 terms t_0 .. t_{K-1} at
     first. A zero term means a factor k + u_i was exactly 0: the series
     terminates and the sum is the whole value.
 
@@ -330,8 +333,8 @@ def _R_enclosure(u, l, s):
 
 def R_closed_form_b0(pt) -> float:
     """Gamma-quotient value of the boundary series for the b=0, d=2 pair
-    rho = (3/2, 1/2). Denominator poles give exactly 0; a numerator pole
-    (x1 at or past rho1) raises."""
+    rho = (3/2, 1/2). A pole of a denominator Gamma gives 0.0; one of
+    Gamma(rho1 +- x1), where the series has its pole, raises PoleError."""
     x1 = float(pt[0])
     x2 = float(pt[1])
     r1, r2 = 1.5, 0.5
@@ -341,17 +344,7 @@ def R_closed_form_b0(pt) -> float:
         (r1 + r2 - x1 + x2) / 2.0,
         (r1 + r2 - x1 - x2) / 2.0,
     ]
-    for a in den_args:
-        if a <= 1e-12 and abs(a - round(a)) <= 1e-12:
-            return 0.0
-    num1 = log_gamma(r1 + x1)
-    num2 = log_gamma(r1 - x1)
-    dens = [log_gamma(a) for a in den_args]
-    log_val = num1[0] + num2[0] - sum(v[0] for v in dens)
-    sign = num1[1] * num2[1]
-    for v in dens:
-        sign *= v[1]
-    return sign * math.pi / 2.0 * math.exp(log_val)
+    return math.pi / 2.0 * _gamma_quotient((r1 + x1, r1 - x1), den_args)
 
 
 def R_midpoint_telescoped(b: int) -> float:
@@ -391,31 +384,21 @@ class Rank2Regions:
         return self.in_T1(pt, tol) or self.in_T2(pt, tol)
 
 
-@lru_cache(maxsize=None)
-def _rho_constants(rho: tuple):
-    """What in_B needs of rho, built once per rho: p = Params(2, rho1 - rho2,
-    rho2), whose shift vector is rho, so that the gates of in_B are its
-    column tests; (float(rho1), float(rho2)); rho1, rho2 themselves; and
-    d_bound = ceil(4 (rho1 - rho2)). The boundary series decays like k^-s
-    with s = 1 + 2 (rho1 - rho2) - d/2, so it is summable (s > 1) exactly
-    when the integer d is below d_bound.
-    """
-    r1 = as_exact(rho[0])
-    r2 = as_exact(rho[1])
-    return Params(2, r1 - r2, r2), (float(r1), float(r2)), r1, r2, math.ceil(4 * (r1 - r2))
-
-
-def _checked_constants(d, rho):
-    """_rho_constants(rho), after the checks that d is a positive integer
-    and the boundary series summable; DomainError otherwise."""
+# typed, and rho exact: as keys, 2.0 == 2 and (1.5, 0.5) == (3/2, 1/2)
+@lru_cache(maxsize=None, typed=True)
+def _series_constants(d, rho: tuple):
+    """What in_B needs of d and the exact pair rho, built once per pair:
+    Params(2, rho1 - rho2, rho2), whose column tests are the gates of in_B;
+    rho1 and rho2; and the series' decay exponent s = 1 + 2 (rho1 - rho2)
+    - d/2, rounded once. DomainError unless d is a positive integer and that
+    float s > 1 (the series is summable, and _R_sum divides by s - 1)."""
     if not isinstance(d, int) or d < 1:
         raise DomainError(f"d must be a positive integer, got {d}")
-    consts = _rho_constants(tuple(rho))
-    _, _, r1, r2, d_bound = consts
-    if d >= d_bound:
-        s = 1 + 2 * (r1 - r2) - Fraction(d, 2)
+    r1, r2 = rho
+    s = 1 + 2 * (r1 - r2) - Fraction(d, 2)
+    if not float(s) > 1.0:
         raise DomainError(f"series decays like k^-s with s = {s} <= 1: not summable")
-    return consts
+    return Params(2, r1 - r2, r2), r1, r2, float(s)
 
 
 def in_B(pt, d: int, rho) -> bool:
@@ -443,23 +426,25 @@ def in_B(pt, d: int, rho) -> bool:
     rho2 + x2 >= 0 and |x1| < rho1 (the T1 side) every term
     (rho2+x2)_k (rho2-x2)_k (d/2)_k / ((rho1+x1)_k (rho1-x1)_k k!) is >= 0,
     so R >= 1 and the point is a member from the term signs alone, decided
-    in exact arithmetic. Every other point that passes is decided by the
-    sign of the boundary series, summed in floats from float(x1),
-    float(x2) and rho, with rho1 +- x1 rounded once from their exact
-    values:
+    in exact arithmetic. A point past both gates with |x1| > rho1 (possible
+    only where |rho2| >= rho1) raises DomainError, as R_series does. Every
+    other point that passes is decided by the sign of the boundary series
+    at u = (rho2 + x2, rho2 - x2, d/2), l = (rho1 + x1, rho1 - x1) and s,
+    each rounded once from its exact value (DomainError where an l rounds
+    to 0):
     - _R_enclosure gives a proven interval for R, and a point is a member
       when the interval lies in R > 0 and not one when it lies in R < 0;
     - a point whose interval still contains 0 after 4096 terms keeps the
-      float rule R_series(rel_tol=1e-8) >= -SIGN_DEADBAND. R is exactly 0 at
-      some such points, for example (1, 1) for d = 2, rho = (3/2, 1/2).
+      float rule _R_sum(u, l, s, rel_tol=1e-8) >= -SIGN_DEADBAND, on the
+      same parameters. R is exactly 0 at some such points, for example
+      (1, 1) for d = 2, rho = (3/2, 1/2).
 
-    d must be a positive integer and the boundary series summable for d
-    and rho (s > 1, a condition that does not depend on the point), as for
-    R_series, or DomainError is raised at every point.
+    d must be a positive integer and the rounded s above 1, or DomainError
+    is raised at every point.
     """
-    p, frho, r1, r2, _ = _checked_constants(d, rho)
+    p, r1, r2, s = _series_constants(d, (as_exact(rho[0]), as_exact(rho[1])))
     pt = _exact_point(pt)
-    return _first_negative(pt, _signed_columns(p)) is None and _past_gates(pt, d, frho, r1, r2)
+    return _first_negative(pt, _signed_columns(p)) is None and _past_gates(pt, d, r1, r2, s)
 
 
 def in_B_raster(axis, d: int, rho):
@@ -467,31 +452,28 @@ def in_B_raster(axis, d: int, rho):
     [in_B((axis[i], axis[j]), d, rho) for j <= i]. The gates are the rows
     of in_G_raster for the Params whose column tests they are; the rest of
     in_B runs only at the points that pass both."""
-    p, frho, r1, r2, _ = _checked_constants(d, rho)
+    p, r1, r2, s = _series_constants(d, (as_exact(rho[0]), as_exact(rho[1])))
     for x1, row in zip(axis, in_G_raster(axis, p)):
-        yield [v.member and _past_gates((x1, x2), d, frho, r1, r2) for x2, v in zip(axis, row)]
+        yield [v.member and _past_gates((x1, x2), d, r1, r2, s) for x2, v in zip(axis, row)]
 
 
-def _past_gates(pt, d: int, frho, r1, r2) -> bool:
+def _past_gates(pt, d: int, r1, r2, s: float) -> bool:
     """in_B at an exact point that passes both gates, from the constants of
-    _rho_constants: the exact rule at rho and its mirrors, the T1 rule and
-    the sign of the boundary series."""
+    _series_constants: the exact rules at rho and its mirrors and on the T1
+    side, then the sign of the boundary series."""
     x1, x2 = pt
     # |x1| against rho1 in integers: equal at rho and its mirrors; less, with
     # |x2| <= rho2 (signed), on the T1 side
     a1, b1 = abs(x1.numerator) * r1.denominator, r1.numerator * x1.denominator
     if a1 == b1 or a1 < b1 and abs(x2.numerator) * r2.denominator <= r2.numerator * x2.denominator:
         return True
-    fpt = (float(x1), float(x2))
-    # The lower parameters rho1 +- x1 are rounded once from their exact
-    # values, > 0 also within float rounding of rho1. Where rho2 - x2 and
-    # rho2 + x2 are >= 0 in floats, every series parameter is >= 0 (the
-    # lower ones by the checks of _R_parameters), so every term is >= 0 and
-    # R >= t_0 = 1: the point is a member without summing.
-    u, l, s = _R_parameters(fpt, d, frho, (float(r1 + x1), float(r1 - x1)))
-    if u[0] >= 0 and u[1] >= 0:
-        return True
+    if a1 > b1:
+        raise DomainError("series parameter at or below a pole: need |x1| < rho1")
+    u = (float(r2 + x2), float(r2 - x2), d / 2)
+    l = (float(r1 + x1), float(r1 - x1))
+    if 0.0 in l:
+        raise DomainError(f"series parameter rho1 +- x1 underflows to 0 at x1 = {x1}")
     value, radius = _R_enclosure(u, l, s)
     if abs(value) > radius:
         return value > 0
-    return R_series(fpt, d, frho, rel_tol=1e-8) >= -SIGN_DEADBAND
+    return _R_sum(u, l, s, 1e-8) >= -SIGN_DEADBAND

@@ -64,13 +64,22 @@ def test_eval_missing_flag_is_usage_error(capsys):
     assert code == 2
 
 
-def test_eval_domain_error_is_compute_error(capsys):
-    # flags parse, but the partition has more parts than n: the mathematics
-    # rejects it while computing
-    code, out, err = run(capsys, "eval", "--n", "1", "--tau", "1", "--alpha", "1/2", "--lambda", "1,1", "--x", "1")
+def test_eval_partition_longer_than_n_is_usage_error(capsys):
+    # a partition with more parts than n is a bad flag combination, rejected
+    # before computing, as eigenvalue rejects it
+    for n, lam, x in (("1", "1,1", "1"), ("2", "1,1,1", "1,2")):
+        code, out, err = run(capsys, "eval", "--n", n, "--tau", "1", "--alpha", "1/2", "--lambda", lam, "--x", x)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: partition")
+
+
+def test_eval_branching_pole_is_compute_error(capsys):
+    # tau = -1 passes the flag checks; the branching weights hit a pole
+    code, out, err = run(capsys, "eval", "--n", "2", "--tau", "-1", "--alpha", "1/2", "--lambda", "2", "--x", "1,2")
     assert code == 3
     assert out == ""
-    assert "error:" in err
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_stdout_write_error_is_io_error(capsys, monkeypatch):
@@ -105,11 +114,13 @@ def test_expand_at_non_generic_tau(capsys):
     }
 
 
-def test_expand_weight_guard_is_compute_error(capsys):
-    code, out, err = run(capsys, "expand", "--n", "2", "--tau", "1", "--alpha", "1/2", "--lambda", "5,4")
-    assert code == 3
-    assert out == ""
-    assert "error:" in err
+def test_expand_weight_guard_is_usage_error(capsys):
+    # weight 9 is above EXPAND_WEIGHT_GUARD; 1,1,1 has more parts than n = 2
+    for lam in ("5,4", "1,1,1"):
+        code, out, err = run(capsys, "expand", "--n", "2", "--tau", "1", "--alpha", "1/2", "--lambda", lam)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
 
 # ---------------------------------------------------------------- eigenvalue

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bcinterp.exactnum import (
     DomainError,
     PoleError,
+    _gamma_quotient,
     as_exact,
     gen_pochhammer,
     is_exact,
@@ -98,3 +99,18 @@ def test_exactness_predicates():
     assert as_exact(7) == Fraction(7)
     with pytest.raises(DomainError):
         as_exact(0.5)
+
+
+def test_gamma_quotient_poles():
+    # Gamma(1/2)^2 / (Gamma(1) Gamma(-1/2)) = pi / (-2 sqrt(pi)) = -sqrt(pi)/2
+    assert _gamma_quotient((0.5, 0.5), (1.0, -0.5)) == pytest.approx(-math.sqrt(math.pi) / 2, rel=1e-12)
+    assert _gamma_quotient((), ()) == 1.0
+    # a pole of a denominator Gamma is a zero of the quotient
+    assert _gamma_quotient((0.5,), (0.0,)) == 0.0
+    assert _gamma_quotient((Fraction(1, 2),), (1.0, Fraction(-3))) == 0.0
+    # a pole of a numerator Gamma raises, with or without one below
+    for dens in ((1.0,), (-2.0,)):
+        with pytest.raises(PoleError):
+            _gamma_quotient((2.5, -1.0), dens)
+    # no tolerance: a hair off the pole is a finite value
+    assert 0.0 < abs(_gamma_quotient((1.0,), (1e-13,))) < 1e-12

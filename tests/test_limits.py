@@ -40,6 +40,10 @@ def test_gamma_ratio_identity_values():
     got = gamma_ratio_identity(Fraction(-1, 2), Fraction(5, 2), Fraction(1, 2), Fraction(3, 2))
     assert abs(got - (-1.0 / 3.0)) < 1e-12
     assert abs(gamma_ratio_identity(1.0, 1.0, 1.0, 1.0) - 1.0) == 0.0
+    # a factor n + a is 0 at n = 1: the product, and its value, is 0
+    assert gamma_ratio_identity(-1, 3, 1, 1) == 0.0
+    with pytest.raises(PoleError):
+        gamma_ratio_identity(1, -1, 0, 0)
 
 
 def test_gamma_ratio_identity_needs_balance():
@@ -444,6 +448,7 @@ def _trace_contour_all_nodes(m, grid, node=None):
         s_at = limits._s_table(axis, m)
         node = lambda x, y: limits._div_diff(x, y, m, s_at)  # noqa: E731
     nodes = [[node(x, y) for x in axis] for y in axis]
+    centre = lambda x, y: S_div(x, y, m)  # noqa: E731
     segments = []
     for j in range(grid):
         y0, y1 = j * h, (j + 1) * h
@@ -453,8 +458,7 @@ def _trace_contour_all_nodes(m, grid, node=None):
             f01, f11 = nodes[j + 1][i], nodes[j + 1][i + 1]
             if (f00 <= 0) == (f10 <= 0) == (f11 <= 0) == (f01 <= 0):
                 continue
-            fmid = S_div((x0 + x1) / 2.0, (y0 + y1) / 2.0, m)
-            segments.extend(limits._march_cell(x0, x1, y0, y1, f00, f10, f11, f01, fmid))
+            segments.extend(limits._march_cell(x0, x1, y0, y1, f00, f10, f11, f01, centre))
     return [ContourPolyline(tuple(chain)) for chain in _join_segments_per_step(segments)]
 
 
@@ -508,3 +512,38 @@ def test_trace_contour_grid_bound():
     for grid in (top + 1, 10**12, 16.0):
         with pytest.raises(DomainError):
             trace_contour(0, grid)
+
+
+def test_march_cell_reads_the_centre_only_at_saddles():
+    # corner k (f00, f10, f11, f01) is inside when bit k of mask is set
+    for mask in range(16):
+        f00, f10, f11, f01 = [-1.0 if mask >> k & 1 else 1.0 for k in range(4)]
+        read = []
+        limits._march_cell(0.0, 1.0, 0.0, 1.0, f00, f10, f11, f01, lambda x, y: read.append((x, y)) or 1.0)
+        assert read == ([(0.5, 0.5)] if mask in (5, 10) else []), mask
+
+
+def test_trace_contour_calls_S_div_only_at_saddle_cells(monkeypatch):
+    # the four benchmark contours and two others: none of them has a saddle
+    # cell, so S_div is never called; before, every crossed cell called it
+    calls = []
+
+    def counting(x, y, m):
+        calls.append((x, y))
+        return S_div(x, y, m)
+
+    monkeypatch.setattr(limits, "S_div", counting)
+    for m, grid in ((0, 348), (1, 321), (2, 312), (3, 300), (1, 96), (4, 37)):
+        h = limits._CONTOUR_BOX / grid
+        axis = [i * h for i in range(grid + 1)]
+        s_at = limits._s_table(axis, m)
+        inside = [[limits._div_diff(x, y, m, s_at) <= 0 for x in axis] for y in axis]
+        saddles = [
+            ((axis[i] + axis[i + 1]) / 2.0, (axis[j] + axis[j + 1]) / 2.0)
+            for j in range(grid)
+            for i in range(grid)
+            if inside[j][i] == inside[j + 1][i + 1] != inside[j][i + 1] == inside[j + 1][i]
+        ]
+        calls.clear()
+        trace_contour(m, grid)
+        assert calls == saddles, (m, grid)

@@ -447,19 +447,19 @@ def test_in_B_exact_T1_point_within_float_rounding_of_rho1():
     assert in_B((pt[0], -pt[1]), 2, rho)
 
 
-def _counting_R_series(monkeypatch):
-    calls = []
+def _counting(monkeypatch, calls, *names):
+    """Append (name, args) to calls at every call of rank2.<name>."""
+    for name in names:
+        def counting(*args, name=name, fn=getattr(rank2, name)):
+            calls.append((name, args))
+            return fn(*args)
 
-    def counting(pt, *args, **kwargs):
-        calls.append(pt)
-        return R_series(pt, *args, **kwargs)
-
-    monkeypatch.setattr(rank2, "R_series", counting)
+        monkeypatch.setattr(rank2, name, counting)
     return calls
 
 
 def test_region_rank2_B_rasters_never_need_the_fallback(monkeypatch, capsys):
-    calls = _counting_R_series(monkeypatch)
+    calls = _counting(monkeypatch, [], "_R_sum")
     for group in ("2,1,2", "2,2,3"):
         assert main(["region", "--kind", "rank2-B", "--group", group, "--grid", "100"]) == 0
     capsys.readouterr()
@@ -467,11 +467,36 @@ def test_region_rank2_B_rasters_never_need_the_fallback(monkeypatch, capsys):
 
 
 def test_region_rank2_B_falls_back_where_R_vanishes(monkeypatch, capsys):
-    # R is exactly 0 at (1, 1) for group 2,2,0, so no enclosure signs it
-    calls = _counting_R_series(monkeypatch)
+    # R is exactly 0 at (1, 1) for group 2,2,0, so no enclosure signs it.
+    # The fallback sums R at the parameters the enclosure bounded, each the
+    # float of its exact value: u = (3/2, -1/2, 1), l = (5/2, 1/2), s = 2
+    calls = _counting(monkeypatch, [], "_R_enclosure", "_R_sum")
     assert main(["region", "--kind", "rank2-B", "--group", "2,2,0", "--grid", "6"]) == 0
     assert "1,1,1," in capsys.readouterr().out.splitlines()
-    assert calls == [(1.0, 1.0)]
+    names = [name for name, _ in calls]
+    assert names.count("_R_sum") == 1
+    i = names.index("_R_sum")
+    r1, r2, x1, x2, d = Fraction(3, 2), Fraction(1, 2), 1, 1, 2
+    u = (float(r2 + x2), float(r2 - x2), float(Fraction(d, 2)))
+    l, s = (float(r1 + x1), float(r1 - x1)), float(1 + 2 * (r1 - r2) - Fraction(d, 2))
+    assert (u, l, s) == ((1.5, -0.5, 1.0), (2.5, 0.5), 2.0)
+    assert calls[i - 1:i + 1] == [("_R_enclosure", (u, l, s)), ("_R_sum", (u, l, s, 1e-8))]
+
+
+def test_in_B_fallback_sums_the_enclosure_parameters(monkeypatch):
+    # R is exactly 0 on x1 + x2 = 2 for rho = (3/2, 1/2), d = 2 (a
+    # denominator Gamma of R_closed_form_b0 has its pole), so no enclosure
+    # signs it. Off the float grid, the float sums rho2 +- float(x2) and
+    # rho1 +- float(x1) differ from the rounded exact values the fallback gets
+    calls = _counting(monkeypatch, [], "_R_enclosure", "_R_sum")
+    r1, r2 = RHO_SU22
+    x1, x2 = 1 + Fraction(1, 97), 1 - Fraction(1, 97)
+    assert in_B((x1, x2), 2, RHO_SU22)
+    u = (float(r2 + x2), float(r2 - x2), 1.0)
+    l = (float(r1 + x1), float(r1 - x1))
+    assert u[:2] != (float(r2) + float(x2), float(r2) - float(x2))
+    assert l != (float(r1) + float(x1), float(r1) - float(x1))
+    assert calls == [("_R_enclosure", (u, l, 2.0)), ("_R_sum", (u, l, 2.0, 1e-8))]
 
 
 def test_region_rank2_B_matches_the_oracles(capsys):
@@ -541,7 +566,7 @@ def test_in_B_raster_needs_an_exact_axis_and_a_summable_series():
 
 
 class _PastGates(Exception):
-    """Raised by a stand-in for _R_parameters: in_B got past both gates."""
+    """Raised by a stand-in for _R_enclosure: in_B got past both gates."""
 
 
 def _past_gates(*args):
@@ -549,14 +574,17 @@ def _past_gates(*args):
 
 
 def _in_B_gates_fail(pt, rho):
-    """Whether in_B rejects pt at its polynomial gates. With _R_parameters
+    """Whether in_B rejects pt at its polynomial gates. With _R_enclosure
     replaced, in_B returns False only from a gate, returns True only from
-    the exact rule at rho after both gates, and otherwise raises _PastGates."""
+    the exact rules after both gates, and otherwise raises _PastGates, or
+    DomainError at a series pole past both gates. Errors of d and rho are
+    raised before the point is looked at."""
+    rank2._series_constants(1, (Fraction(rho[0]), Fraction(rho[1])))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rank2, "_R_parameters", _past_gates)
+        mp.setattr(rank2, "_R_enclosure", _past_gates)
         try:
             return not in_B(pt, 1, rho)
-        except _PastGates:
+        except (_PastGates, DomainError):
             return False
 
 
@@ -641,6 +669,19 @@ def test_in_B_rejects_d_below_one_at_every_point(d):
             in_B(pt, d, RHO_SU22)
 
 
+def test_in_B_rejects_a_float_d_or_rho_after_an_exact_one():
+    # the constants are cached per (d, rho), where d = 2.0 and d = 2, and
+    # rho = (1.5, 0.5) and (3/2, 1/2), are equal keys
+    pt = (Fraction(1, 2), Fraction(1, 4))
+    assert in_B(pt, 2, RHO_SU22)
+    with pytest.raises(DomainError, match="d must be a positive integer"):
+        in_B(pt, 2.0, RHO_SU22)
+    with pytest.raises(DomainError, match="exact"):
+        in_B(pt, 2, (1.5, 0.5))
+    with pytest.raises(DomainError, match="exact"):
+        next(in_B_raster([Fraction(1)], 2, (1.5, 0.5)))
+
+
 def test_in_B_rejects_a_non_summable_series_at_every_point():
     # s = 1 + 2(rho1 - rho2) - d/2 = 0 for this rho and d = 2. A T1 point
     # (exact and float), a gate-failing point and rho itself are decided
@@ -657,3 +698,25 @@ def test_in_B_rejects_a_non_summable_series_at_every_point():
     with pytest.raises(DomainError, match="not summable"):
         in_B(pt, 1, (Fraction(3, 4), Fraction(1, 2)))
     assert in_B(pt, 1, (Fraction(3, 4) + Fraction(1, 10**12), Fraction(1, 2)))
+    # s is rounded once: at a gap larger by 10^-20 it rounds to 1, and the
+    # float sum would divide by s - 1 = 0
+    with pytest.raises(DomainError, match="not summable"):
+        in_B(pt, 1, (Fraction(3, 4) + Fraction(1, 10**20), Fraction(1, 2)))
+
+
+def test_in_B_past_the_gates_at_a_series_pole():
+    # |rho2| > rho1 here, so (3/2, 0) passes both gates with |x1| > rho1:
+    # the lower parameter rho1 - x1 is negative, as for R_series
+    rho = (Fraction(1), Fraction(-2))
+    pt = (Fraction(3, 2), Fraction(0))
+    assert not _fraction_gates_fail(pt, rho)
+    for p in (pt, (1.5, 0.0), (-pt[0], pt[1])):
+        with pytest.raises(DomainError, match="pole"):
+            in_B(p, 1, rho)
+    with pytest.raises(DomainError, match="pole"):
+        R_series((1.5, 0.0), 1, (1.0, -2.0))
+    # a T2 point 10^-400 inside rho1: rho1 - x1 > 0 rounds to 0.0
+    pt = (Fraction(3, 2) - Fraction(1, 10**400), Fraction(1, 2) + Fraction(1, 10**401))
+    assert not _fraction_gates_fail(pt, RHO_SU22)
+    with pytest.raises(DomainError, match="underflows"):
+        in_B(pt, 2, RHO_SU22)
