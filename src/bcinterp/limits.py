@@ -65,13 +65,14 @@ def gamma_ratio_identity(a, b, c, d) -> float:
 def gamma_ratio_partial(a, b, c, d, terms: int) -> float:
     """Partial product prod_{n<terms} (n+a)(n+b)/((n+c)(n+d)); converges to
     gamma_ratio_identity at a harmonic-squared rate when balanced."""
-    out = 1.0
+    out, n = 1.0, 0.0  # a float n is exact below 2^53: no int-to-float per term
     a, b, c, d = float(a), float(b), float(c), float(d)
-    for n in range(terms):
-        den = (n + c) * (n + d)
-        if den == 0:
-            raise PoleError(f"zero factor in denominator at n = {n}")
-        out *= (n + a) * (n + b) / den
+    try:
+        for _ in range(terms):
+            out *= (n + a) * (n + b) / ((n + c) * (n + d))
+            n += 1.0
+    except ZeroDivisionError:
+        raise PoleError(f"zero factor in denominator at n = {n:.0f}") from None
     return out
 
 

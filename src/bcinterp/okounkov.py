@@ -71,21 +71,19 @@ class Params(Frozen):
     """
 
     _fields = ("n", "tau", "alpha")
-    __slots__ = (*_fields, "_hash")
+    # rho, the shift vector rho_i = tau (n - i) + alpha, is built here once;
+    # like _hash it is not a field, so it takes no part in ==, repr or pickling
+    __slots__ = (*_fields, "_hash", "rho")
 
     def __init__(self, n: int, tau, alpha):
         if n < 1:
             raise DomainError(f"rank must be >= 1, got {n}")
         tau, alpha = as_exact(tau), as_exact(alpha)
-        self._freeze(n, tau, alpha, hash((n, tau, alpha)))
+        rho = tuple(tau * (n - i) + alpha for i in range(1, n + 1))
+        self._freeze(n, tau, alpha, hash((n, tau, alpha)), rho)
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def rho(self) -> tuple[Fraction, ...]:
-        """The shift vector rho_i = tau (n - i) + alpha."""
-        return tuple(self.tau * (self.n - i) + self.alpha for i in range(1, self.n + 1))
 
     def node(self, mu) -> tuple[Fraction, ...]:
         """The lattice point mu + rho (mu padded with zeros to length n)."""
@@ -308,132 +306,124 @@ def rank1_poly(l: int, x, alpha):
     exactly; x and alpha must be exact."""
     if l < 0:
         raise DomainError(f"need l >= 0, got {l}")
-    return _rank1_prefixes(l, x, alpha)[l]
-
-
-def _rank1_prefixes(l: int, x, alpha):
-    """[rank1_poly(k, x, alpha) for k = 0..l], from one running product."""
     x, alpha = as_exact(x), as_exact(alpha)
-    prod = Fraction(1)
-    xsq = x * x
-    out = [prod]
-    for i in range(l):
-        c = i + alpha
-        prod = prod * (xsq - c * c)
-        out.append(prod)
-    return out
+    return math.prod((x * x - (i + alpha) ** 2 for i in range(l)), start=Fraction(1))
 
 
-def _det_exact(rows):
-    """Determinant by fraction-preserving Gaussian elimination."""
-    m = [list(r) for r in rows]
-    size = len(m)
-    det = 1
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pivval = m[col][col]
-        det = det * pivval
-        for r in range(col + 1, size):
-            if m[r][col] == 0:
-                continue
-            f = m[r][col] / pivval
-            for c in range(col, size):
-                m[r][c] = m[r][c] - f * m[col][c]
-    return det
+# The reference formulas below are the oracles of the tableau sum, and so
+# share none of its kernel: each takes its inputs over one common
+# denominator D (_over_common), where every factor x^2 - c^2 is an integer
+# over D^2, computes in integers and makes one Fraction at the end.
+
+
+def _over_common(values):
+    """(D, [v D for v in values]) for the lcm D of the denominators of the
+    exact values; DomainError at a float."""
+    ratios = [as_exact(v).as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return den, [a * (den // d) for a, d in ratios]
+
+
+def _det_exact(m) -> int:
+    """Determinant of a square integer matrix, overwritten in place, by
+    Bareiss's fraction-free elimination: after step k every entry below and
+    right of the pivot is a (k+2)-minor, and the division by the previous
+    pivot is exact. A zero pivot swaps in a lower row; none left means 0.
+    The empty matrix has determinant 1."""
+    sign, prev, size = 1, 1, len(m)
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        top, piv = m[k], m[k][k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for c in range(k + 1, size):
+                row[c] = (piv * row[c] - lead * top[c]) // prev
+        prev = piv
+    return sign * m[-1][-1] if m else 1
 
 
 def det_formula_tau1(lam, pt, alpha):
     """Alternant quotient det[p_{(lam+delta)_j}(x_i)] / prod_{i<j}(x_i^2 - x_j^2).
 
-    The tau=1 closed form, exact; requires pairwise-distinct squared coordinates.
+    The tau=1 closed form, exact; requires exact coordinates and alpha and
+    pairwise-distinct squared coordinates. Over D, x_i = X_i / D and
+    alpha = a / D, entry (i, j) is prod_{k<kappa_j} (X_i^2 - (kD + a)^2) over
+    D^(2 kappa_j) and the Vandermonde an integer over D^(n(n-1)).
     """
-    pt = [as_exact(x) for x in pt]
     n = len(pt)
     lam = normalize(lam)
     if len(lam) > n:
         raise DomainError(f"partition {list(lam)} has more than {n} parts")
     padded = lam + (0,) * (n - len(lam))
     kappa = [padded[j] + (n - 1 - j) for j in range(n)]
-    sq = [x * x for x in pt]
-    van = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            van = van * (sq[i] - sq[j])
+    den, (a, *nums) = _over_common((alpha, *pt))
+    sq = [v * v for v in nums]
+    van = math.prod(sq[i] - sq[j] for i in range(n) for j in range(i + 1, n))
     if van == 0:
         raise DomainError("coinciding squared coordinates make the alternant quotient singular")
-    # row i holds rank1_poly(kappa_j, x_i, alpha); kappa_0 is the largest
-    mat = []
-    for x in pt:
-        prefixes = _rank1_prefixes(kappa[0], x, alpha)
-        mat.append([prefixes[k] for k in kappa])
-    return Fraction(_det_exact(mat)) / van
+    consts = [(k * den + a) ** 2 for k in range(max(kappa, default=0))]
+    rows = []
+    for v in sq:
+        prefix = [1]
+        for c in consts:
+            prefix.append(prefix[-1] * (v - c))
+        rows.append([prefix[k] for k in kappa])
+    return Fraction(_det_exact(rows) * den ** (n * (n - 1)), van * den ** (2 * sum(kappa)))
+
+
+def _column_squares(j: int, pt, p: Params):
+    """(D, [X_i^2], [R_i^2]) for pt and rho over one common denominator D,
+    after the checks shared by the two column formulas."""
+    if not 1 <= j <= p.n:
+        raise DomainError(f"column height {j} outside 1..{p.n}")
+    if len(pt) != p.n:
+        raise DomainError(f"point has length {len(pt)}, expected {p.n}")
+    den, nums = _over_common((*pt, *p.rho))
+    sq = [v * v for v in nums]
+    return den, sq[:p.n], sq[p.n:]
 
 
 def column_poly(j: int, pt, p: Params):
     """Column shape 1^j by the explicit subset sum over i_1 < ... < i_j of
-    prod_k (x_{i_k}^2 - rho_{i_k + j - k}^2)."""
-    if not 1 <= j <= p.n:
-        raise DomainError(f"column height {j} outside 1..{p.n}")
-    if len(pt) != p.n:
-        raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-    rsq = [r * r for r in p.rho]
-    sq = [x * x for x in pt]
-    return sum(
-        math.prod(sq[i] - rsq[i + j - k] for k, i in enumerate(subset, start=1))
+    prod_k (x_{i_k}^2 - rho_{i_k + j - k}^2); pt must be exact."""
+    den, xsq, rsq = _column_squares(j, pt, p)
+    total = sum(
+        math.prod(xsq[i] - rsq[i + j - k] for k, i in enumerate(subset, start=1))
         for subset in itertools.combinations(range(p.n), j)
     )
-
-
-def _poly_mul_trunc(a, b, deg):
-    out = [Fraction(0)] * (deg + 1)
-    for i, ai in enumerate(a):
-        if i > deg or ai == 0:
-            continue
-        for k, bk in enumerate(b):
-            if i + k > deg:
-                break
-            out[i + k] = out[i + k] + ai * bk
-    return out
+    return Fraction(total, den ** (2 * j))
 
 
 def column_poly_gf(j: int, pt, p: Params):
     """Column shape 1^j as the t^j coefficient of
-    prod_i (1 + t x_i^2) / prod_{i=j}^{n} (1 + t rho_i^2)."""
-    if not 1 <= j <= p.n:
-        raise DomainError(f"column height {j} outside 1..{p.n}")
-    if len(pt) != p.n:
-        raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-    series = [Fraction(1)]
-    for x in pt:
-        series = _poly_mul_trunc(series, [Fraction(1), x * x], j)
-    for r in p.rho[j - 1:]:
-        # 1 / (1 + t r^2) = sum_k (-r^2)^k t^k
-        series = _poly_mul_trunc(series, [(-r * r) ** k for k in range(j + 1)], j)
-    return series[j]
+    prod_i (1 + t x_i^2) / prod_{i=j}^{n} (1 + t rho_i^2); pt must be exact.
+    In s = t / D^2 every factor is 1 + s X^2 with X an integer, so the
+    series is built in integers and its s^j coefficient is divided by D^(2j)."""
+    den, xsq, rsq = _column_squares(j, pt, p)
+    series = [1] + [0] * j
+    for v in xsq:  # times (1 + s v)
+        for k in range(j, 0, -1):
+            series[k] += v * series[k - 1]
+    for v in rsq[j - 1:]:  # over (1 + s v)
+        for k in range(1, j + 1):
+            series[k] -= v * series[k - 1]
+    return Fraction(series[j], den ** (2 * j))
 
 
 def rectangle_poly(l: int, pt, p: Params):
-    """Full rectangle l^n: prod_{i=0}^{l-1} prod_j (x_j^2 - (i+alpha)^2)."""
+    """Full rectangle l^n: prod_{i=0}^{l-1} prod_j (x_j^2 - (i+alpha)^2);
+    pt must be exact."""
     if l < 0:
         raise DomainError(f"need l >= 0, got {l}")
     if len(pt) != p.n:
         raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-    total = Fraction(1)
-    for i in range(l):
-        c = i + p.alpha
-        csq = c * c
-        for x in pt:
-            total = total * (x * x - csq)
-    return total
+    den, (a, *nums) = _over_common((p.alpha, *pt))
+    total = math.prod(v * v - (i * den + a) ** 2 for i in range(l) for v in nums)
+    return Fraction(total, den ** (2 * l * p.n))
 
 
 def k_constant(mu, tau):

@@ -396,9 +396,13 @@ def _series_constants(d, rho: tuple):
         raise DomainError(f"d must be a positive integer, got {d}")
     r1, r2 = rho
     s = 1 + 2 * (r1 - r2) - Fraction(d, 2)
-    if not float(s) > 1.0:
+    try:
+        fs = float(s)
+    except OverflowError:
+        raise DomainError("series decay exponent s = 1 + 2 (rho1 - rho2) - d/2 beyond float range") from None
+    if not fs > 1.0:
         raise DomainError(f"series decays like k^-s with s = {s} <= 1: not summable")
-    return Params(2, r1 - r2, r2), r1, r2, float(s)
+    return Params(2, r1 - r2, r2), r1, r2, fs
 
 
 def in_B(pt, d: int, rho) -> bool:
@@ -430,8 +434,8 @@ def in_B(pt, d: int, rho) -> bool:
     only where |rho2| >= rho1) raises DomainError, as R_series does. Every
     other point that passes is decided by the sign of the boundary series
     at u = (rho2 + x2, rho2 - x2, d/2), l = (rho1 + x1, rho1 - x1) and s,
-    each rounded once from its exact value (DomainError where an l rounds
-    to 0):
+    each rounded once from its exact value (DomainError where one lies
+    beyond float range or an l rounds to 0):
     - _R_enclosure gives a proven interval for R, and a point is a member
       when the interval lies in R > 0 and not one when it lies in R < 0;
     - a point whose interval still contains 0 after 4096 terms keeps the
@@ -439,8 +443,8 @@ def in_B(pt, d: int, rho) -> bool:
       same parameters. R is exactly 0 at some such points, for example
       (1, 1) for d = 2, rho = (3/2, 1/2).
 
-    d must be a positive integer and the rounded s above 1, or DomainError
-    is raised at every point.
+    d must be a positive integer and s in float range and, rounded, above
+    1, or DomainError is raised at every point.
     """
     p, r1, r2, s = _series_constants(d, (as_exact(rho[0]), as_exact(rho[1])))
     pt = _exact_point(pt)
@@ -469,8 +473,11 @@ def _past_gates(pt, d: int, r1, r2, s: float) -> bool:
         return True
     if a1 > b1:
         raise DomainError("series parameter at or below a pole: need |x1| < rho1")
-    u = (float(r2 + x2), float(r2 - x2), d / 2)
-    l = (float(r1 + x1), float(r1 - x1))
+    try:
+        u = (float(r2 + x2), float(r2 - x2), d / 2)
+        l = (float(r1 + x1), float(r1 - x1))
+    except OverflowError:
+        raise DomainError("series parameters rho +- x beyond float range") from None
     if 0.0 in l:
         raise DomainError(f"series parameter rho1 +- x1 underflows to 0 at x1 = {x1}")
     value, radius = _R_enclosure(u, l, s)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,36 @@ def test_gamma_ratio_partial_converges():
 def test_gamma_ratio_partial_pole():
     with pytest.raises(PoleError):
         gamma_ratio_partial(1.0, 1.0, 0.0, 2.0, terms=3)
+    # the factor n + c vanishes at n = 2, after two finite factors
+    for args in ((1, 1, -2, 2, 5), (1.0, 1.0, -2.0, 2.0, 5)):
+        with pytest.raises(PoleError, match=r"at n = 2$"):
+            gamma_ratio_partial(*args)
+    assert gamma_ratio_partial(1, 1, -2, 2, 2) == reference_gamma_ratio_partial(1, 1, -2, 2, 2)
+
+
+def reference_gamma_ratio_partial(a, b, c, d, terms):
+    """The product with an int counter and a zero test per factor."""
+    out = 1.0
+    a, b, c, d = float(a), float(b), float(c), float(d)
+    for n in range(terms):
+        den = (n + c) * (n + d)
+        if den == 0:
+            raise PoleError(f"zero factor in denominator at n = {n}")
+        out *= (n + a) * (n + b) / den
+    return out
+
+
+def test_gamma_ratio_partial_is_bit_identical_to_the_reference():
+    rng = random.Random(2)
+    for _ in range(300):
+        a, b, c = (rng.uniform(-4.0, 4.0) for _ in range(3))
+        d = a + b - c
+        for terms in (0, 1, 7, 1000):
+            try:
+                want = reference_gamma_ratio_partial(a, b, c, d, terms)
+            except PoleError:
+                continue
+            assert gamma_ratio_partial(a, b, c, d, terms).hex() == want.hex()
 
 
 # ---------------------------------------------------------------- row limits

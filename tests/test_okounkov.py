@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from bcinterp.okounkov import (
     rectangle_poly,
     verify_characterization,
 )
+from bcinterp.okounkov import _det_exact
 from bcinterp.partitions import (
     cells,
     enumerate_Lambda,
@@ -207,6 +209,10 @@ def test_det_formula_tau1_matches_eval():
                     done += 1
 
 
+def test_det_formula_of_the_empty_point_is_one():
+    assert det_formula_tau1((), (), Fraction(1, 2)) == 1
+
+
 def test_det_formula_rejects_coinciding_squares():
     with pytest.raises(DomainError):
         det_formula_tau1((1,), (Fraction(2), Fraction(-2)), Fraction(1, 2))
@@ -238,6 +244,180 @@ def test_rectangle_poly_matches_eval():
             for l in range(4):
                 for pt in rational_points(n, 5, seed=n + l):
                     assert rectangle_poly(l, pt, p) == okounkov_eval((l,) * n, pt, p)
+
+
+def test_column_and_rectangle_forms_are_exact_only():
+    pt = (Fraction(1, 2), 0.25)
+    for f in (column_poly, column_poly_gf):
+        with pytest.raises(DomainError, match="exact"):
+            f(1, pt, P_HALF)
+    for l in (0, 2):
+        with pytest.raises(DomainError, match="exact"):
+            rectangle_poly(l, pt, P_HALF)
+
+
+# ---------------------------------------------------------------- integer oracles
+#
+# The reference formulas compute in integers over one common denominator.
+# Below, the Fraction versions they replaced: Gaussian elimination, the
+# truncated series product, and the products taken factor by factor.
+
+
+def reference_det(rows):
+    """Determinant by Gaussian elimination in Fractions."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            for c in range(col, len(m)):
+                m[r][c] -= f * m[col][c]
+    return det
+
+
+def reference_det_formula_tau1(lam, pt, alpha):
+    n = len(pt)
+    padded = tuple(lam) + (0,) * (n - len(lam))
+    kappa = [padded[j] + (n - 1 - j) for j in range(n)]
+    van = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            van *= pt[i] ** 2 - pt[j] ** 2
+    rows = [[reference_rank1(k, x, alpha) for k in kappa] for x in pt]
+    return reference_det(rows) / van
+
+
+def reference_rank1(l, x, alpha):
+    out = Fraction(1)
+    for i in range(l):
+        out *= x * x - (i + alpha) ** 2
+    return out
+
+
+def reference_poly_mul_trunc(a, b, deg):
+    out = [Fraction(0)] * (deg + 1)
+    for i, ai in enumerate(a[:deg + 1]):
+        for k, bk in enumerate(b[:deg + 1 - i]):
+            out[i + k] += ai * bk
+    return out
+
+
+def reference_column_poly_gf(j, pt, p):
+    series = [Fraction(1)]
+    for x in pt:
+        series = reference_poly_mul_trunc(series, [Fraction(1), x * x], j)
+    for r in p.rho[j - 1:]:
+        series = reference_poly_mul_trunc(series, [(-r * r) ** k for k in range(j + 1)], j)
+    return series[j]
+
+
+def reference_column_poly(j, pt, p):
+    total = Fraction(0)
+    for subset in itertools.combinations(range(p.n), j):
+        term = Fraction(1)
+        for k, i in enumerate(subset, start=1):
+            term *= pt[i] ** 2 - p.rho[i + j - k] ** 2
+        total += term
+    return total
+
+
+def reference_rectangle_poly(l, pt, p):
+    total = Fraction(1)
+    for i in range(l):
+        for x in pt:
+            total *= x * x - (i + p.alpha) ** 2
+    return total
+
+
+def test_det_exact_matches_gaussian_elimination():
+    # a zero leading pivot, a zero pivot after one step, singular matrices
+    cases = [
+        [[0, 1], [1, 0]],
+        [[0, 0], [1, 2]],
+        [[1, 2], [2, 4]],
+        [[1, 1, 1], [1, 1, 2], [2, 3, 5]],
+        [[0, 1, 2], [1, 0, 3], [4, 5, 0]],
+        [[7]],
+        [[0]],
+        [],
+    ]
+    rng = random.Random(3)
+    for _ in range(400):
+        size = rng.randint(1, 5)
+        cases.append([[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(size)] for _ in range(size)])
+    for m in cases:
+        want = reference_det(m)
+        assert _det_exact([list(r) for r in m]) == want
+    assert sum(reference_det(m) == 0 for m in cases) > 50
+
+
+ORACLE_ALPHAS = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(7, 12), Fraction(0))
+
+
+def oracle_points(rng, n, alpha, kappa):
+    """Random points with negative coordinates and denominators 1..4, and
+    points whose x_0 is a zero alpha + i of some matrix columns."""
+    pts = [tuple(Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4))) for _ in range(n)) for _ in range(4)]
+    for i in range(kappa[0]):
+        pts.append((alpha + i, *pts[0][1:]))
+        pts.append((-alpha - i, *pts[1][1:]))
+    return pts
+
+
+def test_det_formula_tau1_matches_the_fraction_reference():
+    rng = random.Random(11)
+    swapped = singular = 0
+    for n in (1, 2, 3, 4):
+        for alpha in ORACLE_ALPHAS:
+            for lam in enumerate_Lambda(n, 3 if n < 4 else 2):
+                padded = lam + (0,) * (n - len(lam))
+                kappa = [padded[j] + (n - 1 - j) for j in range(n)]
+                for pt in oracle_points(rng, n, alpha, kappa):
+                    if len({x * x for x in pt}) < n:
+                        with pytest.raises(DomainError):
+                            det_formula_tau1(lam, pt, alpha)
+                        continue
+                    got = det_formula_tau1(lam, pt, alpha)
+                    assert isinstance(got, Fraction)
+                    assert got == reference_det_formula_tau1(lam, pt, alpha)
+                    x0 = pt[0]
+                    if n > 1 and rank1_poly(kappa[0], x0, alpha) == 0 != rank1_poly(kappa[1], x0, alpha):
+                        swapped += 1  # entry (0, 0) vanishes, entry (0, 1) does not
+                    if rank1_poly(kappa[-1], x0, alpha) == 0:
+                        assert got == 0  # row 0 vanishes
+                        singular += 1
+    assert swapped > 20 and singular > 20
+
+
+def test_det_formula_tau1_matches_eval_where_a_pivot_vanishes():
+    # kappa = (2, 0): x_0 = alpha + 1 zeroes entry (0, 0) only
+    for alpha in (Fraction(1, 3), Fraction(-3, 4)):
+        p = Params(2, Fraction(1), alpha)
+        pt = (alpha + 1, Fraction(-7, 4))
+        got = det_formula_tau1((1,), pt, alpha)
+        assert got != 0 and got == okounkov_eval((1,), pt, p)
+
+
+def test_column_and_rectangle_forms_match_the_fraction_reference():
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        for tau in (Fraction(1), Fraction(2, 3), Fraction(-1, 4)):
+            for alpha in ORACLE_ALPHAS:
+                p = Params(n, tau, alpha)
+                for pt in oracle_points(rng, n, alpha, [2]):
+                    for j in range(1, n + 1):
+                        want = reference_column_poly(j, pt, p)
+                        assert want == reference_column_poly_gf(j, pt, p)
+                        assert column_poly(j, pt, p) == want == column_poly_gf(j, pt, p)
+                    for l in range(4):
+                        assert rectangle_poly(l, pt, p) == reference_rectangle_poly(l, pt, p)
 
 
 # ---------------------------------------------------------------- the k constant

@@ -720,3 +720,18 @@ def test_in_B_past_the_gates_at_a_series_pole():
     assert not _fraction_gates_fail(pt, RHO_SU22)
     with pytest.raises(DomainError, match="underflows"):
         in_B(pt, 2, RHO_SU22)
+
+
+def test_in_B_beyond_float_range_is_a_domain_error():
+    big = 10**400
+    # a T2 point past both gates, where rho2 +- x2 and rho1 +- x1 overflow
+    rho, pt = (Fraction(big + 1), Fraction(big)), (big + Fraction(1, 2), big + Fraction(1, 4))
+    assert not _fraction_gates_fail(pt, rho)
+    with pytest.raises(DomainError, match="beyond float range"):
+        in_B(pt, 2, rho)
+    # the same rho decides a point of T1 exactly
+    assert in_B((Fraction(1, 2), Fraction(1, 4)), 2, rho)
+    # s = 1 + 2 (rho1 - rho2) - d/2 itself overflows
+    for rho in ((Fraction(big), Fraction(0)), (Fraction(0), Fraction(-big))):
+        with pytest.raises(DomainError, match="beyond float range"):
+            in_B((Fraction(1, 2), Fraction(1, 4)), 2, rho)

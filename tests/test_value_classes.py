@@ -2,6 +2,7 @@
 hashing and immutability where callers rely on them."""
 
 import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,17 @@ def test_params_and_group_data_compare_and_hash_by_value():
     assert g != GroupData(2, 2, 0)
     assert len({p, q}) == 1 and len({g, h}) == 1
     assert copy.deepcopy(p) == p and copy.copy(g) == g
+
+
+def test_params_rho_is_built_once_and_is_not_a_field():
+    p = Params(3, Fraction(1, 2), Fraction(-1, 3))
+    assert p.rho is p.rho and p.rho == (Fraction(2, 3), Fraction(1, 6), Fraction(-1, 3))
+    assert repr(p) == "Params(n=3, tau=Fraction(1, 2), alpha=Fraction(-1, 3))"
+    assert p.__reduce__() == (Params, (3, Fraction(1, 2), Fraction(-1, 3)))
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p) and q.rho == p.rho
+    with pytest.raises(AttributeError):
+        p.rho = ()
 
 
 @pytest.mark.parametrize(
