@@ -361,11 +361,12 @@ def test_det_exact_matches_gaussian_elimination():
 ORACLE_ALPHAS = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(7, 12), Fraction(0))
 
 
-def oracle_points(rng, n, alpha, kappa):
+def oracle_points(rng, n, alpha, shifts):
     """Random points with negative coordinates and denominators 1..4, and
-    points whose x_0 is a zero alpha + i of some matrix columns."""
+    points whose x_0 is +-(alpha + i), i < shifts: a zero of the factor
+    x^2 - (i + alpha)^2."""
     pts = [tuple(Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4))) for _ in range(n)) for _ in range(4)]
-    for i in range(kappa[0]):
+    for i in range(shifts):
         pts.append((alpha + i, *pts[0][1:]))
         pts.append((-alpha - i, *pts[1][1:]))
     return pts
@@ -379,7 +380,7 @@ def test_det_formula_tau1_matches_the_fraction_reference():
             for lam in enumerate_Lambda(n, 3 if n < 4 else 2):
                 padded = lam + (0,) * (n - len(lam))
                 kappa = [padded[j] + (n - 1 - j) for j in range(n)]
-                for pt in oracle_points(rng, n, alpha, kappa):
+                for pt in oracle_points(rng, n, alpha, kappa[0]):
                     if len({x * x for x in pt}) < n:
                         with pytest.raises(DomainError):
                             det_formula_tau1(lam, pt, alpha)
@@ -411,7 +412,7 @@ def test_column_and_rectangle_forms_match_the_fraction_reference():
         for tau in (Fraction(1), Fraction(2, 3), Fraction(-1, 4)):
             for alpha in ORACLE_ALPHAS:
                 p = Params(n, tau, alpha)
-                for pt in oracle_points(rng, n, alpha, [2]):
+                for pt in oracle_points(rng, n, alpha, 2):
                     for j in range(1, n + 1):
                         want = reference_column_poly(j, pt, p)
                         assert want == reference_column_poly_gf(j, pt, p)
