@@ -21,7 +21,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .exactnum import DomainError, PoleError
+from .exactnum import DomainError, PoleError, _exact_str
 from .limits import (
     _contour_step,
     contour_to_csv,
@@ -50,7 +50,7 @@ from .okounkov import (
     verify_characterization,
 )
 from .partitions import enumerate_Lambda, format_partition, parse_partition, weight
-from .rank2 import R_midpoint_telescoped, R_series, in_B_raster, q_rank2, q_rank2_partial_d2
+from .rank2 import R_midpoint_telescoped, R_series, _series_constants, in_B_raster, q_rank2, q_rank2_partial_d2
 from .shimura import (
     GroupData,
     Verdict,
@@ -96,20 +96,17 @@ def _json(obj) -> str:
 
 
 def _prep_eval(args):
-    n = args.n
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    p = Params(n, _parse_rational(args.tau), _parse_rational(args.alpha))
+    p = Params(args.n, _parse_rational(args.tau), _parse_rational(args.alpha))
     lam = parse_partition(args.lam)
-    if len(lam) > n:
-        raise DomainError(f"partition {format_partition(lam)!r} has more than n = {n} parts")
+    if len(lam) > p.n:
+        raise DomainError(f"partition {format_partition(lam)!r} has more than n = {p.n} parts")
     return p, lam
 
 
 def cmd_eval(args):
     p, lam = _prep_eval(args)
     pt = _parse_vector(args.x, p.n)
-    return lambda: (_json({"value": str(Fraction(okounkov_eval(lam, pt, p)))}), 0)
+    return lambda: (_json({"value": _exact_str(okounkov_eval(lam, pt, p))}), 0)
 
 
 def cmd_expand(args):
@@ -131,15 +128,13 @@ def cmd_eigenvalue(args):
     pt = _parse_vector(args.x, g.n)
 
     def compute():
-        value = shimura_eigenvalue(mu, pt, g)
-        kmu = k_constant(mu, prm.tau)
         obj = {
-            "eigenvalue": str(Fraction(value)),
-            "k_mu": str(Fraction(kmu)),
-            "tau": str(prm.tau),
-            "alpha": str(prm.alpha),
+            "eigenvalue": shimura_eigenvalue(mu, pt, g),
+            "k_mu": k_constant(mu, prm.tau),
+            "tau": prm.tau,
+            "alpha": prm.alpha,
         }
-        return _json(obj), 0
+        return _json({k: _exact_str(v) for k, v in obj.items()}), 0
 
     return compute
 
@@ -319,8 +314,9 @@ def _region_window(args):
         raise DomainError(f"kind {kind} needs a rank-2 group, got n = {g.n}")
     if kind == "U0" and g.p != 0:
         raise DomainError("kind U0 is defined for p = 0")
-    if kind == "rank2-B" and g.d < 1:
-        raise DomainError(f"kind rank2-B needs d >= 1, got d = {g.d}")
+    if kind == "rank2-B":
+        # in_B_raster's checks of d and of the series, at flag time
+        _series_constants(g.d, prm.rho)
     if kind == "rank2-B" and g.d > 2:
         # in_B's three tests miss q_(2,2) < 0 in T2 for d >= 3 (README)
         raise DomainError(f"kind rank2-B is the positivity set only for d <= 2, got d = {g.d}")

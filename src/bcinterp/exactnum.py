@@ -97,6 +97,15 @@ def as_exact(value) -> Fraction:
     raise DomainError(f"expected an exact rational, got {value!r}")
 
 
+def _exact_str(value) -> str:
+    """str of an exact value; DomainError where it has more digits than
+    Python's int-to-str conversion allows (sys.get_int_max_str_digits)."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise DomainError(f"exact result too long to print: {exc}") from None
+
+
 def _ascending_axis(axis) -> list[Fraction]:
     """The axis of a row-range raster as Fractions; DomainError unless every
     value is exact and the axis is ascending (ties allowed)."""

@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import DomainError, Frozen, _exact_point, as_exact, gen_pochhammer, poch_rising
+from .exactnum import DomainError, Frozen, _exact_point, _exact_str, as_exact, gen_pochhammer, poch_rising
 from .partitions import (
     arm,
     cells,
@@ -161,7 +161,7 @@ class SymEvenPoly:
         reps = sorted({tuple(sorted(e, reverse=True)) for e in self.coeffs}, reverse=True)
         return {
             "n": self.n,
-            "terms": [{"exp": list(e), "coeff": str(self.coeffs[e])} for e in reps],
+            "terms": [{"exp": list(e), "coeff": _exact_str(self.coeffs[e])} for e in reps],
         }
 
 

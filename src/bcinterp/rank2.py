@@ -120,32 +120,13 @@ def q_rank2_partial_d2(m1: int, m2: int, pt, rho):
     return pref * hyp_sum((m2 + r2 + x2, m2 + r2 - x2, 1), (m2 + r1 + x1, m2 + r1 - x1), big_m)
 
 
-def _R_parameters(pt, d: int, rho):
-    """Float upper parameters (rho2+x2, rho2-x2, d/2), lower parameters
-    (rho1+x1, rho1-x1) and decay exponent s of the boundary series, summed
-    in floats, after the checks that it is summable: finite coordinates,
-    d >= 1, both lower parameters > 0, s > 1."""
-    if not isinstance(d, int) or d < 1:
-        raise DomainError(f"d must be a positive integer, got {d}")
-    r1 = float(rho[0])
-    r2 = float(rho[1])
-    x1 = float(pt[0])
-    x2 = float(pt[1])
-    if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise DomainError(f"point coordinates must be finite, got {pt!r}")
-    l = (r1 + x1, r1 - x1)
-    u = (r2 + x2, r2 - x2, d / 2.0)
-    if l[0] <= 0 or l[1] <= 0:
-        raise DomainError("series parameter at or below a pole: need |x1| < rho1")
-    s = 1.0 + sum(l) - sum(u)
-    if s <= 1.0:
-        raise DomainError(f"series decays like k^{-s} with s = {s} <= 1: not summable")
-    return u, l, s
-
-
 def R_series(pt, d: int, rho, rel_tol: float = 1e-12) -> float:
-    """The boundary series sum_k (rho2±x2)_k (d/2)_k / ((rho1±x1)_k k!), by _R_sum."""
-    return _R_sum(*_R_parameters(pt, d, rho), rel_tol)
+    """The boundary series sum_k (rho2±x2)_k (d/2)_k / ((rho1±x1)_k k!), by
+    _R_sum, at the parameters in_B signs: pt and rho at their exact values
+    (a float as the binary rational it holds), each parameter rounded once
+    from its exact value (_series_constants, _series_args)."""
+    _, r1, r2, s = _series_constants(d, tuple(map(as_exact, _exact_point(rho))))
+    return _R_sum(*_series_args(_exact_point(pt), d, r1, r2), s, rel_tol)
 
 
 def _R_sum(u, l, s, rel_tol: float) -> float:
@@ -387,11 +368,12 @@ class Rank2Regions:
 # typed, and rho exact: as keys, 2.0 == 2 and (1.5, 0.5) == (3/2, 1/2)
 @lru_cache(maxsize=None, typed=True)
 def _series_constants(d, rho: tuple):
-    """What in_B needs of d and the exact pair rho, built once per pair:
-    Params(2, rho1 - rho2, rho2), whose column tests are the gates of in_B;
-    rho1 and rho2; and the series' decay exponent s = 1 + 2 (rho1 - rho2)
-    - d/2, rounded once. DomainError unless d is a positive integer and that
-    float s > 1 (the series is summable, and _R_sum divides by s - 1)."""
+    """What in_B and R_series need of d and the exact pair rho, built once
+    per pair: Params(2, rho1 - rho2, rho2), whose column tests are the gates
+    of in_B; rho1 and rho2; and the series' decay exponent
+    s = 1 + 2 (rho1 - rho2) - d/2, rounded once. DomainError unless d is a
+    positive integer and that float s > 1 (the series is summable, and
+    _R_sum divides by s - 1)."""
     if not isinstance(d, int) or d < 1:
         raise DomainError(f"d must be a positive integer, got {d}")
     r1, r2 = rho
@@ -430,12 +412,10 @@ def in_B(pt, d: int, rho) -> bool:
     rho2 + x2 >= 0 and |x1| < rho1 (the T1 side) every term
     (rho2+x2)_k (rho2-x2)_k (d/2)_k / ((rho1+x1)_k (rho1-x1)_k k!) is >= 0,
     so R >= 1 and the point is a member from the term signs alone, decided
-    in exact arithmetic. A point past both gates with |x1| > rho1 (possible
-    only where |rho2| >= rho1) raises DomainError, as R_series does. Every
-    other point that passes is decided by the sign of the boundary series
-    at u = (rho2 + x2, rho2 - x2, d/2), l = (rho1 + x1, rho1 - x1) and s,
-    each rounded once from its exact value (DomainError where one lies
-    beyond float range or an l rounds to 0):
+    in exact arithmetic. Every other point that passes is decided by the
+    sign of the boundary series at the parameters R_series sums, each
+    rounded once from its exact value (_series_args, whose DomainError a
+    point with |x1| > rho1, possible only where |rho2| >= rho1, raises):
     - _R_enclosure gives a proven interval for R, and a point is a member
       when the interval lies in R > 0 and not one when it lies in R < 0;
     - a point whose interval still contains 0 after 4096 terms keeps the
@@ -471,7 +451,21 @@ def _past_gates(pt, d: int, r1, r2, s: float) -> bool:
     a1, b1 = abs(x1.numerator) * r1.denominator, r1.numerator * x1.denominator
     if a1 == b1 or a1 < b1 and abs(x2.numerator) * r2.denominator <= r2.numerator * x2.denominator:
         return True
-    if a1 > b1:
+    u, l = _series_args(pt, d, r1, r2)
+    value, radius = _R_enclosure(u, l, s)
+    if abs(value) > radius:
+        return value > 0
+    return _R_sum(u, l, s, 1e-8) >= -SIGN_DEADBAND
+
+
+def _series_args(pt, d: int, r1, r2):
+    """The float upper parameters u = (rho2 + x2, rho2 - x2, d/2) and lower
+    parameters l = (rho1 + x1, rho1 - x1) of the boundary series at an exact
+    point and exact rho, each rounded once from its exact value. DomainError
+    unless |x1| < rho1 (decided in integers), every parameter is in float
+    range and neither l rounds to 0."""
+    x1, x2 = pt
+    if abs(x1.numerator) * r1.denominator >= r1.numerator * x1.denominator:
         raise DomainError("series parameter at or below a pole: need |x1| < rho1")
     try:
         u = (float(r2 + x2), float(r2 - x2), d / 2)
@@ -479,8 +473,5 @@ def _past_gates(pt, d: int, r1, r2, s: float) -> bool:
     except OverflowError:
         raise DomainError("series parameters rho +- x beyond float range") from None
     if 0.0 in l:
-        raise DomainError(f"series parameter rho1 +- x1 underflows to 0 at x1 = {x1}")
-    value, radius = _R_enclosure(u, l, s)
-    if abs(value) > radius:
-        return value > 0
-    return _R_sum(u, l, s, 1e-8) >= -SIGN_DEADBAND
+        raise DomainError("series parameter rho1 +- x1 underflows to 0")
+    return u, l

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -62,6 +63,15 @@ def test_eval_bad_partition_is_usage_error(capsys):
 def test_eval_missing_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, "eval", "--n", "2", "--tau", "1", "--alpha", "1/2", "--lambda", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --n 0 --tau 1 --alpha 1/2 --lambda '' --x 1",
+    "expand --n 0 --tau 1 --alpha 1/2 --lambda ''",
+])
+def test_rank_below_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *shlex.split(argv))
+    assert (code, out) == (2, "") and err.startswith("error: rank must be >= 1")
 
 
 def test_eval_partition_longer_than_n_is_usage_error(capsys):
@@ -544,6 +554,18 @@ def test_overflowing_s_m_is_a_domain_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "eval --n 1 --tau 1 --alpha 1 --lambda 3 --x 1e2000",
+    "expand --n 3 --tau 1e400 --alpha 1 --lambda 5",
+    "eigenvalue --group 2,2,0 --mu 4 --x 1e1500,1",
+])
+def test_exact_result_too_long_to_print_is_a_domain_error(capsys, argv):
+    # the exact value has more digits than int-to-str conversion allows
+    code, out, err = run(capsys, *shlex.split(argv))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: exact result too long to print") and err.count("\n") == 1
+
+
 def test_crossing_m0(capsys):
     code, out, _ = run(capsys, "crossing", "--m", "0")
     assert code == 0
@@ -570,6 +592,23 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     )
     out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_package_imports_only_the_standard_library():
+    # relative imports (level > 0) stay inside the package
+    src = os.path.join(ROOT, "src", "bcinterp")
+    imported = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update((name, alias.name.split(".")[0]) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add((name, node.module.split(".")[0]))
+    outside = [(name, module) for name, module in sorted(imported) if module not in sys.stdlib_module_names]
+    assert imported and outside == []
 
 
 def test_readme_examples_print_their_output_comments(capsys):

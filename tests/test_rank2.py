@@ -144,10 +144,15 @@ def test_R_series_vanishes_at_corner_node():
     assert R_closed_form_b0((1.0, 1.0)) == 0.0
 
 
+def _series_parameters(pt, d, rho):
+    """(u, l, s) of the boundary series at pt and rho, each coordinate at its
+    exact value, as R_series and in_B round them."""
+    _, r1, r2, s = rank2._series_constants(d, tuple(map(Fraction, rho)))
+    return (*rank2._series_args(tuple(map(Fraction, pt)), d, r1, r2), s)
+
+
 def test_R_series_matches_reference_values():
     mp = pytest.importorskip("mpmath")
-    mp_ctx = mp.mp
-    mp_ctx.dps = 25
     cases = [
         ((0.3, 0.1), 1, (1.25, 0.75)),
         ((1.1, 0.4), 1, (1.25, 0.75)),
@@ -159,14 +164,15 @@ def test_R_series_matches_reference_values():
     for pt, d, rho in cases:
         x1, x2 = pt
         r1, r2 = rho
-        ref = mp.hyper(
-            [r2 + x2, r2 - x2, d / 2.0],
-            [r1 + x1, r1 - x1],
-            1,
-        )
-        assert abs(R_series(pt, d, rho) - float(ref)) <= 5e-12 * (1 + abs(float(ref)))
-        value, radius = rank2._R_enclosure(*rank2._R_parameters(pt, d, rho))
-        assert abs(mp_ctx.mpf(value) - ref) <= radius, (pt, d, rho)
+        with mp.workdps(25):
+            ref = mp.hyper(
+                [r2 + x2, r2 - x2, d / 2.0],
+                [r1 + x1, r1 - x1],
+                1,
+            )
+            assert abs(R_series(pt, d, rho) - float(ref)) <= 5e-12 * (1 + abs(float(ref)))
+            value, radius = rank2._R_enclosure(*_series_parameters(pt, d, rho))
+            assert abs(mp.mpf(value) - ref) <= radius, (pt, d, rho)
 
 
 def test_R_series_agrees_with_gamma_quotient():
@@ -383,7 +389,7 @@ def test_R_enclosure_contains_R_series_in_T2():
     checked = 0
     for d, b in GROUPS_DB:
         for fpt, frho in _T2_series_points(d, b):
-            value, radius = rank2._R_enclosure(*rank2._R_parameters(fpt, d, frho))
+            value, radius = rank2._R_enclosure(*_series_parameters(fpt, d, frho))
             assert abs(R_series(fpt, d, frho) - value) <= radius, (d, b, fpt)
             checked += 1
     assert checked > 150
@@ -393,7 +399,7 @@ def test_R_enclosure_contains_R_series_in_T2():
 def test_R_enclosure_where_the_first_tail_bound_fails(pt, d, rho):
     # the cubics fail at K = 32 here; bounds from sigma and sigma' alone
     # would miss R
-    value, radius = rank2._R_enclosure(*rank2._R_parameters(pt, d, rho))
+    value, radius = rank2._R_enclosure(*_series_parameters(pt, d, rho))
     assert abs(R_series(pt, d, rho) - value) <= radius
 
 
@@ -436,13 +442,13 @@ def test_in_B_mirrors_of_rho_are_members():
 
 
 def test_in_B_exact_T1_point_within_float_rounding_of_rho1():
-    # float(x1) == float(rho1) here, so the float series parameter rho1 - x1
-    # is 0; the exact point has |x2| <= rho2, every term is >= 0 and R >= 1
+    # float(x1) == float(rho1) here, but the exact point has rho1 - x1 > 0
+    # and |x2| <= rho2: every term is >= 0 and R >= 1. x2 = rho2 stops the
+    # series after its first term, on both paths
     rho = (Fraction(4, 3), Fraction(1, 3))
     pt = (Fraction(4, 3) - Fraction(1, 10**20), Fraction(1, 3))
     assert float(pt[0]) == float(rho[0])
-    with pytest.raises(DomainError):
-        R_series(pt, 2, rho)
+    assert R_series(pt, 2, rho) == 1.0
     assert in_B(pt, 2, rho)
     assert in_B((pt[0], -pt[1]), 2, rho)
 
@@ -456,6 +462,29 @@ def _counting(monkeypatch, calls, *names):
 
         monkeypatch.setattr(rank2, name, counting)
     return calls
+
+
+def test_R_series_sums_the_parameters_in_B_signs(monkeypatch):
+    # both round rho +- x once from the exact value; rounding rho and x
+    # first, then adding, differs in the last bit at many of these points
+    calls = _counting(monkeypatch, [], "_R_enclosure", "_R_sum")
+    checked = 0
+    for d, b in ((1, 0), (1, 1), (2, 0), (2, 1)):
+        rho = _group_rho(d, b)
+        for q in (3, 7, 10):
+            top = int(rho[0] + 1) * q
+            for pt in ((Fraction(i, q), Fraction(j, q)) for i in range(top) for j in range(i + 1)):
+                if pt[1] <= rho[1] or pt[0] >= rho[0] or _fraction_gates_fail(pt, rho):
+                    continue
+                in_B(pt, d, rho)
+                name, enclosed = calls[0]
+                assert name == "_R_enclosure"
+                calls.clear()
+                R_series(pt, d, rho)
+                assert calls == [("_R_sum", (*enclosed, 1e-12))], (d, b, pt)
+                calls.clear()
+                checked += 1
+    assert checked > 100
 
 
 def test_region_rank2_B_rasters_never_need_the_fallback(monkeypatch, capsys):
@@ -718,6 +747,11 @@ def test_in_B_past_the_gates_at_a_series_pole():
     # a T2 point 10^-400 inside rho1: rho1 - x1 > 0 rounds to 0.0
     pt = (Fraction(3, 2) - Fraction(1, 10**400), Fraction(1, 2) + Fraction(1, 10**401))
     assert not _fraction_gates_fail(pt, RHO_SU22)
+    with pytest.raises(DomainError, match="underflows"):
+        in_B(pt, 2, RHO_SU22)
+    # the message names no coordinate: this x1 has more digits than
+    # int-to-str conversion allows
+    pt = (Fraction(3, 2) - Fraction(1, 10**5000), Fraction(1, 2) + Fraction(1, 10**5001))
     with pytest.raises(DomainError, match="underflows"):
         in_B(pt, 2, RHO_SU22)
 
