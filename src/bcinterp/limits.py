@@ -292,47 +292,40 @@ _CONTOUR_BOX = 1.2
 _CONTOUR_MAX_GRID = int(_CONTOUR_BOX / (2 * _DIAG_SWITCH))
 
 
+# A cell's corners are 0..3 = (x0,y0) (x1,y0) (x1,y1) (x0,y1); bit k of a
+# mask is set when corner k is inside, and an edge is (corner a, corner b,
+# the coordinate that varies along it). A mask maps to the pairs of edges
+# its segments join; a saddle is keyed by (mask, centre inside).
+_BOTTOM, _RIGHT, _TOP, _LEFT = (0, 1, 0), (1, 2, 1), (3, 2, 0), (0, 3, 1)
+_CELL_SEGMENTS = {mask: pairs for masks, pairs in (
+    ((0, 15), ()),
+    ((1, 14), ((_LEFT, _BOTTOM),)),
+    ((2, 13), ((_BOTTOM, _RIGHT),)),
+    ((3, 12), ((_LEFT, _RIGHT),)),
+    ((4, 11), ((_RIGHT, _TOP),)),
+    ((6, 9), ((_BOTTOM, _TOP),)),
+    ((7, 8), ((_TOP, _LEFT),)),
+    (((5, True), (10, False)), ((_LEFT, _TOP), (_BOTTOM, _RIGHT))),
+    (((5, False), (10, True)), ((_LEFT, _BOTTOM), (_RIGHT, _TOP))),
+) for mask in masks}
+
+
 def _march_cell(x0, x1, y0, y1, f00, f10, f11, f01, node):
     """Zero-level segments for one cell; corners are (x0,y0) (x1,y0)
     (x1,y1) (x0,y1). Sign convention: a corner is inside when f <= 0.
     node(x, y) is called at the centre only in a saddle cell."""
+    corners, fs = ((x0, y0), (x1, y0), (x1, y1), (x0, y1)), (f00, f10, f11, f01)
 
-    def bottom():
-        return (x0 + (x1 - x0) * f00 / (f00 - f10), y0)
-
-    def right():
-        return (x1, y0 + (y1 - y0) * f10 / (f10 - f11))
-
-    def top():
-        return (x0 + (x1 - x0) * f01 / (f01 - f11), y1)
-
-    def left():
-        return (x0, y0 + (y1 - y0) * f00 / (f00 - f01))
+    def cross(a, b, axis):
+        # the zero of the linear interpolant from corner a to corner b
+        pt = list(corners[a])
+        pt[axis] += (corners[b][axis] - pt[axis]) * fs[a] / (fs[a] - fs[b])
+        return tuple(pt)
 
     mask = (f00 <= 0) | (f10 <= 0) << 1 | (f11 <= 0) << 2 | (f01 <= 0) << 3
-    if mask in (0, 15):
-        return []
-    if mask in (1, 14):
-        return [(left(), bottom())]
-    if mask in (2, 13):
-        return [(bottom(), right())]
-    if mask in (3, 12):
-        return [(left(), right())]
-    if mask in (4, 11):
-        return [(right(), top())]
-    if mask in (6, 9):
-        return [(bottom(), top())]
-    if mask in (7, 8):
-        return [(top(), left())]
-    # opposite corners: join through the center when it is inside
-    fmid = node((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-    if mask == 5:
-        if fmid <= 0:
-            return [(left(), top()), (bottom(), right())]
-        return [(left(), bottom()), (right(), top())]
-    if fmid <= 0:
-        return [(left(), bottom()), (right(), top())]
-    return [(left(), top()), (bottom(), right())]
+    if mask in (5, 10):
+        mask = mask, node((x0 + x1) / 2.0, (y0 + y1) / 2.0) <= 0
+    return [(cross(*e), cross(*f)) for e, f in _CELL_SEGMENTS[mask]]
 
 
 def _key(p):

@@ -166,81 +166,64 @@ class SymEvenPoly:
 
 
 class _Compiled:
-    """The terms (psi, ((idx, c^2), ...)) of one tableau sum
-    E = sum_T psi_T prod (x_idx^2 - c^2) in n coordinates, with the same
-    number `cells` of factors in every term, compiled once per (lam, p) into
-    the only form the kernel reads: scaled to integers and split by
-    coordinate. den is the lcm P of the psi denominators, lsc the lcm L of
-    the c^2 denominators, and consts[idx] the distinct C = c^2 L of
-    coordinate idx. The products of a term's factors in one coordinate form
-    a prefix tree: node 0 is the empty product, and chains[idx] holds
-    (parent node, position in consts[idx]) for nodes 1, 2, .... fold holds
-    per term (Psi = psi P, its nodes in all coordinates but the last as
-    positions in their rows laid end to end, its node in the last
-    coordinate).
+    """P_lam for one (lam, p), compiled in one pass from the reverse
+    tableaux into the only form the kernel reads: the terms
+    psi_T prod_s (x_idx^2 - c^2) of the tableau sum in n coordinates, where
+    cell s gives idx = T(s) - 1 and c = a'(s) + tau (n - T(s) - l'(s)) +
+    alpha, scaled to integers and split by coordinate, with the same number
+    `cells` of factors in every term. den is the lcm P of the psi
+    denominators. With D = lcm(den tau, den alpha) every c D is an integer,
+    so lsc is one scale L = D^2 for every sum of the Params, and consts[idx]
+    holds the distinct C = (c D)^2 = c^2 L of coordinate idx. The products
+    of a term's factors in one coordinate form a prefix tree: node 0 is the
+    empty product, and chains[idx] holds (parent node, position in
+    consts[idx]) for nodes 1, 2, .... fold holds per term (Psi = psi P, its
+    nodes in all coordinates but the last as positions in their rows laid
+    end to end, its node in the last coordinate).
     """
 
     __slots__ = ("cells", "den", "lsc", "consts", "chains", "fold")
 
-    def __init__(self, terms, n: int):
-        self.cells = len(terms[0][1])
-        self.den = den = math.lcm(*[psi.denominator for psi, _ in terms])
-        pos = [{} for _ in range(n)]  # per coordinate: c^2 -> position
+    def __init__(self, lam: tuple[int, ...], p: Params):
+        n, tau, alpha = p.n, p.tau, p.alpha
+        d = math.lcm(tau.denominator, alpha.denominator)
+        tau_d, alpha_d = int(tau * d), int(alpha * d)
+        # per cell in row-major order, C for each entry t it can hold:
+        # entries strictly decrease down a column, so T(s) <= n - i
+        cell_consts = [
+            [(j * d + tau_d * (n - t - i) + alpha_d) ** 2 for t in range(1, n - i + 1)]
+            for i, part in enumerate(lam)
+            for j in range(part)
+        ]
+        pos = [{} for _ in range(n)]  # per coordinate: C -> position
         trees = [{} for _ in range(n)]  # per coordinate: (parent, position) -> node
-        # by the id of a factor object (terms keeps them all alive), its
-        # coordinate and position: terms share factor objects, so each is
-        # hashed by its c^2 value once
-        seen = {}
         ends = []
-        for psi, facs in terms:
+        for tab in reverse_tableaux(lam, n):
             split = [[] for _ in range(n)]
-            for fac in facs:
-                hit = seen.get(id(fac))
-                if hit is None:
-                    idx, csq = fac
-                    hit = seen[id(fac)] = idx, pos[idx].setdefault(csq, len(pos[idx]))
-                split[hit[0]].append(hit[1])
+            for consts, t in zip(cell_consts, itertools.chain.from_iterable(tab.rows)):
+                cpos = pos[t - 1]
+                split[t - 1].append(cpos.setdefault(consts[t - 1], len(cpos)))
             nodes = []
             for tree, ks in zip(trees, split):
                 node = 0
                 for k in sorted(ks):
                     node = tree.setdefault((node, k), len(tree) + 1)
                 nodes.append(node)
-            ends.append((psi.numerator * (den // psi.denominator), nodes))
+            ends.append((psi_tableau(tab, tau), nodes))
+        self.cells = len(cell_consts)
+        self.den = den = math.lcm(*[psi.denominator for psi, _ in ends])
+        self.lsc = d * d
         offsets = [0, *itertools.accumulate(len(tree) + 1 for tree in trees)]
         self.fold = tuple(
-            (psi, tuple(off + node for off, node in zip(offsets, nodes[:-1])), nodes[-1]) for psi, nodes in ends
+            (psi.numerator * (den // psi.denominator), tuple(map(operator.add, offsets, nodes[:-1])), nodes[-1])
+            for psi, nodes in ends
         )
-        self.lsc = lsc = math.lcm(*[csq.denominator for cpos in pos for csq in cpos])
-        self.consts = tuple(tuple(csq.numerator * (lsc // csq.denominator) for csq in cpos) for cpos in pos)
-        self.chains = tuple(tuple(tree) for tree in trees)
+        self.consts = tuple(map(tuple, pos))
+        self.chains = tuple(map(tuple, trees))
 
 
-@lru_cache(maxsize=None)
-def _c_square(p: Params, a: int, k: int) -> Fraction:
-    """c^2 for c = a + tau k + alpha, built once per Params."""
-    return (a + p.tau * k + p.alpha) ** 2
-
-
-@lru_cache(maxsize=None)
-def _compiled_terms(lam: tuple[int, ...], p: Params) -> _Compiled:
-    """The reverse-tableau terms of P_lam: psi_T and, per cell s, the
-    coordinate index T(s) - 1 and c^2, where c is the additive constant
-    a'(s) + tau (n - T(s) - l'(s)) + alpha of the factor attached to s.
-    """
-    n = p.n
-    # per cell in row-major order, the factor at index T(s) for each entry
-    # it can hold: entries strictly decrease down a column, so T(s) <= n - i
-    factors = [
-        (None, *((t - 1, _c_square(p, j, n - t - i)) for t in range(1, n - i + 1)))
-        for i, part in enumerate(lam)
-        for j in range(part)
-    ]
-    terms = [
-        (psi_tableau(tab, p.tau), tuple(map(operator.getitem, factors, itertools.chain.from_iterable(tab.rows))))
-        for tab in reverse_tableaux(lam, n)
-    ]
-    return _Compiled(tuple(terms), n)
+# P_lam compiled once per (lam, p): a Params compares and hashes by value
+_compiled_terms = lru_cache(maxsize=None)(_Compiled)
 
 
 def _scaled_axis(axis):
@@ -252,7 +235,8 @@ def _scaled_axis(axis):
 
 
 def _node_row(comp: _Compiled, idx: int, q2: int, a2: int):
-    """Step one of the exact kernel. At x = A/Q every factor x_idx^2 - c^2
+    """Step one of the exact kernel. With L = lcm(den tau, den alpha)^2,
+    the one scale of the Params, at x = A/Q every factor x_idx^2 - c^2
     is (A_idx^2 L - C Q^2) / (Q^2 L), so E = N / (P (Q^2 L)^K), K =
     comp.cells, with N = sum_T Psi_T prod_idx F_T,idx(A_idx) and F_T,idx
     the product of the term's factors in coordinate idx. This gives the

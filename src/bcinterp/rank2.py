@@ -383,7 +383,7 @@ def _series_constants(d, rho: tuple):
     except OverflowError:
         raise DomainError("series decay exponent s = 1 + 2 (rho1 - rho2) - d/2 beyond float range") from None
     if not fs > 1.0:
-        raise DomainError(f"series decays like k^-s with s = {s} <= 1: not summable")
+        raise DomainError(f"series decays like k^-s with s = {fs} <= 1 as a float: not summable")
     return Params(2, r1 - r2, r2), r1, r2, fs
 
 

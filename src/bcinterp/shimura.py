@@ -10,6 +10,7 @@ its binary rational); a nan or inf coordinate raises DomainError.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -131,15 +132,18 @@ def _signed_columns(p: Params):
 
 
 @lru_cache(maxsize=None)
+def _signed_band(p: Params, k: int):
+    """(lam, sign of q_lam, compiled terms of P_lam) for the lam of weight
+    k, in enumeration order."""
+    return tuple((lam, (-1) ** k, _compiled_terms(lam, p))
+                 for lam in enumerate_Lambda(p.n, k) if weight(lam) == k)
+
+
 def _signed_sums(p: Params, max_weight: int):
-    """(lam, sign of q_lam, compiled terms of P_lam) for the nonempty lam of
-    Lambda^max_weight in enumeration order. Every table is compiled on the
-    first call for (p, max_weight), also when the first point to ask fails
-    at lam = (1)."""
-    return tuple(
-        (lam, -1 if weight(lam) % 2 else 1, _compiled_terms(lam, p))
-        for lam in enumerate_Lambda(p.n, max_weight) if lam
-    )
+    """The entries of _signed_band for the nonempty lam of Lambda^max_weight
+    in enumeration order. A band is compiled when the iteration first
+    reaches it, so a point that fails at lam = (1) compiles one sum."""
+    return itertools.chain.from_iterable(_signed_band(p, k) for k in range(1, max_weight + 1))
 
 
 def _first_negative(pt, signed):
@@ -239,11 +243,22 @@ def in_square(pt, p: Params) -> bool:
     return all(0 <= x <= rho_n for x in pt)
 
 
+def _u0_row(x1, b: int):
+    """The row of U0 at 0 <= x1 <= rho2, as (bound, segments): its members
+    are the x2 in [0, x1] with x2 <= bound or x2 in segments. The base
+    triangle x1 + x2 <= 1 is x2 <= 1 - x1, the shifted triangle j is
+    x2 <= min(x1 - j, j + 1 - x1), and the segment j is x2 = x1 - j >= 0,
+    for j = 1..floor((b-1)/2)."""
+    shifts = range(1, (b - 1) // 2 + 1)  # empty for b < 3
+    bound = max([1 - x1] + [min(x1 - j, j + 1 - x1) for j in shifts])
+    return bound, [x1 - j for j in shifts if j <= x1]
+
+
 def in_U0_knapp_speh(pt, b: int) -> bool:
     """The explicit complementary-series region for the rank-2 family with
     half short-root multiplicity b: a base triangle plus, for
     j = 1..floor((b-1)/2), shifted triangles and segments inside the box
-    [0, rho2]^2, all taken in the decreasing chamber.
+    [0, rho2]^2, all taken in the decreasing chamber (_u0_row).
 
     The base triangle x1+x2 <= 1 is intersected with the box as well; for
     b = 0 the printed region otherwise sticks out of the column-positive
@@ -255,17 +270,10 @@ def in_U0_knapp_speh(pt, b: int) -> bool:
     if b < 0:
         raise DomainError(f"need b >= 0, got {b}")
     x1, x2 = _exact_point(pt)
-    rho2 = Fraction(b + 1, 2)
-    in_box = 0 <= x2 <= x1 <= rho2
-    if not in_box:
+    if not 0 <= x2 <= x1 <= Fraction(b + 1, 2):
         return False
-    if x1 + x2 <= 1:
-        return True
-    k = (b - 1) // 2 if b >= 3 else 0
-    for j in range(1, k + 1):
-        if x1 - x2 >= j and x1 + x2 <= j + 1 or x1 - x2 == j:
-            return True
-    return False
+    bound, segments = _u0_row(x1, b)
+    return x2 <= bound or x2 in segments
 
 
 # The row-range rasters below take an ascending exact axis, so x2 <= x1 in
@@ -292,28 +300,23 @@ def in_square_raster(axis, p: Params):
 def in_U0_raster(axis, b: int):
     """in_U0_knapp_speh on the raster of an ascending exact axis: yields,
     for each i, [in_U0_knapp_speh((axis[i], axis[j]), b) for j <= i].
-
-    In a row with 0 <= x1 <= rho2 the base triangle is x2 <= 1 - x1 and
-    the shifted triangle j is x2 <= min(x1 - j, j + 1 - x1), so the members
-    are the cells with 0 <= x2 <= the largest of these bounds, plus the
-    cells with x2 == x1 - j >= 0 exactly (the segments).
+    In a row with 0 <= x1 <= rho2 the members are the cells with
+    0 <= x2 <= the row's bound, plus the cells on its segments (_u0_row).
     """
     if b < 0:
         raise DomainError(f"need b >= 0, got {b}")
     axis = _ascending_axis(axis)
     rho2 = Fraction(b + 1, 2)
-    shifts = range(1, (b - 1) // 2 + 1)  # empty for b < 3
     lo = bisect_left(axis, 0)
     for i, x1 in enumerate(axis):
         n = i + 1
         if not 0 <= x1 <= rho2:
             yield [False] * n
             continue
-        bound = max([1 - x1] + [min(x1 - j, j + 1 - x1) for j in shifts])
+        bound, segments = _u0_row(x1, b)
         hi = max(lo, bisect_right(axis, bound, 0, n))
         row = [False] * lo + [True] * (hi - lo) + [False] * (n - hi)
-        for j in shifts:
-            if x1 - j >= 0:
-                for k in range(bisect_left(axis, x1 - j, 0, n), bisect_right(axis, x1 - j, 0, n)):
-                    row[k] = True
+        for x2 in segments:
+            for k in range(bisect_left(axis, x2, 0, n), bisect_right(axis, x2, 0, n)):
+                row[k] = True
         yield row

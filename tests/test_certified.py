@@ -5,6 +5,7 @@ product), which must agree with a plain Fraction sum over the reverse
 tableaux at Fraction(x), and with the column subset sum for in_G."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -392,3 +393,45 @@ def test_wrong_length_is_domain_error():
         in_G((Fraction(1), Fraction(0)), p)
     with pytest.raises(DomainError, match="point has length 2, expected 3"):
         in_A_certified((Fraction(1), Fraction(0)), p, 4)
+
+
+# (tau, alpha) of the benchmark's expand, eval, eigenvalue and raster
+# commands, of the verify suites, and two with larger denominators
+COMPILED_PARAMS = [
+    (Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(1, 2)), (Fraction(3, 2), Fraction(1)),
+    (Fraction(1), Fraction(1)), (Fraction(2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(3, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 2)), (Fraction(1), Fraction(2)),
+    (Fraction(2), Fraction(1)), (Fraction(2), Fraction(2)), (Fraction(2), Fraction(5, 2)),
+    (Fraction(1, 2), Fraction(3, 4)), (Fraction(1), Fraction(3, 4)), (Fraction(3, 2), Fraction(3, 4)),
+    (Fraction(1, 3), Fraction(2, 5)), (Fraction(2, 3), Fraction(1, 7)),
+]
+
+
+@pytest.mark.parametrize("tau, alpha", COMPILED_PARAMS)
+def test_every_sum_of_a_params_shares_one_scale(tau, alpha):
+    # every c^2 has a denominator dividing D^2, D = lcm(den tau, den alpha),
+    # so every compiled sum of the Params is scaled by L = D^2
+    scale = math.lcm(tau.denominator, alpha.denominator) ** 2
+    for n in range(1, 5):
+        p = Params(n, tau, alpha)
+        for lam in enumerate_Lambda(n, 6):
+            assert _compiled_terms(lam, p).lsc == scale, (n, lam)
+
+
+def test_a_cold_point_failing_at_one_compiles_one_sum():
+    # the weight-8 table is compiled a weight band at a time, and the point
+    # fails at lam = (1), in the first band
+    _compiled_terms.cache_clear()
+    shimura._signed_band.cache_clear()
+    p = group_params(GroupData(2, 4, 0))
+    assert in_A_certified((Fraction(7), Fraction(1, 3)), p, 8) == Verdict(False, (1,), 8)
+    assert _compiled_terms.cache_info().currsize == 1
+
+
+def test_signed_sums_follow_the_enumeration_order():
+    for n in range(1, 5):
+        p = Params(n, Fraction(2, 3), Fraction(1, 7))
+        for w in range(7):
+            signed = list(shimura._signed_sums(p, w))
+            assert [k for k, _, _ in signed] == [lam for lam in enumerate_Lambda(n, w) if lam], (n, w)
+            assert all(sign == (-1) ** weight(k) and comp is _compiled_terms(k, p) for k, sign, comp in signed)

@@ -222,6 +222,15 @@ def test_verify_default_budgets_pin_check_counts(capsys):
         assert json.loads(out) == {"suite": suite, "checks": checks, "failures": []}
 
 
+def test_verify_suites_pass_at_ten_seeds(capsys):
+    # every suite at its default budget, in-process, at seeds 0..9: a wider
+    # draw of points than the benchmark's seeds 1, 5, 6 and 7
+    for suite in cli._SUITES:
+        for seed in range(10):
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", str(seed))
+            assert code == 0 and json.loads(out)["failures"] == [], (suite, seed)
+
+
 def test_verify_names_each_mismatch_of_a_real_suite(capsys, monkeypatch):
     # a wrong column_poly_gf fails the second of the two checks at each of
     # the 10 points that budget 1 draws

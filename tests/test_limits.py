@@ -430,6 +430,47 @@ def test_certified_witnesses_track_the_limit_region():
             assert in_A_certified(pt, p, 20).member, (m, pt)
 
 
+def _march_cell_per_case(x0, x1, y0, y1, f00, f10, f11, f01, node):
+    """_march_cell as it was before its table: one closure per edge and an
+    if-chain over the 16 masks."""
+
+    def bottom():
+        return (x0 + (x1 - x0) * f00 / (f00 - f10), y0)
+
+    def right():
+        return (x1, y0 + (y1 - y0) * f10 / (f10 - f11))
+
+    def top():
+        return (x0 + (x1 - x0) * f01 / (f01 - f11), y1)
+
+    def left():
+        return (x0, y0 + (y1 - y0) * f00 / (f00 - f01))
+
+    mask = (f00 <= 0) | (f10 <= 0) << 1 | (f11 <= 0) << 2 | (f01 <= 0) << 3
+    if mask in (0, 15):
+        return []
+    if mask in (1, 14):
+        return [(left(), bottom())]
+    if mask in (2, 13):
+        return [(bottom(), right())]
+    if mask in (3, 12):
+        return [(left(), right())]
+    if mask in (4, 11):
+        return [(right(), top())]
+    if mask in (6, 9):
+        return [(bottom(), top())]
+    if mask in (7, 8):
+        return [(top(), left())]
+    fmid = node((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+    if mask == 5:
+        if fmid <= 0:
+            return [(left(), top()), (bottom(), right())]
+        return [(left(), bottom()), (right(), top())]
+    if fmid <= 0:
+        return [(left(), bottom()), (right(), top())]
+    return [(left(), top()), (bottom(), right())]
+
+
 def _join_segments_per_step(segments):
     """_join_segments as it was before each endpoint's key was computed once:
     every step of a walk recomputes _key."""
@@ -552,6 +593,22 @@ def test_march_cell_reads_the_centre_only_at_saddles():
         read = []
         limits._march_cell(0.0, 1.0, 0.0, 1.0, f00, f10, f11, f01, lambda x, y: read.append((x, y)) or 1.0)
         assert read == ([(0.5, 0.5)] if mask in (5, 10) else []), mask
+
+
+def test_march_cell_table_matches_the_per_case_cell():
+    # every mask, both saddle branches and random corner values: the same
+    # output tuples, float for float
+    rng = random.Random(7)
+    for trial in range(400):
+        x0, y0 = rng.uniform(-3, 3), rng.uniform(-3, 3)
+        x1, y1 = x0 + rng.uniform(1e-6, 2), y0 + rng.uniform(1e-6, 2)
+        mask = trial % 16
+        fs = [(-1 if mask >> k & 1 else 1) * rng.uniform(1e-9, 5) for k in range(4)]
+        if trial % 5 == 0:  # a corner exactly on the level set is inside
+            fs[trial // 16 % 4] = 0.0
+        for centre in (-1.0, 0.0, 1.0):
+            args = (x0, x1, y0, y1, *fs, lambda x, y: centre)
+            assert limits._march_cell(*args) == _march_cell_per_case(*args), (mask, fs, centre)
 
 
 def test_trace_contour_calls_S_div_only_at_saddle_cells(monkeypatch):

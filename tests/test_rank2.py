@@ -731,6 +731,10 @@ def test_in_B_rejects_a_non_summable_series_at_every_point():
     # float sum would divide by s - 1 = 0
     with pytest.raises(DomainError, match="not summable"):
         in_B(pt, 1, (Fraction(3, 4) + Fraction(1, 10**20), Fraction(1, 2)))
+    # the message shows the rounded s, so an exact s with more digits than
+    # int-to-str conversion allows still gives DomainError
+    with pytest.raises(DomainError, match="not summable"):
+        in_B(pt, 1, (Fraction(3, 4) + Fraction(1, 10**5000), Fraction(1, 2)))
 
 
 def test_in_B_past_the_gates_at_a_series_pole():

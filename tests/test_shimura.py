@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -240,6 +241,34 @@ def test_in_U0_raster_matches_point_tests(b):
             assert_rows_match(in_U0_raster(cli_axis(top, grid), b), cli_axis(top, grid), test)
     axis = edge_axis(Fraction(b + 1, 2))
     assert_rows_match(in_U0_raster(axis, b), axis, test)
+
+
+def in_U0_per_condition(pt, b):
+    """in_U0_knapp_speh as it was before it shared its row rule with
+    in_U0_raster: the box, the base triangle, then per j a shifted
+    triangle or a segment."""
+    x1, x2 = map(Fraction, pt)
+    if not 0 <= x2 <= x1 <= Fraction(b + 1, 2):
+        return False
+    if x1 + x2 <= 1:
+        return True
+    k = (b - 1) // 2 if b >= 3 else 0
+    return any(x1 - x2 >= j and x1 + x2 <= j + 1 or x1 - x2 == j for j in range(1, k + 1))
+
+
+@pytest.mark.parametrize("b", range(8))
+def test_in_U0_row_rule_matches_the_per_condition_test(b):
+    # every ordered pair of the edge axis and of the grid-41 CLI axes, so
+    # points off the chamber, on the segments and on triangle edges, and
+    # the same points as floats
+    axes = [edge_axis(Fraction(b + 1, 2))]
+    axes += [cli_axis(group_params(GroupData(2, d, b)).rho[0] + 1, 41) for d in (1, 2, 4)]
+    for axis in axes:
+        for pt in itertools.product(axis, repeat=2):
+            want = in_U0_per_condition(pt, b)
+            assert in_U0_knapp_speh(pt, b) == want, pt
+            floats = tuple(map(float, pt))
+            assert in_U0_knapp_speh(floats, b) == in_U0_per_condition(floats, b), floats
 
 
 def test_in_U0_raster_hits_segment_nodes():
