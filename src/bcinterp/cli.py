@@ -21,7 +21,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .exactnum import DomainError, PoleError, _exact_str
+from .exactnum import DomainError, PoleError, _check_int, _check_length, _exact_str
 from .limits import (
     _contour_step,
     contour_to_csv,
@@ -37,8 +37,8 @@ from .limits import (
     trace_contour,
 )
 from .okounkov import (
-    EXPAND_WEIGHT_GUARD,
     Params,
+    _check_expand_weight,
     column_poly,
     column_poly_gf,
     det_formula_tau1,
@@ -49,7 +49,7 @@ from .okounkov import (
     rectangle_poly,
     verify_characterization,
 )
-from .partitions import enumerate_Lambda, format_partition, parse_partition, weight
+from .partitions import _at_most, enumerate_Lambda, format_partition, parse_partition
 from .rank2 import R_midpoint_telescoped, R_series, _series_constants, in_B_raster, q_rank2, q_rank2_partial_d2
 from .shimura import (
     GroupData,
@@ -72,8 +72,7 @@ def _parse_rational(text: str) -> Fraction:
 
 def _parse_vector(text: str, n: int):
     parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != n:
-        raise DomainError(f"expected {n} coordinates, got {len(parts)}: {text!r}")
+    _check_length(parts, n)
     return tuple(_parse_rational(p) for p in parts)
 
 
@@ -97,10 +96,7 @@ def _json(obj) -> str:
 
 def _prep_eval(args):
     p = Params(args.n, _parse_rational(args.tau), _parse_rational(args.alpha))
-    lam = parse_partition(args.lam)
-    if len(lam) > p.n:
-        raise DomainError(f"partition {format_partition(lam)!r} has more than n = {p.n} parts")
-    return p, lam
+    return p, _at_most(parse_partition(args.lam), p.n)
 
 
 def cmd_eval(args):
@@ -111,8 +107,7 @@ def cmd_eval(args):
 
 def cmd_expand(args):
     p, lam = _prep_eval(args)
-    if weight(lam) > EXPAND_WEIGHT_GUARD:
-        raise DomainError(f"expansion guarded to weight <= {EXPAND_WEIGHT_GUARD}, got {weight(lam)}")
+    _check_expand_weight(lam)
     return lambda: (_json(okounkov_expand(lam, p).to_json()), 0)
 
 
@@ -121,10 +116,8 @@ def cmd_expand(args):
 
 def cmd_eigenvalue(args):
     g = _parse_group(args.group, args.p)
-    mu = parse_partition(args.mu)
+    mu = _at_most(parse_partition(args.mu), g.n)
     prm = group_params(g)
-    if len(mu) > g.n:
-        raise DomainError(f"partition {format_partition(mu)!r} has more than n = {g.n} parts")
     pt = _parse_vector(args.x, g.n)
 
     def compute():
@@ -166,7 +159,7 @@ def _suite_characterization(budget, rng, seed):
         for tau, alpha in ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))):
             p = Params(n, tau, alpha)
             for lam in enumerate_Lambda(n, budget):
-                report = verify_characterization(lam, p, extra_weight=2, seed=seed)
+                report = verify_characterization(lam, p, seed=seed)
                 yield from [True] * (report["zero_checked"] + report["extra_checked"])
                 yield (report["ok"] or f"characterization failed for lam={format_partition(lam)}"
                        f" n={n} tau={tau} alpha={alpha}")
@@ -302,8 +295,7 @@ def _region_window(args):
     if kind == "W":
         if args.m is None:
             raise DomainError("--m is required for kind W")
-        if args.m < 0:
-            raise DomainError(f"need m >= 0, got {args.m}")
+        _check_int("m", args.m)
         m = args.m
         return Fraction(m + 1, 2) + 2, lambda axis: in_W_raster(axis, m)
     if args.group is None:
@@ -348,10 +340,8 @@ def _cell(v):
 
 
 def cmd_region(args):
-    if args.grid < 2:
-        raise DomainError(f"need grid >= 2, got {args.grid}")
-    if args.max_weight < 1:
-        raise DomainError(f"need max-weight >= 1, got {args.max_weight}")
+    _check_int("grid", args.grid, 2)
+    _check_int("max_weight", args.max_weight, 1)
     top, rows = _region_window(args)
     try:
         float(top)
@@ -381,15 +371,13 @@ def cmd_region(args):
 
 
 def cmd_contour(args):
-    if args.m < 0:
-        raise DomainError(f"need m >= 0, got {args.m}")
+    _check_int("m", args.m)
     _contour_step(args.grid)
     return lambda: (contour_to_csv(trace_contour(args.m, args.grid)), 0)
 
 
 def cmd_crossing(args):
-    if args.m < 0:
-        raise DomainError(f"need m >= 0, got {args.m}")
+    _check_int("m", args.m)
 
     def compute():
         c = crossing_point(args.m)

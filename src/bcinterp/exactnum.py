@@ -1,4 +1,8 @@
-"""Exact scalar helpers shared by every other module.
+"""Exact scalar helpers shared by every other module, and the rules for a
+point (n coordinates: _check_length, _exact_point) and an integer index (an
+int at or above its bound: _check_int); partitions._at_most is the rule for a
+partition. Every function that takes such an argument, and every CLI flag
+check of one, calls its rule.
 
 Arithmetic is generic over exact values (int, Fraction) and floats: exact in,
 exact out. Nothing here converts a Fraction to a float silently.
@@ -75,9 +79,22 @@ def is_exact(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
-def _exact_point(pt):
-    """pt at its exact value, a float coordinate as the binary rational it
-    holds (an exact pt comes back as it is); DomainError at nan or inf."""
+def _check_length(pt, n: int) -> None:
+    if len(pt) != n:
+        raise DomainError(f"point has length {len(pt)}, expected {n}")
+
+
+def _check_int(name: str, value, low: int = 0) -> None:
+    """DomainError unless value is an int >= low: nonnegative, or positive."""
+    if not isinstance(value, int) or value < low:
+        kind = "positive" if low else "nonnegative"
+        raise DomainError(f"{name} must be a {kind} integer ({name} >= {low}), got {value!r}")
+
+
+def _exact_point(pt, n: int):
+    """pt of length n at its exact value, a float coordinate as the binary
+    rational it holds (an exact pt as it is); DomainError at nan or inf."""
+    _check_length(pt, n)
     for x in pt:
         if not isinstance(x, (int, Fraction)):
             break
@@ -117,8 +134,7 @@ def _ascending_axis(axis) -> list[Fraction]:
 
 def poch_rising(a, k: int):
     """Rising factorial (a)_k = a (a+1) ... (a+k-1); empty product for k = 0."""
-    if k < 0:
-        raise DomainError(f"rising factorial needs k >= 0, got {k}")
+    _check_int("k", k)
     out = a ** 0  # 1 of the same kind as a
     for i in range(k):
         out = out * (a + i)
@@ -138,7 +154,7 @@ def gen_pochhammer(a, mu, d):
     half = as_exact(d) / 2
     out = Fraction(1)
     for i, part in enumerate(mu):
-        out = out * poch_rising(as_exact(a) - half * i, int(part))
+        out = out * poch_rising(as_exact(a) - half * i, part)
     return out
 
 

@@ -11,7 +11,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, Frozen, PoleError, _ascending_axis, _exact_point, _gamma_quotient, is_exact
+from .exactnum import (SIGN_DEADBAND, DomainError, Frozen, PoleError, _ascending_axis, _check_int, _exact_point,
+                       _gamma_quotient, is_exact)
 
 __all__ = [
     "ContourPolyline",
@@ -65,6 +66,7 @@ def gamma_ratio_identity(a, b, c, d) -> float:
 def gamma_ratio_partial(a, b, c, d, terms: int) -> float:
     """Partial product prod_{n<terms} (n+a)(n+b)/((n+c)(n+d)); converges to
     gamma_ratio_identity at a harmonic-squared rate when balanced."""
+    _check_int("terms", terms)
     out, n = 1.0, 0.0  # a float n is exact below 2^53: no int-to-float per term
     a, b, c, d = float(a), float(b), float(c), float(d)
     try:
@@ -79,8 +81,7 @@ def gamma_ratio_partial(a, b, c, d, terms: int) -> float:
 def r_partial(l: int, t, alpha):
     """Rescaled row value after l factors: prod_{n<l} ((n+alpha)^2 - t^2) /
     (n+alpha)^2. Exact for exact inputs."""
-    if l < 0:
-        raise DomainError(f"need l >= 0, got {l}")
+    _check_int("l", l)
     tsq = t * t
     out = Fraction(1) if is_exact(t) and is_exact(alpha) else 1.0
     for n in range(l):
@@ -103,8 +104,7 @@ def r_limit(t, alpha) -> float:
 def s_m(t, m: int) -> float:
     """sin(pi t) / g(t), g(t) = (t+1)...(t+m); exactly 0.0 at integer t
     outside the pole set {-1, ..., -m}. DomainError where g overflows."""
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m}")
+    _check_int("m", m)
     tf = float(t)
     if tf == math.floor(tf):
         ti = int(tf)
@@ -123,8 +123,7 @@ def s_m_prime(t, m: int) -> float:
     """Derivative of s_m: (pi cos(pi t) - sin(pi t) g'(t)/g(t)) / g(t), with
     g'/g = sum 1/(t+i), so g is never squared. DomainError where g
     overflows."""
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m}")
+    _check_int("m", m)
     tf = float(t)
     g = 1.0
     dsum = 0.0
@@ -158,10 +157,12 @@ def S_div(x, y, m: int) -> float:
     return _div_diff(float(x), float(y), m, lambda t: s_m(t, m))
 
 
-@lru_cache(maxsize=None)
+# typed: as keys 1.0 == 1, and a float m must reach the check
+@lru_cache(maxsize=None, typed=True)
 def _W_constants(m: int):
-    """What in_W and in_W_raster need of m, built once per m:
-    alpha = (m+1)/2, alpha + 1 and float(alpha)."""
+    """alpha = (m+1)/2, alpha + 1 and float(alpha), built once per checked m:
+    what the tests of the alpha = (m+1)/2 family need of m."""
+    _check_int("m", m)
     alpha = Fraction(m + 1, 2)
     return alpha, alpha + 1, float(alpha)
 
@@ -171,7 +172,7 @@ def in_W(pt, m: int) -> bool:
     the shifted divided difference nonnegative (deadband SIGN_DEADBAND), the
     square tested at the exact point; DomainError at a nan or inf coordinate."""
     alpha, top, falpha = _W_constants(m)
-    x1, x2 = _exact_point(pt)
+    x1, x2 = _exact_point(pt, 2)
     if not (x2 >= alpha and x1 >= x2 and x1 <= top):
         return False
     return S_div(float(x1) - falpha, float(x2) - falpha, m) >= -SIGN_DEADBAND
@@ -187,8 +188,6 @@ def in_W_raster(axis, m: int):
     floats float(x) - float(alpha): the float operations of in_W, so the
     same flags. Every other row is empty.
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m}")
     alpha, top, falpha = _W_constants(m)
     axis = _ascending_axis(axis)
     lo, hi = bisect_left(axis, alpha), bisect_right(axis, top)
@@ -207,13 +206,13 @@ def in_G0_rank2(pt, m: int) -> bool:
     [0, alpha]^2 cap C, or the T2 square with the weight-1 signed value
     nonnegative at rho = (alpha+1, alpha). Every comparison is exact, a float
     as its binary rational; DomainError at a nan or inf coordinate."""
-    alpha = Fraction(m + 1, 2)
-    x1, x2 = _exact_point(pt)
+    alpha, top, _ = _W_constants(m)
+    x1, x2 = _exact_point(pt, 2)
     if 0 <= x2 <= x1 <= alpha:
         return True
-    if not (alpha <= x2 <= x1 <= alpha + 1):
+    if not (alpha <= x2 <= x1 <= top):
         return False
-    return (alpha + 1) ** 2 + alpha * alpha - x1 * x1 - x2 * x2 >= 0
+    return top * top + alpha * alpha - x1 * x1 - x2 * x2 >= 0
 
 
 def c_l_sequence(pt, m: int, l_max: int):
@@ -225,11 +224,9 @@ def c_l_sequence(pt, m: int, l_max: int):
     open square (exactly one negative factor, k = 0). The recurrence below
     keeps c_l order-one where the raw row values grow like (l!)^2.
     """
-    if l_max < 0:
-        raise DomainError(f"need l_max >= 0, got {l_max}")
-    alpha = (m + 1) / 2.0
-    x1 = float(pt[0])
-    x2 = float(pt[1])
+    _check_int("l_max", l_max)
+    _, _, alpha = _W_constants(m)
+    x1, x2 = map(float, _exact_point(pt, 2))
     if not (alpha + 1.0 > x1 >= x2 > alpha):
         raise DomainError(f"point {pt} is not in the open square (alpha, alpha+1)^2 cap C")
     u1 = x1 * x1
@@ -246,6 +243,7 @@ def c_l_sequence(pt, m: int, l_max: int):
 
 def crossing_equation(c: float, m: int) -> float:
     """pi cot(pi c) - sum_{i=1}^m 1/(c+i); strictly decreasing on (0,1)."""
+    _check_int("m", m)
     out = math.pi * math.cos(math.pi * c) / math.sin(math.pi * c)
     for i in range(1, m + 1):
         out -= 1.0 / (c + i)
@@ -263,8 +261,6 @@ def crossing_point(m: int) -> float:
     unique; a scan over _CROSSING_SCAN samples re-checks that instead of
     assuming it.
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m}")
     lo, hi = 1e-6, 1.0 - 1e-6
     prev = None
     for k in range(_CROSSING_SCAN):

@@ -28,8 +28,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import DomainError, Frozen, _exact_point, _exact_str, as_exact, gen_pochhammer, poch_rising
+from .exactnum import (DomainError, Frozen, _check_int, _check_length, _exact_point, _exact_str, as_exact,
+                       gen_pochhammer, poch_rising)
 from .partitions import (
+    _at_most,
     arm,
     cells,
     contains,
@@ -60,6 +62,8 @@ __all__ = [
 ]
 
 EXPAND_WEIGHT_GUARD = 8
+# verify_characterization draws up to _SAMPLES heavier mu, of weight <= |lam| + _EXTRA_WEIGHT
+_EXTRA_WEIGHT, _SAMPLES = 2, 24
 
 
 class Params(Frozen):
@@ -87,9 +91,7 @@ class Params(Frozen):
 
     def node(self, mu) -> tuple[Fraction, ...]:
         """The lattice point mu + rho (mu padded with zeros to length n)."""
-        mu = normalize(mu)
-        if len(mu) > self.n:
-            raise DomainError(f"partition {list(mu)} has more than n={self.n} parts")
+        mu = _at_most(mu, self.n)
         padded = mu + (0,) * (self.n - len(mu))
         return tuple(m + r for m, r in zip(padded, self.rho))
 
@@ -145,8 +147,7 @@ class SymEvenPoly:
         return max((sum(e) for e in self.coeffs), default=0)
 
     def evaluate(self, pt):
-        if len(pt) != self.n:
-            raise DomainError(f"point has length {len(pt)}, expected {self.n}")
+        _check_length(pt, self.n)
         sq = [x * x for x in pt]
         total = Fraction(0)
         for e, c in self.coeffs.items():
@@ -275,21 +276,16 @@ def _numerator(comp: _Compiled, q2: int, a2) -> int:
 def okounkov_eval(lam, pt, p: Params) -> Fraction:
     """P_lam at pt by the reverse-tableau sum, exactly, a float coordinate
     taken as the binary rational it holds; DomainError at nan or inf."""
-    lam = normalize(lam)
-    if len(lam) > p.n:
-        raise DomainError(f"partition {list(lam)} has more than n={p.n} parts")
-    if len(pt) != p.n:
-        raise DomainError(f"point has length {len(pt)}, expected {p.n}")
+    lam = _at_most(lam, p.n)
+    q2, a2 = _scaled_axis(_exact_point(pt, p.n))
     comp = _compiled_terms(lam, p)
-    q2, a2 = _scaled_axis(_exact_point(pt))
     return Fraction(_numerator(comp, q2, a2), comp.den * (q2 * comp.lsc) ** comp.cells)
 
 
 def rank1_poly(l: int, x, alpha):
     """One-variable interpolation polynomial: prod_{i=0}^{l-1} (x^2 - (i+alpha)^2),
     exactly; x and alpha must be exact."""
-    if l < 0:
-        raise DomainError(f"need l >= 0, got {l}")
+    _check_int("l", l)
     x, alpha = as_exact(x), as_exact(alpha)
     return math.prod((x * x - (i + alpha) ** 2 for i in range(l)), start=Fraction(1))
 
@@ -339,9 +335,7 @@ def det_formula_tau1(lam, pt, alpha):
     D^(2 kappa_j) and the Vandermonde an integer over D^(n(n-1)).
     """
     n = len(pt)
-    lam = normalize(lam)
-    if len(lam) > n:
-        raise DomainError(f"partition {list(lam)} has more than {n} parts")
+    lam = _at_most(lam, n)
     padded = lam + (0,) * (n - len(lam))
     kappa = [padded[j] + (n - 1 - j) for j in range(n)]
     den, (a, *nums) = _over_common((alpha, *pt))
@@ -362,10 +356,9 @@ def det_formula_tau1(lam, pt, alpha):
 def _column_squares(j: int, pt, p: Params):
     """(D, [X_i^2], [R_i^2]) for pt and rho over one common denominator D,
     after the checks shared by the two column formulas."""
-    if not 1 <= j <= p.n:
+    if not isinstance(j, int) or not 1 <= j <= p.n:
         raise DomainError(f"column height {j} outside 1..{p.n}")
-    if len(pt) != p.n:
-        raise DomainError(f"point has length {len(pt)}, expected {p.n}")
+    _check_length(pt, p.n)
     den, nums = _over_common((*pt, *p.rho))
     sq = [v * v for v in nums]
     return den, sq[:p.n], sq[p.n:]
@@ -401,10 +394,8 @@ def column_poly_gf(j: int, pt, p: Params):
 def rectangle_poly(l: int, pt, p: Params):
     """Full rectangle l^n: prod_{i=0}^{l-1} prod_j (x_j^2 - (i+alpha)^2);
     pt must be exact."""
-    if l < 0:
-        raise DomainError(f"need l >= 0, got {l}")
-    if len(pt) != p.n:
-        raise DomainError(f"point has length {len(pt)}, expected {p.n}")
+    _check_int("l", l)
+    _check_length(pt, p.n)
     den, (a, *nums) = _over_common((p.alpha, *pt))
     total = math.prod(v * v - (i * den + a) ** 2 for i in range(l) for v in nums)
     return Fraction(total, den ** (2 * l * p.n))
@@ -424,15 +415,11 @@ def k_constant_alt(mu, d, n: int):
     """The same constant assembled from the generalized Pochhammer symbol,
     the pairwise product beta_mu, and the Jack value at the all-ones point.
 
-    Matches k_constant(mu, d/2) exactly; d must be positive.
+    Matches k_constant(mu, d/2) exactly; d must be a positive integer.
     """
-    mu = normalize(mu)
-    d = as_exact(d)
-    if d <= 0:
-        raise DomainError(f"need d > 0, got {d}")
-    if len(mu) > n:
-        raise DomainError(f"partition {list(mu)} has more than n={n} parts")
-    half = d / 2
+    mu = _at_most(mu, n)
+    _check_int("d", d, 1)
+    half = Fraction(d, 2)
     padded = mu + (0,) * (n - len(mu))
     beta = Fraction(1)
     jack_ones = Fraction(1)
@@ -447,7 +434,7 @@ def k_constant_alt(mu, d, n: int):
     return gen_pochhammer(a, padded, d) * jack_ones / beta
 
 
-def verify_characterization(lam, p: Params, extra_weight: int = 2, samples: int = 24, seed: int = 0) -> dict:
+def verify_characterization(lam, p: Params, seed: int = 0) -> dict:
     """Check the vanishing characterization of P_lam on the shifted lattice.
 
     Reports (a) exact zeros at mu + rho for every mu in Lambda^{|lam|} except
@@ -455,7 +442,7 @@ def verify_characterization(lam, p: Params, extra_weight: int = 2, samples: int 
     sampled heavier mu that do not contain lam. Failures populate the report;
     nothing raises.
     """
-    lam = normalize(lam)
+    lam = _at_most(lam, p.n)
     w = weight(lam)
     if w > EXPAND_WEIGHT_GUARD:
         raise DomainError(f"weight {w} above the verification budget {EXPAND_WEIGHT_GUARD}")
@@ -470,12 +457,12 @@ def verify_characterization(lam, p: Params, extra_weight: int = 2, samples: int 
     self_value = okounkov_eval(lam, p.node(lam), p)
     pool = [
         mu
-        for mu in enumerate_Lambda(p.n, w + extra_weight)
+        for mu in enumerate_Lambda(p.n, w + _EXTRA_WEIGHT)
         if weight(mu) > w and not contains(mu, lam)
     ]
     import random  # here, not at module level: only the verify path draws samples
     rng = random.Random(seed)
-    chosen = pool if len(pool) <= samples else sorted(rng.sample(pool, samples))
+    chosen = pool if len(pool) <= _SAMPLES else sorted(rng.sample(pool, _SAMPLES))
     extra_failures = []
     for mu in chosen:
         if okounkov_eval(lam, p.node(mu), p) != 0:
@@ -526,8 +513,6 @@ def interpolate_from_values(values, d: int, p: Params) -> SymEvenPoly:
     diagonal detects a non-generic tau) and expands the result
     sum_mu coeff_P[mu] P_mu from the compiled tableau terms (_expand).
     """
-    if d < 0:
-        raise DomainError(f"negative degree bound {d}")
     lams = enumerate_Lambda(p.n, d)
     vals = {}
     for key, v in values.items():
@@ -560,14 +545,15 @@ def interpolate_from_values(values, d: int, p: Params) -> SymEvenPoly:
     return SymEvenPoly(p.n, coeffs)
 
 
+def _check_expand_weight(lam) -> None:
+    if weight(lam) > EXPAND_WEIGHT_GUARD:
+        raise DomainError(f"expansion guarded to weight <= {EXPAND_WEIGHT_GUARD}, got {weight(lam)}")
+
+
 def okounkov_expand(lam, p: Params) -> SymEvenPoly:
     """Full coefficient map of P_lam, multiplied out from its compiled
     tableau terms (_expand). Guarded to |lam| <= 8."""
-    lam = normalize(lam)
-    w = weight(lam)
-    if w > EXPAND_WEIGHT_GUARD:
-        raise DomainError(f"expansion guarded to weight <= {EXPAND_WEIGHT_GUARD}, got {w}")
-    if len(lam) > p.n:
-        raise DomainError(f"partition {list(lam)} has more than n={p.n} parts")
+    lam = _at_most(lam, p.n)
+    _check_expand_weight(lam)
     nums, den = _expand(_compiled_terms(lam, p))
     return SymEvenPoly(p.n, {e: Fraction(v, den) for e, v in nums.items()})

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import DomainError, PoleError, as_exact
+from .exactnum import DomainError, PoleError, _check_int, as_exact
 
 Cell = tuple[int, int]
 
@@ -53,6 +53,14 @@ def normalize(parts) -> tuple[int, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _at_most(lam, n: int) -> tuple[int, ...]:
+    """lam normalized; DomainError if it has more than n parts."""
+    lam = normalize(lam)
+    if len(lam) > n:
+        raise DomainError(f"partition {format_partition(lam)!r} has more than n = {n} parts")
+    return lam
 
 
 def weight(lam) -> int:
@@ -138,10 +146,8 @@ def enumerate_Lambda(n: int, d: int) -> list[tuple[int, ...]]:
     Ordered by weight, then reverse-lexicographically within a weight. Every
     triangular solve in the package leans on this order, so do not reorder.
     """
-    if n < 1:
-        raise DomainError(f"need at least one part slot, got n={n}")
-    if d < 0:
-        raise DomainError(f"negative weight bound {d}")
+    _check_int("n", n, 1)
+    _check_int("d", d)
     out: list[tuple[int, ...]] = []
     for w in range(d + 1):
         level = sorted(_exact_weight(w, n, w if w else 1), reverse=True)
@@ -210,8 +216,7 @@ def reverse_tableaux(lam, n: int):
     yielded tableau is neither re-normalized nor copied.
     """
     lam = normalize(lam)
-    if n < 0:
-        raise DomainError(f"entry bound must be nonnegative, got {n}")
+    _check_int("n", n)
     if not lam:
         yield ReverseTableau((), ())
         return

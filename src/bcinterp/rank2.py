@@ -18,9 +18,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SIGN_DEADBAND, DomainError, PoleError, _exact_point, _gamma_quotient, as_exact, poch_pm
+from .exactnum import (SIGN_DEADBAND, DomainError, PoleError, _check_int, _check_length, _exact_point, _gamma_quotient,
+                       as_exact, poch_pm)
 from .okounkov import Params
-from .shimura import _first_negative, _signed_columns, in_G_raster
+from .shimura import in_G, in_G_raster
 
 __all__ = [
     "Rank2Regions",
@@ -60,8 +61,7 @@ def hyp_sum(upper, lower, truncation: int) -> Fraction:
     parameter terminates the series; a lower parameter reaching zero under
     a live term is a pole (PoleError).
     """
-    if not isinstance(truncation, int) or truncation < 0:
-        raise DomainError(f"truncation must be a nonnegative integer, got {truncation!r}")
+    _check_int("truncation", truncation)
     upper = [as_exact(v) for v in upper]
     lower = [as_exact(v) for v in lower]
     term = total = Fraction(1)
@@ -82,13 +82,15 @@ def hyp_sum(upper, lower, truncation: int) -> Fraction:
 
 
 def _q_setup(m1: int, m2: int, pt, rho):
-    """What q_rank2 and q_rank2_partial_d2 share, after the check
-    m1 >= m2 >= 0: rho1, rho2, x1, x2 as exact values, M = m1 - m2 and the
-    Pochhammer prefactor (alpha±x1)_{m2} (alpha±x2)_{m2} (m2+rho1±x1)_M,
-    alpha = rho2."""
-    if m1 < m2 or m2 < 0:
-        raise DomainError(f"need m1 >= m2 >= 0, got ({m1}, {m2})")
-    r1, r2, x1, x2 = map(as_exact, (rho[0], rho[1], pt[0], pt[1]))
+    """What q_rank2 and q_rank2_partial_d2 share, once m2 and m1 - m2 are
+    nonnegative integers and pt and rho pairs: rho1, rho2, x1, x2 as exact
+    values, M = m1 - m2 and the Pochhammer prefactor
+    (alpha±x1)_{m2} (alpha±x2)_{m2} (m2+rho1±x1)_M, alpha = rho2."""
+    _check_int("m2", m2)
+    _check_int("m1 - m2", m1 - m2)
+    _check_length(pt, 2)
+    _check_length(rho, 2)
+    r1, r2, x1, x2 = map(as_exact, (*rho, *pt))
     big_m = m1 - m2
     pref = poch_pm(r2, x1, m2) * poch_pm(r2, x2, m2) * poch_pm(m2 + r1, x1, big_m)
     return r1, r2, x1, x2, big_m, pref
@@ -101,8 +103,7 @@ def q_rank2(m1: int, m2: int, pt, d: int, rho):
     Requires rho1 - rho2 = d/2 (the rank-2 parameter dictionary with
     alpha = rho2). Exact on rational points.
     """
-    if not isinstance(d, int) or d < 1:
-        raise DomainError(f"d must be a positive integer, got {d}")
+    _check_int("d", d, 1)
     r1, r2, x1, x2, big_m, pref = _q_setup(m1, m2, pt, rho)
     half = Fraction(d, 2)
     if r1 - r2 != half:
@@ -125,8 +126,8 @@ def R_series(pt, d: int, rho, rel_tol: float = 1e-12) -> float:
     _R_sum, at the parameters in_B signs: pt and rho at their exact values
     (a float as the binary rational it holds), each parameter rounded once
     from its exact value (_series_constants, _series_args)."""
-    _, r1, r2, s = _series_constants(d, tuple(map(as_exact, _exact_point(rho))))
-    return _R_sum(*_series_args(_exact_point(pt), d, r1, r2), s, rel_tol)
+    _, r1, r2, s = _series_constants(d, tuple(map(as_exact, _exact_point(rho, 2))))
+    return _R_sum(*_series_args(_exact_point(pt, 2), d, r1, r2), s, rel_tol)
 
 
 def _R_sum(u, l, s, rel_tol: float) -> float:
@@ -316,8 +317,8 @@ def R_closed_form_b0(pt) -> float:
     """Gamma-quotient value of the boundary series for the b=0, d=2 pair
     rho = (3/2, 1/2). A pole of a denominator Gamma gives 0.0; one of
     Gamma(rho1 +- x1), where the series has its pole, raises PoleError."""
-    x1 = float(pt[0])
-    x2 = float(pt[1])
+    _check_length(pt, 2)
+    x1, x2 = map(float, pt)
     r1, r2 = 1.5, 0.5
     den_args = [
         (r1 + r2 + x1 + x2) / 2.0,
@@ -332,8 +333,7 @@ def R_midpoint_telescoped(b: int) -> float:
     """Closed value of the boundary series at the diagonal midpoint
     x1 = x2 = (rho1+rho2)/2 for d=2 and half-multiplicity b, via the
     telescoping rewrite; exact rational arithmetic, float result."""
-    if b < 0:
-        raise DomainError(f"need b >= 0, got {b}")
+    _check_int("b", b)
     two_rho2 = b + 1
     harmonic = sum(Fraction(1, 1) / (Fraction(1, 2) + k) for k in range(two_rho2 + 1))
     value = 1 - Fraction(1, 2) * (two_rho2 + Fraction(1, 2)) * harmonic / (two_rho2 + 1)
@@ -350,10 +350,12 @@ class Rank2Regions:
         self.rho2 = as_exact(rho2)
 
     def in_T1(self, pt, tol=0) -> bool:
+        _check_length(pt, 2)
         x1, x2 = pt
         return x2 >= -tol and x1 >= x2 - tol and x1 <= self.rho2 + tol
 
     def in_T2(self, pt, tol=0) -> bool:
+        _check_length(pt, 2)
         x1, x2 = pt
         return (
             x2 >= self.rho2 - tol
@@ -372,10 +374,10 @@ def _series_constants(d, rho: tuple):
     per pair: Params(2, rho1 - rho2, rho2), whose column tests are the gates
     of in_B; rho1 and rho2; and the series' decay exponent
     s = 1 + 2 (rho1 - rho2) - d/2, rounded once. DomainError unless d is a
-    positive integer and that float s > 1 (the series is summable, and
-    _R_sum divides by s - 1)."""
-    if not isinstance(d, int) or d < 1:
-        raise DomainError(f"d must be a positive integer, got {d}")
+    positive integer, rho a pair and that float s > 1 (the series is
+    summable, and _R_sum divides by s - 1)."""
+    _check_int("d", d, 1)
+    _check_length(rho, 2)
     r1, r2 = rho
     s = 1 + 2 * (r1 - r2) - Fraction(d, 2)
     try:
@@ -401,9 +403,8 @@ def in_B(pt, d: int, rho) -> bool:
     Every point is taken at its exact value, a float coordinate as the
     binary rational it holds; a nan or inf coordinate raises DomainError.
     The two gates are the column tests phi_1 = -q10 and phi_2 = q11 of
-    Params(2, rho1 - rho2, rho2), whose shift vector is rho, decided as
-    in_G decides them (shimura._first_negative), by the sign of an integer
-    numerator.
+    Params(2, rho1 - rho2, rho2), whose shift vector is rho, read from
+    in_G, which signs them by an integer numerator.
 
     Where |rho2| < rho1, a point that passes both gates has |x1| <= rho1,
     with equality only at (+-rho1, +-rho2), where the series has its
@@ -426,9 +427,9 @@ def in_B(pt, d: int, rho) -> bool:
     d must be a positive integer and s in float range and, rounded, above
     1, or DomainError is raised at every point.
     """
-    p, r1, r2, s = _series_constants(d, (as_exact(rho[0]), as_exact(rho[1])))
-    pt = _exact_point(pt)
-    return _first_negative(pt, _signed_columns(p)) is None and _past_gates(pt, d, r1, r2, s)
+    p, r1, r2, s = _series_constants(d, tuple(map(as_exact, rho)))
+    pt = _exact_point(pt, 2)
+    return in_G(pt, p).member and _past_gates(pt, d, r1, r2, s)
 
 
 def in_B_raster(axis, d: int, rho):
@@ -436,7 +437,7 @@ def in_B_raster(axis, d: int, rho):
     [in_B((axis[i], axis[j]), d, rho) for j <= i]. The gates are the rows
     of in_G_raster for the Params whose column tests they are; the rest of
     in_B runs only at the points that pass both."""
-    p, r1, r2, s = _series_constants(d, (as_exact(rho[0]), as_exact(rho[1])))
+    p, r1, r2, s = _series_constants(d, tuple(map(as_exact, rho)))
     for x1, row in zip(axis, in_G_raster(axis, p)):
         yield [v.member and _past_gates((x1, x2), d, r1, r2, s) for x2, v in zip(axis, row)]
 

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import DomainError, Frozen, _ascending_axis, _exact_point, as_exact
+from .exactnum import DomainError, Frozen, _ascending_axis, _check_int, _exact_point, as_exact
 from .okounkov import (
     Params,
     _compiled_terms,
@@ -58,8 +58,8 @@ class GroupData(Frozen):
     def __init__(self, n: int, d: int, b: int, p: int = 0):
         if n < 1:
             raise DomainError(f"rank must be >= 1, got {n}")
-        if d < 0 or b < 0:
-            raise DomainError(f"multiplicities must be nonnegative, got d={d}, b={b}")
+        _check_int("d", d)
+        _check_int("b", b)
         self._freeze(n, d, b, p, hash((n, d, b, p)))
 
     def __hash__(self):
@@ -119,7 +119,7 @@ def q_poly(lam, pt, p: Params):
 def phi_j(j: int, pt, p: Params):
     """Column test polynomial: sum over j-subsets of prod (rho^2 - x^2),
     that is q_poly(1^j, ...)."""
-    if not 1 <= j <= p.n:
+    if not isinstance(j, int) or not 1 <= j <= p.n:
         raise DomainError(f"column height {j} outside 1..{p.n}")
     return q_poly((1,) * j, pt, p)
 
@@ -146,30 +146,24 @@ def _signed_sums(p: Params, max_weight: int):
     return itertools.chain.from_iterable(_signed_band(p, k) for k in range(1, max_weight + 1))
 
 
-def _first_negative(pt, signed):
+def _first_negative(pt, n: int, signed):
     """The first key of signed, a tuple of (key, sign, compiled terms of a
     sum E), with sign * E < 0 at pt; None when there is none.
 
     Every point is decided at its exact value, a float coordinate taken as
     the binary rational it holds, by the sign of the integer numerator of E
-    (okounkov._numerator). A nan or inf coordinate raises DomainError.
+    (okounkov._numerator). A length other than n, nan or inf raises DomainError.
     """
-    scaled = _scaled_axis(_exact_point(pt))
+    scaled = _scaled_axis(_exact_point(pt, n))
     for key, sign, comp in signed:
         if sign * _numerator(comp, *scaled) < 0:
             return key
     return None
 
 
-def _check_length(pt, p: Params) -> None:
-    if len(pt) != p.n:
-        raise DomainError(f"point has length {len(pt)}, expected {p.n}")
-
-
 def in_G(pt, p: Params) -> Verdict:
     """Column-positivity membership: all phi_j >= 0, witness first failure."""
-    _check_length(pt, p)
-    j = _first_negative(pt, _signed_columns(p))
+    j = _first_negative(pt, p.n, _signed_columns(p))
     return Verdict(j is None, j, p.n)
 
 
@@ -178,10 +172,8 @@ def in_A_certified(pt, p: Params, max_weight: int) -> Verdict:
     with |lam| <= max_weight. Membership means only "no witness up to the
     bound"; the set itself is an infinite intersection.
     """
-    if max_weight < 1:
-        raise DomainError(f"need max_weight >= 1, got {max_weight}")
-    _check_length(pt, p)
-    lam = _first_negative(pt, _signed_sums(p, max_weight))
+    _check_int("max_weight", max_weight, 1)
+    lam = _first_negative(pt, p.n, _signed_sums(p, max_weight))
     return Verdict(lam is None, lam, max_weight)
 
 
@@ -227,15 +219,14 @@ def in_G_raster(axis, p: Params):
 def in_A_raster(axis, p: Params, max_weight: int):
     """in_A_certified on the rank-2 raster of an exact axis: yields, for
     each i, [in_A_certified((axis[i], axis[j]), p, max_weight) for j <= i]."""
-    if max_weight < 1:
-        raise DomainError(f"need max_weight >= 1, got {max_weight}")
+    _check_int("max_weight", max_weight, 1)
     yield from _raster(axis, p, _signed_sums(p, max_weight), max_weight)
 
 
 def in_square(pt, p: Params) -> bool:
     """The closed box [0, rho_n]^n intersected with the decreasing chamber;
     rho_n = tau * 0 + alpha is read as p.alpha."""
-    pt = _exact_point(pt)
+    pt = _exact_point(pt, p.n)
     rho_n = p.alpha
     for a, b in zip(pt, pt[1:]):
         if a < b:
@@ -267,9 +258,8 @@ def in_U0_knapp_speh(pt, b: int) -> bool:
     Every comparison is exact, a segment x1 - x2 = j included; a float
     coordinate is taken as the binary rational it holds.
     """
-    if b < 0:
-        raise DomainError(f"need b >= 0, got {b}")
-    x1, x2 = _exact_point(pt)
+    _check_int("b", b)
+    x1, x2 = _exact_point(pt, 2)
     if not 0 <= x2 <= x1 <= Fraction(b + 1, 2):
         return False
     bound, segments = _u0_row(x1, b)
@@ -303,8 +293,7 @@ def in_U0_raster(axis, b: int):
     In a row with 0 <= x1 <= rho2 the members are the cells with
     0 <= x2 <= the row's bound, plus the cells on its segments (_u0_row).
     """
-    if b < 0:
-        raise DomainError(f"need b >= 0, got {b}")
+    _check_int("b", b)
     axis = _ascending_axis(axis)
     rho2 = Fraction(b + 1, 2)
     lo = bisect_left(axis, 0)
