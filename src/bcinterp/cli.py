@@ -24,11 +24,11 @@ from fractions import Fraction
 from .exactnum import DomainError, PoleError, _check_int, _check_length, _exact_str
 from .limits import (
     _contour_step,
+    _gamma_enclosure,
     contour_to_csv,
     crossing_equation,
     crossing_point,
     gamma_ratio_identity,
-    gamma_ratio_partial,
     in_W_raster,
     r_limit,
     r_partial,
@@ -221,6 +221,7 @@ def _suite_rank2(budget, rng, seed):
         r2 = (b + 1) / 2
         got = R_series((r2 + 0.5, r2 + 0.5), 2, (r2 + 1.0, r2))
         want = R_midpoint_telescoped(b)
+        # want: exact, rounded once; R_series (unproven stop) is within 5e-12 (1 + |R|) of mpmath in tests
         yield abs(got - want) <= 1e-8 or f"R midpoint mismatch b={b}: {got} vs {want}"
 
 
@@ -230,24 +231,24 @@ def _suite_limits(budget, rng, seed):
         ga = math.gamma(alpha)
         for _ in range(budget):
             t = rng.uniform(-0.9, 0.9)
+            # each side is at most pi (Gamma(alpha)^2 <= pi, |sin pi t| <= pi g(t)), to some 100u
             yield (abs(r_limit(t + alpha, alpha) + ga * ga / math.pi * s_m(t, m)) <= 1e-10
                    or f"limit identity violated at t={t} m={m}")
+        # cos(pi 1.0) rounds to -1, sin(pi 1.0) to 1.2e-16 times a sum < 2.1: some 1e-16 over (m+1)!
         yield (abs(s_m_prime(1.0, m) + math.pi / math.factorial(m + 1)) <= 1e-12
                or f"derivative value at 1 wrong for m={m}")
     for l in range(1, 11):
         yield (r_partial(l, Fraction(1), Fraction(1, 2)) == Fraction(-(2 * l + 1), 2 * l - 1)
                or f"r_partial closed form failed at l={l}")
+    # bisection to width 1e-13 leaves 5e-14, and the float pi cot(pi c) changes sign within 1e-16 of 1/2
     yield abs(crossing_point(0) - 0.5) <= 1e-12 or "crossing point for m=0 is not 1/2"
     for _ in range(5):
-        a = rng.uniform(0.2, 2.0)
-        b = rng.uniform(0.2, 2.0)
-        c = rng.uniform(0.2, 2.0)
+        a, b, c = (rng.uniform(0.2, 2.0) for _ in range(3))
         d = a + b - c
         if d <= 0.05:
             continue
-        got = gamma_ratio_partial(a, b, c, d, 100000)
-        want = gamma_ratio_identity(a, b, c, d)
-        yield abs(got - want) <= 1e-4 or f"gamma product mismatch at ({a},{b},{c},{d})"
+        lo, hi = _gamma_enclosure(a, b, c, d)
+        yield lo <= gamma_ratio_identity(a, b, c, d) <= hi or f"gamma product mismatch at ({a},{b},{c},{d})"
 
 
 _SUITES = {

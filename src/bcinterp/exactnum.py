@@ -123,6 +123,13 @@ def _exact_str(value) -> str:
         raise DomainError(f"exact result too long to print: {exc}") from None
 
 
+def _over_common(values):
+    """(D, [v D for v in values]) for the lcm D of the exact values' denominators; DomainError at a float."""
+    ratios = [as_exact(v).as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return den, [a * (den // d) for a, d in ratios]
+
+
 def _ascending_axis(axis) -> list[Fraction]:
     """The axis of a row-range raster as Fractions; DomainError unless every
     value is exact and the axis is ascending (ties allowed)."""
@@ -162,8 +169,8 @@ def log_gamma(t) -> tuple[float, int]:
     """log |Gamma(t)| together with the sign of Gamma(t).
 
     Works for negative non-integer t via the sign of the reflection; raises
-    PoleError at 0, -1, -2, ...  Accuracy rides on math.lgamma, which is
-    comfortably inside 1e-12 relative error on the ranges used here.
+    PoleError at 0, -1, -2, ...  Accuracy rides on math.lgamma, assumed within
+    5 ulps or 1e-15 absolute, the bounds CPython's Lib/test/test_math.py tests.
     """
     tf = float(t)
     if tf <= 0.0 and tf == math.floor(tf):

@@ -78,6 +78,33 @@ def gamma_ratio_partial(a, b, c, d, terms: int) -> float:
     return out
 
 
+def _gamma_enclosure(a, b, c, d):
+    """[lo, hi] around Q = Gamma(c)Gamma(d)/(Gamma(a)Gamma(b)) and its float value
+    gamma_ratio_identity(a, b, c, d), for floats in (0, 4], a + b = c + d up to
+    rounding. Q = P T, P = gamma_ratio_partial(a, b, c, d, N), N = 1000, and
+    T = Gamma(N+c)Gamma(N+d)/(Gamma(N+a)Gamma(N+b)) is within a factor
+    exp(8 |d - d'|) of T' = T at d' = a + b - c (0 < psi(x) < log x at x >= 2).
+    T' = prod_{n>=N} (1 + e g(n)), e = (a-c)(b-c), g(n) = 1/((n+m)^2 - h^2),
+    m = (a+b)/2, h = m - c. S = sum_{n>=N} g(n) lies between the integrals of g
+    from N and from N-1 (Knopp, "Theory and Application of Infinite Series", the
+    integral test), so in [1/(N+m), 1/((N-1+m)(1-y^2))], y = |h|/(N-1+m), as
+    atanh(y)/y is in [1, 1/(1-y^2)]. As |e g(n)| <= |e| S_hi/(N+m) <= 1/2,
+    log(1+x) in [x - x^2, x] puts log T' in [eS - e^2 S_hi^2/(N+m), eS].
+    Roundoff is a radius on log Q, u = 2^-53: 8N roundings in P (Higham,
+    "Accuracy and Stability of Numerical Algorithms", Lemma 3.1); under 64u for
+    the tail exponent, the products and math.exp (5 ulps, as in log_gamma); and
+    13u |log Gamma(v)| + 1e-15 for each lgamma of gamma_ratio_identity, its sum."""
+    big_n = 1000
+    e, m = (a - c) * (b - c), (a + b) / 2
+    y = abs(m - c) / (big_n - 1 + m)
+    s_lo, s_hi = 1 / (big_n + m), 1 / ((big_n - 1 + m) * (1 - y * y))
+    r = 8 * abs(math.fsum((a, b, -c, -d))) + 4e-15
+    r += 2.0**-53 * (8 * big_n + 64 + 13 * sum(abs(math.lgamma(v)) for v in (a, b, c, d)))
+    low, high = sorted((e * s_lo, e * s_hi))
+    p = gamma_ratio_partial(a, b, c, d, big_n)
+    return p * math.exp(low - e * e * s_hi * s_hi / (big_n + m) - r), p * math.exp(high + r)
+
+
 def r_partial(l: int, t, alpha):
     """Rescaled row value after l factors: prod_{n<l} ((n+alpha)^2 - t^2) /
     (n+alpha)^2. Exact for exact inputs."""

@@ -28,16 +28,14 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import (DomainError, Frozen, _check_int, _check_length, _exact_point, _exact_str, as_exact,
-                       gen_pochhammer, poch_rising)
+from .exactnum import (DomainError, Frozen, _check_int, _check_length, _exact_point, _exact_str, _over_common,
+                       as_exact)
 from .partitions import (
     _at_most,
-    arm,
-    cells,
+    conjugate,
     contains,
     enumerate_Lambda,
     format_partition,
-    leg,
     normalize,
     psi_tableau,
     reverse_tableaux,
@@ -80,8 +78,8 @@ class Params(Frozen):
     __slots__ = (*_fields, "_hash", "rho")
 
     def __init__(self, n: int, tau, alpha):
-        if n < 1:
-            raise DomainError(f"rank must be >= 1, got {n}")
+        if not isinstance(n, int) or n < 1:
+            raise DomainError(f"rank must be >= 1, an integer, got {n!r}")
         tau, alpha = as_exact(tau), as_exact(alpha)
         rho = tuple(tau * (n - i) + alpha for i in range(1, n + 1))
         self._freeze(n, tau, alpha, hash((n, tau, alpha)), rho)
@@ -296,14 +294,6 @@ def rank1_poly(l: int, x, alpha):
 # over D^2, computes in integers and makes one Fraction at the end.
 
 
-def _over_common(values):
-    """(D, [v D for v in values]) for the lcm D of the denominators of the
-    exact values; DomainError at a float."""
-    ratios = [as_exact(v).as_integer_ratio() for v in values]
-    den = math.lcm(*[d for _, d in ratios])
-    return den, [a * (den // d) for a, d in ratios]
-
-
 def _det_exact(m) -> int:
     """Determinant of a square integer matrix, overwritten in place, by
     Bareiss's fraction-free elimination: after step k every entry below and
@@ -402,36 +392,40 @@ def rectangle_poly(l: int, pt, p: Params):
 
 
 def k_constant(mu, tau):
-    """The hook-style constant: prod over cells of (tau leg + arm + 1), tau exact."""
+    """The hook-style constant: prod over cells of (tau leg + arm + 1), tau exact, in integers."""
     mu = normalize(mu)
-    tau = as_exact(tau)
-    out = Fraction(1)
-    for s in cells(mu):
-        out = out * (tau * leg(mu, s) + arm(mu, s) + 1)
-    return out
+    tn, td = as_exact(tau).as_integer_ratio()
+    cols = conjugate(mu)  # leg of cell (i, j), from 0: cols[j] - i - 1
+    return Fraction(math.prod(tn * (cols[j] - i - 1) + td * (part - j) for i, part in enumerate(mu)
+                              for j in range(part)), td ** sum(mu))
+
+
+def _half_poch(big_n: int, k: int) -> int:
+    """2^k (N/2)_k = prod_{i<k} (N + 2i), an integer."""
+    return math.prod(range(big_n, big_n + 2 * k, 2))
 
 
 def k_constant_alt(mu, d, n: int):
-    """The same constant assembled from the generalized Pochhammer symbol,
-    the pairwise product beta_mu, and the Jack value at the all-ones point.
+    """The same constant assembled from the generalized Pochhammer symbol
+    (a)_mu = prod_i (a - (d/2) i)_{mu_i}, a = (d/2)(n-1) + 1, the pairwise
+    product beta_mu, and the Jack value at the all-ones point.
 
-    Matches k_constant(mu, d/2) exactly; d must be a positive integer.
+    Matches k_constant(mu, d/2) exactly; d must be a positive integer. Each
+    Pochhammer symbol is some (N/2)_k = _half_poch(N, k) / 2^k: the 2^k cancel
+    in the quotients of beta_mu and of the Jack value, and (a)_mu leaves 2^|mu|.
     """
     mu = _at_most(mu, n)
     _check_int("d", d, 1)
-    half = Fraction(d, 2)
     padded = mu + (0,) * (n - len(mu))
-    beta = Fraction(1)
-    jack_ones = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = padded[i] - padded[j]
-            gap = j - i
-            beta = beta * (diff + half * gap) / (half * gap)
-            beta = beta * poch_rising(half * (gap + 1), diff) / poch_rising(half * (gap - 1) + 1, diff)
-            jack_ones = jack_ones * poch_rising(half * (gap + 1), diff) / poch_rising(half * gap, diff)
-    a = half * (n - 1) + 1
-    return gen_pochhammer(a, padded, d) * jack_ones / beta
+    num = math.prod(_half_poch(d * (n - 1 - i) + 2, part) for i, part in enumerate(padded))
+    den = 2 ** sum(padded)
+    for i, j in itertools.combinations(range(n), 2):
+        diff, gap = padded[i] - padded[j], j - i
+        up = _half_poch(d * (gap + 1), diff)
+        # the Jack factor up / (d gap/2)_diff over beta's (diff + d gap/2) / (d gap/2) * up / (d (gap-1)/2 + 1)_diff
+        num *= up * d * gap * _half_poch(d * (gap - 1) + 2, diff)
+        den *= _half_poch(d * gap, diff) * (2 * diff + d * gap) * up
+    return Fraction(num, den)
 
 
 def verify_characterization(lam, p: Params, seed: int = 0) -> dict:

@@ -1,7 +1,7 @@
 """Rank-2 hypergeometric machinery: the closed q_{(m1,m2)} formula, a
-Pochhammer prefactor times an exact terminating hypergeometric sum
-(hyp_sum); the boundary series R, its Gamma closed form at b=0, the
-telescoped midpoint value, and the three-test region decision.
+Pochhammer prefactor times a terminating hypergeometric sum (hyp_sum, run in
+integers by q_rank2); the boundary series R, its Gamma closed form at b=0,
+the telescoped midpoint value, and the three-test region decision.
 
 The boundary series ops are the only place in the package where truncation
 error exists. The region decision in_B does not rest on a truncated value: it
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import (SIGN_DEADBAND, DomainError, PoleError, _check_int, _check_length, _exact_point, _gamma_quotient,
-                       as_exact, poch_pm)
+                       _over_common, as_exact)
 from .okounkov import Params
 from .shimura import in_G, in_G_raster
 
@@ -66,14 +66,10 @@ def hyp_sum(upper, lower, truncation: int) -> Fraction:
     lower = [as_exact(v) for v in lower]
     term = total = Fraction(1)
     for k in range(truncation):
-        num = term
-        for u in upper:
-            num *= u + k
+        num = term * math.prod(u + k for u in upper)
         if num == 0:
             break
-        den = k + 1
-        for l in lower:
-            den *= l + k
+        den = (k + 1) * math.prod(l + k for l in lower)
         if den == 0:
             raise PoleError(f"lower parameter hits zero at term {k + 1}")
         term = num / den
@@ -81,44 +77,57 @@ def hyp_sum(upper, lower, truncation: int) -> Fraction:
     return total
 
 
-def _q_setup(m1: int, m2: int, pt, rho):
-    """What q_rank2 and q_rank2_partial_d2 share, once m2 and m1 - m2 are
-    nonnegative integers and pt and rho pairs: rho1, rho2, x1, x2 as exact
-    values, M = m1 - m2 and the Pochhammer prefactor
-    (alpha±x1)_{m2} (alpha±x2)_{m2} (m2+rho1±x1)_M, alpha = rho2."""
+def _q_exact(m1: int, m2: int, pt, rho, half, terminating: bool, gap_error) -> Fraction:
+    """q_rank2 (terminating, half = d/2) or q_rank2_partial_d2 (half = 1) past
+    their shared checks, in integers over one denominator D of rho, pt, half:
+    the prefactor over D^(4 m2 + 2M), M = m1 - m2, and the sum as a running
+    numerator over the product of its term ratios' denominators, stopping and
+    raising where hyp_sum does; gap_error(rho1, rho2) if rho1 - rho2 != half."""
     _check_int("m2", m2)
     _check_int("m1 - m2", m1 - m2)
     _check_length(pt, 2)
     _check_length(rho, 2)
-    r1, r2, x1, x2 = map(as_exact, (*rho, *pt))
-    big_m = m1 - m2
-    pref = poch_pm(r2, x1, m2) * poch_pm(r2, x2, m2) * poch_pm(m2 + r1, x1, big_m)
-    return r1, r2, x1, x2, big_m, pref
+    den, (r1, r2, x1, x2, h) = _over_common((*rho, *pt, half))
+    if r1 - r2 != h:
+        raise DomainError(gap_error(Fraction(r1, den), Fraction(r2, den)))
+    pref = math.prod(v + i * den for i in range(m2) for v in (r2 + x1, r2 - x1, r2 + x2, r2 - x2))
+    pref *= math.prod(v + i * den for i in range(m2, m1) for v in (r1 + x1, r1 - x1))
+    u, l, big_m = m2 * den + r2, m2 * den + r1, (m1 - m2) * den
+    upper, lower = (u + x2, u - x2, h), (l + x1, l - x1)
+    if terminating:
+        upper, lower = (-big_m, *upper), (den - big_m - h, *lower)
+    total = term = scale = 1
+    for k in range(m1 - m2):
+        num = math.prod(v + k * den for v in upper)
+        if num == 0:
+            break
+        step = den * (k + 1) * math.prod(v + k * den for v in lower)
+        if step == 0:
+            raise PoleError(f"lower parameter hits zero at term {k + 1}")
+        term *= num
+        total = total * step + term
+        scale *= step
+    return Fraction(pref * total, den ** (2 * (m1 + m2)) * scale)
 
 
 def q_rank2(m1: int, m2: int, pt, d: int, rho):
-    """Closed hypergeometric form of the signed rank-2 value: Pochhammer
-    prefactor times a terminating series of length m1 - m2.
+    """Closed hypergeometric form of the signed rank-2 value: the prefactor
+    (alpha±x1)_{m2} (alpha±x2)_{m2} (m2+rho1±x1)_M, M = m1 - m2, times
+    hyp_sum((-M, m2+alpha±x2, d/2), (1-M-d/2, m2+rho1±x1), M), in integers.
 
     Requires rho1 - rho2 = d/2 (the rank-2 parameter dictionary with
     alpha = rho2). Exact on rational points.
     """
     _check_int("d", d, 1)
-    r1, r2, x1, x2, big_m, pref = _q_setup(m1, m2, pt, rho)
     half = Fraction(d, 2)
-    if r1 - r2 != half:
-        raise DomainError(f"rho must satisfy rho1 - rho2 = d/2, got {r1} - {r2} != {half}")
-    upper = (-big_m, m2 + r2 + x2, m2 + r2 - x2, half)
-    return pref * hyp_sum(upper, (1 - big_m - half, m2 + r1 + x1, m2 + r1 - x1), big_m)
+    return _q_exact(m1, m2, pt, rho, half, True,
+                    lambda r1, r2: f"rho must satisfy rho1 - rho2 = d/2, got {r1} - {r2} != {half}")
 
 
 def q_rank2_partial_d2(m1: int, m2: int, pt, rho):
     """The d=2 rewrite: same prefactor times the (m1-m2)-th partial sum of
     the series with upper (m2+alpha±x2, 1) and lower (m2+rho1±x1)."""
-    r1, r2, x1, x2, big_m, pref = _q_setup(m1, m2, pt, rho)
-    if r1 - r2 != 1:
-        raise DomainError(f"d=2 form needs rho1 - rho2 = 1, got {r1} - {r2}")
-    return pref * hyp_sum((m2 + r2 + x2, m2 + r2 - x2, 1), (m2 + r1 + x1, m2 + r1 - x1), big_m)
+    return _q_exact(m1, m2, pt, rho, 1, False, lambda r1, r2: f"d=2 form needs rho1 - rho2 = 1, got {r1} - {r2}")
 
 
 def R_series(pt, d: int, rho, rel_tol: float = 1e-12) -> float:

@@ -56,10 +56,12 @@ class GroupData(Frozen):
     __slots__ = (*_fields, "_hash")
 
     def __init__(self, n: int, d: int, b: int, p: int = 0):
-        if n < 1:
-            raise DomainError(f"rank must be >= 1, got {n}")
+        if not isinstance(n, int) or n < 1:
+            raise DomainError(f"rank must be >= 1, an integer, got {n!r}")
         _check_int("d", d)
         _check_int("b", b)
+        if not isinstance(p, int):
+            raise DomainError(f"p must be an integer, got {p!r}")
         self._freeze(n, d, b, p, hash((n, d, b, p)))
 
     def __hash__(self):

@@ -191,6 +191,20 @@ def test_a_bad_integer_index_is_a_domain_error(name, low, f, value):
         f(value)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: Params(2.0, 1, F(1, 2)), lambda: GroupData(2.5, 2, 0), lambda: Params(0, 1, F(1, 2))]
+)
+def test_a_rank_is_a_positive_int(make):
+    with pytest.raises(DomainError, match="rank must be >= 1"):
+        make()
+
+
+def test_the_twist_p_is_an_int_of_any_sign():
+    with pytest.raises(DomainError, match="p must be an integer, got 0.5"):
+        GroupData(2, 2, 0, 0.5)
+    assert GroupData(2, 2, 0, -3).p == -3
+
+
 @pytest.mark.parametrize("j", [0, 3, 1.5])
 def test_a_column_height_outside_1_to_n_is_a_domain_error(j):
     for f in (phi_j, column_poly, column_poly_gf):

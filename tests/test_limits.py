@@ -74,6 +74,41 @@ def test_gamma_ratio_partial_converges():
     assert err2 < err1
 
 
+def _limits_suite_gamma_draws(count):
+    """count parameter sets drawn as verify --suite limits draws its Gamma
+    checks: a, b, c uniform in [0.2, 2], d = a + b - c kept above 0.05."""
+    rng = random.Random(0)
+    while count:
+        a, b, c = (rng.uniform(0.2, 2.0) for _ in range(3))
+        d = a + b - c
+        if d > 0.05:
+            count -= 1
+            yield a, b, c, d
+
+
+def test_gamma_enclosure_holds_the_identity_at_suite_draws():
+    for a, b, c, d in _limits_suite_gamma_draws(2000):
+        lo, hi = limits._gamma_enclosure(a, b, c, d)
+        want = gamma_ratio_identity(a, b, c, d)
+        assert lo <= want <= hi, (a, b, c, d)
+        # never looser than the old absolute 1e-4, and narrow enough that a
+        # relative error of 1e-5 either way falls outside
+        assert (hi - lo) / 2 <= 1e-4, (a, b, c, d)
+        assert want * (1 - 1e-5) < lo and hi < want * (1 + 1e-5), (a, b, c, d)
+
+
+def test_gamma_enclosure_holds_the_true_quotient():
+    mp = pytest.importorskip("mpmath")
+    imbalanced = 0
+    for a, b, c, d in _limits_suite_gamma_draws(200):
+        imbalanced += math.fsum((a, b, -c, -d)) != 0
+        lo, hi = limits._gamma_enclosure(a, b, c, d)
+        with mp.workdps(30):
+            q = mp.gamma(c) * mp.gamma(d) / (mp.gamma(a) * mp.gamma(b))
+            assert lo <= q <= hi, (a, b, c, d)
+    assert imbalanced  # some draws miss a + b = c + d by a rounding
+
+
 def test_gamma_ratio_partial_pole():
     with pytest.raises(PoleError):
         gamma_ratio_partial(1.0, 1.0, 0.0, 2.0, terms=3)

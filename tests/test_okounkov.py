@@ -25,8 +25,10 @@ from bcinterp.okounkov import (
 )
 from bcinterp.okounkov import _det_exact
 from bcinterp.partitions import (
+    arm,
     cells,
     enumerate_Lambda,
+    leg,
     normalize,
     psi_tableau,
     reverse_tableaux,
@@ -436,6 +438,23 @@ def test_k_constant_alt_agrees():
         for d in (1, 2, 4):
             for mu in enumerate_Lambda(n, 4):
                 assert k_constant_alt(mu, d, n) == k_constant(mu, Fraction(d, 2))
+
+
+def reference_k_constant(mu, tau):
+    """prod over cells of (tau leg + arm + 1), cell by cell in Fractions."""
+    out = Fraction(1)
+    for s in cells(mu):
+        out *= tau * leg(mu, s) + arm(mu, s) + 1
+    return out
+
+
+def test_k_constant_equals_the_fraction_reference():
+    for n in (1, 2, 3, 4):
+        for mu in enumerate_Lambda(n, 6):
+            for tau in (Fraction(1, 3), Fraction(2, 5), Fraction(1), Fraction(3, 2), Fraction(3)):
+                assert k_constant(mu, tau) == reference_k_constant(mu, tau), (mu, tau)
+            for d in (1, 2, 3, 4):
+                assert k_constant_alt(mu, d, n) == k_constant(mu, Fraction(d, 2)), (mu, d, n)
 
 
 def test_k_constant_alt_rejects():

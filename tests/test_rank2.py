@@ -124,6 +124,44 @@ def test_q_rank2_validation():
         q_rank2_partial_d2(2, 1, pt, (Fraction(2), Fraction(1, 2)))
 
 
+def _q_reference(m1, m2, pt, d, rho):
+    """q_rank2 as Pochhammer prefactor times hyp_sum, in Fractions; d = None
+    gives q_rank2_partial_d2."""
+    (r1, r2), (x1, x2), big_m = rho, pt, m1 - m2
+    pref = poch_pm(r2, x1, m2) * poch_pm(r2, x2, m2) * poch_pm(m2 + r1, x1, big_m)
+    upper, lower = (m2 + r2 + x2, m2 + r2 - x2), (m2 + r1 + x1, m2 + r1 - x1)
+    if d is None:
+        return pref * hyp_sum((*upper, 1), lower, big_m)
+    half = Fraction(d, 2)
+    return pref * hyp_sum((-big_m, *upper, half), (1 - big_m - half, *lower), big_m)
+
+
+def _value_or_pole(f, *args):
+    try:
+        return f(*args)
+    except PoleError as exc:
+        return "PoleError", str(exc)
+
+
+def test_q_rank2_equals_the_fraction_reference():
+    rng = random.Random(11)
+    poles = 0
+    for _ in range(3000):
+        d = rng.randint(1, 3)
+        m1 = rng.randint(0, 6)
+        m2 = rng.randint(0, m1)
+        r2 = Fraction(rng.randint(-8, 12), rng.choice((1, 2, 3, 4, 6)))
+        pt = tuple(Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 5))) for _ in range(2))
+        rho = (r2 + Fraction(d, 2), r2)
+        got = _value_or_pole(q_rank2, m1, m2, pt, d, rho)
+        assert got == _value_or_pole(_q_reference, m1, m2, pt, d, rho), (m1, m2, pt, d, rho)
+        rho = (r2 + 1, r2)
+        got_d2 = _value_or_pole(q_rank2_partial_d2, m1, m2, pt, rho)
+        assert got_d2 == _value_or_pole(_q_reference, m1, m2, pt, None, rho), (m1, m2, pt, rho)
+        poles += isinstance(got, tuple) + isinstance(got_d2, tuple)
+    assert poles > 0
+
+
 def test_q_rank2_pole_propagates():
     # lower parameter m2 + rho1 - x1 = -1 dies inside the live series
     with pytest.raises(PoleError):
