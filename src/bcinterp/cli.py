@@ -15,11 +15,10 @@ writes the text, once for every subcommand.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .exactnum import DomainError, PoleError, _check_int, _check_length, _exact_str
 from .limits import (
@@ -88,6 +87,7 @@ def _parse_group(text: str, p: int) -> GroupData:
 
 
 def _json(obj) -> str:
+    import json  # here, not at module level: region and contour print CSV
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
@@ -387,66 +387,101 @@ def cmd_crossing(args):
     return compute
 
 
-# ---------------------------------------------------------------- parser
+# ---------------------------------------------------------------- flags
+#
+# Each command maps to its handler, a one-line help and its flags. Each flag
+# name maps to (dest, conversion, default, help): the conversion is str, int
+# or a tuple of choices, and a flag whose default is _REQUIRED must be given.
+
+_REQUIRED = object()
+_EVAL = {
+    "--n": ("n", int, _REQUIRED, "number of variables"),
+    "--tau": ("tau", str, _REQUIRED, 'rational "p/q"'),
+    "--alpha": ("alpha", str, _REQUIRED, 'rational "p/q"'),
+    "--lambda": ("lam", str, _REQUIRED, 'partition "a,b,..." ("" for empty)'),
+}
+_X = {"--x": ("x", str, _REQUIRED, 'point "p/q,..." of length n')}
+_OUT = {"--out": ("out", str, None, "output path (default stdout)")}
+_M = {"--m": ("m", int, _REQUIRED, "family index")}
+_COMMANDS = {
+    "eval": (cmd_eval, "evaluate one polynomial at one exact point", {**_EVAL, **_X}),
+    "expand": (cmd_expand, "expand into even monomials (weight capped)", _EVAL),
+    "eigenvalue": (cmd_eigenvalue, "Harish-Chandra eigenvalue of one operator", {
+        "--group": ("group", str, _REQUIRED, '"n,d,b"'),
+        "--p": ("p", int, 0, "parameter deformation"),
+        "--mu": ("mu", str, _REQUIRED, 'partition "a,b,..."'),
+        **_X,
+    }),
+    "verify": (cmd_verify, "run one cross-formula verification suite", {
+        "--suite": ("suite", tuple(_SUITES), _REQUIRED, "suite name"),
+        "--budget": ("budget", int, None, "suite size knob (capped per suite)"),
+        "--seed": ("seed", int, 0, "seed of the random points"),
+    }),
+    "region": (cmd_region, "rasterize a positivity set to CSV", {
+        "--kind": ("kind", ("G", "A", "rank2-B", "U0", "W", "square"), _REQUIRED, "positivity set"),
+        "--group": ("group", str, None, '"n,d,b" (all kinds except W)'),
+        "--p": ("p", int, 0, "parameter deformation"),
+        "--m": ("m", int, None, "family index (kind W only)"),
+        "--grid": ("grid", int, 80, "points per axis"),
+        "--max-weight": ("max_weight", int, 6, "certification cap for kind A"),
+        **_OUT,
+    }),
+    "contour": (cmd_contour, "trace the divided-difference zero curve",
+                {**_M, "--grid": ("grid", int, 96, "points per axis"), **_OUT}),
+    "crossing": (cmd_crossing, "diagonal crossing point of the zero curve", _M),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bcinterp",
-        description="Exact interpolation-polynomial evaluation, eigenvalues, and positivity regions.",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def _usage(cmd) -> str:
+    """The flags of one command, or the command list if cmd is None."""
+    if cmd is None:
+        rows = [f"  {name:12}{text}" for name, (_, text, _) in _COMMANDS.items()]
+        rows.append("bcinterp COMMAND -h lists the flags of one command.")
+    else:
+        rows = [_COMMANDS[cmd][1]] + [
+            f"  {name:14}{text}{': ' + ', '.join(conv) if isinstance(conv, tuple) else ''}"
+            f"{'' if default is None else ' (required)' if default is _REQUIRED else f' (default {default})'}"
+            for name, (_, conv, default, text) in _COMMANDS[cmd][2].items()]
+    return "\n".join([f"usage: bcinterp {cmd or 'COMMAND'} [--flag value | --flag=value ...]", *rows]) + "\n"
 
-    def add_eval_flags(p, with_x):
-        p.add_argument("--n", type=int, required=True, help="number of variables")
-        p.add_argument("--tau", required=True, help='rational "p/q"')
-        p.add_argument("--alpha", required=True, help='rational "p/q"')
-        p.add_argument("--lambda", dest="lam", required=True, help='partition "a,b,..." ("" for empty)')
-        if with_x:
-            p.add_argument("--x", required=True, help='point "p/q,..." of length n')
 
-    p = sub.add_parser("eval", help="evaluate one polynomial at one exact point")
-    add_eval_flags(p, with_x=True)
-    p.set_defaults(run=cmd_eval)
-
-    p = sub.add_parser("expand", help="expand into even monomials (weight capped)")
-    add_eval_flags(p, with_x=False)
-    p.set_defaults(run=cmd_expand)
-
-    p = sub.add_parser("eigenvalue", help="Harish-Chandra eigenvalue of one operator")
-    p.add_argument("--group", required=True, help='"n,d,b"')
-    p.add_argument("--p", type=int, default=0, help="parameter deformation (default 0)")
-    p.add_argument("--mu", required=True, help='partition "a,b,..."')
-    p.add_argument("--x", required=True, help='point "p/q,..." of length n')
-    p.set_defaults(run=cmd_eigenvalue)
-
-    p = sub.add_parser("verify", help="run one cross-formula verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    p.add_argument("--budget", type=int, default=None, help="suite size knob (capped per suite)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=cmd_verify)
-
-    p = sub.add_parser("region", help="rasterize a positivity set to CSV")
-    p.add_argument("--kind", required=True, choices=("G", "A", "rank2-B", "U0", "W", "square"))
-    p.add_argument("--group", default=None, help='"n,d,b" (all kinds except W)')
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--m", type=int, default=None, help="family index (kind W only)")
-    p.add_argument("--grid", type=int, default=80, help="points per axis (default 80)")
-    p.add_argument("--max-weight", type=int, default=6, help="certification cap for kind A")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(run=cmd_region)
-
-    p = sub.add_parser("contour", help="trace the divided-difference zero curve")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--grid", type=int, default=96)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(run=cmd_contour)
-
-    p = sub.add_parser("crossing", help="diagonal crossing point of the zero curve")
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(run=cmd_crossing)
-
-    return parser
+def _parse_args(argv):
+    """The flags of argv as attributes named by their dests, and run, the
+    command's handler. Each usage error is a DomainError; -h or --help in
+    place of a flag gives a run whose text is the help."""
+    if not argv:
+        raise DomainError(f"a command is required: {', '.join(_COMMANDS)}")
+    cmd, tokens = argv[0], iter(argv[1:])
+    if cmd in ("-h", "--help"):
+        return SimpleNamespace(run=lambda args: lambda: (_usage(None), 0))
+    if cmd not in _COMMANDS:
+        raise DomainError(f"unknown command {cmd!r}, expected one of {', '.join(_COMMANDS)}")
+    run, _, flags = _COMMANDS[cmd]
+    given = {}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return SimpleNamespace(run=lambda args: lambda: (_usage(cmd), 0))
+        name, eq, value = token.partition("=")
+        if name not in flags:
+            raise DomainError(f"unknown flag {token!r} for {cmd}")
+        dest, conv = flags[name][:2]
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise DomainError(f"{name} needs a value")
+        if conv is int:
+            try:
+                value = int(value)
+            except ValueError as exc:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from exc
+        elif conv is not str and value not in conv:
+            raise DomainError(f"{name} must be one of {', '.join(conv)}, got {value!r}")
+        given[dest] = value
+    for name, (dest, _, default, _) in flags.items():
+        if dest not in given and default is _REQUIRED:
+            raise DomainError(f"{name} is required for {cmd}")
+        given.setdefault(dest, default)
+    return SimpleNamespace(run=run, **given)
 
 
 def _fail(exc, code: int) -> int:
@@ -455,16 +490,11 @@ def _fail(exc, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    """Parse argv, run the subcommand's flag checks (DomainError: exit 2),
-    its compute (DomainError: exit 3), then write the text to --out or
-    stdout (OSError: exit 4); otherwise return the compute's exit code."""
-    parser = build_parser()
+    """Parse argv (sys.argv[1:] if None) and run its flag checks (DomainError
+    from either: exit 2), its compute (DomainError: exit 3), then write the text to
+    --out or stdout (OSError: exit 4); otherwise return the compute's exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if code else 0
-    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         compute = args.run(args)
     except DomainError as exc:
         return _fail(exc, 2)

@@ -592,12 +592,66 @@ def test_no_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value", [("--x", "-1/2,1"), ("--tau", "-1/2")])
+def test_negative_values_parse_as_in_their_equals_form(capsys, flag, value):
+    flags = {"--n": "2", "--tau": "1", "--alpha": "1/2", "--lambda": "1", "--x": "1,1", flag: value}
+    joined = run(capsys, "eval", *(f"{name}={v}" for name, v in flags.items()))
+    assert joined[0] == 0
+    assert run(capsys, "eval", *(t for item in flags.items() for t in item)) == joined
+
+
+@pytest.mark.parametrize("argv", [
+    "bogus --m 0",
+    "",
+    "crossing --m 0 --bogus 1",
+    "crossing --m 0 extra",
+    "region --kind A --group 2,2,0 --max 4",
+    "crossing --m",
+    "eigenvalue --group 2,2,0 --mu 1",
+    "region --kind G --group 2,2,0 --grid x",
+    "region --kind Z --group 2,2,0",
+    "verify --suite nope",
+])
+def test_each_usage_error_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *shlex.split(argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+FLAGS = {
+    "eval": "--n --tau --alpha --lambda --x",
+    "expand": "--n --tau --alpha --lambda",
+    "eigenvalue": "--group --p --mu --x",
+    "verify": "--suite --budget --seed",
+    "region": "--kind --group --p --m --grid --max-weight --out",
+    "contour": "--m --grid --out",
+    "crossing": "--m",
+}
+
+
+@pytest.mark.parametrize("help_flag", ["-h", "--help"])
+@pytest.mark.parametrize("cmd", [None, *FLAGS])
+def test_help_names_every_command_and_flag(capsys, cmd, help_flag):
+    code, out, err = run(capsys, *([cmd] if cmd else []), help_flag)
+    assert (code, err) == (0, "")
+    names = FLAGS if cmd is None else FLAGS[cmd].split()
+    assert set(names) <= set(out.split())
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    want = run(capsys, "crossing", "--m", "1")
+    monkeypatch.setattr(sys, "argv", ["bcinterp", "crossing", "--m", "1"])
+    code = main()
+    assert (code, *capsys.readouterr()) == want
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # json is imported where JSON is printed, and the CLI parses its own flags
     # -S skips site, so no .pth file imports any of them first
     src = os.path.join(ROOT, "src")
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import bcinterp.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'random') if m in sys.modules))"
+        "print(sorted(m for m in ('argparse', 'dataclasses', 'inspect', 'json', 'random') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
