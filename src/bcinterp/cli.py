@@ -15,7 +15,9 @@ writes the text, once for every subcommand.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -333,11 +335,9 @@ def _region_window(args):
     return rho[0] + 1, rows[kind]
 
 
-def _cell(v):
-    """The member and witness columns, joined, for a bool or a Verdict."""
-    if isinstance(v, Verdict):
-        return ("1," if v.member else "0,") + (v.witness_str() or "")
-    return "1," if v else "0,"
+def _cell(v: Verdict) -> str:
+    """The member and witness columns of a Verdict, joined."""
+    return ("1," if v.member else "0,") + (v.witness_str() or "")
 
 
 def cmd_region(args):
@@ -350,20 +350,31 @@ def cmd_region(args):
         raise DomainError("the raster window is beyond float range") from exc
 
     def compute():
-        axis = [top * i / (args.grid - 1) for i in range(args.grid)]
-        labels = [f"{float(v):.12g}" for v in axis]
-        lines = ["x,y,member,witness"]
-        # a raster repeats a few distinct cells, so each is formatted once,
-        # keyed by value: the bool, or a Verdict's (member, witness)
-        texts = {}
-        for label, row in zip(labels, rows(axis)):
-            for y, cell in zip(labels, row):
-                key = cell if cell.__class__ is bool else (cell.member, cell.witness)
-                text = texts.get(key)
-                if text is None:
-                    text = texts[key] = _cell(cell)
-                lines.append(f"{label},{y},{text}")
-        return "\n".join(lines) + "\n", 0
+        # the axis top * i / (grid - 1) as numerators a over one denominator:
+        # a label is a / den, rounded once, as float(Fraction) rounds it
+        den = top.denominator * (args.grid - 1)
+        nums = [top.numerator * i for i in range(args.grid)]
+        labels = [f"{a / den:.12g}" for a in nums]
+        if args.kind in ("G", "A"):
+            # a raster repeats a few distinct Verdicts, so each (member,
+            # witness) is formatted once
+            texts, ys = {}, [y + "," for y in labels]
+
+            def text(v):
+                key = v.member, v.witness
+                if key not in texts:
+                    texts[key] = _cell(v)
+                return texts[key]
+
+            def cells(row):
+                return map(operator.add, ys, map(text, row))
+        else:
+            # a bool cell indexes its column's pair of lines
+            cells = functools.partial(map, operator.getitem, [(y + ",0,", y + ",1,") for y in labels])
+        # a row is one join of its cells "y,member,witness" under its head "x,"
+        lines = [head + ("\n" + head).join(cells(row))
+                 for head, row in zip([x + "," for x in labels], rows([Fraction(a, den) for a in nums]))]
+        return "x,y,member,witness\n" + "\n".join(lines) + "\n", 0
 
     return compute
 

@@ -11,6 +11,7 @@ exact out. Nothing here converts a Fraction to a float silently.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 __all__ = [
@@ -130,13 +131,14 @@ def _over_common(values):
     return den, [a * (den // d) for a, d in ratios]
 
 
-def _ascending_axis(axis) -> list[Fraction]:
-    """The axis of a row-range raster as Fractions; DomainError unless every
-    value is exact and the axis is ascending (ties allowed)."""
-    out = [as_exact(x) for x in axis]
-    if any(a > b for a, b in zip(out, out[1:])):
+def _ascending_axis(axis):
+    """The axis of a row-range raster over one denominator, (Q, [A_i]) with
+    x_i = A_i / Q (_over_common); DomainError unless every value is exact
+    and the axis is ascending (ties allowed)."""
+    q, nums = _over_common(axis)
+    if any(map(operator.gt, nums, nums[1:])):
         raise DomainError("a raster axis must be ascending")
-    return out
+    return q, nums
 
 
 def poch_rising(a, k: int):

@@ -210,17 +210,19 @@ def in_W_raster(axis, m: int):
     [in_W((axis[i], axis[j]), m) for j <= i].
 
     The square is the index range of the axis values in [alpha, alpha + 1],
-    found by exact bisection. A row inside it is False below alpha and
-    signs S_div from there on, reading s_m from one table of the shifted
-    floats float(x) - float(alpha): the float operations of in_W, so the
-    same flags. Every other row is empty.
+    found by bisection of the axis numerators A over their denominator Q
+    against ceil(alpha Q) and floor((alpha + 1) Q). A row inside it is False
+    below alpha and signs S_div from there on, reading s_m from one table of
+    the shifted floats A / Q - float(alpha), where A / Q is float(x), rounded
+    once: the float operations of in_W, so the same flags. Every other row
+    is empty.
     """
-    alpha, top, falpha = _W_constants(m)
-    axis = _ascending_axis(axis)
-    lo, hi = bisect_left(axis, alpha), bisect_right(axis, top)
-    ts = [float(x) - falpha for x in axis[lo:hi]]
+    _, _, falpha = _W_constants(m)
+    q, nums = _ascending_axis(axis)
+    lo, hi = bisect_left(nums, -(-(m + 1) * q // 2)), bisect_right(nums, (m + 3) * q // 2)
+    ts = [a / q - falpha for a in nums[lo:hi]]
     s_at = _s_table(ts, m)
-    for i in range(len(axis)):
+    for i in range(len(nums)):
         if lo <= i < hi:
             xf = ts[i - lo]
             yield [False] * lo + [_div_diff(xf, yf, m, s_at) >= -SIGN_DEADBAND for yf in ts[: i - lo + 1]]

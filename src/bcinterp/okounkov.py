@@ -226,11 +226,10 @@ _compiled_terms = lru_cache(maxsize=None)(_Compiled)
 
 
 def _scaled_axis(axis):
-    """(Q^2, [A_i^2]) for exact values x_i = A_i / Q, Q the lcm of their
-    denominators: one common denominator for all of them."""
-    ratios = [x.as_integer_ratio() for x in axis]
-    q = math.lcm(*[d for _, d in ratios])
-    return q * q, [(a * (q // d)) ** 2 for a, d in ratios]
+    """(Q^2, [A_i^2]) for exact values x_i = A_i / Q over one common
+    denominator Q (_over_common)."""
+    q, nums = _over_common(axis)
+    return q * q, [a * a for a in nums]
 
 
 def _node_row(comp: _Compiled, idx: int, q2: int, a2: int):

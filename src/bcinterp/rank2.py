@@ -136,7 +136,8 @@ def R_series(pt, d: int, rho, rel_tol: float = 1e-12) -> float:
     (a float as the binary rational it holds), each parameter rounded once
     from its exact value (_series_constants, _series_args)."""
     _, r1, r2, s = _series_constants(d, tuple(map(as_exact, _exact_point(rho, 2))))
-    return _R_sum(*_series_args(_exact_point(pt, 2), d, r1, r2), s, rel_tol)
+    q, (r1, r2, x1, x2) = _over_common((r1, r2, *_exact_point(pt, 2)))
+    return _R_sum(*_series_args(x1, x2, q, r1, r2, d), s, rel_tol)
 
 
 def _R_sum(u, l, s, rel_tol: float) -> float:
@@ -438,48 +439,52 @@ def in_B(pt, d: int, rho) -> bool:
     """
     p, r1, r2, s = _series_constants(d, tuple(map(as_exact, rho)))
     pt = _exact_point(pt, 2)
-    return in_G(pt, p).member and _past_gates(pt, d, r1, r2, s)
+    if not in_G(pt, p).member:
+        return False
+    q, (r1, r2, x1, x2) = _over_common((r1, r2, *pt))
+    return _past_gates(x1, x2, q, r1, r2, d, s)
 
 
 def in_B_raster(axis, d: int, rho):
     """in_B on the rank-2 raster of an exact axis: yields, for each i,
     [in_B((axis[i], axis[j]), d, rho) for j <= i]. The gates are the rows
     of in_G_raster for the Params whose column tests they are; the rest of
-    in_B runs only at the points that pass both."""
+    in_B runs only at the points that pass both, on the numerators of the
+    axis and rho over one denominator."""
     p, r1, r2, s = _series_constants(d, tuple(map(as_exact, rho)))
-    for x1, row in zip(axis, in_G_raster(axis, p)):
-        yield [v.member and _past_gates((x1, x2), d, r1, r2, s) for x2, v in zip(axis, row)]
+    q, (r1, r2, *nums) = _over_common((r1, r2, *axis))
+    for x1, row in zip(nums, in_G_raster(axis, p)):
+        yield [v.member and _past_gates(x1, x2, q, r1, r2, d, s) for x2, v in zip(nums, row)]
 
 
-def _past_gates(pt, d: int, r1, r2, s: float) -> bool:
-    """in_B at an exact point that passes both gates, from the constants of
+def _past_gates(x1: int, x2: int, q: int, r1: int, r2: int, d: int, s: float) -> bool:
+    """in_B at an exact point that passes both gates, from the numerators
+    over one denominator q > 0 of the point (x1, x2) and of rho1, rho2 of
     _series_constants: the exact rules at rho and its mirrors and on the T1
     side, then the sign of the boundary series."""
-    x1, x2 = pt
-    # |x1| against rho1 in integers: equal at rho and its mirrors; less, with
+    # |x1| against rho1: equal at rho and its mirrors; less, with
     # |x2| <= rho2 (signed), on the T1 side
-    a1, b1 = abs(x1.numerator) * r1.denominator, r1.numerator * x1.denominator
-    if a1 == b1 or a1 < b1 and abs(x2.numerator) * r2.denominator <= r2.numerator * x2.denominator:
+    if abs(x1) == r1 or abs(x1) < r1 and abs(x2) <= r2:
         return True
-    u, l = _series_args(pt, d, r1, r2)
+    u, l = _series_args(x1, x2, q, r1, r2, d)
     value, radius = _R_enclosure(u, l, s)
     if abs(value) > radius:
         return value > 0
     return _R_sum(u, l, s, 1e-8) >= -SIGN_DEADBAND
 
 
-def _series_args(pt, d: int, r1, r2):
+def _series_args(x1: int, x2: int, q: int, r1: int, r2: int, d: int):
     """The float upper parameters u = (rho2 + x2, rho2 - x2, d/2) and lower
-    parameters l = (rho1 + x1, rho1 - x1) of the boundary series at an exact
-    point and exact rho, each rounded once from its exact value. DomainError
-    unless |x1| < rho1 (decided in integers), every parameter is in float
-    range and neither l rounds to 0."""
-    x1, x2 = pt
-    if abs(x1.numerator) * r1.denominator >= r1.numerator * x1.denominator:
+    parameters l = (rho1 + x1, rho1 - x1) of the boundary series, from the
+    numerators over one denominator q > 0 of a point and rho, each rounded
+    once from its exact value (int / int is correctly rounded, as
+    float(Fraction) is). DomainError unless |x1| < rho1, every parameter is
+    in float range and neither l rounds to 0."""
+    if abs(x1) >= r1:
         raise DomainError("series parameter at or below a pole: need |x1| < rho1")
     try:
-        u = (float(r2 + x2), float(r2 - x2), d / 2)
-        l = (float(r1 + x1), float(r1 - x1))
+        u = ((r2 + x2) / q, (r2 - x2) / q, d / 2)
+        l = ((r1 + x1) / q, (r1 - x1) / q)
     except OverflowError:
         raise DomainError("series parameters rho +- x beyond float range") from None
     if 0.0 in l:

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import DomainError, Frozen, _ascending_axis, _check_int, _exact_point, as_exact
+from .exactnum import DomainError, Frozen, _ascending_axis, _check_int, _exact_point
 from .okounkov import (
     Params,
     _compiled_terms,
@@ -192,7 +192,7 @@ def _raster(axis, p: Params, signed, degree):
     """
     if p.n != 2:
         raise DomainError(f"a raster needs rank 2, got n = {p.n}")
-    q2, a2s = _scaled_axis([as_exact(x) for x in axis])
+    q2, a2s = _scaled_axis(axis)
     member = Verdict(True, None, degree)
     tables = [(Verdict(False, key, degree), sign, comp, [_node_row(comp, 1, q2, a2) for a2 in a2s])
               for key, sign, comp in signed]
@@ -236,14 +236,15 @@ def in_square(pt, p: Params) -> bool:
     return all(0 <= x <= rho_n for x in pt)
 
 
-def _u0_row(x1, b: int):
+def _u0_row(x1, b: int, one=1):
     """The row of U0 at 0 <= x1 <= rho2, as (bound, segments): its members
     are the x2 in [0, x1] with x2 <= bound or x2 in segments. The base
     triangle x1 + x2 <= 1 is x2 <= 1 - x1, the shifted triangle j is
     x2 <= min(x1 - j, j + 1 - x1), and the segment j is x2 = x1 - j >= 0,
-    for j = 1..floor((b-1)/2)."""
-    shifts = range(1, (b - 1) // 2 + 1)  # empty for b < 3
-    bound = max([1 - x1] + [min(x1 - j, j + 1 - x1) for j in shifts])
+    for j = 1..floor((b-1)/2). Every value is in units of one: x1 and the
+    results are numerators over one = Q where a raster's axis is."""
+    shifts = [j * one for j in range(1, (b - 1) // 2 + 1)]  # empty for b < 3
+    bound = max([one - x1] + [min(x1 - j, j + one - x1) for j in shifts])
     return bound, [x1 - j for j in shifts if j <= x1]
 
 
@@ -280,10 +281,11 @@ def in_square_raster(axis, p: Params):
     0 <= x1 <= alpha holds the cells with x2 >= 0; any other row is empty."""
     if p.n != 2:
         raise DomainError(f"a raster needs rank 2, got n = {p.n}")
-    axis = _ascending_axis(axis)
-    lo = bisect_left(axis, 0)
-    for i, x1 in enumerate(axis):
-        if 0 <= x1 <= p.alpha:
+    q, nums = _ascending_axis(axis)
+    lo = bisect_left(nums, 0)
+    hi = bisect_right(nums, p.alpha.numerator * q // p.alpha.denominator)  # x1 <= alpha
+    for i in range(len(nums)):
+        if lo <= i < hi:
             yield [False] * lo + [True] * (i + 1 - lo)
         else:
             yield [False] * (i + 1)
@@ -296,18 +298,18 @@ def in_U0_raster(axis, b: int):
     0 <= x2 <= the row's bound, plus the cells on its segments (_u0_row).
     """
     _check_int("b", b)
-    axis = _ascending_axis(axis)
-    rho2 = Fraction(b + 1, 2)
-    lo = bisect_left(axis, 0)
-    for i, x1 in enumerate(axis):
+    q, nums = _ascending_axis(axis)
+    lo = bisect_left(nums, 0)
+    top = bisect_right(nums, (b + 1) * q // 2)  # x1 <= rho2
+    for i, x1 in enumerate(nums):
         n = i + 1
-        if not 0 <= x1 <= rho2:
+        if not lo <= i < top:
             yield [False] * n
             continue
-        bound, segments = _u0_row(x1, b)
-        hi = max(lo, bisect_right(axis, bound, 0, n))
+        bound, segments = _u0_row(x1, b, q)
+        hi = max(lo, bisect_right(nums, bound, 0, n))
         row = [False] * lo + [True] * (hi - lo) + [False] * (n - hi)
         for x2 in segments:
-            for k in range(bisect_left(axis, x2, 0, n), bisect_right(axis, x2, 0, n)):
+            for k in range(bisect_left(nums, x2, 0, n), bisect_right(nums, x2, 0, n)):
                 row[k] = True
         yield row

@@ -386,6 +386,68 @@ def test_region_rank2_B_rejects_d_3_and_up(capsys):
         assert "positivity set only for d <= 2" in err
 
 
+def _per_cell_csv(argv):
+    """The region CSV as the per-cell writer made it: the same rasters, and
+    one f-string and one append per cell."""
+    args = cli._parse_args(["region", *argv])
+    top, rows = cli._region_window(args)
+    axis = [top * i / (args.grid - 1) for i in range(args.grid)]
+    labels = [f"{float(v):.12g}" for v in axis]
+    lines = ["x,y,member,witness"]
+    for label, row in zip(labels, rows(axis)):
+        for y, cell in zip(labels, row):
+            if cell.__class__ is bool:
+                text = "1," if cell else "0,"
+            else:
+                text = ("1," if cell.member else "0,") + (cell.witness_str() or "")
+            lines.append(f"{label},{y},{text}")
+    return "\n".join(lines) + "\n"
+
+
+# every kind, with --p 1 and --p -1 where the kind takes them (U0 only p = 0,
+# rank2-B only d <= 2), and W at even and odd m
+WRITER_CASES = [
+    *((kind, ["--group", group, "--p", str(p)]) for kind in ("G", "A", "square", "rank2-B")
+      for group in ("2,1,2", "2,2,3") for p in (0, 1, -1)),
+    *(("U0", ["--group", group]) for group in ("2,1,4", "2,2,3", "2,3,0")),
+    *(("W", ["--m", str(m)]) for m in (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("kind,flags", WRITER_CASES)
+@pytest.mark.parametrize("grid", [2, 3, 7, 41])
+def test_region_rows_equal_the_per_cell_writer(capsys, tmp_path, kind, flags, grid):
+    argv = ["--kind", kind, *flags, "--grid", str(grid)]
+    want = _per_cell_csv(argv)
+    assert run(capsys, "region", *argv) == (0, want, "")
+    target = tmp_path / "region.csv"
+    assert run(capsys, "region", *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == want
+
+
+@pytest.mark.parametrize("argv", [
+    "--kind A --group 2,4,4 --grid 58",
+    "--kind A --group 2,3,1 --grid 41 --max-weight 8",
+    "--kind G --group 2,1,1 --grid 41",
+    "--kind U0 --group 2,1,4 --grid 160",
+    "--kind rank2-B --group 2,2,3 --grid 41",
+    "--kind W --m 1 --grid 60",
+])
+def test_region_formats_each_distinct_outcome_once(capsys, monkeypatch, argv):
+    # the Verdict kinds format each (member, witness) once; the bool kinds
+    # index a pair of lines per column and format nothing per outcome
+    calls = []
+    inner = cli._cell
+    monkeypatch.setattr(cli, "_cell", lambda v: calls.append(v) or inner(v))
+    code, out, _ = run(capsys, "region", *argv.split())
+    outcomes = set(parse_region(out).values())
+    assert code == 0 and len(outcomes) >= 2
+    if argv.split()[1] in ("A", "G"):
+        assert len(calls) == len(outcomes)
+    else:
+        assert calls == []
+
+
 def _perfbench_module(name):
     """A module of perfbench, loaded from its file: the tests only read it."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
@@ -407,26 +469,29 @@ def test_exact_rasters_match_benchmark_references(capsys, monkeypatch):
     # every region raster the benchmark runs against its recorded reference,
     # by the benchmark's own checker: A, G and U0 byte for byte, the
     # float-decided rank2-B and W by rows and flags. Every point that
-    # reaches a polynomial sign decision on the way is exact
+    # reaches a polynomial sign decision on the way is exact, and every
+    # point past the rank2-B gates comes as integer numerators over an
+    # integer denominator
     commands, check, refs = _benchmark_references()
     argvs = [a for a in commands if a[0] == "region"]
     assert len(argvs) == 52
     assert {a[a.index("--kind") + 1] for a in argvs} == {"A", "G", "U0", "rank2-B", "W"}
     reached, inexact = Counter(), []
 
-    def exact_only(module, name):
+    def exact_only(module, name, point, kinds):
         inner = getattr(module, name)
 
-        def wrapper(pt, *args):
+        def wrapper(*args):
             reached[name] += 1
-            if not all(isinstance(x, (int, Fraction)) for x in pt):
-                inexact.append((name, pt))
-            return inner(pt, *args)
+            if not all(type(x) in kinds for x in point(args)):
+                inexact.append((name, args))
+            return inner(*args)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((shimura, "_first_negative"), (rank2, "_past_gates")):
-        exact_only(module, name)
+    exact_only(shimura, "_first_negative", lambda args: args[0], (int, Fraction))
+    # _past_gates(x1, x2, q, r1, r2, d, s): the point is x1 / q, x2 / q
+    exact_only(rank2, "_past_gates", lambda args: args[:3], (int,))
     for argv in argvs:
         code, out, _ = run(capsys, *argv)
         assert check.check(refs[" ".join(argv)], code, out.encode()) is None, argv

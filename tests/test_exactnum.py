@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bcinterp.exactnum import (
     DomainError,
     PoleError,
+    _ascending_axis,
     _gamma_quotient,
     as_exact,
     gen_pochhammer,
@@ -114,3 +115,19 @@ def test_gamma_quotient_poles():
             _gamma_quotient((2.5, -1.0), dens)
     # no tolerance: a hair off the pole is a finite value
     assert 0.0 < abs(_gamma_quotient((1.0,), (1e-13,))) < 1e-12
+
+
+def test_ascending_axis_is_one_denominator_over_the_exact_values():
+    # ints and Fractions mixed, a negative value, a tie of 0 and Fraction(0),
+    # and values of 10^+-400, far past float range
+    big, tiny = Fraction(10**400), Fraction(1, 10**400)
+    axis = [-big, -3, Fraction(-1, 3), 0, Fraction(0), tiny, Fraction(2, 7), 1, Fraction(10**400 + 1, 3), big]
+    q, nums = _ascending_axis(axis)
+    assert q == 3 * 7 * 10**400
+    assert all(type(a) is int for a in nums)
+    assert [Fraction(a, q) for a in nums] == axis
+    assert _ascending_axis([]) == (1, [])
+    with pytest.raises(DomainError, match="ascending"):
+        _ascending_axis([0, tiny, Fraction(0)])
+    with pytest.raises(DomainError, match="exact"):
+        _ascending_axis([0, 0.5])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bcinterp import rank2, shimura
 from bcinterp.cli import main
-from bcinterp.exactnum import SIGN_DEADBAND, DomainError, PoleError, poch_pm
+from bcinterp.exactnum import SIGN_DEADBAND, DomainError, PoleError, _over_common, poch_pm
 from bcinterp.okounkov import Params
 from bcinterp.rank2 import (
     Rank2Regions,
@@ -186,7 +186,8 @@ def _series_parameters(pt, d, rho):
     """(u, l, s) of the boundary series at pt and rho, each coordinate at its
     exact value, as R_series and in_B round them."""
     _, r1, r2, s = rank2._series_constants(d, tuple(map(Fraction, rho)))
-    return (*rank2._series_args(tuple(map(Fraction, pt)), d, r1, r2), s)
+    q, (r1, r2, x1, x2) = _over_common((r1, r2, *map(Fraction, pt)))
+    return (*rank2._series_args(x1, x2, q, r1, r2, d), s)
 
 
 def test_R_series_matches_reference_values():
@@ -606,6 +607,31 @@ def test_in_B_raster_matches_point_tests():
         assert len(rows) == len(axis)
         for i, row in enumerate(rows):
             assert row == [in_B((axis[i], x2), d, rho) for x2 in axis[: i + 1]], (d, rho, i)
+
+
+def test_in_B_raster_matches_point_tests_at_the_mirrors_of_rho():
+    # the axis is not sorted, so its cells (axis[i], axis[j]), j <= i, hold
+    # rho and its mirrors (+-rho1, +-rho2), every x1 with |x2| = rho2, x1 a
+    # hair inside and outside +-rho1, and T2 points near x1 = x2 past the
+    # midpoint, where R < 0, mirrored to x2 < -rho2
+    eps = Fraction(1, 10**30)
+    cases = [(d, _group_rho(d, b)) for d in (1, 2) for b in range(6)]
+    cases += [(1, (Fraction(7, 5), Fraction(1, 3))), (2, (Fraction(3, 4), Fraction(-1, 4)))]
+    negative_mirrors = 0
+    for d, rho in cases:
+        r1, r2 = rho
+        near = [(r1 + r2) / 2 + (r1 - r2) * k / 40 for k in (1, 2, 4)]
+        axis = [r2, -r2, *(-c for c in near), *near, 0, Fraction(1, 3), r1 - eps, r1, -r1, -r1 + eps, r1 + eps,
+                r2 + eps, -r2 - eps]
+        rows = list(in_B_raster(axis, d, rho))
+        cells = {(axis[i], axis[j]): member for i, row in enumerate(rows) for j, member in enumerate(row)}
+        for (x1, x2), member in cells.items():
+            assert member == in_B((x1, x2), d, rho), (d, rho, x1, x2)
+            # R, and with it in_B, is even in x2
+            assert (x1, -x2) not in cells or cells[x1, -x2] == member, (d, rho, x1, x2)
+        assert all(cells[s1 * r1, s2 * r2] for s1 in (1, -1) for s2 in (1, -1)), (d, rho)
+        negative_mirrors += not all(cells[c, -c] for c in near)
+    assert negative_mirrors >= 12
 
 
 def test_in_B_exact_T2_point_within_float_rounding_of_rho1():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcinterp.exactnum import DomainError
+from bcinterp.exactnum import DomainError, _over_common
+from bcinterp.limits import in_W, in_W_raster
 from bcinterp.okounkov import Params, column_poly, k_constant, okounkov_eval
 from bcinterp.partitions import enumerate_Lambda
 from bcinterp.shimura import (
@@ -290,6 +291,40 @@ def test_in_square_raster_matches_point_tests(g):
         assert_rows_match(in_square_raster(axis, p), axis, test)
     axis = edge_axis(p.alpha)
     assert_rows_match(in_square_raster(axis, p), axis, test)
+
+
+def odd_denominator_axis(edges, q):
+    """An ascending axis over the odd denominator q: -1, 0 and, for each
+    edge c, the points k/q from one below floor(c q) to two above it, so c
+    itself where c q is an integer and otherwise its two neighbours, with
+    one more point on either side."""
+    values = {Fraction(-1), Fraction(0)}
+    for c in edges:
+        n = c.numerator * q // c.denominator
+        values.update(Fraction(k, q) for k in range(n - 1, n + 3))
+    axis = sorted(values)
+    assert _over_common(axis)[0] % 2 == 1
+    return axis
+
+
+@pytest.mark.parametrize("q", [3, 7, 5**43])
+def test_row_range_rasters_at_their_integer_bounds(q):
+    # the rasters bound a row by floor or ceil of an edge times the axis
+    # denominator Q. With Q odd, alpha = (m+1)/2 (m even) and rho2 = (b+1)/2
+    # (b even) fall between two axis points, and an integer edge is on the
+    # axis with points 1/Q (about 10^-30 for 5^43) on either side; the
+    # edge-axis tests hold each edge itself and 10^-30 off it
+    for m in range(4):
+        alpha = Fraction(m + 1, 2)
+        axis = odd_denominator_axis([alpha, alpha + 1], q)
+        assert_rows_match(in_W_raster(axis, m), axis, lambda pt: in_W(pt, m))
+    for b in (0, 2, 4, 6):
+        axis = odd_denominator_axis([Fraction(b + 1, 2), *range(1, b // 2 + 1)], q)  # rho2 and the shifts j
+        assert_rows_match(in_U0_raster(axis, b), axis, lambda pt: in_U0_knapp_speh(pt, b))
+    for g in (GroupData(2, 1, 0), GroupData(2, 2, 3, 1), GroupData(2, 3, 2, -2)):
+        p = group_params(g)
+        axis = odd_denominator_axis([p.alpha], q)
+        assert_rows_match(in_square_raster(axis, p), axis, lambda pt: in_square(pt, p))
 
 
 def test_row_rasters_need_an_ascending_exact_axis():
