@@ -2,15 +2,16 @@
 suites, region rasterization, contour emission.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage, 3 domain error during
-computation, 4 I/O error writing --out or stdout. Flag validation failures
-(bad rationals, bad partitions, inconsistent lengths, wrong group shape for
-a kind, a region window beyond float range) are usage errors; the same
-exception type raised later, by the mathematics, is a domain error. All
-output is deterministic for fixed flags.
+computation, 4 I/O error writing --out or stdout. The type of the error
+decides between 2 and 3: an ArgumentError is a usage error, wherever it is
+raised (the flag parser, a flag rule of this module, or an argument rule of
+the library: a bad rational or partition, a point of the wrong length, a
+wrong group shape for a kind, a region window beyond float range); any
+other DomainError is the mathematics failing on valid arguments. All output
+is deterministic for fixed flags.
 
-Each cmd_* handler only checks its flags and returns a zero-argument
-compute that gives (text, exit_code); main maps errors to exit codes and
-writes the text, once for every subcommand.
+Each cmd_* handler gives (text, exit_code); main maps errors to exit codes
+and writes the text, once for every subcommand.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .exactnum import DomainError, PoleError, _check_int, _check_length, _exact_str
+from .exactnum import ArgumentError, DomainError, _check_int, _exact_str
 from .limits import (
-    _contour_step,
     _gamma_enclosure,
     contour_to_csv,
     crossing_equation,
@@ -39,7 +39,6 @@ from .limits import (
 )
 from .okounkov import (
     Params,
-    _check_expand_weight,
     column_poly,
     column_poly_gf,
     det_formula_tau1,
@@ -50,8 +49,8 @@ from .okounkov import (
     rectangle_poly,
     verify_characterization,
 )
-from .partitions import _at_most, enumerate_Lambda, format_partition, parse_partition
-from .rank2 import R_midpoint_telescoped, R_series, _series_constants, in_B_raster, q_rank2, q_rank2_partial_d2
+from .partitions import enumerate_Lambda, format_partition, parse_partition
+from .rank2 import R_midpoint_telescoped, R_series, in_B_raster, q_rank2, q_rank2_partial_d2
 from .shimura import (
     GroupData,
     Verdict,
@@ -68,23 +67,21 @@ def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational: {text!r}") from exc
+        raise ArgumentError(f"not a rational: {text!r}") from exc
 
 
-def _parse_vector(text: str, n: int):
-    parts = [p for p in text.split(",") if p.strip()]
-    _check_length(parts, n)
-    return tuple(_parse_rational(p) for p in parts)
+def _parse_vector(text: str):
+    return tuple(map(_parse_rational, text.split(",")))
 
 
 def _parse_group(text: str, p: int) -> GroupData:
     parts = text.split(",")
     if len(parts) != 3:
-        raise DomainError(f'group must be "n,d,b": {text!r}')
+        raise ArgumentError(f'group must be "n,d,b": {text!r}')
     try:
         n, d, b = (int(v.strip()) for v in parts)
     except ValueError as exc:
-        raise DomainError(f'group must be three integers "n,d,b": {text!r}') from exc
+        raise ArgumentError(f'group must be three integers "n,d,b": {text!r}') from exc
     return GroupData(n, d, b, p)
 
 
@@ -98,19 +95,16 @@ def _json(obj) -> str:
 
 def _prep_eval(args):
     p = Params(args.n, _parse_rational(args.tau), _parse_rational(args.alpha))
-    return p, _at_most(parse_partition(args.lam), p.n)
+    return parse_partition(args.lam), p
 
 
 def cmd_eval(args):
-    p, lam = _prep_eval(args)
-    pt = _parse_vector(args.x, p.n)
-    return lambda: (_json({"value": _exact_str(okounkov_eval(lam, pt, p))}), 0)
+    lam, p = _prep_eval(args)
+    return _json({"value": _exact_str(okounkov_eval(lam, _parse_vector(args.x), p))}), 0
 
 
 def cmd_expand(args):
-    p, lam = _prep_eval(args)
-    _check_expand_weight(lam)
-    return lambda: (_json(okounkov_expand(lam, p).to_json()), 0)
+    return _json(okounkov_expand(*_prep_eval(args)).to_json()), 0
 
 
 # ---------------------------------------------------------------- eigenvalue
@@ -118,20 +112,15 @@ def cmd_expand(args):
 
 def cmd_eigenvalue(args):
     g = _parse_group(args.group, args.p)
-    mu = _at_most(parse_partition(args.mu), g.n)
+    mu = parse_partition(args.mu)
     prm = group_params(g)
-    pt = _parse_vector(args.x, g.n)
-
-    def compute():
-        obj = {
-            "eigenvalue": shimura_eigenvalue(mu, pt, g),
-            "k_mu": k_constant(mu, prm.tau),
-            "tau": prm.tau,
-            "alpha": prm.alpha,
-        }
-        return _json({k: _exact_str(v) for k, v in obj.items()}), 0
-
-    return compute
+    obj = {
+        "eigenvalue": shimura_eigenvalue(mu, _parse_vector(args.x), g),
+        "k_mu": k_constant(mu, prm.tau),
+        "tau": prm.tau,
+        "alpha": prm.alpha,
+    }
+    return _json({k: _exact_str(v) for k, v in obj.items()}), 0
 
 
 # ---------------------------------------------------------------- verify
@@ -268,15 +257,11 @@ def cmd_verify(args):
     runner, default, cap = _SUITES[args.suite]
     budget = args.budget if args.budget is not None else default
     if budget < 0 or budget > cap:
-        raise DomainError(f"budget for {args.suite} must be in [0, {cap}], got {budget}")
-
-    def compute():
-        import random  # here, not at module level: only verify draws random points
-        checks = list(runner(budget, random.Random(args.seed), args.seed))
-        failures = [c for c in checks if c is not True]
-        return _json({"suite": args.suite, "checks": len(checks), "failures": failures}), (1 if failures else 0)
-
-    return compute
+        raise ArgumentError(f"budget for {args.suite} must be in [0, {cap}], got {budget}")
+    import random  # here, not at module level: only verify draws random points
+    checks = list(runner(budget, random.Random(args.seed), args.seed))
+    failures = [c for c in checks if c is not True]
+    return _json({"suite": args.suite, "checks": len(checks), "failures": failures}), (1 if failures else 0)
 
 
 # ---------------------------------------------------------------- region
@@ -296,35 +281,35 @@ def _region_window(args):
     """
     kind = args.kind
     if kind == "W":
+        if args.group is not None or args.p:
+            raise ArgumentError("--group and --p are not for kind W")
         if args.m is None:
-            raise DomainError("--m is required for kind W")
-        _check_int("m", args.m)
+            raise ArgumentError("--m is required for kind W")
         m = args.m
         return Fraction(m + 1, 2) + 2, lambda axis: in_W_raster(axis, m)
+    if args.m is not None:
+        raise ArgumentError(f"--m is for kind W only, not for kind {kind}")
     if args.group is None:
-        raise DomainError(f"--group is required for kind {kind}")
+        raise ArgumentError(f"--group is required for kind {kind}")
     g = _parse_group(args.group, args.p)
     prm = group_params(g)
     if g.n != 2:
-        raise DomainError(f"kind {kind} needs a rank-2 group, got n = {g.n}")
+        raise ArgumentError(f"kind {kind} needs a rank-2 group, got n = {g.n}")
     if kind == "U0" and g.p != 0:
-        raise DomainError("kind U0 is defined for p = 0")
-    if kind == "rank2-B":
-        # in_B_raster's checks of d and of the series, at flag time
-        _series_constants(g.d, prm.rho)
+        raise ArgumentError("kind U0 is defined for p = 0")
     if kind == "rank2-B" and g.d > 2:
         # in_B's three tests miss q_(2,2) < 0 in T2 for d >= 3 (README)
-        raise DomainError(f"kind rank2-B is the positivity set only for d <= 2, got d = {g.d}")
+        raise ArgumentError(f"kind rank2-B is the positivity set only for d <= 2, got d = {g.d}")
     rho = prm.rho
     if rho[0] + 1 <= 0:
-        raise DomainError(f"the window [0, rho1 + 1] is empty: rho1 + 1 = {rho[0] + 1}")
+        raise ArgumentError(f"the window [0, rho1 + 1] is empty: rho1 + 1 = {rho[0] + 1}")
     if kind == "rank2-B" and prm.alpha < -Fraction(g.d, 4):
         # With rho1 = alpha + d/2 and rho2 = alpha, |rho2| <= rho1 exactly
         # when alpha >= -d/4, and only then do the gates keep |x1| <= rho1,
         # off the poles of the series at rho1 -+ x1 = 0: if
         # x1^2 > rho1^2 >= rho2^2, phi_2 = (rho2^2 - x1^2)(rho2^2 - x2^2) >= 0
         # forces x2^2 >= rho2^2, and then phi_1 = rho1^2 + rho2^2 - x1^2 - x2^2 < 0.
-        raise DomainError(f"kind rank2-B needs alpha >= -d/4, got alpha = {prm.alpha} for d = {g.d}")
+        raise ArgumentError(f"kind rank2-B needs alpha >= -d/4, got alpha = {prm.alpha} for d = {g.d}")
     rows = {
         "G": lambda axis: in_G_raster(axis, prm),
         "A": lambda axis: in_A_raster(axis, prm, args.max_weight),
@@ -347,55 +332,44 @@ def cmd_region(args):
     try:
         float(top)
     except OverflowError as exc:
-        raise DomainError("the raster window is beyond float range") from exc
+        raise ArgumentError("the raster window is beyond float range") from exc
+    # the axis top * i / (grid - 1) as numerators a over one denominator:
+    # a label is a / den, rounded once, as float(Fraction) rounds it
+    den = top.denominator * (args.grid - 1)
+    nums = [top.numerator * i for i in range(args.grid)]
+    labels = [f"{a / den:.12g}" for a in nums]
+    if args.kind in ("G", "A"):
+        # a raster repeats a few distinct Verdicts, so each (member,
+        # witness) is formatted once
+        texts, ys = {}, [y + "," for y in labels]
 
-    def compute():
-        # the axis top * i / (grid - 1) as numerators a over one denominator:
-        # a label is a / den, rounded once, as float(Fraction) rounds it
-        den = top.denominator * (args.grid - 1)
-        nums = [top.numerator * i for i in range(args.grid)]
-        labels = [f"{a / den:.12g}" for a in nums]
-        if args.kind in ("G", "A"):
-            # a raster repeats a few distinct Verdicts, so each (member,
-            # witness) is formatted once
-            texts, ys = {}, [y + "," for y in labels]
+        def text(v):
+            key = v.member, v.witness
+            if key not in texts:
+                texts[key] = _cell(v)
+            return texts[key]
 
-            def text(v):
-                key = v.member, v.witness
-                if key not in texts:
-                    texts[key] = _cell(v)
-                return texts[key]
-
-            def cells(row):
-                return map(operator.add, ys, map(text, row))
-        else:
-            # a bool cell indexes its column's pair of lines
-            cells = functools.partial(map, operator.getitem, [(y + ",0,", y + ",1,") for y in labels])
-        # a row is one join of its cells "y,member,witness" under its head "x,"
-        lines = [head + ("\n" + head).join(cells(row))
-                 for head, row in zip([x + "," for x in labels], rows([Fraction(a, den) for a in nums]))]
-        return "x,y,member,witness\n" + "\n".join(lines) + "\n", 0
-
-    return compute
+        def cells(row):
+            return map(operator.add, ys, map(text, row))
+    else:
+        # a bool cell indexes its column's pair of lines
+        cells = functools.partial(map, operator.getitem, [(y + ",0,", y + ",1,") for y in labels])
+    # a row is one join of its cells "y,member,witness" under its head "x,"
+    lines = [head + ("\n" + head).join(cells(row))
+             for head, row in zip([x + "," for x in labels], rows([Fraction(a, den) for a in nums]))]
+    return "x,y,member,witness\n" + "\n".join(lines) + "\n", 0
 
 
 # ---------------------------------------------------------------- contour / crossing
 
 
 def cmd_contour(args):
-    _check_int("m", args.m)
-    _contour_step(args.grid)
-    return lambda: (contour_to_csv(trace_contour(args.m, args.grid)), 0)
+    return contour_to_csv(trace_contour(args.m, args.grid)), 0
 
 
 def cmd_crossing(args):
-    _check_int("m", args.m)
-
-    def compute():
-        c = crossing_point(args.m)
-        return _json({"c_m": c, "residual": crossing_equation(c, args.m)}), 0
-
-    return compute
+    c = crossing_point(args.m)
+    return _json({"c_m": c, "residual": crossing_equation(c, args.m)}), 0
 
 
 # ---------------------------------------------------------------- flags
@@ -458,39 +432,39 @@ def _usage(cmd) -> str:
 
 def _parse_args(argv):
     """The flags of argv as attributes named by their dests, and run, the
-    command's handler. Each usage error is a DomainError; -h or --help in
+    command's handler. Each usage error is an ArgumentError; -h or --help in
     place of a flag gives a run whose text is the help."""
     if not argv:
-        raise DomainError(f"a command is required: {', '.join(_COMMANDS)}")
+        raise ArgumentError(f"a command is required: {', '.join(_COMMANDS)}")
     cmd, tokens = argv[0], iter(argv[1:])
     if cmd in ("-h", "--help"):
-        return SimpleNamespace(run=lambda args: lambda: (_usage(None), 0))
+        return SimpleNamespace(run=lambda args: (_usage(None), 0))
     if cmd not in _COMMANDS:
-        raise DomainError(f"unknown command {cmd!r}, expected one of {', '.join(_COMMANDS)}")
+        raise ArgumentError(f"unknown command {cmd!r}, expected one of {', '.join(_COMMANDS)}")
     run, _, flags = _COMMANDS[cmd]
     given = {}
     for token in tokens:
         if token in ("-h", "--help"):
-            return SimpleNamespace(run=lambda args: lambda: (_usage(cmd), 0))
+            return SimpleNamespace(run=lambda args: (_usage(cmd), 0))
         name, eq, value = token.partition("=")
         if name not in flags:
-            raise DomainError(f"unknown flag {token!r} for {cmd}")
+            raise ArgumentError(f"unknown flag {token!r} for {cmd}")
         dest, conv = flags[name][:2]
         if not eq:
             value = next(tokens, None)
             if value is None or value.startswith("--"):
-                raise DomainError(f"{name} needs a value")
+                raise ArgumentError(f"{name} needs a value")
         if conv is int:
             try:
                 value = int(value)
             except ValueError as exc:
-                raise DomainError(f"{name} must be an integer, got {value!r}") from exc
+                raise ArgumentError(f"{name} must be an integer, got {value!r}") from exc
         elif conv is not str and value not in conv:
-            raise DomainError(f"{name} must be one of {', '.join(conv)}, got {value!r}")
+            raise ArgumentError(f"{name} must be one of {', '.join(conv)}, got {value!r}")
         given[dest] = value
     for name, (dest, _, default, _) in flags.items():
         if dest not in given and default is _REQUIRED:
-            raise DomainError(f"{name} is required for {cmd}")
+            raise ArgumentError(f"{name} is required for {cmd}")
         given.setdefault(dest, default)
     return SimpleNamespace(run=run, **given)
 
@@ -501,25 +475,22 @@ def _fail(exc, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    """Parse argv (sys.argv[1:] if None) and run its flag checks (DomainError
-    from either: exit 2), its compute (DomainError: exit 3), then write the text to
-    --out or stdout (OSError: exit 4); otherwise return the compute's exit code."""
+    """Parse argv (sys.argv[1:] if None), run its command and write the text
+    to --out or stdout; return the command's exit code, or 2 at an
+    ArgumentError, 3 at any other DomainError, 4 at an OSError."""
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-        compute = args.run(args)
-    except DomainError as exc:
-        return _fail(exc, 2)
-    try:
-        text, code = compute()
-    except DomainError as exc:
-        return _fail(exc, 3)
-    out = getattr(args, "out", None)
-    try:
+        text, code = args.run(args)
+        out = getattr(args, "out", None)
         if out:
             with open(out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
+    except ArgumentError as exc:
+        return _fail(exc, 2)
+    except DomainError as exc:
+        return _fail(exc, 3)
     except OSError as exc:
         return _fail(exc, 4)
     return code

@@ -1,8 +1,8 @@
 """Exact scalar helpers shared by every other module, and the rules for a
 point (n coordinates: _check_length, _exact_point) and an integer index (an
 int at or above its bound: _check_int); partitions._at_most is the rule for a
-partition. Every function that takes such an argument, and every CLI flag
-check of one, calls its rule.
+partition. Every function that takes such an argument calls its rule, and a
+broken rule raises ArgumentError.
 
 Arithmetic is generic over exact values (int, Fraction) and floats: exact in,
 exact out. Nothing here converts a Fraction to a float silently.
@@ -15,6 +15,7 @@ import operator
 from fractions import Fraction
 
 __all__ = [
+    "ArgumentError",
     "DomainError",
     "PoleError",
     "poch_rising",
@@ -35,6 +36,12 @@ SIGN_DEADBAND = 1e-9
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
+
+
+class ArgumentError(DomainError):
+    """An argument that breaks the rule for its kind (a point's length, a
+    partition, an integer index, a rank): a usage error, where a plain
+    DomainError is the mathematics failing on valid arguments."""
 
 
 class PoleError(DomainError):
@@ -82,19 +89,19 @@ def is_exact(value) -> bool:
 
 def _check_length(pt, n: int) -> None:
     if len(pt) != n:
-        raise DomainError(f"point has length {len(pt)}, expected {n}")
+        raise ArgumentError(f"point has length {len(pt)}, expected {n}")
 
 
 def _check_int(name: str, value, low: int = 0) -> None:
-    """DomainError unless value is an int >= low: nonnegative, or positive."""
+    """ArgumentError unless value is an int >= low: nonnegative, or positive."""
     if not isinstance(value, int) or value < low:
         kind = "positive" if low else "nonnegative"
-        raise DomainError(f"{name} must be a {kind} integer ({name} >= {low}), got {value!r}")
+        raise ArgumentError(f"{name} must be a {kind} integer ({name} >= {low}), got {value!r}")
 
 
 def _exact_point(pt, n: int):
     """pt of length n at its exact value, a float coordinate as the binary
-    rational it holds (an exact pt as it is); DomainError at nan or inf."""
+    rational it holds (an exact pt as it is); ArgumentError at nan or inf."""
     _check_length(pt, n)
     for x in pt:
         if not isinstance(x, (int, Fraction)):
@@ -104,7 +111,7 @@ def _exact_point(pt, n: int):
     try:
         return tuple([x if isinstance(x, (int, Fraction)) else Fraction.from_float(x) for x in pt])
     except (ValueError, OverflowError):
-        raise DomainError(f"point coordinates must be finite, got {pt!r}") from None
+        raise ArgumentError(f"point coordinates must be finite, got {pt!r}") from None
 
 
 def as_exact(value) -> Fraction:
@@ -112,7 +119,7 @@ def as_exact(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    raise DomainError(f"expected an exact rational, got {value!r}")
+    raise ArgumentError(f"expected an exact rational, got {value!r}")
 
 
 def _exact_str(value) -> str:
@@ -125,7 +132,7 @@ def _exact_str(value) -> str:
 
 
 def _over_common(values):
-    """(D, [v D for v in values]) for the lcm D of the exact values' denominators; DomainError at a float."""
+    """(D, [v D for v in values]) for the lcm D of the exact values' denominators; ArgumentError at a float."""
     ratios = [as_exact(v).as_integer_ratio() for v in values]
     den = math.lcm(*[d for _, d in ratios])
     return den, [a * (den // d) for a, d in ratios]
@@ -133,11 +140,11 @@ def _over_common(values):
 
 def _ascending_axis(axis):
     """The axis of a row-range raster over one denominator, (Q, [A_i]) with
-    x_i = A_i / Q (_over_common); DomainError unless every value is exact
+    x_i = A_i / Q (_over_common); ArgumentError unless every value is exact
     and the axis is ascending (ties allowed)."""
     q, nums = _over_common(axis)
     if any(map(operator.gt, nums, nums[1:])):
-        raise DomainError("a raster axis must be ascending")
+        raise ArgumentError("a raster axis must be ascending")
     return q, nums
 
 

@@ -11,8 +11,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import (SIGN_DEADBAND, DomainError, Frozen, PoleError, _ascending_axis, _check_int, _exact_point,
-                       _gamma_quotient, is_exact)
+from .exactnum import (SIGN_DEADBAND, ArgumentError, DomainError, Frozen, PoleError, _ascending_axis, _check_int,
+                       _exact_point, _gamma_quotient, is_exact)
 
 __all__ = [
     "ContourPolyline",
@@ -197,7 +197,7 @@ def _W_constants(m: int):
 def in_W(pt, m: int) -> bool:
     """Membership in W: the square [alpha, alpha+1]^2 cap {x1 >= x2} with
     the shifted divided difference nonnegative (deadband SIGN_DEADBAND), the
-    square tested at the exact point; DomainError at a nan or inf coordinate."""
+    square tested at the exact point; ArgumentError at a nan or inf coordinate."""
     alpha, top, falpha = _W_constants(m)
     x1, x2 = _exact_point(pt, 2)
     if not (x2 >= alpha and x1 >= x2 and x1 <= top):
@@ -234,7 +234,7 @@ def in_G0_rank2(pt, m: int) -> bool:
     """The rank-2 phi-set for the alpha = (m+1)/2 family: the triangle
     [0, alpha]^2 cap C, or the T2 square with the weight-1 signed value
     nonnegative at rho = (alpha+1, alpha). Every comparison is exact, a float
-    as its binary rational; DomainError at a nan or inf coordinate."""
+    as its binary rational; ArgumentError at a nan or inf coordinate."""
     alpha, top, _ = _W_constants(m)
     x1, x2 = _exact_point(pt, 2)
     if 0 <= x2 <= x1 <= alpha:
@@ -397,9 +397,9 @@ def _join_segments(segments):
 
 def _contour_step(grid) -> float:
     """The node spacing h = 1.2/grid of trace_contour, after checking that
-    grid is an integer in [16, _CONTOUR_MAX_GRID]; DomainError otherwise."""
+    grid is an integer in [16, _CONTOUR_MAX_GRID]; ArgumentError otherwise."""
     if not isinstance(grid, int) or not 16 <= grid <= _CONTOUR_MAX_GRID:
-        raise DomainError(f"grid must be an integer in [16, {_CONTOUR_MAX_GRID}], got {grid}")
+        raise ArgumentError(f"grid must be an integer in [16, {_CONTOUR_MAX_GRID}], got {grid}")
     return _CONTOUR_BOX / grid
 
 
@@ -442,7 +442,7 @@ def trace_contour(m: int, grid: int):
     corners and go to _march_cell, in row-major order (S_div at the centre
     of a saddle cell). The node signs assume every axis gap h = 1.2/grid is
     above _DIAG_SWITCH, so a grid above _CONTOUR_MAX_GRID raises
-    DomainError, as does one below 16.
+    ArgumentError, as does one below 16.
     """
     h = _contour_step(grid)
     axis = [i * h for i in range(grid + 1)]

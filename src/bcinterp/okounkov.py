@@ -28,8 +28,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import (DomainError, Frozen, _check_int, _check_length, _exact_point, _exact_str, _over_common,
-                       as_exact)
+from .exactnum import (ArgumentError, DomainError, Frozen, _check_int, _check_length, _exact_point, _exact_str,
+                       _over_common, as_exact)
 from .partitions import (
     _at_most,
     conjugate,
@@ -79,7 +79,7 @@ class Params(Frozen):
 
     def __init__(self, n: int, tau, alpha):
         if not isinstance(n, int) or n < 1:
-            raise DomainError(f"rank must be >= 1, an integer, got {n!r}")
+            raise ArgumentError(f"rank must be >= 1, an integer, got {n!r}")
         tau, alpha = as_exact(tau), as_exact(alpha)
         rho = tuple(tau * (n - i) + alpha for i in range(1, n + 1))
         self._freeze(n, tau, alpha, hash((n, tau, alpha)), rho)
@@ -272,7 +272,7 @@ def _numerator(comp: _Compiled, q2: int, a2) -> int:
 
 def okounkov_eval(lam, pt, p: Params) -> Fraction:
     """P_lam at pt by the reverse-tableau sum, exactly, a float coordinate
-    taken as the binary rational it holds; DomainError at nan or inf."""
+    taken as the binary rational it holds; ArgumentError at nan or inf."""
     lam = _at_most(lam, p.n)
     q2, a2 = _scaled_axis(_exact_point(pt, p.n))
     comp = _compiled_terms(lam, p)
@@ -538,15 +538,11 @@ def interpolate_from_values(values, d: int, p: Params) -> SymEvenPoly:
     return SymEvenPoly(p.n, coeffs)
 
 
-def _check_expand_weight(lam) -> None:
-    if weight(lam) > EXPAND_WEIGHT_GUARD:
-        raise DomainError(f"expansion guarded to weight <= {EXPAND_WEIGHT_GUARD}, got {weight(lam)}")
-
-
 def okounkov_expand(lam, p: Params) -> SymEvenPoly:
     """Full coefficient map of P_lam, multiplied out from its compiled
     tableau terms (_expand). Guarded to |lam| <= 8."""
     lam = _at_most(lam, p.n)
-    _check_expand_weight(lam)
+    if weight(lam) > EXPAND_WEIGHT_GUARD:
+        raise ArgumentError(f"expansion guarded to weight <= {EXPAND_WEIGHT_GUARD}, got {weight(lam)}")
     nums, den = _expand(_compiled_terms(lam, p))
     return SymEvenPoly(p.n, {e: Fraction(v, den) for e, v in nums.items()})

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import DomainError, PoleError, _check_int, as_exact
+from .exactnum import ArgumentError, DomainError, PoleError, _check_int, as_exact
 
 Cell = tuple[int, int]
 
@@ -36,30 +36,30 @@ __all__ = [
 def normalize(parts) -> tuple[int, ...]:
     """Canonical partition: integer tuple, trailing zeros removed.
 
-    Raises DomainError unless parts are integers, nonnegative, and weakly
+    Raises ArgumentError unless parts are integers, nonnegative, and weakly
     decreasing.
     """
     out = []
     for p in parts:
         q = int(p)
         if q != p:
-            raise DomainError(f"not a partition: non-integer part {p!r}")
+            raise ArgumentError(f"not a partition: non-integer part {p!r}")
         out.append(q)
     for a, b in zip(out, out[1:]):
         if a < b:
-            raise DomainError(f"not a partition: {out}")
+            raise ArgumentError(f"not a partition: {out}")
     if out and out[-1] < 0:
-        raise DomainError(f"not a partition: {out}")
+        raise ArgumentError(f"not a partition: {out}")
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
 
 
 def _at_most(lam, n: int) -> tuple[int, ...]:
-    """lam normalized; DomainError if it has more than n parts."""
+    """lam normalized; ArgumentError if it has more than n parts."""
     lam = normalize(lam)
     if len(lam) > n:
-        raise DomainError(f"partition {format_partition(lam)!r} has more than n = {n} parts")
+        raise ArgumentError(f"partition {format_partition(lam)!r} has more than n = {n} parts")
     return lam
 
 
@@ -75,7 +75,7 @@ def parse_partition(text: str) -> tuple[int, ...]:
     try:
         parts = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise DomainError(f"not a partition: {text!r}") from exc
+        raise ArgumentError(f"not a partition: {text!r}") from exc
     return normalize(parts)
 
 
@@ -293,7 +293,7 @@ def psi_tableau(tab: ReverseTableau, tau):
 
 def _psi(steps, tau):
     """The product of psi_skew over the (outer, inner) steps, one Fraction of
-    the multiplied-out pairs of _psi_pair; DomainError unless tau is exact."""
+    the multiplied-out pairs of _psi_pair; ArgumentError unless tau is exact."""
     tau = as_exact(tau)
     pairs = [_psi_pair(*step, tau.numerator, tau.denominator) for step in steps]
     return Fraction(math.prod(num for num, _ in pairs), math.prod(den for _, den in pairs))

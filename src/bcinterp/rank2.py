@@ -18,8 +18,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import (SIGN_DEADBAND, DomainError, PoleError, _check_int, _check_length, _exact_point, _gamma_quotient,
-                       _over_common, as_exact)
+from .exactnum import (SIGN_DEADBAND, ArgumentError, DomainError, PoleError, _check_int, _check_length, _exact_point,
+                       _gamma_quotient, _over_common, as_exact)
 from .okounkov import Params
 from .shimura import in_G, in_G_raster
 
@@ -55,7 +55,7 @@ def hyp_sum(upper, lower, truncation: int) -> Fraction:
     """The terminating hypergeometric sum at unit argument
     sum_{k <= truncation} prod(upper)_k / (prod(lower)_k k!), in exact
     arithmetic: every parameter must be exact and truncation a nonnegative
-    integer, or DomainError is raised.
+    integer, or ArgumentError is raised.
 
     The sum stops at its first zero term, where a nonpositive-integer upper
     parameter terminates the series; a lower parameter reaching zero under
@@ -383,7 +383,7 @@ def _series_constants(d, rho: tuple):
     """What in_B and R_series need of d and the exact pair rho, built once
     per pair: Params(2, rho1 - rho2, rho2), whose column tests are the gates
     of in_B; rho1 and rho2; and the series' decay exponent
-    s = 1 + 2 (rho1 - rho2) - d/2, rounded once. DomainError unless d is a
+    s = 1 + 2 (rho1 - rho2) - d/2, rounded once. ArgumentError unless d is a
     positive integer, rho a pair and that float s > 1 (the series is
     summable, and _R_sum divides by s - 1)."""
     _check_int("d", d, 1)
@@ -393,9 +393,9 @@ def _series_constants(d, rho: tuple):
     try:
         fs = float(s)
     except OverflowError:
-        raise DomainError("series decay exponent s = 1 + 2 (rho1 - rho2) - d/2 beyond float range") from None
+        raise ArgumentError("series decay exponent s = 1 + 2 (rho1 - rho2) - d/2 beyond float range") from None
     if not fs > 1.0:
-        raise DomainError(f"series decays like k^-s with s = {fs} <= 1 as a float: not summable")
+        raise ArgumentError(f"series decays like k^-s with s = {fs} <= 1 as a float: not summable")
     return Params(2, r1 - r2, r2), r1, r2, fs
 
 
@@ -411,7 +411,7 @@ def in_B(pt, d: int, rho) -> bool:
     set; the region command rejects rank2-B with d >= 3.
 
     Every point is taken at its exact value, a float coordinate as the
-    binary rational it holds; a nan or inf coordinate raises DomainError.
+    binary rational it holds; a nan or inf coordinate raises ArgumentError.
     The two gates are the column tests phi_1 = -q10 and phi_2 = q11 of
     Params(2, rho1 - rho2, rho2), whose shift vector is rho, read from
     in_G, which signs them by an integer numerator.
@@ -435,7 +435,7 @@ def in_B(pt, d: int, rho) -> bool:
       (1, 1) for d = 2, rho = (3/2, 1/2).
 
     d must be a positive integer and s in float range and, rounded, above
-    1, or DomainError is raised at every point.
+    1, or ArgumentError is raised at every point.
     """
     p, r1, r2, s = _series_constants(d, tuple(map(as_exact, rho)))
     pt = _exact_point(pt, 2)

@@ -5,7 +5,7 @@ sets decided by signed polynomial values.
 Convention for signs: q_poly(lam) = (-1)^{|lam|} P_lam and phi_j is its
 column case lam = 1^j, so both are nonnegative on the sets they cut out.
 Every value and sign is taken at the exact value of the point (a float as
-its binary rational); a nan or inf coordinate raises DomainError.
+its binary rational); a nan or inf coordinate raises ArgumentError.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import DomainError, Frozen, _ascending_axis, _check_int, _exact_point
+from .exactnum import ArgumentError, DomainError, Frozen, _ascending_axis, _check_int, _exact_point
 from .okounkov import (
     Params,
     _compiled_terms,
@@ -57,11 +57,11 @@ class GroupData(Frozen):
 
     def __init__(self, n: int, d: int, b: int, p: int = 0):
         if not isinstance(n, int) or n < 1:
-            raise DomainError(f"rank must be >= 1, an integer, got {n!r}")
+            raise ArgumentError(f"rank must be >= 1, an integer, got {n!r}")
         _check_int("d", d)
         _check_int("b", b)
         if not isinstance(p, int):
-            raise DomainError(f"p must be an integer, got {p!r}")
+            raise ArgumentError(f"p must be an integer, got {p!r}")
         self._freeze(n, d, b, p, hash((n, d, b, p)))
 
     def __hash__(self):
@@ -154,7 +154,7 @@ def _first_negative(pt, n: int, signed):
 
     Every point is decided at its exact value, a float coordinate taken as
     the binary rational it holds, by the sign of the integer numerator of E
-    (okounkov._numerator). A length other than n, nan or inf raises DomainError.
+    (okounkov._numerator). A length other than n, nan or inf raises ArgumentError.
     """
     scaled = _scaled_axis(_exact_point(pt, n))
     for key, sign, comp in signed:
@@ -191,7 +191,7 @@ def _raster(axis, p: Params, signed, degree):
     Verdict: one for membership and one per sum.
     """
     if p.n != 2:
-        raise DomainError(f"a raster needs rank 2, got n = {p.n}")
+        raise ArgumentError(f"a raster needs rank 2, got n = {p.n}")
     q2, a2s = _scaled_axis(axis)
     member = Verdict(True, None, degree)
     tables = [(Verdict(False, key, degree), sign, comp, [_node_row(comp, 1, q2, a2) for a2 in a2s])
@@ -280,7 +280,7 @@ def in_square_raster(axis, p: Params):
     for each i, [in_square((axis[i], axis[j]), p) for j <= i]. A row with
     0 <= x1 <= alpha holds the cells with x2 >= 0; any other row is empty."""
     if p.n != 2:
-        raise DomainError(f"a raster needs rank 2, got n = {p.n}")
+        raise ArgumentError(f"a raster needs rank 2, got n = {p.n}")
     q, nums = _ascending_axis(axis)
     lo = bisect_left(nums, 0)
     hi = bisect_right(nums, p.alpha.numerator * q // p.alpha.denominator)  # x1 <= alpha

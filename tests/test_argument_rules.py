@@ -1,8 +1,9 @@
 """The three argument rules: a point of rank n has n coordinates, a partition
 has at most n parts, an integer index is an int at or above its bound. Each
-rule is one helper, called by every function that takes the argument and by
-the CLI's flag checks, so a bad argument raises the same DomainError, with
-the same message, wherever it enters."""
+rule is one helper, called by every function that takes the argument, so a
+bad argument raises the same ArgumentError, with the same message, wherever
+it enters; the CLI reports it as a usage error (exit 2) and keeps no copy of
+a library check."""
 
 import glob
 import os
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from bcinterp import (
+    ArgumentError,
     DomainError,
     GroupData,
     Params,
@@ -108,7 +110,7 @@ POINT_TAKERS = {
 def test_a_point_of_the_wrong_length_is_a_domain_error(name, delta):
     f, n = POINT_TAKERS[name]
     bad = (F(1, 2), F(1, 4), F(1, 8), F(1, 16))[: n + delta]
-    with pytest.raises(DomainError, match=rf"^point has length {n + delta}, expected {n}$"):
+    with pytest.raises(ArgumentError, match=rf"^point has length {n + delta}, expected {n}$"):
         f(bad)
 
 
@@ -128,7 +130,7 @@ PARTITION_TAKERS = {
 
 @pytest.mark.parametrize("name", sorted(PARTITION_TAKERS))
 def test_a_partition_with_too_many_parts_is_a_domain_error(name):
-    with pytest.raises(DomainError, match=r"^partition '1,1,1' has more than n = 2 parts$"):
+    with pytest.raises(ArgumentError, match=r"^partition '1,1,1' has more than n = 2 parts$"):
         PARTITION_TAKERS[name]([1, 1, 1, 0])
 
 
@@ -187,7 +189,7 @@ INDEX_CASES = [(name, low, f, v) for name, low, f in INDEX_TAKERS for v in (-1, 
 def test_a_bad_integer_index_is_a_domain_error(name, low, f, value):
     kind = "positive" if low else "nonnegative"
     want = f"{name} must be a {kind} integer ({name} >= {low}), got {value!r}"
-    with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(want)}$"):
         f(value)
 
 
@@ -195,12 +197,12 @@ def test_a_bad_integer_index_is_a_domain_error(name, low, f, value):
     "make", [lambda: Params(2.0, 1, F(1, 2)), lambda: GroupData(2.5, 2, 0), lambda: Params(0, 1, F(1, 2))]
 )
 def test_a_rank_is_a_positive_int(make):
-    with pytest.raises(DomainError, match="rank must be >= 1"):
+    with pytest.raises(ArgumentError, match="rank must be >= 1"):
         make()
 
 
 def test_the_twist_p_is_an_int_of_any_sign():
-    with pytest.raises(DomainError, match="p must be an integer, got 0.5"):
+    with pytest.raises(ArgumentError, match="p must be an integer, got 0.5"):
         GroupData(2, 2, 0, 0.5)
     assert GroupData(2, 2, 0, -3).p == -3
 
@@ -213,7 +215,7 @@ def test_a_column_height_outside_1_to_n_is_a_domain_error(j):
 
 
 def _message(f):
-    with pytest.raises(DomainError) as info:
+    with pytest.raises(ArgumentError) as info:
         f()
     return str(info.value)
 
@@ -234,6 +236,9 @@ CLI_USAGE = [
     (["region", "--kind", "W", "--m", "-1"], lambda: in_W((1, 1), -1)),
     (["region", "--kind", "A", "--group", "2,2,0", "--max-weight", "0"], lambda: in_A_certified((0, 0), P2, 0)),
     (["region", "--kind", "G", "--group", "2,-1,0"], lambda: GroupData(2, -1, 0)),
+    (["region", "--kind", "rank2-B", "--group", "2,0,1"], lambda: in_B((F(1, 2), F(1, 4)), 0, RHO)),
+    (["contour", "--m", "0", "--grid", "8"], lambda: trace_contour(0, 8)),
+    (["eigenvalue", "--group", "0,1,0", "--mu", "1", "--x", "1"], lambda: GroupData(0, 1, 0)),
 ]
 
 
@@ -254,3 +259,13 @@ def test_each_rule_is_written_once():
     for rule in ("point has length {", "has more than n = {", "integer ({name} >= {low})", "guarded to weight <= {"):
         assert source.count(rule) == 1, rule
     assert re.findall(r"need [\w-]+ >= \d|(?:nonnegative|positive) integer, got", source) == []
+
+
+def test_the_cli_keeps_no_copy_of_a_library_check():
+    # each handler's library call runs these checks itself, so a call from
+    # cli.py would only repeat one; --grid and --max-weight are the CLI's own
+    with open(os.path.join(ROOT, "src", "bcinterp", "cli.py")) as fh:
+        source = fh.read()
+    for name in ("_at_most", "_check_length", "_series_constants", "_contour_step", "_check_expand_weight"):
+        assert name not in source, name
+    assert re.findall(r"_check_int\((.*?),", source) == ['"grid"', '"max_weight"']

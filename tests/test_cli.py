@@ -13,7 +13,7 @@ import pytest
 import bcinterp.cli as cli
 import bcinterp.rank2 as rank2
 import bcinterp.shimura as shimura
-from bcinterp.exactnum import DomainError
+from bcinterp.exactnum import ArgumentError, DomainError
 from bcinterp.cli import main
 from bcinterp.partitions import format_partition
 from bcinterp.limits import in_W
@@ -75,13 +75,24 @@ def test_rank_below_one_is_usage_error(capsys, argv):
 
 
 def test_eval_partition_longer_than_n_is_usage_error(capsys):
-    # a partition with more parts than n is a bad flag combination, rejected
-    # before computing, as eigenvalue rejects it
+    # a partition with more parts than n is a bad flag combination: the
+    # ArgumentError of okounkov_eval's partition rule, as for eigenvalue
     for n, lam, x in (("1", "1,1", "1"), ("2", "1,1,1", "1,2")):
         code, out, err = run(capsys, "eval", "--n", n, "--tau", "1", "--alpha", "1/2", "--lambda", lam, "--x", x)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: partition")
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --n 2 --tau 1 --alpha 1/2 --lambda 1 --x 1,,2",
+    "eval --n 2 --tau 1 --alpha 1/2 --lambda 1 --x ,1,2,",
+    "eval --n 2 --tau 1 --alpha 1/2 --lambda 1 --x 1,2,",
+    "eigenvalue --group 2,2,0 --mu 1 --x 1,,2",
+])
+def test_an_empty_part_of_a_point_is_usage_error(capsys, argv):
+    # every comma-separated part is a coordinate: an empty one is not dropped
+    assert run(capsys, *shlex.split(argv)) == (2, "", "error: not a rational: ''\n")
 
 
 def test_eval_branching_pole_is_compute_error(capsys):
@@ -200,6 +211,16 @@ def test_verify_compute_error_exits_three(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--suite", "kmu")
     assert code == 3
     assert "error:" in err
+
+
+def test_verify_argument_error_exits_two(capsys, monkeypatch):
+    # an ArgumentError is a usage error wherever the command raises it
+    def broken(budget, rng, seed):
+        yield True
+        raise ArgumentError("no such argument")
+
+    monkeypatch.setitem(cli._SUITES, "kmu", (broken, 1, 5))
+    assert run(capsys, "verify", "--suite", "kmu") == (2, "", "error: no such argument\n")
 
 
 # the checks of every suite at its default budget with --seed 0
@@ -551,6 +572,23 @@ def test_region_usage_errors(capsys):
     assert run(capsys, "region", "--kind", "U0", "--group", "2,2,0", "--p", "1")[0] == 2
     assert run(capsys, "region", "--kind", "G", "--group", "2,2,0", "--grid", "1")[0] == 2
     assert run(capsys, "region", "--kind", "A", "--group", "2,2,0", "--max-weight", "0")[0] == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("region --kind G --group 2,1,1 --m 3 --grid 2", "--m is for kind W only, not for kind G"),
+    ("region --kind rank2-B --group 2,2,0 --m 0 --grid 2", "--m is for kind W only, not for kind rank2-B"),
+    ("region --kind W --m 0 --group 2,1,1 --p 5 --grid 2", "--group and --p are not for kind W"),
+    ("region --kind W --m 0 --group 2,1,1 --grid 2", "--group and --p are not for kind W"),
+    ("region --kind W --m 0 --p 5 --grid 2", "--group and --p are not for kind W"),
+])
+def test_region_flags_of_another_kind_are_usage_errors(capsys, argv, message):
+    assert run(capsys, *shlex.split(argv)) == (2, "", f"error: {message}\n")
+
+
+def test_region_W_takes_the_default_p(capsys):
+    # --p 0 is the default, which a given value cannot be told from
+    assert run(capsys, "region", "--kind", "W", "--m", "0", "--p", "0", "--grid", "3") == run(
+        capsys, "region", "--kind", "W", "--m", "0", "--grid", "3")
 
 
 def test_region_window_beyond_float_range_is_usage_error(capsys):
