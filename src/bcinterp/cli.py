@@ -280,6 +280,8 @@ def _region_window(args):
     rank-2 one.
     """
     kind = args.kind
+    if kind != "A" and args.max_weight is not None:
+        raise ArgumentError(f"--max-weight is for kind A only, not for kind {kind}")
     if kind == "W":
         if args.group is not None or args.p:
             raise ArgumentError("--group and --p are not for kind W")
@@ -312,7 +314,7 @@ def _region_window(args):
         raise ArgumentError(f"kind rank2-B needs alpha >= -d/4, got alpha = {prm.alpha} for d = {g.d}")
     rows = {
         "G": lambda axis: in_G_raster(axis, prm),
-        "A": lambda axis: in_A_raster(axis, prm, args.max_weight),
+        "A": lambda axis: in_A_raster(axis, prm, 6 if args.max_weight is None else args.max_weight),
         "square": lambda axis: in_square_raster(axis, prm),
         "U0": lambda axis: in_U0_raster(axis, g.b),
         "rank2-B": lambda axis: in_B_raster(axis, g.d, rho),
@@ -327,7 +329,8 @@ def _cell(v: Verdict) -> str:
 
 def cmd_region(args):
     _check_int("grid", args.grid, 2)
-    _check_int("max_weight", args.max_weight, 1)
+    if args.max_weight is not None:
+        _check_int("max_weight", args.max_weight, 1)
     top, rows = _region_window(args)
     try:
         float(top)
@@ -408,7 +411,7 @@ _COMMANDS = {
         "--p": ("p", int, 0, "parameter deformation"),
         "--m": ("m", int, None, "family index (kind W only)"),
         "--grid": ("grid", int, 80, "points per axis"),
-        "--max-weight": ("max_weight", int, 6, "certification cap for kind A"),
+        "--max-weight": ("max_weight", int, None, "certification cap for kind A only (default 6)"),
         **_OUT,
     }),
     "contour": (cmd_contour, "trace the divided-difference zero curve",

@@ -9,7 +9,9 @@ axis of values (_node_row) and combines the tables by one dot product per
 point (_weights). A single point, taken at its exact value (a float as its
 binary rational), is the case of one-element axes (_numerator): it gives
 okounkov_eval and the signs behind shimura.in_G and in_A_certified, whose
-rasters build the tables once over their whole axis. okounkov_expand and
+rasters build the tables over their whole axis, and skip the points where
+the weak signs of the factors (_sign_blocks, _node_parities) already fix
+the sign of every term. okounkov_expand and
 interpolate_from_values (a triangular back-substitution in the P basis)
 multiply the terms out from the same prefix trees (_expand).
 
@@ -21,6 +23,7 @@ k-constant derivations must all agree with the tableau sum exactly.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -137,6 +140,16 @@ class SymEvenPoly:
                 closed.update(dict.fromkeys(itertools.permutations(key), c))
         self.coeffs = closed
 
+    @classmethod
+    def _trusted(cls, n: int, coeffs: dict):
+        """The polynomial of a map that already holds what __init__ makes:
+        exponent tuples of length n, nonzero Fraction values, closed under
+        permutations. A tableau sum is symmetric by construction, so the
+        expansions build this map directly and skip __init__'s checks."""
+        poly = cls.__new__(cls)
+        poly.n, poly.coeffs = n, coeffs
+        return poly
+
     def coefficient(self, e) -> Fraction:
         return self.coeffs.get(tuple(int(v) for v in e), Fraction(0))
 
@@ -245,6 +258,31 @@ def _node_row(comp: _Compiled, idx: int, q2: int, a2: int):
     row = [1]
     for parent, k in comp.chains[idx]:
         row.append(row[parent] * vals[k])
+    return row
+
+
+def _sign_blocks(comps, q2: int, a2s):
+    """The blocks of an axis between the constants of the sums comps (one
+    Params, so one scale L): (low, ranks). Sorted, the distinct C of every
+    coordinate of every sum cut the values into blocks; a value A/Q lies in
+    block r = #{C : C Q^2 < A^2 L}, ranks[i] for a2s[i] = A_i^2. low maps the
+    C of rank k to the bits 0..k, the blocks where its factor is <= 0."""
+    pool = sorted({c for comp in comps for consts in comp.consts for c in consts})
+    lsc, scaled = comps[0].lsc, [c * q2 for c in pool]
+    return ({c: (2 << k) - 1 for k, c in enumerate(pool)},
+            [bisect.bisect_left(scaled, a2 * lsc) for a2 in a2s])
+
+
+def _node_parities(comp: _Compiled, idx: int, low):
+    """The sign companion of _node_row over _sign_blocks: a bitmask per
+    node of coordinate idx whose bit r is the parity of the node's factors
+    that are <= 0 on block r. On block r a factor A^2 L - C Q^2 is > 0 if C
+    ranks below r and <= 0 otherwise, so the node's product is >= 0 where
+    its bit is clear and <= 0 where it is set."""
+    bits = [low[c] for c in comp.consts[idx]]
+    row = [0]
+    for parent, k in comp.chains[idx]:
+        row.append(row[parent] ^ bits[k])
     return row
 
 
@@ -535,7 +573,7 @@ def interpolate_from_values(values, d: int, p: Params) -> SymEvenPoly:
             c /= den
             for e, v in nums.items():
                 coeffs[e] = coeffs.get(e, 0) + c * v
-    return SymEvenPoly(p.n, coeffs)
+    return SymEvenPoly._trusted(p.n, {e: v for e, v in coeffs.items() if v})
 
 
 def okounkov_expand(lam, p: Params) -> SymEvenPoly:
@@ -545,4 +583,4 @@ def okounkov_expand(lam, p: Params) -> SymEvenPoly:
     if weight(lam) > EXPAND_WEIGHT_GUARD:
         raise ArgumentError(f"expansion guarded to weight <= {EXPAND_WEIGHT_GUARD}, got {weight(lam)}")
     nums, den = _expand(_compiled_terms(lam, p))
-    return SymEvenPoly(p.n, {e: Fraction(v, den) for e, v in nums.items()})
+    return SymEvenPoly._trusted(p.n, {e: Fraction(v, den) for e, v in nums.items() if v})

@@ -10,6 +10,7 @@ its binary rational); a nan or inf coordinate raises ArgumentError.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from bisect import bisect_left, bisect_right
@@ -20,9 +21,11 @@ from .exactnum import ArgumentError, DomainError, Frozen, _ascending_axis, _chec
 from .okounkov import (
     Params,
     _compiled_terms,
+    _node_parities,
     _node_row,
     _numerator,
     _scaled_axis,
+    _sign_blocks,
     _weights,
     k_constant,
     okounkov_eval,
@@ -179,30 +182,62 @@ def in_A_certified(pt, p: Params, max_weight: int) -> Verdict:
     return Verdict(lam is None, lam, max_weight)
 
 
+def _block_certs(sign: int, comp, low):
+    """certs[r1] for r1 = 0..len(low): the bitmask of the blocks r2 of
+    okounkov._sign_blocks on which every term sign Psi F0(x1) F1(x2) of a
+    rank-2 sum is >= 0 while x1 is in block r1. With p0, p1 the parities of
+    the term's head and tail nodes (okounkov._node_parities), its weak sign
+    there is that of sign Psi (-1)^(p0 + p1): it is >= 0 where bit r2 of the
+    tail's mask equals bit r1 of h, the head's mask flipped if sign Psi < 0."""
+    full = (2 << len(low)) - 1
+    heads, tails = _node_parities(comp, 0, low), _node_parities(comp, 1, low)
+    pairs = {(heads[k] ^ full if sign * psi < 0 else heads[k], tails[s]) for psi, (k,), s in comp.fold}
+    return [functools.reduce(operator.and_, (m if h >> r1 & 1 else full ^ m for h, m in pairs), full)
+            for r1 in range(len(low) + 1)]
+
+
 def _raster(axis, p: Params, signed, degree):
     """Yield, for i = 0, 1, ..., the row [Verdict at (axis[i], axis[j]) for
     j <= i] of the rank-2 sign test over signed that _first_negative
     makes, for exact axis values.
 
-    The raster shares one denominator Q, so each sum's table of x2 values
-    (okounkov._node_row at every axis value) is built once. A row folds x1
-    into one weight vector per sum, and each point still undecided costs
-    one integer dot product per sum. Cells with the same outcome share one
+    The raster shares one denominator Q, so each sum's row of x2 values
+    (okounkov._node_row) is built at most once per axis entry, when a cell
+    first needs it. A row folds x1 into one weight vector per sum, and a
+    cell still undecided costs one integer dot product per sum whose sign
+    its block does not certify. Cells with the same outcome share one
     Verdict: one for membership and one per sum.
+
+    The certificate. Each factor A^2 L - C Q^2 is > 0 or <= 0 throughout
+    a block of okounkov._sign_blocks, so on the block pair (r1, r2) each
+    term sign Psi F0(x1) F1(x2) is >= 0 or <= 0 by the sign of sign Psi and
+    its nodes' parities (_node_parities). If every term is >= 0 there, so
+    is sign N, and the sum cannot fail at any cell of the pair: certs[r1]
+    holds those r2 as bits.
     """
     if p.n != 2:
         raise ArgumentError(f"a raster needs rank 2, got n = {p.n}")
     q2, a2s = _scaled_axis(axis)
     member = Verdict(True, None, degree)
-    tables = [(Verdict(False, key, degree), sign, comp, [_node_row(comp, 1, q2, a2) for a2 in a2s])
+    signed = list(signed)
+    low, ranks = _sign_blocks([comp for _, _, comp in signed], q2, a2s)
+    tables = [(Verdict(False, key, degree), sign, comp, _block_certs(sign, comp, low), [None] * len(a2s))
               for key, sign, comp in signed]
     mul = operator.mul
     for i, a2 in enumerate(a2s):
         row = [member] * (i + 1)
         pending = range(i + 1)
-        for verdict, sign, comp, tail in tables:
+        r1 = ranks[i]
+        for verdict, sign, comp, certs, tail in tables:
+            ok = certs[r1]
+            todo = [j for j in pending if not ok >> ranks[j] & 1] if ok else pending
+            if not todo:
+                continue
             w = [sign * v for v in _weights(comp, (_node_row(comp, 0, q2, a2),))]
-            failed = [j for j in pending if sum(map(mul, w, tail[j])) < 0]
+            for j in todo:
+                if tail[j] is None:
+                    tail[j] = _node_row(comp, 1, q2, a2s[j])
+            failed = [j for j in todo if sum(map(mul, w, tail[j])) < 0]
             if failed:
                 for j in failed:
                     row[j] = verdict

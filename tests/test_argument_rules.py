@@ -269,3 +269,15 @@ def test_the_cli_keeps_no_copy_of_a_library_check():
     for name in ("_at_most", "_check_length", "_series_constants", "_contour_step", "_check_expand_weight"):
         assert name not in source, name
     assert re.findall(r"_check_int\((.*?),", source) == ['"grid"', '"max_weight"']
+
+
+@pytest.mark.parametrize("argv", [
+    "region --kind G --group 2,1,1 --max-weight 3 --grid 2",
+    "region --kind W --m 0 --max-weight 3 --grid 2",
+    "region --kind U0 --group 2,1,1 --max-weight 6 --grid 2",
+])
+def test_max_weight_is_for_kind_A_only(capsys, argv):
+    # the cap has no default of its own, so a given one is seen and refused
+    kind = argv.split()[2]
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: --max-weight is for kind A only, not for kind {kind}\n")

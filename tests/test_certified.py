@@ -6,6 +6,7 @@ tableaux at Fraction(x), and with the column subset sum for in_G."""
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -15,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bcinterp.shimura as shimura
-from bcinterp.exactnum import DomainError
+from bcinterp.exactnum import DomainError, PoleError
 from bcinterp.limits import in_G0_rank2, in_W
 from bcinterp.okounkov import (
     Params,
     _compiled_terms,
     _node_row,
     _scaled_axis,
+    _sign_blocks,
     _weights,
     column_poly,
     okounkov_eval,
@@ -246,14 +248,80 @@ def test_agrees_at_lattice_nodes(p):
         assert_agrees(pt, p)
 
 
-@pytest.mark.parametrize("p", RANK2)
+def random_params(rng):
+    """Rank-2 Params with tau and alpha each negative, 0 or positive, drawn
+    again while a sum up to weight 8 has a branching pole."""
+    while True:
+        p = Params(2, *(rng.choice((-1, 0, 1)) * Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in "ta"))
+        try:
+            list(shimura._signed_sums(p, 8))
+        except PoleError:
+            continue
+        return p
+
+
+def random_axis(rng, p, size):
+    """size exact values, unsorted and with repeats: some of them a cell
+    constant c = j + tau k + alpha up to sign, where a factor x^2 - c^2 is
+    0, and the rest random."""
+    consts = [j + p.tau * k + p.alpha for j in range(4) for k in range(3)]
+    pool = [rng.choice((-1, 1)) * rng.choice(consts) for _ in range(size)]
+    pool += [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(size)]
+    return [rng.choice(pool) for _ in range(size)]
+
+
+RANDOM_RANK2 = [random_params(random.Random(seed)) for seed in range(10)]
+
+
+@pytest.mark.parametrize("p", RANK2 + RANDOM_RANK2)
 def test_rasters_match_point_tests(p):
-    # an axis with negative values, ints and unrelated denominators
-    axis = [Fraction(-3, 2), 0, Fraction(1, 3), Fraction(5, 4), 2, Fraction(7, 3), *p.rho, Fraction(10**30 + 1, 10**30)]
-    rows_A, rows_G = in_A_raster(axis, p, 8), in_G_raster(axis, p)
-    for i, (row_A, row_G) in enumerate(zip(rows_A, rows_G, strict=True)):
-        assert row_A == [in_A_certified((axis[i], x2), p, 8) for x2 in axis[: i + 1]], i
-        assert row_G == [in_G((axis[i], x2), p) for x2 in axis[: i + 1]], i
+    # an axis with negative values, ints and unrelated denominators, then an
+    # unsorted one with repeats and zero factors
+    fixed = [Fraction(-3, 2), 0, Fraction(1, 3), Fraction(5, 4), 2, Fraction(7, 3), *p.rho, Fraction(10**30 + 1, 10**30)]
+    for axis in (fixed, random_axis(random.Random(str(p)), p, 8)):
+        rows_A, rows_G = in_A_raster(axis, p, 8), in_G_raster(axis, p)
+        for i, (row_A, row_G) in enumerate(zip(rows_A, rows_G, strict=True)):
+            assert row_A == [in_A_certified((axis[i], x2), p, 8) for x2 in axis[: i + 1]], (axis, i)
+            assert row_G == [in_G((axis[i], x2), p) for x2 in axis[: i + 1]], (axis, i)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_certified_block_holds_every_term_at_its_sign(seed):
+    # where certs marks the block pair of (x1, x2), every compiled term,
+    # read back from its integer form and evaluated in Fractions, has
+    # sign * term >= 0, zero allowed
+    rng = random.Random(seed)
+    certified = 0
+    for _ in range(5):
+        p = random_params(rng)
+        signed = [*shimura._signed_sums(p, 5), *shimura._signed_columns(p)]
+        axis = random_axis(rng, p, 5)
+        q2, a2s = _scaled_axis(axis)
+        low, ranks = _sign_blocks([comp for _, _, comp in signed], q2, a2s)
+        for _, sign, comp in signed:
+            certs = shimura._block_certs(sign, comp, low)
+            terms = decoded_terms(comp)
+            for (x1, r1), (x2, r2) in itertools.product(zip(axis, ranks), repeat=2):
+                if certs[r1] >> r2 & 1:
+                    certified += 1
+                    sq = (Fraction(x1) ** 2, Fraction(x2) ** 2)
+                    for psi, facs in terms:
+                        assert sign * psi * math.prod(sq[idx] - c for idx, c in facs) >= 0, (p, x1, x2)
+    assert certified > 0
+
+
+def test_the_square_needs_no_node_row(monkeypatch):
+    # for tau, alpha > 0 every c is >= alpha, so on [0, alpha]^2 each factor
+    # is <= 0 and each term has the sign of q_lam: the square lies in A_w
+    # by the certificate alone, and the raster evaluates no sum there
+    calls = []
+    monkeypatch.setattr(shimura, "_node_row", lambda *args: calls.append(args))
+    monkeypatch.setattr(shimura, "_weights", lambda *args: calls.append(args))
+    for p in RANK2[:4] + [Params(2, Fraction(1, 3), Fraction(2, 5)), Params(2, Fraction(7, 2), Fraction(1, 9))]:
+        axis = [p.alpha * i / 11 for i in range(12)]
+        member = Verdict(True, None, 8)
+        assert all(row == [member] * (i + 1) for i, row in enumerate(in_A_raster(axis, p, 8)))
+    assert calls == []
 
 
 def test_rasters_need_an_exact_rank_2_axis():

@@ -595,6 +595,24 @@ def test_sym_poly_rejects_asymmetry():
         SymEvenPoly(2, {(1, 0): Fraction(1), (0, 1): Fraction(2)})
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trusted_expansions_equal_validated_ones(n):
+    # okounkov_expand and interpolate_from_values build their coefficient
+    # maps as __init__ would leave them: re-validating changes nothing
+    p = Params(n, Fraction(2, 3), Fraction(3, 5))
+    for lam in enumerate_Lambda(n, 5):
+        got = okounkov_expand(lam, p)
+        want = SymEvenPoly(n, got.coeffs)
+        assert got.coeffs == want.coeffs, lam
+        assert all(type(c) is Fraction and c != 0 for c in got.coeffs.values()), lam
+    rng = random.Random(n)
+    for d in (2, 3):
+        vals = {mu: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for mu in enumerate_Lambda(n, d)}
+        got = interpolate_from_values(vals, d, p)
+        assert got.coeffs == SymEvenPoly(n, got.coeffs).coeffs, d
+        assert all(got.evaluate(p.node(mu)) == v for mu, v in vals.items()), d
+
+
 def test_sym_poly_rejects_bad_exponents():
     with pytest.raises(DomainError):
         SymEvenPoly(2, {(1,): Fraction(1)})
