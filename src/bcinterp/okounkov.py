@@ -9,9 +9,10 @@ axis of values (_node_row) and combines the tables by one dot product per
 point (_weights). A single point, taken at its exact value (a float as its
 binary rational), is the case of one-element axes (_numerator): it gives
 okounkov_eval and the signs behind shimura.in_G and in_A_certified, whose
-rasters build the tables over their whole axis, and skip the points where
+rasters build the tables over their whole axis, skip the points where
 the weak signs of the factors (_sign_blocks, _node_parities) already fix
-the sign of every term. okounkov_expand and
+the sign of every term, and decide a sum of degree one in the last
+coordinate by one bisection per row. okounkov_expand and
 interpolate_from_values (a triangular back-substitution in the P basis)
 multiply the terms out from the same prefix trees (_expand).
 

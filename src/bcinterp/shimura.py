@@ -196,68 +196,160 @@ def _block_certs(sign: int, comp, low):
             for r1 in range(len(low) + 1)]
 
 
-def _raster(axis, p: Params, signed, degree):
-    """Yield, for i = 0, 1, ..., the row [Verdict at (axis[i], axis[j]) for
-    j <= i] of the rank-2 sign test over signed that _first_negative
-    makes, for exact axis values.
+def _band_tables(band, degree, q2: int, squares):
+    """One band of signed sums made ready for _raster over the sorted
+    scaled squares of its axis: (ranks, tables). ranks[k] is the block of
+    sorted position k among the constants of the band
+    (okounkov._sign_blocks). A table holds a sum's failing Verdict, its
+    sign and compiled terms, cover[r1], the bitmask of the sorted positions
+    whose block certs[r1] certifies, and the sum's cache of x2 node rows
+    by sorted position, or None for a sum of degree one in x2^2."""
+    low, ranks = _sign_blocks([comp for _, _, comp in band], q2, squares)
+    starts = [bisect_left(ranks, r) for r in range(len(low) + 2)]
+    blocks = [(1 << hi) - (1 << lo) for lo, hi in zip(starts, starts[1:])]
+    covers = {}
 
-    The raster shares one denominator Q, so each sum's row of x2 values
-    (okounkov._node_row) is built at most once per axis entry, when a cell
-    first needs it. A row folds x1 into one weight vector per sum, and a
-    cell still undecided costs one integer dot product per sum whose sign
-    its block does not certify. Cells with the same outcome share one
-    Verdict: one for membership and one per sum.
+    def cover(bits):
+        if bits not in covers:
+            covers[bits] = functools.reduce(operator.or_, (m for r, m in enumerate(blocks) if bits >> r & 1), 0)
+        return covers[bits]
+
+    return ranks, [(Verdict(False, key, degree), sign, comp, [cover(c) for c in _block_certs(sign, comp, low)],
+                    None if len(comp.chains[-1]) == 1 else [None] * len(squares))
+                   for key, sign, comp in band]
+
+
+def _degree_one_fails(w, comp, q2: int, squares, todo: int) -> int:
+    """The cells of todo, a bitmask over the ascending scaled squares A^2 of
+    an axis, at which sign N < 0 for a rank-2 sum whose x2 prefix tree is
+    one node (lam = (1) and (1,1), so every column test), given its x1
+    weights w = (w0, w1) times the sign.
+
+    The x2 node row at x2 = A/Q is (1, A^2 L - C Q^2), C the one x2
+    constant, so sign N = w0 + w1 (A^2 L - C Q^2), and it is < 0 exactly
+    when w1 A^2 L < t = w1 C Q^2 - w0. Divide by s = w1 L: L > 0, so the
+    inequality keeps its direction for w1 > 0 and turns for w1 < 0, and A^2
+    is an integer, so A^2 < t / s iff A^2 < ceil(t / s) and A^2 > t / s iff
+    A^2 > floor(t / s). The failing cells are then a prefix of the sorted
+    order (w1 > 0, found by bisect_left) or a suffix (w1 < 0, by
+    bisect_right); for w1 = 0 they are all of todo if w0 < 0 and none
+    otherwise."""
+    w0, w1 = w
+    t, s = w1 * comp.consts[1][0] * q2 - w0, w1 * comp.lsc
+    if s > 0:
+        return todo & ((1 << bisect_left(squares, -(-t // s))) - 1)
+    if s < 0:
+        cut = bisect_right(squares, t // s)
+        return todo >> cut << cut
+    return todo if w0 < 0 else 0
+
+
+def _raster(axis, p: Params, bands, degree):
+    """Yield, for i = 0, 1, ..., the row [Verdict at (axis[i], axis[j]) for
+    j <= i] of the rank-2 sign test over the signed sums of bands, an
+    iterable of tuples (key, sign, compiled terms) taken in order, that
+    _first_negative makes, for exact axis values.
+
+    The raster shares one denominator Q and sorts the squared numerators
+    A^2 of its axis once. A row's cells are int bitmasks over that sorted
+    order: pending (no sum has failed there yet), certified and failed. A
+    band is compiled, and its certificates made, only when a pending cell
+    reaches it, so the raster raises only where some cell's point test
+    raises. Per row and sum, x1 is folded into one weight vector w
+    (okounkov._weights of its _node_row) times the sign, and only the
+    pending cells that the certificate leaves are decided:
+    - a sum of degree one in x2^2, whose x2 prefix tree is one node with
+      constant C (lam = (1) and (1,1), every column test), has signed
+      numerator w0 + w1 (A^2 L - C Q^2) at x2 = A/Q. It is < 0 exactly
+      where the integer A^2 satisfies w1 A^2 L < w1 C Q^2 - w0, that is,
+      below ceil((w1 C Q^2 - w0) / (w1 L)) for w1 > 0, a prefix of the
+      sorted squares, and above the floor of that quotient for w1 < 0, a
+      suffix: one bisection per row and sum, and no x2 node row
+      (_degree_one_fails has the proof and w1 = 0);
+    - any other sum costs one integer dot product per cell of w with the
+      cell's x2 node row, built at most once per axis entry, when a cell
+      first needs it.
+    Cells with the same outcome share one Verdict: one for membership and
+    one per sum.
 
     The certificate. Each factor A^2 L - C Q^2 is > 0 or <= 0 throughout
     a block of okounkov._sign_blocks, so on the block pair (r1, r2) each
     term sign Psi F0(x1) F1(x2) is >= 0 or <= 0 by the sign of sign Psi and
     its nodes' parities (_node_parities). If every term is >= 0 there, so
     is sign N, and the sum cannot fail at any cell of the pair: certs[r1]
-    holds those r2 as bits.
+    holds those r2 as bits, and the sorted positions of a block are one
+    contiguous range, so its cells are one mask.
     """
     if p.n != 2:
         raise ArgumentError(f"a raster needs rank 2, got n = {p.n}")
     q2, a2s = _scaled_axis(axis)
     member = Verdict(True, None, degree)
-    signed = list(signed)
-    low, ranks = _sign_blocks([comp for _, _, comp in signed], q2, a2s)
-    tables = [(Verdict(False, key, degree), sign, comp, _block_certs(sign, comp, low), [None] * len(a2s))
-              for key, sign, comp in signed]
+    order = sorted(range(len(a2s)), key=a2s.__getitem__)
+    squares = [a2s[j] for j in order]
+    place = [0] * len(order)
+    for k, j in enumerate(order):
+        place[j] = k
+    ordered = order == sorted(order)  # an ascending axis: sorted position k is axis index k
+    bands, levels = iter(bands), []
     mul = operator.mul
+    seen = 0
     for i, a2 in enumerate(a2s):
-        row = [member] * (i + 1)
-        pending = range(i + 1)
-        r1 = ranks[i]
-        for verdict, sign, comp, certs, tail in tables:
-            ok = certs[r1]
-            todo = [j for j in pending if not ok >> ranks[j] & 1] if ok else pending
-            if not todo:
-                continue
-            w = [sign * v for v in _weights(comp, (_node_row(comp, 0, q2, a2),))]
-            for j in todo:
-                if tail[j] is None:
-                    tail[j] = _node_row(comp, 1, q2, a2s[j])
-            failed = [j for j in todo if sum(map(mul, w, tail[j])) < 0]
-            if failed:
-                for j in failed:
-                    row[j] = verdict
-                pending = [j for j in pending if row[j] is member]
-                if not pending:
+        seen |= 1 << place[i]
+        pending, fails, level = seen, [], 0
+        while pending:
+            if level == len(levels):
+                band = next(bands, None)
+                if band is None:
                     break
-        yield row
+                levels.append(_band_tables(band, degree, q2, squares))
+            ranks, tables = levels[level]
+            level += 1
+            r1 = ranks[place[i]]
+            for verdict, sign, comp, cover, tail in tables:
+                todo = pending & ~cover[r1]
+                if not todo:
+                    continue
+                w = [sign * v for v in _weights(comp, (_node_row(comp, 0, q2, a2),))]
+                if tail is None:
+                    failed = _degree_one_fails(w, comp, q2, squares, todo)
+                else:
+                    failed, left = 0, todo
+                    while left:
+                        bit = left & -left
+                        k = bit.bit_length() - 1
+                        row = tail[k]
+                        if row is None:
+                            row = tail[k] = _node_row(comp, 1, q2, squares[k])
+                        if sum(map(mul, w, row)) < 0:
+                            failed |= bit
+                        left ^= bit
+                if failed:
+                    fails.append((verdict, failed))
+                    pending ^= failed
+                    if not pending:
+                        break
+        cells = [member] * (i + 1 if ordered else len(order))
+        for verdict, failed in fails:
+            while failed:  # one slice per run of set bits
+                lo = (failed & -failed).bit_length() - 1
+                run = failed >> lo
+                hi = lo + (run ^ (run + 1)).bit_length() - 1
+                cells[lo:hi] = [verdict] * (hi - lo)
+                failed = failed >> hi << hi
+        yield cells if ordered else [cells[k] for k in place[:i + 1]]
 
 
 def in_G_raster(axis, p: Params):
     """in_G on the rank-2 raster of an exact axis: yields, for each i,
     [in_G((axis[i], axis[j]), p) for j <= i]."""
-    yield from _raster(axis, p, _signed_columns(p), p.n)
+    yield from _raster(axis, p, (_signed_columns(p),), p.n)
 
 
 def in_A_raster(axis, p: Params, max_weight: int):
     """in_A_certified on the rank-2 raster of an exact axis: yields, for
     each i, [in_A_certified((axis[i], axis[j]), p, max_weight) for j <= i]."""
     _check_int("max_weight", max_weight, 1)
-    yield from _raster(axis, p, _signed_sums(p, max_weight), max_weight)
+    yield from _raster(axis, p, (_signed_band(p, k) for k in range(1, max_weight + 1)), max_weight)
 
 
 def in_square(pt, p: Params) -> bool:

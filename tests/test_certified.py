@@ -249,10 +249,16 @@ def test_agrees_at_lattice_nodes(p):
 
 
 def random_params(rng):
-    """Rank-2 Params with tau and alpha each negative, 0 or positive, drawn
-    again while a sum up to weight 8 has a branching pole."""
+    """Rank-2 Params with tau and alpha each negative, 0 or positive; a sum
+    up to weight 8 may have a branching pole."""
+    return Params(2, *(rng.choice((-1, 0, 1)) * Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in "ta"))
+
+
+def pole_free_params(rng):
+    """random_params, drawn again while a sum up to weight 8 has a
+    branching pole."""
     while True:
-        p = Params(2, *(rng.choice((-1, 0, 1)) * Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in "ta"))
+        p = random_params(rng)
         try:
             list(shimura._signed_sums(p, 8))
         except PoleError:
@@ -270,19 +276,131 @@ def random_axis(rng, p, size):
     return [rng.choice(pool) for _ in range(size)]
 
 
+# seeds 2 and 4 draw Params with a branching pole, (-2, 0) and (-5, 7/4)
 RANDOM_RANK2 = [random_params(random.Random(seed)) for seed in range(10)]
+POLES = [Params(2, -1, -4), Params(2, -4, 4), Params(2, -3, Fraction(1, 2))]
 
 
-@pytest.mark.parametrize("p", RANK2 + RANDOM_RANK2)
+def assert_raster_is_point_tests(rows, axis, test):
+    """Row i of the raster rows is [test((axis[i], x2)) for x2 in
+    axis[:i + 1]], until the first row where a point test raises PoleError;
+    the raster must raise it there too, and only there."""
+    for i, x1 in enumerate(axis):
+        try:
+            want = [test((x1, x2)) for x2 in axis[: i + 1]]
+        except PoleError:
+            with pytest.raises(PoleError):
+                next(rows)
+            return "pole"
+        assert next(rows) == want, (axis, i)
+    assert next(rows, None) is None
+    return "rows"
+
+
+@pytest.mark.parametrize("p", RANK2 + RANDOM_RANK2 + POLES)
 def test_rasters_match_point_tests(p):
     # an axis with negative values, ints and unrelated denominators, then an
-    # unsorted one with repeats and zero factors
+    # unsorted one with repeats and zero factors; at a Params with a
+    # branching pole a band is compiled only when a cell reaches it, so the
+    # raster gives each row the point tests give, up to the first row where
+    # one of them raises
     fixed = [Fraction(-3, 2), 0, Fraction(1, 3), Fraction(5, 4), 2, Fraction(7, 3), *p.rho, Fraction(10**30 + 1, 10**30)]
     for axis in (fixed, random_axis(random.Random(str(p)), p, 8)):
-        rows_A, rows_G = in_A_raster(axis, p, 8), in_G_raster(axis, p)
-        for i, (row_A, row_G) in enumerate(zip(rows_A, rows_G, strict=True)):
-            assert row_A == [in_A_certified((axis[i], x2), p, 8) for x2 in axis[: i + 1]], (axis, i)
-            assert row_G == [in_G((axis[i], x2), p) for x2 in axis[: i + 1]], (axis, i)
+        assert_raster_is_point_tests(in_A_raster(axis, p, 8), axis, lambda pt: in_A_certified(pt, p, 8))
+        assert_raster_is_point_tests(in_G_raster(axis, p), axis, lambda pt: in_G(pt, p))
+
+
+def test_a_raster_at_a_pole_decides_the_rows_before_it():
+    # the point (7, 7) fails at lam = (1) before the band with the pole
+    p = Params(2, -2, 0)
+    assert list(in_A_raster([7], p, 6)) == [[in_A_certified((7, 7), p, 6)]] == [[Verdict(False, (1,), 6)]]
+    outcomes = Counter(assert_raster_is_point_tests(in_A_raster(axis, p, 6), axis,
+                                                    lambda pt: in_A_certified(pt, p, 6))
+                       for axis in ([7, 6, Fraction(1, 3)], [Fraction(1, 3), 7], [9, 8, 7]))
+    assert outcomes == {"pole": 2, "rows": 1}
+
+
+def degree_one_boundary_axis(p, rng):
+    """Exact values whose cells sit on the zero sets of the degree-one sums
+    and next to them: rational points of the circle x1^2 + x2^2 =
+    rho1^2 + rho2^2 (where q_(1) = 0, found on lines through rho), +-alpha
+    (where the x1 weight of (1,1) vanishes), values inside |x| < |alpha|
+    (where it is negative), and neighbours a 1/12 step off. The values
+    appear twice, the second time shuffled, so the raster holds each
+    ordered pair of them, unsorted and with repeats."""
+    r1, r2 = p.rho
+    values = [r1, r2, p.alpha, -p.alpha, p.alpha / 2, -p.alpha / 3, 0]
+    for m in (Fraction(1, 2), 2, Fraction(-1, 3), Fraction(3, 4)):
+        x = -2 * m * (r2 - m * r1) / (1 + m * m) - r1  # the line through rho of slope m meets the circle again
+        values += [x, r2 + m * (x - r1)]
+    values += [v + Fraction(rng.choice((-1, 1)), 12) for v in values[:4]]
+    return values + rng.sample(values, len(values))
+
+
+BOUNDARY_PARAMS = RANK2 + [Params(2, Fraction(-1, 3), Fraction(-5, 2)), Params(2, Fraction(-3, 2), Fraction(-1, 4)),
+                           Params(2, Fraction(2, 3), Fraction(-7, 5)), Params(2, -3, Fraction(9, 4))]
+
+
+@pytest.mark.parametrize("p", BOUNDARY_PARAMS)
+def test_degree_one_thresholds_at_exact_boundary_cells(p):
+    # the column tests and lam = (1), (1,1) are decided by one bisection a
+    # row, against an integer threshold rounded up or down by the sign of
+    # the x1 weight: at cells where q_(1) or q_(1,1) is exactly 0 or its
+    # weight vanishes or is negative, each raster still gives the point tests
+    axis = degree_one_boundary_axis(p, random.Random(str(p)))
+    r1, r2 = p.rho
+    on_circle = sum(x1 * x1 + x2 * x2 == r1 * r1 + r2 * r2 for x1, x2 in itertools.combinations(axis, 2))
+    assert on_circle > 0 and -p.alpha in axis
+    for rows, test in ((in_G_raster(axis, p), lambda pt: in_G(pt, p)),
+                       (in_A_raster(axis, p, 2), lambda pt: in_A_certified(pt, p, 2))):
+        assert assert_raster_is_point_tests(rows, axis, test) == "rows"
+
+
+@pytest.mark.parametrize("p", BOUNDARY_PARAMS)
+def test_degree_one_thresholds_on_small_denominators(p):
+    # over a small common denominator Q the threshold t / s is often not an
+    # integer and an axis square A^2 lies one unit from it, where rounding
+    # it the wrong way, or bisecting on the wrong side of a tie, flips a cell
+    rng = random.Random(repr(p))
+    for q in (1, 2, 3, 4):
+        axis = [Fraction(rng.randint(-4 * q, 4 * q), q) for _ in range(14)]
+        assert_raster_is_point_tests(in_G_raster(axis, p), axis, lambda pt: in_G(pt, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 9), st.lists(st.integers(-12, 12), max_size=9),
+       st.integers(0, 2**9 - 1), st.sampled_from(BOUNDARY_PARAMS))
+def test_degree_one_fails_is_the_sign_of_the_numerator(w0, w1, q, nums, todo, p):
+    # the bisection against the threshold marks exactly the cells of todo
+    # where w0 + w1 (A^2 L - C Q^2) < 0
+    comp = _compiled_terms((1, 1), p)
+    q2, squares = q * q, sorted(a * a for a in nums)
+    todo &= (1 << len(squares)) - 1
+    want = sum(1 << k for k, a2 in enumerate(squares)
+               if todo >> k & 1 and w0 + w1 * (a2 * comp.lsc - comp.consts[1][0] * q2) < 0)
+    assert shimura._degree_one_fails((w0, w1), comp, q2, squares, todo) == want
+
+
+def test_column_rasters_build_no_x2_node_row(monkeypatch):
+    # every column test has one x2 node, so in_G_raster decides a row by
+    # bisection and builds x1 rows only; in_A_raster at weight 2 builds x2
+    # rows for lam = (2) alone
+    built = Counter()
+    node_row = shimura._node_row
+
+    def counted(comp, idx, q2, a2):
+        built[idx, comp] += 1
+        return node_row(comp, idx, q2, a2)
+
+    monkeypatch.setattr(shimura, "_node_row", counted)
+    for p in BOUNDARY_PARAMS:
+        axis = degree_one_boundary_axis(p, random.Random(0))
+        list(in_G_raster(axis, p))
+        assert built and all(idx == 0 for idx, _ in built), p
+        built.clear()
+        list(in_A_raster(axis, p, 2))
+        assert {comp for idx, comp in built if idx == 1} <= {_compiled_terms((2,), p)}, p
+        built.clear()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -293,7 +411,7 @@ def test_a_certified_block_holds_every_term_at_its_sign(seed):
     rng = random.Random(seed)
     certified = 0
     for _ in range(5):
-        p = random_params(rng)
+        p = pole_free_params(rng)
         signed = [*shimura._signed_sums(p, 5), *shimura._signed_columns(p)]
         axis = random_axis(rng, p, 5)
         q2, a2s = _scaled_axis(axis)
