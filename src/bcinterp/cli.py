@@ -329,8 +329,6 @@ def _cell(v: Verdict) -> str:
 
 def cmd_region(args):
     _check_int("grid", args.grid, 2)
-    if args.max_weight is not None:
-        _check_int("max_weight", args.max_weight, 1)
     top, rows = _region_window(args)
     try:
         float(top)

@@ -10,9 +10,9 @@ point (_weights). A single point, taken at its exact value (a float as its
 binary rational), is the case of one-element axes (_numerator): it gives
 okounkov_eval and the signs behind shimura.in_G and in_A_certified, whose
 rasters build the tables over their whole axis, skip the points where
-the weak signs of the factors (_sign_blocks, _node_parities) already fix
-the sign of every term, and decide a sum of degree one in the last
-coordinate by one bisection per row. okounkov_expand and
+the weak signs of the factors already fix the sign of every term
+(_block_certs), and decide a sum of degree one in the last coordinate by
+one bisection per row (_degree_one_fails). okounkov_expand and
 interpolate_from_values (a triangular back-substitution in the P basis)
 multiply the terms out from the same prefix trees (_expand).
 
@@ -30,7 +30,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .exactnum import (ArgumentError, DomainError, Frozen, _check_int, _check_length, _exact_point, _exact_str,
                        _over_common, as_exact)
@@ -287,6 +287,60 @@ def _node_parities(comp: _Compiled, idx: int, low):
     return row
 
 
+def _block_certs(sign: int, comp: _Compiled, low, q2: int, squares, below):
+    """certs[r1] for r1 = 0..len(low): the bitmask of the axis positions x2
+    at which every term sign Psi F0(x1) F1(x2) of a rank-2 sum is >= 0 while
+    x1 is in block r1 of _sign_blocks. squares are the axis's scaled
+    squares A^2 in ascending order, and below[k] is the bitmask of the axis
+    positions that hold the k smallest.
+
+    Each factor A^2 L - C Q^2 is > 0 or <= 0 throughout a block, so on
+    block r1 a head node's product has the weak sign of its parity bit r1
+    (_node_parities over low). In x2 the factor is <= 0 exactly where the
+    integer A^2 <= floor(C Q^2 / L), the positions below[bisect_right(
+    squares, C Q^2 // L)], so the tail's parities are taken per axis
+    position. A term's weak sign is then that of sign Psi (-1)^(p0 + p1),
+    p0 and p1 its head's and tail's parities: it is >= 0 at the x2 where
+    the tail's bit equals bit r1 of h, the head's parities flipped if
+    sign Psi < 0. If every term is >= 0 at (x1, x2), so is sign N, and the
+    sum cannot fail there."""
+    cuts = {c: below[bisect.bisect_right(squares, c * q2 // comp.lsc)] for c in comp.consts[1]}
+    heads, tails = _node_parities(comp, 0, low), _node_parities(comp, 1, cuts)
+    pairs = {(~heads[k] if sign * psi < 0 else heads[k], tails[s]) for psi, (k,), s in comp.fold}
+    return [reduce(operator.and_, (m if h >> r1 & 1 else ~m for h, m in pairs), below[-1])
+            for r1 in range(len(low) + 1)]
+
+
+def _degree_one(comp: _Compiled) -> bool:
+    """Whether the sum has degree one in the square of its last coordinate,
+    its prefix tree there being one node: lam = (1) and (1,1) in rank 2,
+    so every column test."""
+    return len(comp.chains[-1]) == 1
+
+
+def _degree_one_fails(w, comp: _Compiled, q2: int, squares, below, todo: int) -> int:
+    """The cells of todo, a bitmask of axis positions, at which sign N < 0
+    for a rank-2 sum of degree one (_degree_one), given its x1 weights
+    w = (w0, w1) times the sign; squares and below as in _block_certs.
+
+    The x2 node row at x2 = A/Q is (1, A^2 L - C Q^2), C the one x2
+    constant, so sign N = w0 + w1 (A^2 L - C Q^2), and it is < 0 exactly
+    when w1 A^2 L < t = w1 C Q^2 - w0. Divide by s = w1 L: L > 0, so the
+    inequality keeps its direction for w1 > 0 and turns for w1 < 0, and A^2
+    is an integer, so A^2 < t / s iff A^2 < ceil(t / s) and A^2 > t / s iff
+    A^2 > floor(t / s). The failing cells are then those holding the
+    smallest squares (w1 > 0, a cut by bisect_left) or all but those
+    (w1 < 0, by bisect_right), and a cut never splits equal squares; for
+    w1 = 0 they are all of todo if w0 < 0 and none otherwise."""
+    w0, w1 = w
+    t, s = w1 * comp.consts[1][0] * q2 - w0, w1 * comp.lsc
+    if s > 0:
+        return todo & below[bisect.bisect_left(squares, -(-t // s))]
+    if s < 0:
+        return todo & ~below[bisect.bisect_right(squares, t // s)]
+    return todo if w0 < 0 else 0
+
+
 def _weights(comp: _Compiled, heads):
     """Step two: given one _node_row row for each coordinate but the
     last, the sums of Psi_T prod F_T,idx over the terms, collected by the
@@ -381,11 +435,16 @@ def det_formula_tau1(lam, pt, alpha):
     return Fraction(_det_exact(rows) * den ** (n * (n - 1)), van * den ** (2 * sum(kappa)))
 
 
+def _check_column(j: int, n: int) -> None:
+    """The rule for a column height: an int in 1..n."""
+    if not isinstance(j, int) or not 1 <= j <= n:
+        raise ArgumentError(f"column height {j} outside 1..{n}")
+
+
 def _column_squares(j: int, pt, p: Params):
     """(D, [X_i^2], [R_i^2]) for pt and rho over one common denominator D,
     after the checks shared by the two column formulas."""
-    if not isinstance(j, int) or not 1 <= j <= p.n:
-        raise DomainError(f"column height {j} outside 1..{p.n}")
+    _check_column(j, p.n)
     _check_length(pt, p.n)
     den, nums = _over_common((*pt, *p.rho))
     sq = [v * v for v in nums]
@@ -466,6 +525,15 @@ def k_constant_alt(mu, d, n: int):
     return Fraction(num, den)
 
 
+def _guarded_weight(lam, what: str) -> int:
+    """|lam|, after the rule of the expansion and verification paths: at
+    most EXPAND_WEIGHT_GUARD."""
+    w = weight(lam)
+    if w > EXPAND_WEIGHT_GUARD:
+        raise ArgumentError(f"{what} guarded to weight <= {EXPAND_WEIGHT_GUARD}, got {w}")
+    return w
+
+
 def verify_characterization(lam, p: Params, seed: int = 0) -> dict:
     """Check the vanishing characterization of P_lam on the shifted lattice.
 
@@ -475,9 +543,7 @@ def verify_characterization(lam, p: Params, seed: int = 0) -> dict:
     nothing raises.
     """
     lam = _at_most(lam, p.n)
-    w = weight(lam)
-    if w > EXPAND_WEIGHT_GUARD:
-        raise DomainError(f"weight {w} above the verification budget {EXPAND_WEIGHT_GUARD}")
+    w = _guarded_weight(lam, "verification")
     zero_failures = []
     zero_checked = 0
     for mu in enumerate_Lambda(p.n, w):
@@ -581,7 +647,6 @@ def okounkov_expand(lam, p: Params) -> SymEvenPoly:
     """Full coefficient map of P_lam, multiplied out from its compiled
     tableau terms (_expand). Guarded to |lam| <= 8."""
     lam = _at_most(lam, p.n)
-    if weight(lam) > EXPAND_WEIGHT_GUARD:
-        raise ArgumentError(f"expansion guarded to weight <= {EXPAND_WEIGHT_GUARD}, got {weight(lam)}")
+    _guarded_weight(lam, "expansion")
     nums, den = _expand(_compiled_terms(lam, p))
     return SymEvenPoly._trusted(p.n, {e: Fraction(v, den) for e, v in nums.items() if v})

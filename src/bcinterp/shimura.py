@@ -10,18 +10,20 @@ its binary rational); a nan or inf coordinate raises ArgumentError.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import ArgumentError, DomainError, Frozen, _ascending_axis, _check_int, _exact_point
+from .exactnum import ArgumentError, Frozen, _ascending_axis, _check_int, _exact_point
 from .okounkov import (
     Params,
+    _block_certs,
+    _check_column,
     _compiled_terms,
-    _node_parities,
+    _degree_one,
+    _degree_one_fails,
     _node_row,
     _numerator,
     _scaled_axis,
@@ -124,8 +126,7 @@ def q_poly(lam, pt, p: Params):
 def phi_j(j: int, pt, p: Params):
     """Column test polynomial: sum over j-subsets of prod (rho^2 - x^2),
     that is q_poly(1^j, ...)."""
-    if not isinstance(j, int) or not 1 <= j <= p.n:
-        raise DomainError(f"column height {j} outside 1..{p.n}")
+    _check_column(j, p.n)
     return q_poly((1,) * j, pt, p)
 
 
@@ -182,66 +183,17 @@ def in_A_certified(pt, p: Params, max_weight: int) -> Verdict:
     return Verdict(lam is None, lam, max_weight)
 
 
-def _block_certs(sign: int, comp, low):
-    """certs[r1] for r1 = 0..len(low): the bitmask of the blocks r2 of
-    okounkov._sign_blocks on which every term sign Psi F0(x1) F1(x2) of a
-    rank-2 sum is >= 0 while x1 is in block r1. With p0, p1 the parities of
-    the term's head and tail nodes (okounkov._node_parities), its weak sign
-    there is that of sign Psi (-1)^(p0 + p1): it is >= 0 where bit r2 of the
-    tail's mask equals bit r1 of h, the head's mask flipped if sign Psi < 0."""
-    full = (2 << len(low)) - 1
-    heads, tails = _node_parities(comp, 0, low), _node_parities(comp, 1, low)
-    pairs = {(heads[k] ^ full if sign * psi < 0 else heads[k], tails[s]) for psi, (k,), s in comp.fold}
-    return [functools.reduce(operator.and_, (m if h >> r1 & 1 else full ^ m for h, m in pairs), full)
-            for r1 in range(len(low) + 1)]
-
-
-def _band_tables(band, degree, q2: int, squares):
-    """One band of signed sums made ready for _raster over the sorted
-    scaled squares of its axis: (ranks, tables). ranks[k] is the block of
-    sorted position k among the constants of the band
-    (okounkov._sign_blocks). A table holds a sum's failing Verdict, its
-    sign and compiled terms, cover[r1], the bitmask of the sorted positions
-    whose block certs[r1] certifies, and the sum's cache of x2 node rows
-    by sorted position, or None for a sum of degree one in x2^2."""
-    low, ranks = _sign_blocks([comp for _, _, comp in band], q2, squares)
-    starts = [bisect_left(ranks, r) for r in range(len(low) + 2)]
-    blocks = [(1 << hi) - (1 << lo) for lo, hi in zip(starts, starts[1:])]
-    covers = {}
-
-    def cover(bits):
-        if bits not in covers:
-            covers[bits] = functools.reduce(operator.or_, (m for r, m in enumerate(blocks) if bits >> r & 1), 0)
-        return covers[bits]
-
-    return ranks, [(Verdict(False, key, degree), sign, comp, [cover(c) for c in _block_certs(sign, comp, low)],
-                    None if len(comp.chains[-1]) == 1 else [None] * len(squares))
+def _band_tables(band, degree, q2: int, a2s, squares, below):
+    """One band of signed sums made ready for _raster over its axis:
+    (ranks, tables). ranks[i] is the block of axis position i among the
+    constants of the band (okounkov._sign_blocks). A table holds a sum's
+    failing Verdict, its sign and compiled terms, its certificates certs
+    (okounkov._block_certs) and its cache of x2 node rows by axis
+    position, or None for a sum of degree one (okounkov._degree_one)."""
+    low, ranks = _sign_blocks([comp for _, _, comp in band], q2, a2s)
+    return ranks, [(Verdict(False, key, degree), sign, comp, _block_certs(sign, comp, low, q2, squares, below),
+                    None if _degree_one(comp) else [None] * len(a2s))
                    for key, sign, comp in band]
-
-
-def _degree_one_fails(w, comp, q2: int, squares, todo: int) -> int:
-    """The cells of todo, a bitmask over the ascending scaled squares A^2 of
-    an axis, at which sign N < 0 for a rank-2 sum whose x2 prefix tree is
-    one node (lam = (1) and (1,1), so every column test), given its x1
-    weights w = (w0, w1) times the sign.
-
-    The x2 node row at x2 = A/Q is (1, A^2 L - C Q^2), C the one x2
-    constant, so sign N = w0 + w1 (A^2 L - C Q^2), and it is < 0 exactly
-    when w1 A^2 L < t = w1 C Q^2 - w0. Divide by s = w1 L: L > 0, so the
-    inequality keeps its direction for w1 > 0 and turns for w1 < 0, and A^2
-    is an integer, so A^2 < t / s iff A^2 < ceil(t / s) and A^2 > t / s iff
-    A^2 > floor(t / s). The failing cells are then a prefix of the sorted
-    order (w1 > 0, found by bisect_left) or a suffix (w1 < 0, by
-    bisect_right); for w1 = 0 they are all of todo if w0 < 0 and none
-    otherwise."""
-    w0, w1 = w
-    t, s = w1 * comp.consts[1][0] * q2 - w0, w1 * comp.lsc
-    if s > 0:
-        return todo & ((1 << bisect_left(squares, -(-t // s))) - 1)
-    if s < 0:
-        cut = bisect_right(squares, t // s)
-        return todo >> cut << cut
-    return todo if w0 < 0 else 0
 
 
 def _raster(axis, p: Params, bands, degree):
@@ -250,35 +202,21 @@ def _raster(axis, p: Params, bands, degree):
     iterable of tuples (key, sign, compiled terms) taken in order, that
     _first_negative makes, for exact axis values.
 
-    The raster shares one denominator Q and sorts the squared numerators
-    A^2 of its axis once. A row's cells are int bitmasks over that sorted
-    order: pending (no sum has failed there yet), certified and failed. A
-    band is compiled, and its certificates made, only when a pending cell
-    reaches it, so the raster raises only where some cell's point test
-    raises. Per row and sum, x1 is folded into one weight vector w
-    (okounkov._weights of its _node_row) times the sign, and only the
-    pending cells that the certificate leaves are decided:
-    - a sum of degree one in x2^2, whose x2 prefix tree is one node with
-      constant C (lam = (1) and (1,1), every column test), has signed
-      numerator w0 + w1 (A^2 L - C Q^2) at x2 = A/Q. It is < 0 exactly
-      where the integer A^2 satisfies w1 A^2 L < w1 C Q^2 - w0, that is,
-      below ceil((w1 C Q^2 - w0) / (w1 L)) for w1 > 0, a prefix of the
-      sorted squares, and above the floor of that quotient for w1 < 0, a
-      suffix: one bisection per row and sum, and no x2 node row
-      (_degree_one_fails has the proof and w1 = 0);
-    - any other sum costs one integer dot product per cell of w with the
-      cell's x2 node row, built at most once per axis entry, when a cell
-      first needs it.
-    Cells with the same outcome share one Verdict: one for membership and
-    one per sum.
-
-    The certificate. Each factor A^2 L - C Q^2 is > 0 or <= 0 throughout
-    a block of okounkov._sign_blocks, so on the block pair (r1, r2) each
-    term sign Psi F0(x1) F1(x2) is >= 0 or <= 0 by the sign of sign Psi and
-    its nodes' parities (_node_parities). If every term is >= 0 there, so
-    is sign N, and the sum cannot fail at any cell of the pair: certs[r1]
-    holds those r2 as bits, and the sorted positions of a block are one
-    contiguous range, so its cells are one mask.
+    The raster shares one denominator Q. A row's cells are int bitmasks
+    over the axis positions: pending (no sum has failed there yet; row i
+    starts with positions 0..i), certified and failed. The squared
+    numerators A^2 are sorted once, for bisection, and below[k] is the mask
+    of the positions that hold the k smallest. A band is compiled, and its
+    certificates made, only when a pending cell reaches it, so the raster
+    raises only where some cell's point test raises. Per row and sum, x1
+    is folded into one weight vector w (okounkov._weights of its _node_row)
+    times the sign, and only the pending cells that the sum's certificate
+    for the block of x1 leaves (okounkov._block_certs) are decided: a sum
+    of degree one by one bisection of the squares (okounkov._degree_one_fails),
+    any other by one integer dot product per cell of w with the cell's x2
+    node row, built at most once per axis position, when a cell first
+    needs it. Cells with the same outcome share one Verdict: one for
+    membership and one per sum.
     """
     if p.n != 2:
         raise ArgumentError(f"a raster needs rank 2, got n = {p.n}")
@@ -286,32 +224,27 @@ def _raster(axis, p: Params, bands, degree):
     member = Verdict(True, None, degree)
     order = sorted(range(len(a2s)), key=a2s.__getitem__)
     squares = [a2s[j] for j in order]
-    place = [0] * len(order)
-    for k, j in enumerate(order):
-        place[j] = k
-    ordered = order == sorted(order)  # an ascending axis: sorted position k is axis index k
+    below = [0, *itertools.accumulate((1 << j for j in order), operator.or_)]
     bands, levels = iter(bands), []
     mul = operator.mul
-    seen = 0
     for i, a2 in enumerate(a2s):
-        seen |= 1 << place[i]
-        pending, fails, level = seen, [], 0
+        pending, fails, level = (2 << i) - 1, [], 0
         while pending:
             if level == len(levels):
                 band = next(bands, None)
                 if band is None:
                     break
-                levels.append(_band_tables(band, degree, q2, squares))
+                levels.append(_band_tables(band, degree, q2, a2s, squares, below))
             ranks, tables = levels[level]
             level += 1
-            r1 = ranks[place[i]]
-            for verdict, sign, comp, cover, tail in tables:
-                todo = pending & ~cover[r1]
+            r1 = ranks[i]
+            for verdict, sign, comp, certs, tail in tables:
+                todo = pending & ~certs[r1]
                 if not todo:
                     continue
                 w = [sign * v for v in _weights(comp, (_node_row(comp, 0, q2, a2),))]
                 if tail is None:
-                    failed = _degree_one_fails(w, comp, q2, squares, todo)
+                    failed = _degree_one_fails(w, comp, q2, squares, below, todo)
                 else:
                     failed, left = 0, todo
                     while left:
@@ -319,7 +252,7 @@ def _raster(axis, p: Params, bands, degree):
                         k = bit.bit_length() - 1
                         row = tail[k]
                         if row is None:
-                            row = tail[k] = _node_row(comp, 1, q2, squares[k])
+                            row = tail[k] = _node_row(comp, 1, q2, a2s[k])
                         if sum(map(mul, w, row)) < 0:
                             failed |= bit
                         left ^= bit
@@ -328,7 +261,7 @@ def _raster(axis, p: Params, bands, degree):
                     pending ^= failed
                     if not pending:
                         break
-        cells = [member] * (i + 1 if ordered else len(order))
+        cells = [member] * (i + 1)
         for verdict, failed in fails:
             while failed:  # one slice per run of set bits
                 lo = (failed & -failed).bit_length() - 1
@@ -336,7 +269,7 @@ def _raster(axis, p: Params, bands, degree):
                 hi = lo + (run ^ (run + 1)).bit_length() - 1
                 cells[lo:hi] = [verdict] * (hi - lo)
                 failed = failed >> hi << hi
-        yield cells if ordered else [cells[k] for k in place[:i + 1]]
+        yield cells
 
 
 def in_G_raster(axis, p: Params):

@@ -14,7 +14,6 @@ import pytest
 
 from bcinterp import (
     ArgumentError,
-    DomainError,
     GroupData,
     Params,
     R_closed_form_b0,
@@ -210,8 +209,15 @@ def test_the_twist_p_is_an_int_of_any_sign():
 @pytest.mark.parametrize("j", [0, 3, 1.5])
 def test_a_column_height_outside_1_to_n_is_a_domain_error(j):
     for f in (phi_j, column_poly, column_poly_gf):
-        with pytest.raises(DomainError, match=rf"^column height {j} outside 1\.\.2$"):
+        with pytest.raises(ArgumentError, match=rf"^column height {j} outside 1\.\.2$"):
             f(j, (1, 2), P2)
+
+
+@pytest.mark.parametrize("what, f", [("expansion", okounkov_expand), ("verification", verify_characterization)])
+def test_the_weight_guard_is_an_argument_rule(what, f):
+    # the expansion and the vanishing check share the guard at weight 8
+    with pytest.raises(ArgumentError, match=rf"^{what} guarded to weight <= 8, got 9$"):
+        f((9,), P2)
 
 
 def _message(f):
@@ -256,25 +262,28 @@ def test_each_rule_is_written_once():
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "bcinterp", "*.py"))):
         with open(path) as fh:
             source += fh.read()
-    for rule in ("point has length {", "has more than n = {", "integer ({name} >= {low})", "guarded to weight <= {"):
+    for rule in ("point has length {", "has more than n = {", "integer ({name} >= {low})", "guarded to weight <= {",
+                 "column height {"):
         assert source.count(rule) == 1, rule
     assert re.findall(r"need [\w-]+ >= \d|(?:nonnegative|positive) integer, got", source) == []
 
 
 def test_the_cli_keeps_no_copy_of_a_library_check():
     # each handler's library call runs these checks itself, so a call from
-    # cli.py would only repeat one; --grid and --max-weight are the CLI's own
+    # cli.py would only repeat one (in_A_raster checks --max-weight); --grid
+    # is the CLI's own
     with open(os.path.join(ROOT, "src", "bcinterp", "cli.py")) as fh:
         source = fh.read()
     for name in ("_at_most", "_check_length", "_series_constants", "_contour_step", "_check_expand_weight"):
         assert name not in source, name
-    assert re.findall(r"_check_int\((.*?),", source) == ['"grid"', '"max_weight"']
+    assert re.findall(r"_check_int\((.*?),", source) == ['"grid"']
 
 
 @pytest.mark.parametrize("argv", [
     "region --kind G --group 2,1,1 --max-weight 3 --grid 2",
     "region --kind W --m 0 --max-weight 3 --grid 2",
     "region --kind U0 --group 2,1,1 --max-weight 6 --grid 2",
+    "region --kind G --group 2,1,1 --max-weight 0 --grid 2",
 ])
 def test_max_weight_is_for_kind_A_only(capsys, argv):
     # the cap has no default of its own, so a given one is seen and refused

@@ -20,7 +20,9 @@ from bcinterp.exactnum import DomainError, PoleError
 from bcinterp.limits import in_G0_rank2, in_W
 from bcinterp.okounkov import (
     Params,
+    _block_certs,
     _compiled_terms,
+    _degree_one_fails,
     _node_row,
     _scaled_axis,
     _sign_blocks,
@@ -320,6 +322,13 @@ def test_a_raster_at_a_pole_decides_the_rows_before_it():
     assert outcomes == {"pole": 2, "rows": 1}
 
 
+def sorted_masks(a2s):
+    """(squares, below) of an axis's scaled squares a2s: them in ascending
+    order, and below[k] the bitmask of the positions of the k smallest."""
+    order = sorted(range(len(a2s)), key=lambda j: a2s[j])
+    return [a2s[j] for j in order], [sum(1 << j for j in order[:k]) for k in range(len(a2s) + 1)]
+
+
 def degree_one_boundary_axis(p, rng):
     """Exact values whose cells sit on the zero sets of the degree-one sums
     and next to them: rational points of the circle x1^2 + x2^2 =
@@ -371,14 +380,15 @@ def test_degree_one_thresholds_on_small_denominators(p):
 @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 9), st.lists(st.integers(-12, 12), max_size=9),
        st.integers(0, 2**9 - 1), st.sampled_from(BOUNDARY_PARAMS))
 def test_degree_one_fails_is_the_sign_of_the_numerator(w0, w1, q, nums, todo, p):
-    # the bisection against the threshold marks exactly the cells of todo
-    # where w0 + w1 (A^2 L - C Q^2) < 0
+    # the bisection against the threshold marks exactly the cells of todo,
+    # axis positions of unsorted values with repeats, where
+    # w0 + w1 (A^2 L - C Q^2) < 0
     comp = _compiled_terms((1, 1), p)
-    q2, squares = q * q, sorted(a * a for a in nums)
-    todo &= (1 << len(squares)) - 1
-    want = sum(1 << k for k, a2 in enumerate(squares)
+    q2, a2s = q * q, [a * a for a in nums]
+    todo &= (1 << len(a2s)) - 1
+    want = sum(1 << k for k, a2 in enumerate(a2s)
                if todo >> k & 1 and w0 + w1 * (a2 * comp.lsc - comp.consts[1][0] * q2) < 0)
-    assert shimura._degree_one_fails((w0, w1), comp, q2, squares, todo) == want
+    assert _degree_one_fails((w0, w1), comp, q2, *sorted_masks(a2s), todo) == want
 
 
 def test_column_rasters_build_no_x2_node_row(monkeypatch):
@@ -405,7 +415,7 @@ def test_column_rasters_build_no_x2_node_row(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_a_certified_block_holds_every_term_at_its_sign(seed):
-    # where certs marks the block pair of (x1, x2), every compiled term,
+    # where certs marks x2 for the block of x1, every compiled term,
     # read back from its integer form and evaluated in Fractions, has
     # sign * term >= 0, zero allowed
     rng = random.Random(seed)
@@ -417,10 +427,10 @@ def test_a_certified_block_holds_every_term_at_its_sign(seed):
         q2, a2s = _scaled_axis(axis)
         low, ranks = _sign_blocks([comp for _, _, comp in signed], q2, a2s)
         for _, sign, comp in signed:
-            certs = shimura._block_certs(sign, comp, low)
+            certs = _block_certs(sign, comp, low, q2, *sorted_masks(a2s))
             terms = decoded_terms(comp)
-            for (x1, r1), (x2, r2) in itertools.product(zip(axis, ranks), repeat=2):
-                if certs[r1] >> r2 & 1:
+            for (x1, r1), (j, x2) in itertools.product(zip(axis, ranks), enumerate(axis)):
+                if certs[r1] >> j & 1:
                     certified += 1
                     sq = (Fraction(x1) ** 2, Fraction(x2) ** 2)
                     for psi, facs in terms:
