@@ -4,8 +4,9 @@ int at or above its bound: _check_int); partitions._at_most is the rule for a
 partition. Every function that takes such an argument calls its rule, and a
 broken rule raises ArgumentError.
 
-Arithmetic is generic over exact values (int, Fraction) and floats: exact in,
-exact out. Nothing here converts a Fraction to a float silently.
+as_exact and _over_common take exact values (int, Fraction) only and raise
+ArgumentError at a float. Only log_gamma and _gamma_quotient compute in
+floats.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ __all__ = [
     "ArgumentError",
     "DomainError",
     "PoleError",
-    "poch_rising",
-    "poch_pm",
-    "gen_pochhammer",
     "log_gamma",
     "is_exact",
     "as_exact",
@@ -146,32 +144,6 @@ def _ascending_axis(axis):
     if any(map(operator.gt, nums, nums[1:])):
         raise ArgumentError("a raster axis must be ascending")
     return q, nums
-
-
-def poch_rising(a, k: int):
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1); empty product for k = 0."""
-    _check_int("k", k)
-    out = a ** 0  # 1 of the same kind as a
-    for i in range(k):
-        out = out * (a + i)
-    return out
-
-
-def poch_pm(a, x, k: int):
-    """The symmetric product (a+x)_k (a-x)_k."""
-    return poch_rising(a + x, k) * poch_rising(a - x, k)
-
-
-def gen_pochhammer(a, mu, d):
-    """Generalized rising factorial (a)_mu = prod_i (a - (d/2)(i-1))_{mu_i}.
-
-    d is the step parameter; a and d must be exact rationals.
-    """
-    half = as_exact(d) / 2
-    out = Fraction(1)
-    for i, part in enumerate(mu):
-        out = out * poch_rising(as_exact(a) - half * i, part)
-    return out
 
 
 def log_gamma(t) -> tuple[float, int]:

@@ -1,7 +1,7 @@
 """Rank-2 hypergeometric machinery: the closed q_{(m1,m2)} formula, a
-Pochhammer prefactor times a terminating hypergeometric sum (hyp_sum, run in
-integers by q_rank2); the boundary series R, its Gamma closed form at b=0,
-the telescoped midpoint value, and the three-test region decision.
+Pochhammer prefactor times a terminating hypergeometric sum at unit
+argument, run in integers by q_rank2; the boundary series R, the telescoped
+midpoint value, and the three-test region decision.
 
 The boundary series ops are the only place in the package where truncation
 error exists. The region decision in_B does not rest on a truncated value: it
@@ -19,17 +19,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import (SIGN_DEADBAND, ArgumentError, DomainError, PoleError, _check_int, _check_length, _exact_point,
-                       _gamma_quotient, _over_common, as_exact)
+                       _over_common, as_exact)
 from .okounkov import Params
 from .shimura import in_G, in_G_raster
 
 __all__ = [
     "Rank2Regions",
-    "hyp_sum",
     "q_rank2",
     "q_rank2_partial_d2",
     "R_series",
-    "R_closed_form_b0",
     "R_midpoint_telescoped",
     "in_B",
     "in_B_raster",
@@ -51,38 +49,15 @@ _CUBIC_MARGIN = 16 * _UNIT_ROUNDOFF
 _SIGMA_GAP = 2.0**-20
 
 
-def hyp_sum(upper, lower, truncation: int) -> Fraction:
-    """The terminating hypergeometric sum at unit argument
-    sum_{k <= truncation} prod(upper)_k / (prod(lower)_k k!), in exact
-    arithmetic: every parameter must be exact and truncation a nonnegative
-    integer, or ArgumentError is raised.
-
-    The sum stops at its first zero term, where a nonpositive-integer upper
-    parameter terminates the series; a lower parameter reaching zero under
-    a live term is a pole (PoleError).
-    """
-    _check_int("truncation", truncation)
-    upper = [as_exact(v) for v in upper]
-    lower = [as_exact(v) for v in lower]
-    term = total = Fraction(1)
-    for k in range(truncation):
-        num = term * math.prod(u + k for u in upper)
-        if num == 0:
-            break
-        den = (k + 1) * math.prod(l + k for l in lower)
-        if den == 0:
-            raise PoleError(f"lower parameter hits zero at term {k + 1}")
-        term = num / den
-        total += term
-    return total
-
-
 def _q_exact(m1: int, m2: int, pt, rho, half, terminating: bool, gap_error) -> Fraction:
     """q_rank2 (terminating, half = d/2) or q_rank2_partial_d2 (half = 1) past
     their shared checks, in integers over one denominator D of rho, pt, half:
     the prefactor over D^(4 m2 + 2M), M = m1 - m2, and the sum as a running
-    numerator over the product of its term ratios' denominators, stopping and
-    raising where hyp_sum does; gap_error(rho1, rho2) if rho1 - rho2 != half."""
+    numerator over the product of its term ratios' denominators. The sum stops
+    at its first zero term, where an upper parameter that is a nonpositive
+    integer ends the series, and raises PoleError where a lower parameter
+    reaches zero under a live term; gap_error(rho1, rho2) if
+    rho1 - rho2 != half."""
     _check_int("m2", m2)
     _check_int("m1 - m2", m1 - m2)
     _check_length(pt, 2)
@@ -112,8 +87,10 @@ def _q_exact(m1: int, m2: int, pt, rho, half, terminating: bool, gap_error) -> F
 
 def q_rank2(m1: int, m2: int, pt, d: int, rho):
     """Closed hypergeometric form of the signed rank-2 value: the prefactor
-    (alpha±x1)_{m2} (alpha±x2)_{m2} (m2+rho1±x1)_M, M = m1 - m2, times
-    hyp_sum((-M, m2+alpha±x2, d/2), (1-M-d/2, m2+rho1±x1), M), in integers.
+    (alpha±x1)_{m2} (alpha±x2)_{m2} (m2+rho1±x1)_M, M = m1 - m2, times the
+    terminating sum over k <= M of
+    (-M)_k (m2+alpha±x2)_k (d/2)_k / ((1-M-d/2)_k (m2+rho1±x1)_k k!), in
+    integers.
 
     Requires rho1 - rho2 = d/2 (the rank-2 parameter dictionary with
     alpha = rho2). Exact on rational points.
@@ -321,22 +298,6 @@ def _R_enclosure(u, l, s):
         if k0 >= _ENCLOSURE_MAX:
             return value, radius
         k0 *= 2
-
-
-def R_closed_form_b0(pt) -> float:
-    """Gamma-quotient value of the boundary series for the b=0, d=2 pair
-    rho = (3/2, 1/2). A pole of a denominator Gamma gives 0.0; one of
-    Gamma(rho1 +- x1), where the series has its pole, raises PoleError."""
-    _check_length(pt, 2)
-    x1, x2 = map(float, pt)
-    r1, r2 = 1.5, 0.5
-    den_args = [
-        (r1 + r2 + x1 + x2) / 2.0,
-        (r1 + r2 + x1 - x2) / 2.0,
-        (r1 + r2 - x1 + x2) / 2.0,
-        (r1 + r2 - x1 - x2) / 2.0,
-    ]
-    return math.pi / 2.0 * _gamma_quotient((r1 + x1, r1 - x1), den_args)
 
 
 def R_midpoint_telescoped(b: int) -> float:

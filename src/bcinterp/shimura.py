@@ -183,6 +183,12 @@ def in_A_certified(pt, p: Params, max_weight: int) -> Verdict:
     return Verdict(lam is None, lam, max_weight)
 
 
+def _check_rank2(p: Params) -> None:
+    """ArgumentError unless p is of rank 2, the rank of every raster."""
+    if p.n != 2:
+        raise ArgumentError(f"a raster needs rank 2, got n = {p.n}")
+
+
 def _band_tables(band, degree, q2: int, a2s, squares, below):
     """One band of signed sums made ready for _raster over its axis:
     (ranks, tables). ranks[i] is the block of axis position i among the
@@ -218,8 +224,7 @@ def _raster(axis, p: Params, bands, degree):
     needs it. Cells with the same outcome share one Verdict: one for
     membership and one per sum.
     """
-    if p.n != 2:
-        raise ArgumentError(f"a raster needs rank 2, got n = {p.n}")
+    _check_rank2(p)
     q2, a2s = _scaled_axis(axis)
     member = Verdict(True, None, degree)
     order = sorted(range(len(a2s)), key=a2s.__getitem__)
@@ -339,8 +344,7 @@ def in_square_raster(axis, p: Params):
     """in_square on the rank-2 raster of an ascending exact axis: yields,
     for each i, [in_square((axis[i], axis[j]), p) for j <= i]. A row with
     0 <= x1 <= alpha holds the cells with x2 >= 0; any other row is empty."""
-    if p.n != 2:
-        raise ArgumentError(f"a raster needs rank 2, got n = {p.n}")
+    _check_rank2(p)
     q, nums = _ascending_axis(axis)
     lo = bisect_left(nums, 0)
     hi = bisect_right(nums, p.alpha.numerator * q // p.alpha.denominator)  # x1 <= alpha

@@ -16,7 +16,6 @@ from bcinterp import (
     ArgumentError,
     GroupData,
     Params,
-    R_closed_form_b0,
     R_midpoint_telescoped,
     R_series,
     Rank2Regions,
@@ -29,9 +28,7 @@ from bcinterp import (
     det_formula_tau1,
     enumerate_Lambda,
     gamma_ratio_partial,
-    gen_pochhammer,
     group_params,
-    hyp_sum,
     in_A_certified,
     in_A_raster,
     in_B,
@@ -48,7 +45,6 @@ from bcinterp import (
     okounkov_eval,
     okounkov_expand,
     phi_j,
-    poch_rising,
     q_poly,
     q_rank2,
     q_rank2_partial_d2,
@@ -62,7 +58,8 @@ from bcinterp import (
     trace_contour,
     verify_characterization,
 )
-from bcinterp.cli import main
+from bcinterp.cli import _parse_group, main
+from test_rank2 import R_closed_form_b0, hyp_sum, poch_pm, poch_rising
 
 F = Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -72,8 +69,9 @@ P3 = group_params(GroupData(3, 2, 1))
 RHO = (F(3, 2), F(1, 2))
 RHO_D2 = (F(7, 4), F(3, 4))  # rho1 - rho2 = 1 = d/2 for d = 2
 
-# Every public function that takes a point, as a function of the point and
-# the rank it expects; "rho" entries take rho, the pair the series lives on.
+# Every public function that takes a point, and the float reference of
+# R_series in test_rank2, as a function of the point and the rank it
+# expects; "rho" entries take rho, the pair the series lives on.
 POINT_TAKERS = {
     "okounkov_eval": (lambda pt: okounkov_eval((1,), pt, P3), 3),
     "q_poly": (lambda pt: q_poly((1,), pt, P2), 2),
@@ -133,7 +131,16 @@ def test_a_partition_with_too_many_parts_is_a_domain_error(name):
         PARTITION_TAKERS[name]([1, 1, 1, 0])
 
 
-# Every integer index of the public functions, as (index name, lowest value,
+@pytest.mark.parametrize("name", sorted(PARTITION_TAKERS))
+@pytest.mark.parametrize("parts, want", [([2, 1.5], "non-integer part 1.5"), ([2, -1], "[2, -1]")],
+                         ids=["non-integer", "negative"])
+def test_a_partition_has_nonnegative_integer_parts(name, parts, want):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(f'not a partition: {want}')}$"):
+        PARTITION_TAKERS[name](parts)
+
+
+# Every integer index of the public functions, and of the Pochhammer and
+# hypergeometric references in test_rank2, as (index name, lowest value,
 # function of the index).
 INDEX_TAKERS = [
     ("m", 0, lambda m: s_m(0.5, m)),
@@ -167,7 +174,7 @@ INDEX_TAKERS = [
     ("d", 0, lambda d: interpolate_from_values({}, d, P2)),
     ("n", 0, lambda n: next(reverse_tableaux((1,), n))),
     ("k", 0, lambda k: poch_rising(F(1, 2), k)),
-    ("k", 0, lambda k: gen_pochhammer(F(1, 2), (k,), 2)),
+    ("k", 0, lambda k: poch_pm(F(1, 2), F(1, 4), k)),
     ("truncation", 0, lambda t: hyp_sum((1,), (2,), t)),
     ("terms", 0, lambda t: gamma_ratio_partial(1, 1, 1, 1, t)),
     ("m2", 0, lambda m2: q_rank2(2, m2, (1, F(1, 2)), 2, RHO_D2)),
@@ -226,7 +233,8 @@ def _message(f):
     return str(info.value)
 
 
-# A CLI usage error and the library call that breaks the same rule.
+# A CLI usage error and the library call that breaks the same rule, or the
+# CLI's own parser where the rule is the CLI's (the three integers of --group).
 CLI_USAGE = [
     (["eval", "--n", "2", "--tau", "1", "--alpha", "1/2", "--lambda", "3,2,1", "--x", "1,2"],
      lambda: okounkov_eval((3, 2, 1), (1, 2), Params(2, 1, F(1, 2)))),
@@ -245,6 +253,7 @@ CLI_USAGE = [
     (["region", "--kind", "rank2-B", "--group", "2,0,1"], lambda: in_B((F(1, 2), F(1, 4)), 0, RHO)),
     (["contour", "--m", "0", "--grid", "8"], lambda: trace_contour(0, 8)),
     (["eigenvalue", "--group", "0,1,0", "--mu", "1", "--x", "1"], lambda: GroupData(0, 1, 0)),
+    (["eigenvalue", "--group", "2,x,1", "--mu", "1", "--x", "1,2"], lambda: _parse_group("2,x,1", 0)),
 ]
 
 
@@ -263,7 +272,7 @@ def test_each_rule_is_written_once():
         with open(path) as fh:
             source += fh.read()
     for rule in ("point has length {", "has more than n = {", "integer ({name} >= {low})", "guarded to weight <= {",
-                 "column height {"):
+                 "column height {", "a raster needs rank 2"):
         assert source.count(rule) == 1, rule
     assert re.findall(r"need [\w-]+ >= \d|(?:nonnegative|positive) integer, got", source) == []
 

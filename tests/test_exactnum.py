@@ -2,8 +2,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from bcinterp.exactnum import (
     DomainError,
@@ -11,59 +9,9 @@ from bcinterp.exactnum import (
     _ascending_axis,
     _gamma_quotient,
     as_exact,
-    gen_pochhammer,
     is_exact,
     log_gamma,
-    poch_pm,
-    poch_rising,
 )
-
-small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-
-
-def test_rising_basic():
-    assert poch_rising(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
-    assert poch_rising(5, 0) == 1
-    assert poch_rising(-2, 4) == 0
-
-
-def test_rising_rejects_negative_k():
-    with pytest.raises(DomainError):
-        poch_rising(1, -1)
-
-
-@given(small_fractions, st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))
-def test_rising_splits_at_any_point(a, j, k):
-    assert poch_rising(a, j + k) == poch_rising(a, j) * poch_rising(a + j, k)
-
-
-def test_poch_pm_is_two_sided():
-    a, x = Fraction(3, 2), Fraction(1, 3)
-    assert poch_pm(a, x, 2) == poch_rising(a + x, 2) * poch_rising(a - x, 2)
-    assert poch_pm(a, x, 0) == 1
-
-
-def test_gen_pochhammer_single_row_reduces_to_rising():
-    a = Fraction(5, 4)
-    for d in (1, 2, 3):
-        assert gen_pochhammer(a, (3,), d) == poch_rising(a, 3)
-
-
-def test_gen_pochhammer_two_rows():
-    # second row is shifted down by d/2
-    a = Fraction(2)
-    got = gen_pochhammer(a, (2, 1), 3)
-    assert got == poch_rising(a, 2) * poch_rising(a - Fraction(3, 2), 1)
-
-
-def test_gen_pochhammer_empty():
-    assert gen_pochhammer(Fraction(1, 3), (), 2) == 1
-
-
-def test_floats_pass_through():
-    v = poch_rising(0.5, 2)
-    assert isinstance(v, float)
-    assert v == pytest.approx(0.75)
 
 
 def test_log_gamma_matches_math_gamma():

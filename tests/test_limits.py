@@ -205,6 +205,13 @@ def test_s_m_values_and_zeros():
         s_m(0.5, -1)
 
 
+def test_s_m_and_s_m_prime_have_poles_at_minus_one_to_minus_m():
+    for f in (s_m, s_m_prime):
+        for t in (-1, -3.0):
+            with pytest.raises(PoleError, match="is a zero of the denominator$"):
+                f(t, 3)
+
+
 def test_s_m_prime_at_one():
     for m in range(5):
         assert abs(s_m_prime(1.0, m) + math.pi / math.factorial(m + 1)) < 1e-12

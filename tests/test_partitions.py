@@ -194,6 +194,11 @@ def test_reverse_tableaux_match_the_cell_by_cell_reference():
                 assert t == ReverseTableau(lam, t.rows) and t.shape == ReverseTableau(lam, t.rows).shape
 
 
+def test_a_filling_must_match_its_shape():
+    with pytest.raises(DomainError, match="^filling does not match the shape$"):
+        ReverseTableau((2, 1), ((2, 1),))
+
+
 # ---------------------------------------------------------------- weights
 
 

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from bcinterp import rank2, shimura
 from bcinterp.cli import main
-from bcinterp.exactnum import SIGN_DEADBAND, DomainError, PoleError, _over_common, poch_pm
+from bcinterp.exactnum import (SIGN_DEADBAND, DomainError, PoleError, _check_int, _check_length, _gamma_quotient,
+                               _over_common, as_exact)
 from bcinterp.okounkov import Params
 from bcinterp.rank2 import (
     Rank2Regions,
-    R_closed_form_b0,
     R_midpoint_telescoped,
     R_series,
-    hyp_sum,
     in_B,
     in_B_raster,
     q_rank2,
@@ -26,7 +25,82 @@ from bcinterp.shimura import q_poly
 RHO_SU22 = (Fraction(3, 2), Fraction(1, 2))
 
 
-# ---------------------------------------------------------------- hyp_sum
+# ---------------------------------------------------------------- references
+# The Fraction and float references of q_rank2 and R_series, written apart
+# from the integer kernels they check; each keeps the library's argument
+# rules, so a bad argument fails here as it does there.
+
+
+def poch_rising(a, k: int):
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1); empty product for k = 0."""
+    _check_int("k", k)
+    return math.prod(a + i for i in range(k))
+
+
+def poch_pm(a, x, k: int):
+    """The symmetric product (a+x)_k (a-x)_k."""
+    return poch_rising(a + x, k) * poch_rising(a - x, k)
+
+
+def hyp_sum(upper, lower, truncation: int) -> Fraction:
+    """The terminating hypergeometric sum at unit argument
+    sum_{k <= truncation} prod(upper)_k / (prod(lower)_k k!), in exact
+    arithmetic: every parameter must be exact and truncation a nonnegative
+    integer, or ArgumentError is raised.
+
+    The sum stops at its first zero term, where a nonpositive-integer upper
+    parameter terminates the series; a lower parameter reaching zero under
+    a live term is a pole (PoleError).
+    """
+    _check_int("truncation", truncation)
+    upper = [as_exact(v) for v in upper]
+    lower = [as_exact(v) for v in lower]
+    term = total = Fraction(1)
+    for k in range(truncation):
+        num = term * math.prod(u + k for u in upper)
+        if num == 0:
+            break
+        den = (k + 1) * math.prod(l + k for l in lower)
+        if den == 0:
+            raise PoleError(f"lower parameter hits zero at term {k + 1}")
+        term = num / den
+        total += term
+    return total
+
+
+def R_closed_form_b0(pt) -> float:
+    """Gamma-quotient value of the boundary series for the b=0, d=2 pair
+    rho = (3/2, 1/2) (Whipple's sum). A pole of a denominator Gamma gives
+    0.0; one of Gamma(rho1 +- x1), where the series has its pole, raises
+    PoleError."""
+    _check_length(pt, 2)
+    x1, x2 = map(float, pt)
+    r1, r2 = 1.5, 0.5
+    den_args = [
+        (r1 + r2 + x1 + x2) / 2.0,
+        (r1 + r2 + x1 - x2) / 2.0,
+        (r1 + r2 - x1 + x2) / 2.0,
+        (r1 + r2 - x1 - x2) / 2.0,
+    ]
+    return math.pi / 2.0 * _gamma_quotient((r1 + x1, r1 - x1), den_args)
+
+
+def test_rising_basic():
+    assert poch_rising(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
+    assert poch_rising(5, 0) == 1
+    assert poch_rising(-2, 4) == 0
+
+
+@given(st.fractions(min_value=-6, max_value=6, max_denominator=4), st.integers(min_value=0, max_value=5),
+       st.integers(min_value=0, max_value=5))
+def test_rising_splits_at_any_point(a, j, k):
+    assert poch_rising(a, j + k) == poch_rising(a, j) * poch_rising(a + j, k)
+
+
+def test_poch_pm_is_two_sided():
+    a, x = Fraction(3, 2), Fraction(1, 3)
+    assert poch_pm(a, x, 2) == poch_rising(a + x, 2) * poch_rising(a - x, 2)
+    assert poch_pm(a, x, 0) == 1
 
 
 def test_truncated_sum_is_exact():
