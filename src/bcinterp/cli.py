@@ -16,21 +16,19 @@ and writes the text, once for every subcommand.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 from .exactnum import ArgumentError, DomainError, _check_int, _exact_str
 from .limits import (
+    _W_runs,
     _gamma_enclosure,
     contour_to_csv,
     crossing_equation,
     crossing_point,
     gamma_ratio_identity,
-    in_W_raster,
     r_limit,
     r_partial,
     s_m,
@@ -50,17 +48,8 @@ from .okounkov import (
     verify_characterization,
 )
 from .partitions import enumerate_Lambda, format_partition, parse_partition
-from .rank2 import R_midpoint_telescoped, R_series, in_B_raster, q_rank2, q_rank2_partial_d2
-from .shimura import (
-    GroupData,
-    Verdict,
-    group_params,
-    in_A_raster,
-    in_G_raster,
-    in_square_raster,
-    in_U0_raster,
-    shimura_eigenvalue,
-)
+from .rank2 import R_midpoint_telescoped, R_series, _B_runs, q_rank2, q_rank2_partial_d2
+from .shimura import GroupData, Verdict, _A_runs, _G_runs, _square_runs, _U0_runs, group_params, shimura_eigenvalue
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -269,15 +258,16 @@ def cmd_verify(args):
 
 def _region_window(args):
     """Window half-width rho1 + 1 and the rows of the raster for a kind: a
-    function of the axis that yields, for each i, the cells (a bool or a
-    Verdict) at (axis[i], axis[j]) for j <= i.
+    function of the axis that yields, for each i, row i in run form
+    (exactnum._cells), the runs (stop, outcome) of the cells at
+    (axis[i], axis[j]) for j <= i, each outcome a bool or a Verdict.
 
-    Every kind comes a row at a time from a raster generator: A and G from
-    the raster kernel in shimura, rank2-B from in_B_raster, which takes its
-    gates from the G rows, and square, U0 and W from the row-range rasters,
-    which bound each row's members by exact bisection on the axis. The
-    raster is two-dimensional, so every kind that takes a group needs a
-    rank-2 one.
+    Every kind comes a row at a time from the run generator behind its
+    public raster: A and G from the raster kernel in shimura, rank2-B from
+    that of in_B_raster, which takes its gates from the G rows, and square,
+    U0 and W from the row-range rasters, which bound each row's members by
+    exact bisection on the axis. The raster is two-dimensional, so every
+    kind that takes a group needs a rank-2 one.
     """
     kind = args.kind
     if kind != "A" and args.max_weight is not None:
@@ -288,7 +278,7 @@ def _region_window(args):
         if args.m is None:
             raise ArgumentError("--m is required for kind W")
         m = args.m
-        return Fraction(m + 1, 2) + 2, lambda axis: in_W_raster(axis, m)
+        return Fraction(m + 1, 2) + 2, lambda axis: _W_runs(axis, m)
     if args.m is not None:
         raise ArgumentError(f"--m is for kind W only, not for kind {kind}")
     if args.group is None:
@@ -313,11 +303,11 @@ def _region_window(args):
         # forces x2^2 >= rho2^2, and then phi_1 = rho1^2 + rho2^2 - x1^2 - x2^2 < 0.
         raise ArgumentError(f"kind rank2-B needs alpha >= -d/4, got alpha = {prm.alpha} for d = {g.d}")
     rows = {
-        "G": lambda axis: in_G_raster(axis, prm),
-        "A": lambda axis: in_A_raster(axis, prm, 6 if args.max_weight is None else args.max_weight),
-        "square": lambda axis: in_square_raster(axis, prm),
-        "U0": lambda axis: in_U0_raster(axis, g.b),
-        "rank2-B": lambda axis: in_B_raster(axis, g.d, rho),
+        "G": lambda axis: _G_runs(axis, prm),
+        "A": lambda axis: _A_runs(axis, prm, 6 if args.max_weight is None else args.max_weight),
+        "square": lambda axis: _square_runs(axis, prm),
+        "U0": lambda axis: _U0_runs(axis, g.b),
+        "rank2-B": lambda axis: _B_runs(axis, g.d, rho),
     }
     return rho[0] + 1, rows[kind]
 
@@ -339,25 +329,28 @@ def cmd_region(args):
     den = top.denominator * (args.grid - 1)
     nums = [top.numerator * i for i in range(args.grid)]
     labels = [f"{a / den:.12g}" for a in nums]
-    if args.kind in ("G", "A"):
-        # a raster repeats a few distinct Verdicts, so each (member,
-        # witness) is formatted once
-        texts, ys = {}, [y + "," for y in labels]
+    # a raster repeats a few distinct outcomes, so each one's column texts
+    # "y,member,witness" are made once, the first time it appears: a
+    # Verdict's (member, witness) formatted once by _cell, a bool as its
+    # member column
+    texts, ys = {}, [y + "," for y in labels]
 
-        def text(v):
-            key = v.member, v.witness
-            if key not in texts:
-                texts[key] = _cell(v)
-            return texts[key]
+    def columns(outcome):
+        key = outcome if outcome.__class__ is bool else (outcome.member, outcome.witness)
+        cols = texts.get(key)
+        if cols is None:
+            cell = ("1," if outcome else "0,") if key is outcome else _cell(outcome)
+            cols = texts[key] = [y + cell for y in ys]
+        return cols
 
-        def cells(row):
-            return map(operator.add, ys, map(text, row))
-    else:
-        # a bool cell indexes its column's pair of lines
-        cells = functools.partial(map, operator.getitem, [(y + ",0,", y + ",1,") for y in labels])
-    # a row is one join of its cells "y,member,witness" under its head "x,"
-    lines = [head + ("\n" + head).join(cells(row))
-             for head, row in zip([x + "," for x in labels], rows([Fraction(a, den) for a in nums]))]
+    # a row is one join, under its head "x,", of the slices of its runs
+    lines = []
+    for head, runs in zip([x + "," for x in labels], rows([Fraction(a, den) for a in nums])):
+        cells, start = [], 0
+        for stop, outcome in runs:
+            cells += columns(outcome)[start:stop]
+            start = stop
+        lines.append(head + ("\n" + head).join(cells))
     return "x,y,member,witness\n" + "\n".join(lines) + "\n", 0
 
 

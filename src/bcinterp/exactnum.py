@@ -146,6 +146,61 @@ def _ascending_axis(axis):
     return q, nums
 
 
+# A raster row i is a list of its maximal runs (stop, outcome): the stops
+# strictly increase and end at i + 1, and run k holds the cells from the
+# stop before it (0 for the first) up to its own, with one outcome, unequal
+# to that of the runs beside it. The public rasters expand rows by _cells.
+
+
+def _cells(runs):
+    """The row of cells that runs stand for, one outcome per cell."""
+    cells, start = [], 0
+    for stop, outcome in runs:
+        cells += [outcome] * (stop - start)
+        start = stop
+    return cells
+
+
+def _add_run(runs, stop, outcome) -> None:
+    """Append the run (stop, outcome) to runs, or move the stop of the last
+    run to stop where it has that outcome: the same object, since the cells
+    of a raster share their outcomes (bools, and one Verdict per outcome)."""
+    if runs and runs[-1][1] is outcome:
+        runs[-1] = (stop, outcome)
+    else:
+        runs.append((stop, outcome))
+
+
+def _span_runs(n: int, spans, gap):
+    """The runs of a row of n cells from spans, tuples (lo, hi, outcome):
+    taken by lo, each gives outcome to its cells lo..hi - 1 that no span
+    before it holds, and the cells no span holds have the outcome gap."""
+    runs, at = [], 0  # the runs so far hold the cells below at
+    for lo, hi, outcome in sorted(spans, key=operator.itemgetter(0)):
+        if hi > max(lo, at):
+            if lo > at:
+                _add_run(runs, lo, gap)
+            _add_run(runs, hi, outcome)
+            at = hi
+    if at < n:
+        _add_run(runs, n, gap)
+    return runs
+
+
+def _add_flag_runs(runs, start: int, flags: bytes) -> None:
+    """Append to runs the cells start, start + 1, ... whose outcomes are
+    the bools flags (bytes of 0 and 1), one run per maximal stretch of
+    equal flags, each stretch found by one bytes.find."""
+    k, n = 0, len(flags)
+    while k < n:
+        flag = flags[k]
+        stop = flags.find(1 - flag, k)
+        if stop < 0:
+            stop = n
+        _add_run(runs, start + stop, flag == 1)
+        k = stop
+
+
 def log_gamma(t) -> tuple[float, int]:
     """log |Gamma(t)| together with the sign of Gamma(t).
 

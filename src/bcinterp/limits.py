@@ -11,8 +11,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import (SIGN_DEADBAND, ArgumentError, DomainError, Frozen, PoleError, _ascending_axis, _check_int,
-                       _exact_point, _gamma_quotient, is_exact)
+from .exactnum import (SIGN_DEADBAND, ArgumentError, DomainError, Frozen, PoleError, _add_flag_runs, _ascending_axis,
+                       _cells, _check_int, _exact_point, _gamma_quotient, is_exact)
 
 __all__ = [
     "ContourPolyline",
@@ -205,6 +205,25 @@ def in_W(pt, m: int) -> bool:
     return S_div(float(x1) - falpha, float(x2) - falpha, m) >= -SIGN_DEADBAND
 
 
+def _W_runs(axis, m: int):
+    """The rows of in_W_raster in run form (exactnum._cells): the signs
+    of a row's cells from alpha on are one bytes object, cut into runs by
+    bytes.find."""
+    _, _, falpha = _W_constants(m)
+    q, nums = _ascending_axis(axis)
+    lo, hi = bisect_left(nums, -(-(m + 1) * q // 2)), bisect_right(nums, (m + 3) * q // 2)
+    ts = [a / q - falpha for a in nums[lo:hi]]
+    s_at = _s_table(ts, m)
+    for i in range(len(nums)):
+        if lo <= i < hi:
+            xf = ts[i - lo]
+            runs = [(lo, False)] if lo else []
+            _add_flag_runs(runs, lo, bytes([_div_diff(xf, yf, m, s_at) >= -SIGN_DEADBAND for yf in ts[: i - lo + 1]]))
+            yield runs
+        else:
+            yield [(i + 1, False)]
+
+
 def in_W_raster(axis, m: int):
     """in_W on the raster of an ascending exact axis: yields, for each i,
     [in_W((axis[i], axis[j]), m) for j <= i].
@@ -217,17 +236,7 @@ def in_W_raster(axis, m: int):
     once: the float operations of in_W, so the same flags. Every other row
     is empty.
     """
-    _, _, falpha = _W_constants(m)
-    q, nums = _ascending_axis(axis)
-    lo, hi = bisect_left(nums, -(-(m + 1) * q // 2)), bisect_right(nums, (m + 3) * q // 2)
-    ts = [a / q - falpha for a in nums[lo:hi]]
-    s_at = _s_table(ts, m)
-    for i in range(len(nums)):
-        if lo <= i < hi:
-            xf = ts[i - lo]
-            yield [False] * lo + [_div_diff(xf, yf, m, s_at) >= -SIGN_DEADBAND for yf in ts[: i - lo + 1]]
-        else:
-            yield [False] * (i + 1)
+    yield from map(_cells, _W_runs(axis, m))
 
 
 def in_G0_rank2(pt, m: int) -> bool:

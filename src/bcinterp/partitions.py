@@ -41,8 +41,11 @@ def normalize(parts) -> tuple[int, ...]:
     """
     out = []
     for p in parts:
-        q = int(p)
-        if q != p:
+        try:
+            q = int(p)
+        except (TypeError, ValueError, OverflowError):  # None, 'a', nan, inf
+            q = None
+        if q is None or q != p:
             raise ArgumentError(f"not a partition: non-integer part {p!r}")
         out.append(q)
     for a, b in zip(out, out[1:]):

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import ArgumentError, Frozen, _ascending_axis, _check_int, _exact_point
+from .exactnum import ArgumentError, Frozen, _ascending_axis, _cells, _check_int, _exact_point, _span_runs
 from .okounkov import (
     Params,
     _block_certs,
@@ -203,10 +203,12 @@ def _band_tables(band, degree, q2: int, a2s, squares, below):
 
 
 def _raster(axis, p: Params, bands, degree):
-    """Yield, for i = 0, 1, ..., the row [Verdict at (axis[i], axis[j]) for
-    j <= i] of the rank-2 sign test over the signed sums of bands, an
-    iterable of tuples (key, sign, compiled terms) taken in order, that
-    _first_negative makes, for exact axis values.
+    """Build, for i = 0, 1, ..., row i of the rank-2 sign test at
+    (axis[i], axis[j]), j <= i, for exact axis values, over the signed sums
+    of bands, an iterable of tuples (key, sign, compiled terms) taken in
+    order, that _first_negative makes. A row is yielded as its maximal runs
+    (stop, Verdict) (the run form of exactnum._cells), never as one Verdict
+    per cell; in_G_raster and in_A_raster expand the runs to cells.
 
     The raster shares one denominator Q. A row's cells are int bitmasks
     over the axis positions: pending (no sum has failed there yet; row i
@@ -221,8 +223,10 @@ def _raster(axis, p: Params, bands, degree):
     of degree one by one bisection of the squares (okounkov._degree_one_fails),
     any other by one integer dot product per cell of w with the cell's x2
     node row, built at most once per axis position, when a cell first
-    needs it. Cells with the same outcome share one Verdict: one for
-    membership and one per sum.
+    needs it. Each run of set bits of a failed mask is a run of the sum's
+    Verdict, and the gaps between those runs are membership runs. Cells
+    with the same outcome share one Verdict: one for membership and one per
+    sum.
     """
     _check_rank2(p)
     q2, a2s = _scaled_axis(axis)
@@ -266,28 +270,38 @@ def _raster(axis, p: Params, bands, degree):
                     pending ^= failed
                     if not pending:
                         break
-        cells = [member] * (i + 1)
+        spans = []  # (lo, hi, verdict) for each run of set bits of a failed mask
         for verdict, failed in fails:
-            while failed:  # one slice per run of set bits
+            while failed:
                 lo = (failed & -failed).bit_length() - 1
                 run = failed >> lo
                 hi = lo + (run ^ (run + 1)).bit_length() - 1
-                cells[lo:hi] = [verdict] * (hi - lo)
+                spans.append((lo, hi, verdict))
                 failed = failed >> hi << hi
-        yield cells
+        yield _span_runs(i + 1, spans, member)
+
+
+def _G_runs(axis, p: Params):
+    """The rows of in_G_raster in run form."""
+    yield from _raster(axis, p, (_signed_columns(p),), p.n)
 
 
 def in_G_raster(axis, p: Params):
     """in_G on the rank-2 raster of an exact axis: yields, for each i,
     [in_G((axis[i], axis[j]), p) for j <= i]."""
-    yield from _raster(axis, p, (_signed_columns(p),), p.n)
+    yield from map(_cells, _G_runs(axis, p))
+
+
+def _A_runs(axis, p: Params, max_weight: int):
+    """The rows of in_A_raster in run form."""
+    _check_int("max_weight", max_weight, 1)
+    yield from _raster(axis, p, (_signed_band(p, k) for k in range(1, max_weight + 1)), max_weight)
 
 
 def in_A_raster(axis, p: Params, max_weight: int):
     """in_A_certified on the rank-2 raster of an exact axis: yields, for
     each i, [in_A_certified((axis[i], axis[j]), p, max_weight) for j <= i]."""
-    _check_int("max_weight", max_weight, 1)
-    yield from _raster(axis, p, (_signed_band(p, k) for k in range(1, max_weight + 1)), max_weight)
+    yield from map(_cells, _A_runs(axis, p, max_weight))
 
 
 def in_square(pt, p: Params) -> bool:
@@ -337,22 +351,42 @@ def in_U0_knapp_speh(pt, b: int) -> bool:
 # The row-range rasters below take an ascending exact axis, so x2 <= x1 in
 # every cell, and each remaining constraint bounds x2 on one side along a
 # row: a row's members are one index range of the axis, found by exact
-# bisection, plus (for U0) a few isolated segment points.
+# bisection, plus (for U0) a few isolated segment points. Each row is built
+# as runs (exactnum._cells) from these index ranges by exactnum._span_runs.
+
+
+def _square_runs(axis, p: Params):
+    """The rows of in_square_raster in run form."""
+    _check_rank2(p)
+    q, nums = _ascending_axis(axis)
+    lo = bisect_left(nums, 0)
+    hi = bisect_right(nums, p.alpha.numerator * q // p.alpha.denominator)  # x1 <= alpha
+    for i in range(len(nums)):
+        yield _span_runs(i + 1, [(lo, i + 1, True)] if lo <= i < hi else [], False)
 
 
 def in_square_raster(axis, p: Params):
     """in_square on the rank-2 raster of an ascending exact axis: yields,
     for each i, [in_square((axis[i], axis[j]), p) for j <= i]. A row with
     0 <= x1 <= alpha holds the cells with x2 >= 0; any other row is empty."""
-    _check_rank2(p)
+    yield from map(_cells, _square_runs(axis, p))
+
+
+def _U0_runs(axis, b: int):
+    """The rows of in_U0_raster in run form."""
+    _check_int("b", b)
     q, nums = _ascending_axis(axis)
     lo = bisect_left(nums, 0)
-    hi = bisect_right(nums, p.alpha.numerator * q // p.alpha.denominator)  # x1 <= alpha
-    for i in range(len(nums)):
-        if lo <= i < hi:
-            yield [False] * lo + [True] * (i + 1 - lo)
-        else:
-            yield [False] * (i + 1)
+    top = bisect_right(nums, (b + 1) * q // 2)  # x1 <= rho2
+    for i, x1 in enumerate(nums):
+        n = i + 1
+        if not lo <= i < top:
+            yield [(n, False)]
+            continue
+        bound, segments = _u0_row(x1, b, q)
+        spans = [(lo, bisect_right(nums, bound, 0, n), True)]
+        spans += [(bisect_left(nums, x2, 0, n), bisect_right(nums, x2, 0, n), True) for x2 in segments]
+        yield _span_runs(n, spans, False)
 
 
 def in_U0_raster(axis, b: int):
@@ -361,19 +395,4 @@ def in_U0_raster(axis, b: int):
     In a row with 0 <= x1 <= rho2 the members are the cells with
     0 <= x2 <= the row's bound, plus the cells on its segments (_u0_row).
     """
-    _check_int("b", b)
-    q, nums = _ascending_axis(axis)
-    lo = bisect_left(nums, 0)
-    top = bisect_right(nums, (b + 1) * q // 2)  # x1 <= rho2
-    for i, x1 in enumerate(nums):
-        n = i + 1
-        if not lo <= i < top:
-            yield [False] * n
-            continue
-        bound, segments = _u0_row(x1, b, q)
-        hi = max(lo, bisect_right(nums, bound, 0, n))
-        row = [False] * lo + [True] * (hi - lo) + [False] * (n - hi)
-        for x2 in segments:
-            for k in range(bisect_left(nums, x2, 0, n), bisect_right(nums, x2, 0, n)):
-                row[k] = True
-        yield row
+    yield from map(_cells, _U0_runs(axis, b))

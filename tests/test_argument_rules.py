@@ -6,6 +6,7 @@ it enters; the CLI reports it as a usage error (exit 2) and keeps no copy of
 a library check."""
 
 import glob
+import math
 import os
 import re
 from fractions import Fraction
@@ -132,8 +133,10 @@ def test_a_partition_with_too_many_parts_is_a_domain_error(name):
 
 
 @pytest.mark.parametrize("name", sorted(PARTITION_TAKERS))
-@pytest.mark.parametrize("parts, want", [([2, 1.5], "non-integer part 1.5"), ([2, -1], "[2, -1]")],
-                         ids=["non-integer", "negative"])
+@pytest.mark.parametrize("parts, want", [
+    ([2, 1.5], "non-integer part 1.5"), ([2, -1], "[2, -1]"), (["a"], "non-integer part 'a'"),
+    ([math.nan], "non-integer part nan"), ([None], "non-integer part None"), ([math.inf], "non-integer part inf"),
+], ids=["non-integer", "negative", "text", "nan", "None", "inf"])
 def test_a_partition_has_nonnegative_integer_parts(name, parts, want):
     with pytest.raises(ArgumentError, match=f"^{re.escape(f'not a partition: {want}')}$"):
         PARTITION_TAKERS[name](parts)

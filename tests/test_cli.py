@@ -13,7 +13,7 @@ import pytest
 import bcinterp.cli as cli
 import bcinterp.rank2 as rank2
 import bcinterp.shimura as shimura
-from bcinterp.exactnum import ArgumentError, DomainError
+from bcinterp.exactnum import ArgumentError, DomainError, _cells
 from bcinterp.cli import main
 from bcinterp.partitions import format_partition
 from bcinterp.limits import in_W
@@ -410,14 +410,15 @@ def test_region_rank2_B_rejects_d_3_and_up(capsys):
 
 
 def _per_cell_csv(argv):
-    """The region CSV as the per-cell writer made it: the same rasters, and
-    one f-string and one append per cell."""
+    """The region CSV as the per-cell writer made it: the same rasters, their
+    rows expanded from runs to cells, and one f-string and one append per
+    cell."""
     args = cli._parse_args(["region", *argv])
     top, rows = cli._region_window(args)
     axis = [top * i / (args.grid - 1) for i in range(args.grid)]
     labels = [f"{float(v):.12g}" for v in axis]
     lines = ["x,y,member,witness"]
-    for label, row in zip(labels, rows(axis)):
+    for label, row in zip(labels, map(_cells, rows(axis))):
         for y, cell in zip(labels, row):
             if cell.__class__ is bool:
                 text = "1," if cell else "0,"
