@@ -39,8 +39,12 @@ def normalize(parts) -> tuple[int, ...]:
     Raises ArgumentError unless parts are integers, nonnegative, and weakly
     decreasing.
     """
+    try:
+        items = iter(parts)
+    except TypeError:  # 5, None, 2.5
+        raise ArgumentError(f"not a partition: {parts!r}") from None
     out = []
-    for p in parts:
+    for p in items:
         try:
             q = int(p)
         except (TypeError, ValueError, OverflowError):  # None, 'a', nan, inf

@@ -38,8 +38,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 _R_MAX_TERMS = 400000
 # _R_enclosure sums at least _ENCLOSURE_START terms and doubles the count
-# up to _ENCLOSURE_MAX while its interval still contains 0.
-_ENCLOSURE_START = 32
+# up to _ENCLOSURE_MAX while its interval still contains 0. Its proof holds
+# from any start K >= 1; most T2 points are signed at K = 4, and the
+# doubling goes on, through the same partial sums, where they are not.
+_ENCLOSURE_START = 4
 _ENCLOSURE_MAX = 4096
 # A shifted-cubic coefficient A - B counts as >= 0 when the computed
 # (A - B) / (A + B) is at least this (derivation in _tail_cubics_hold).
@@ -190,9 +192,13 @@ def _tail_cubics_hold(big_u, big_l, k0: int, sig: float, sig2: float) -> bool:
     g_8, so A >= A^ (1 - g_9), B <= B^ (1 + g_9) and
     A - B >= (A^ - B^) - g_9 (A^ + B^). The test reads
     fl(fl(A^ - B^) / fl(A^ + B^)) >= 16 u, which makes (A^ - B^) / (A^ + B^)
-    >= 16 u (1 - 3u) > g_9, so A - B >= 0. No value here is near underflow:
-    every factor is at least the spacing of floats near k0 >= 32. An
-    overflow gives inf / inf = nan, which fails the test.
+    >= 16 u (1 - 3u) > g_9, so A - B >= 0. Neither the margin nor this
+    argument depends on k0 >= 1. No value here is near underflow: each
+    k0 + l_i, k0 + 1 and k0 + sig is at least 1, and each k0 + u_i > 0 is
+    either at least k0/2 or, exact by Sterbenz's lemma, a nonzero multiple
+    of the spacing of floats near |u_i| > k0/2 >= 1/2, so at least 2^-53;
+    every product here stays above 2^-159. An overflow gives
+    inf / inf = nan, which fails the test.
     """
     U0, U1, U2 = big_u
     L0, L1, L2 = big_l
@@ -221,9 +227,9 @@ def _R_enclosure(u, l, s):
 
     The sum. The terms t_k, t_0 = 1, t_{k+1} = t_k P(k) / Q(k) with
     P(k) = (k+u0)(k+u1)(k+u2), Q(k) = (k+l0)(k+l1)(k+1), are summed by the
-    compensated recurrence of _R_sum, K = 32 terms t_0 .. t_{K-1} at
-    first. A zero term means a factor k + u_i was exactly 0: the series
-    terminates and the sum is the whole value.
+    compensated recurrence of _R_sum, K = _ENCLOSURE_START = 4 terms
+    t_0 .. t_{K-1} at first. A zero term means a factor k + u_i was exactly
+    0: the series terminates and the sum is the whole value.
 
     The tail. Once K + u_i > 0 for every i (K exceeds x2 - rho2), every
     t_k with k >= K has the sign of t_K, and tau_k = |t_k|. If
@@ -240,7 +246,9 @@ def _R_enclosure(u, l, s):
     ratio is K/(K + h(K)) at K, h(K) = K(Q(K) - P(K))/P(K), and tends to
     1 - s/k, so sig and sig2 are put just below and just above both h(K)
     and s. Where the cubics fail, sig <= 1, or the interval contains 0, K
-    doubles, up to 4096.
+    doubles, up to 4096; the sum goes on from t_K, so the partial sum at
+    each K is the same whatever K the doubling started from. Nothing in
+    this proof, nor in the radius below, asks more of K than K >= 1.
 
     The radius (Higham, "Accuracy and Stability of Numerical Algorithms",
     ch. 3-4; u = 2^-53, g_n = n u / (1 - n u)). A step of the recurrence

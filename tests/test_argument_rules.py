@@ -142,6 +142,13 @@ def test_a_partition_has_nonnegative_integer_parts(name, parts, want):
         PARTITION_TAKERS[name](parts)
 
 
+@pytest.mark.parametrize("name", sorted(PARTITION_TAKERS))
+@pytest.mark.parametrize("parts", [5, None, 2.5], ids=["int", "None", "float"])
+def test_a_partition_is_a_sequence_of_parts(name, parts):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(f'not a partition: {parts!r}')}$"):
+        PARTITION_TAKERS[name](parts)
+
+
 # Every integer index of the public functions, and of the Pochhammer and
 # hypergeometric references in test_rank2, as (index name, lowest value,
 # function of the index).

@@ -508,12 +508,45 @@ def test_R_enclosure_contains_R_series_in_T2():
     assert checked > 150
 
 
+def test_R_enclosure_signs_every_T2_point_as_a_start_of_32_does(monkeypatch):
+    # the proof holds from any start K >= 1, and a start of 32 reaches the
+    # same partial sums later: both enclosures contain R and decide alike
+    starts = (rank2._ENCLOSURE_START, 32)
+    checked = 0
+    for d, b in GROUPS_DB:
+        for fpt, frho in _T2_series_points(d, b):
+            args = _series_parameters(fpt, d, frho)
+            ref = R_series(fpt, d, frho)
+            decisions = []
+            for start in starts:
+                monkeypatch.setattr(rank2, "_ENCLOSURE_START", start)
+                value, radius = rank2._R_enclosure(*args)
+                assert abs(ref - value) <= radius, (d, b, fpt, start)
+                decisions.append(value > 0 if abs(value) > radius else None)
+            assert decisions[0] == decisions[1], (d, b, fpt)
+            checked += 1
+    assert checked == 188
+
+
 @pytest.mark.parametrize("pt, d, rho", [((1.66, 1.58), 4, (2.5, 0.5)), ((1.0, 0.98), 2, (1.5, 0.5))])
-def test_R_enclosure_where_the_first_tail_bound_fails(pt, d, rho):
-    # the cubics fail at K = 32 here; bounds from sigma and sigma' alone
-    # would miss R
-    value, radius = rank2._R_enclosure(*_series_parameters(pt, d, rho))
+def test_R_enclosure_where_the_first_tail_bound_fails(monkeypatch, pt, d, rho):
+    # the cubics fail at the first K here, and on through K = 64; bounds
+    # from sigma and sigma' alone would miss R
+    checks = []
+    cubics_hold = rank2._tail_cubics_hold
+
+    def logging_tail_cubics_hold(big_u, big_l, k0, sig, sig2):
+        checks.append((k0, cubics_hold(big_u, big_l, k0, sig, sig2)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(rank2, "_tail_cubics_hold", logging_tail_cubics_hold)
+    args = _series_parameters(pt, d, rho)
+    value, radius = rank2._R_enclosure(*args)
     assert abs(R_series(pt, d, rho) - value) <= radius
+    assert checks[0] == (rank2._ENCLOSURE_START, False)
+    assert checks[-1] == (128, True) and not any(ok for _, ok in checks[:-1])
+    monkeypatch.setattr(rank2, "_ENCLOSURE_START", 32)
+    assert rank2._R_enclosure(*args) == (value, radius)
 
 
 @pytest.mark.parametrize("u, l", [((2.0, -1.0, 1.0), (3.0, 0.5)), ((40.5, -32.0, 0.5), (45.25, 3.75))])
