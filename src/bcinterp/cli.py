@@ -48,7 +48,7 @@ from .okounkov import (
     verify_characterization,
 )
 from .partitions import enumerate_Lambda, format_partition, parse_partition
-from .rank2 import R_midpoint_telescoped, R_series, _B_runs, q_rank2, q_rank2_partial_d2
+from .rank2 import R_midpoint_telescoped, _B_runs, _R_enclosure, q_rank2, q_rank2_partial_d2
 from .shimura import GroupData, Verdict, _A_runs, _G_runs, _square_runs, _U0_runs, group_params, shimura_eigenvalue
 
 
@@ -199,10 +199,13 @@ def _suite_rank2(budget, rng, seed):
                                or f"partial-sum form mismatch ({m1},{m2}) pt={pt}")
     for b in range(4):
         r2 = (b + 1) / 2
-        got = R_series((r2 + 0.5, r2 + 0.5), 2, (r2 + 1.0, r2))
+        # the series at the midpoint (r2 + 1/2, r2 + 1/2) of rho = (r2 + 1, r2), d = 2, has
+        # u = (2 r2 + 1/2, -1/2, 1), l = (2 r2 + 3/2, 1/2) and s = 2, all exact in binary
+        value, radius = _R_enclosure((2 * r2 + 0.5, -0.5, 1.0), (2 * r2 + 1.5, 0.5), 2.0)
         want = R_midpoint_telescoped(b)
-        # want: exact, rounded once; R_series (unproven stop) is within 5e-12 (1 + |R|) of mpmath in tests
-        yield abs(got - want) <= 1e-8 or f"R midpoint mismatch b={b}: {got} vs {want}"
+        # want: exact, rounded once; it must lie in the proven enclosure, widened by that rounding
+        yield (abs(want - value) <= radius + 2.0**-52 * abs(want)
+               or f"R midpoint outside its enclosure b={b}: {want} vs {value} +- {radius}")
 
 
 def _suite_limits(budget, rng, seed):

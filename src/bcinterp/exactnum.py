@@ -27,8 +27,8 @@ __all__ = [
 
 # Deadband of the two float decisions left (every polynomial sign, and every
 # other comparison with a point, is decided at the exact value of the
-# point): in_W on the float S_div, and the _R_sum fallback of in_B where
-# the enclosure of R contains 0.
+# point): in_W on the float S_div, and the fallback of in_B on the centre
+# of an enclosure of R that still contains 0 after 4096 terms.
 SIGN_DEADBAND = 1e-9
 
 

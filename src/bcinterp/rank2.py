@@ -4,12 +4,13 @@ argument, run in integers by q_rank2; the boundary series R, the telescoped
 midpoint value, and the three-test region decision.
 
 The boundary series ops are the only place in the package where truncation
-error exists. The region decision in_B does not rest on a truncated value: it
-signs the boundary series from a proven enclosure (_R_enclosure), a partial
-sum plus a Raabe-type bound on the tail with the float roundoff counted in
-the radius. rho itself is a member by an exact rule, and only a point the
-enclosure cannot sign falls back to the float value of R_series with the
-module deadband.
+error exists, and one summer handles it: _R_enclosure, a partial sum plus a
+second-order (Kummer) bound on the tail, with the float roundoff counted in
+the radius (the proof is in its docstring). in_B signs R from that
+enclosure, and R_series returns its centre once the tail bound meets
+rel_tol. rho itself is a member by an exact rule, and only a point the
+enclosure cannot sign falls back to the sign of its centre with the module
+deadband.
 """
 
 from __future__ import annotations
@@ -36,19 +37,17 @@ __all__ = [
 # Unit roundoff of IEEE double precision.
 _UNIT_ROUNDOFF = 2.0**-53
 
-_R_MAX_TERMS = 400000
-# _R_enclosure sums at least _ENCLOSURE_START terms and doubles the count
-# up to _ENCLOSURE_MAX while its interval still contains 0. Its proof holds
-# from any start K >= 1; most T2 points are signed at K = 4, and the
-# doubling goes on, through the same partial sums, where they are not.
+# The runs of _R_steps start at _ENCLOSURE_START terms and double the count,
+# up to _ENCLOSURE_MAX for in_B and _SERIES_MAX for R_series. The proof holds
+# from any start K >= 1; most T2 points are signed at K = 4, and the doubling
+# goes on, through the same partial sums, where they are not.
 _ENCLOSURE_START = 4
 _ENCLOSURE_MAX = 4096
-# A shifted-cubic coefficient A - B counts as >= 0 when the computed
-# (A - B) / (A + B) is at least this (derivation in _tail_cubics_hold).
-_CUBIC_MARGIN = 16 * _UNIT_ROUNDOFF
-# sigma and sigma' sit this fraction of s - 1 outside h(K) and s. Only the
-# chance that the cubics certify depends on it, never the bound itself.
-_SIGMA_GAP = 2.0**-20
+_SERIES_MAX = 2**19
+# The range of the float analysis of _R_enclosure: the largest parameter, and
+# the smallest term that carries on a run (also the floor of each b_j).
+_HUGE = 2.0**64
+_TINY = 2.0**-600
 
 
 def _q_exact(m1: int, m2: int, pt, rho, half, terminating: bool, gap_error) -> Fraction:
@@ -110,169 +109,83 @@ def q_rank2_partial_d2(m1: int, m2: int, pt, rho):
 
 
 def R_series(pt, d: int, rho, rel_tol: float = 1e-12) -> float:
-    """The boundary series sum_k (rho2±x2)_k (d/2)_k / ((rho1±x1)_k k!), by
-    _R_sum, at the parameters in_B signs: pt and rho at their exact values
-    (a float as the binary rational it holds), each parameter rounded once
-    from its exact value (_series_constants, _series_args)."""
+    """The boundary series sum_k (rho2±x2)_k (d/2)_k / ((rho1±x1)_k k!) at
+    the parameters in_B signs: pt and rho at their exact values (a float as
+    the binary rational it holds), each parameter rounded once from its
+    exact value (_series_constants, _series_args). It is the centre of the
+    enclosure of _R_enclosure (the proof is there) at the first term count
+    K whose tail bound is at most rel_tol (1 + |centre|).
+
+    ArgumentError unless rel_tol is a positive finite number; DomainError
+    where no K up to _SERIES_MAX = 2^19 meets rel_tol, or where there is no
+    bound at all (a term underflowed, or a parameter is out of range).
+    """
+    if not 0.0 < rel_tol < math.inf:
+        raise ArgumentError(f"rel_tol must be a positive finite number, got {rel_tol!r}")
     _, r1, r2, s = _series_constants(d, tuple(map(as_exact, _exact_point(rho, 2))))
     q, (r1, r2, x1, x2) = _over_common((r1, r2, *_exact_point(pt, 2)))
-    return _R_sum(*_series_args(x1, x2, q, r1, r2, d), s, rel_tol)
+    for k0, value, tail, _ in _R_steps(*_series_args(x1, x2, q, r1, r2, d), s):
+        if tail <= rel_tol * (1.0 + abs(value)) < math.inf:
+            return value
+        if k0 >= _SERIES_MAX:
+            break
+    raise DomainError(f"no tail bound of the boundary series within rel_tol = {rel_tol!r} by {_SERIES_MAX} terms")
 
 
-def _R_sum(u, l, s, rel_tol: float) -> float:
-    """The boundary series with float upper parameters u, lower parameters
-    l (both > 0) and decay exponent s > 1. Terms decay like k^{-(d/2+1)},
-    too slowly to sum term-by-term to full precision, so the loop stops
-    once a three-term Euler-Maclaurin tail estimate is below rel_tol and
-    adds that tail. The tail coefficients come from matching the
-    asymptotic expansion of log(term ratio).
-    """
-    u2 = sum(v * v for v in u)
-    l2 = sum(v * v for v in l) + 1.0
-    u3 = sum(v ** 3 for v in u)
-    l3 = sum(v ** 3 for v in l) + 1.0
-    a2 = (l2 - u2) / 2.0
-    a3 = (u3 - l3) / 3.0
-    c3 = a3 - s * a2 - s ** 3 / 6.0
-    g1 = s / 2.0 - a2
-    g2 = (-s * (s + 1.0) * (s + 2.0) / 6.0 + (s + 1.0) * g1 + g1 * g1 - c3) / 2.0
-    tail_a1 = 0.5 + g1 / s - g1 / (s - 1.0)
-    tail_a2 = (
-        s / 12.0
-        + g1 / 2.0
-        + g2 / (s + 1.0)
-        - g1 * (0.5 + g1 / s)
-        + (g1 * g1 - g2) / (s - 1.0)
+def _residual(p2, p1, p0, q2, q1, q0, c0, a1, a2, m):
+    """The coefficients n0 .. n5 of the residual N(k) of _R_enclosure
+    (m = -1), or, at m = 1 on the absolute values of the leaves, the same
+    trees with every difference made a sum (N+_j there)."""
+    d2, d1, d0 = q2 + m * p2, q1 + m * p1, q0 + m * p0
+    return (
+        a2 * q0,
+        (a1 + a2) * d0 + a2 * q1 + m * (c0 * p0 + q0),
+        a1 * (d0 + d1) + a2 * (d1 + q2) + c0 * (d0 + m * (p0 + p1)) + m * (q0 + q1),
+        a1 * (d1 + d2) + a2 * (d2 + 1) + c0 * (d0 + d1 + m * (p1 + p2)) + m * (q1 + q2),
+        a1 * d2 + c0 * (d1 + d2 + m * (p2 + 1)) + m * (q2 + 1),
+        c0 * (d2 + m) + m,
     )
-    resid_scale = 1.0 + abs(g1) ** 3 + abs(g1 * g2) + abs(g2)
-
-    total = 0.0
-    comp = 0.0
-    term = 1.0
-    k = 0
-    while True:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        term = term * ((k + u[0]) * (k + u[1]) * (k + u[2])) / ((k + l[0]) * (k + l[1]) * (k + 1.0))
-        k += 1
-        if term == 0.0:
-            return total
-        # the proxy underestimates the next tail coefficient; the margin
-        # was sized against high-precision reference values, worst case
-        # d=1 with x1 near the rho1 pole
-        if k >= 40 and abs(term) * resid_scale / float(k) ** 3 < 0.0005 * rel_tol * (1.0 + abs(total)):
-            break
-        if k >= _R_MAX_TERMS:
-            break
-    tail = term * (k / (s - 1.0) + tail_a1 + tail_a2 / k)
-    return total + tail
 
 
-def _tail_cubics_hold(big_u, big_l, k0: int, sig: float, sig2: float) -> bool:
-    """Whether, for every real k >= k0, both
-        k Q(k) - (k + sig) P(k) >= 0   and   (k + sig2) P(k) - k Q(k) >= 0,
-    with P(k) = (k+u0)(k+u1)(k+u2) and Q(k) = (k+l0)(k+l1)(k+1).
-
-    big_u = (k0+u0, k0+u1, k0+u2) and big_l = (k0+l0, k0+l1, k0+1), each
-    rounded once and all > 0. With k = k0 + j, P(k) = j^3 + a2 j^2 + a1 j + a0
-    and Q(k) = j^3 + b2 j^2 + b1 j + b0, whose coefficients are elementary
-    symmetric functions of big_u and big_l, so both cubics in j have
-    coefficients of the form A - B with A, B sums of products of positive
-    floats:
-        j^3: b2 - (a2 + sig),   j^2: (b1 + k0 b2) - (a1 + (k0+sig) a2),
-        j^1: (b0 + k0 b1) - (a0 + (k0+sig) a1),   j^0: k0 b0 - (k0+sig) a0,
-    and the same pairs swapped, with sig2, for the second cubic. A cubic
-    with every coefficient >= 0 is >= 0 for j >= 0.
-
-    Rounding margin (u = 2^-53, g_n = n u / (1 - n u)). Each computed A or B
-    is a sum of products of positive floats, at most 8 roundings deep from
-    the exact k0 + u_i, k0 + l_i, k0 + sig: its relative error is at most
-    g_8, so A >= A^ (1 - g_9), B <= B^ (1 + g_9) and
-    A - B >= (A^ - B^) - g_9 (A^ + B^). The test reads
-    fl(fl(A^ - B^) / fl(A^ + B^)) >= 16 u, which makes (A^ - B^) / (A^ + B^)
-    >= 16 u (1 - 3u) > g_9, so A - B >= 0. Neither the margin nor this
-    argument depends on k0 >= 1. No value here is near underflow: each
-    k0 + l_i, k0 + 1 and k0 + sig is at least 1, and each k0 + u_i > 0 is
-    either at least k0/2 or, exact by Sterbenz's lemma, a nonzero multiple
-    of the spacing of floats near |u_i| > k0/2 >= 1/2, so at least 2^-53;
-    every product here stays above 2^-159. An overflow gives
-    inf / inf = nan, which fails the test.
-    """
-    U0, U1, U2 = big_u
-    L0, L1, L2 = big_l
-    a2 = U0 + U1 + U2
-    a1 = U0 * U1 + U0 * U2 + U1 * U2
-    a0 = U0 * U1 * U2
-    b2 = L0 + L1 + L2
-    b1 = L0 * L1 + L0 * L2 + L1 * L2
-    b0 = L0 * L1 * L2
-    q = (b2, b1 + k0 * b2, b0 + k0 * b1, k0 * b0)
-    for sg, upper in ((sig, True), (sig2, False)):
-        ks = k0 + sg
-        p = (a2 + sg, a1 + ks * a2, a0 + ks * a1, ks * a0)
-        for qc, pc in zip(q, p):
-            pos, neg = (qc, pc) if upper else (pc, qc)
-            if not (pos - neg) / (pos + neg) >= _CUBIC_MARGIN:
-                return False
-    return True
-
-
-def _R_enclosure(u, l, s):
-    """A proven enclosure of the boundary series with float upper parameters
-    u, lower parameters l (both > 0) and decay exponent s > 1, the
-    parameters of _R_sum: (value, radius) with |R - value| <= radius at
-    these floats. radius is inf where no tail bound was found.
-
-    The sum. The terms t_k, t_0 = 1, t_{k+1} = t_k P(k) / Q(k) with
-    P(k) = (k+u0)(k+u1)(k+u2), Q(k) = (k+l0)(k+l1)(k+1), are summed by the
-    compensated recurrence of _R_sum, K = _ENCLOSURE_START = 4 terms
-    t_0 .. t_{K-1} at first. A zero term means a factor k + u_i was exactly
-    0: the series terminates and the sum is the whole value.
-
-    The tail. Once K + u_i > 0 for every i (K exceeds x2 - rho2), every
-    t_k with k >= K has the sign of t_K, and tau_k = |t_k|. If
-        (k + sig) tau_{k+1} <= k tau_k   for all k >= K, with sig > 1,
-    telescoping from K gives (sig - 1) sum_{j>K} tau_j <= K tau_K. If
-        (k + sig2) tau_{k+1} >= k tau_k  for all k >= K,
-    the same telescoping, with k tau_k -> 0 (tau_k ~ k^-s, s > 1), gives
-    (sig2 - 1) sum_{j>K} tau_j >= K tau_K. So the tail from K lies in
-    tau_K [1 + K/(sig2 - 1), 1 + K/(sig - 1)]. With P, Q > 0 the two
-    conditions are the cubics kQ(k) - (k + sig)P(k) >= 0 and
-    (k + sig2)P(k) - kQ(k) >= 0 (the k^4 terms cancel; the leading
-    coefficients are s - sig and sig2 - s), proven for every k >= K by
-    _tail_cubics_hold. This is Raabe's test made quantitative. The term
-    ratio is K/(K + h(K)) at K, h(K) = K(Q(K) - P(K))/P(K), and tends to
-    1 - s/k, so sig and sig2 are put just below and just above both h(K)
-    and s. Where the cubics fail, sig <= 1, or the interval contains 0, K
-    doubles, up to 4096; the sum goes on from t_K, so the partial sum at
-    each K is the same whatever K the doubling started from. Nothing in
-    this proof, nor in the radius below, asks more of K than K >= 1.
-
-    The radius (Higham, "Accuracy and Stability of Numerical Algorithms",
-    ch. 3-4; u = 2^-53, g_n = n u / (1 - n u)). A step of the recurrence
-    rounds 11 times (k + u_i and k + l_i, four products, one product and
-    one quotient with the term), so the computed term is
-    t^_k = t_k (1 + th_k), |th_k| <= g_(11k). The compensated sum of
-    t^_0 .. t^_(K-1) is within (2u + O(K u^2)) sum |t^_k| of their exact
-    sum (Higham (4.8)), and sum |t_k - t^_k| <= g_(11K)/(1 - g_(11K))
-    sum |t^_k|. absum is sum |t^_k| to within g_K. tau_K is
-    |t^_K| (1 + g) with |g| <= g_(11K)/(1 - g_(11K)); the interval's centre
-    and half-width, computed in at most 6 roundings each, add g_6 of
-    tau^ (1 + K/(sig - 1)); the final addition adds u |value|. For
-    K <= 4096, (16K + 32) u times absum + tau^ (1 + K/(sig - 1)) + |value|
-    exceeds the sum of these with room for the rounding of the radius
-    itself, and is added to the half-width.
-    """
+def _kummer(u, l, s):
+    """The comparison g(k) = c0 k + a1 + a2/k of _R_enclosure's tail and
+    bounds b_j >= |n_j| on the coefficients of its residual:
+    (c0, a1, a2, (b0, .., b5)), every b_j inf outside the range of the
+    proof. Plain arithmetic, so on Fractions it gives the exact c0, a1,
+    a2."""
     u0, u1, u2 = u
     l0, l1 = l
-    gap = _SIGMA_GAP * (s - 1.0)
+    p2, p1, p0 = u0 + u1 + u2, u0 * u1 + (u0 + u1) * u2, u0 * u1 * u2
+    q2, q1, q0 = l0 + l1 + 1, l0 * l1 + (l0 + l1), l0 * l1
+    d2, d1, d0 = q2 - p2, q1 - p1, q0 - p0
+    # n5 = 0, then n4 = 0, then n3 = 0 (s = q2 - p2)
+    c0 = 1 / (s - 1)
+    a1 = (q2 + 1 - c0 * (d1 + d2 - p2 - 1)) / s
+    a2 = (q1 + q2 - a1 * (d1 + d2) - c0 * (d0 + d1 - p1 - p2)) / (s + 1)
+    v0, v1, v2 = abs(u0), abs(u1), abs(u2)
+    plus2 = v0 + v1 + v2
+    if not (plus2 + q2 + abs(a1) + abs(a2) <= _HUGE and q0 >= 2.0**-128):
+        return c0, a1, a2, (math.inf,) * 6
+    n0, n1, n2, n3, n4, n5 = _residual(p2, p1, p0, q2, q1, q0, c0, a1, a2, -1)
+    m0, m1, m2, m3, m4, m5 = _residual(plus2, v0 * v1 + (v0 + v1) * v2, abs(p0), q2, q1, q0, c0, abs(a1), abs(a2), 1)
+    e = 32 * _UNIT_ROUNDOFF
+    # unrolled: this runs once at every T2 point of a raster
+    return c0, a1, a2, (abs(n0) + e * m0 + _TINY, abs(n1) + e * m1 + _TINY, abs(n2) + e * m2 + _TINY,
+                        abs(n3) + e * m3 + _TINY, abs(n4) + e * m4 + _TINY, abs(n5) + e * m5 + _TINY)
+
+
+def _R_steps(u, l, s):
+    """The runs of _R_enclosure (the proof is there) at K = _ENCLOSURE_START,
+    2K, 4K, ...: (K, centre, bound on |T_K - t_K g(K)|, bound on |R - centre|),
+    each bound inf where there is none. The last run of a terminating series
+    is its sum with tail 0, and that of an underflowed term has no bound."""
+    u0, u1, u2 = u
+    l0, l1 = l
+    c0, a1, a2, (b0, b1, b2, b3, b4, b5) = _kummer(u, l, s)
     total = comp = absum = 0.0
     term = 1.0
     k = 0
     k0 = _ENCLOSURE_START
-    value, radius = 0.0, math.inf
     while True:
         while k < k0:
             y = term - comp
@@ -281,31 +194,110 @@ def _R_enclosure(u, l, s):
             total = t
             absum += abs(term)
             term = term * ((k + u0) * (k + u1) * (k + u2)) / ((k + l0) * (k + l1) * (k + 1.0))
-            if term == 0.0:
-                if 0.0 in (k + u0, k + u1, k + u2):
-                    return total, (16 * k + 32) * _UNIT_ROUNDOFF * (absum + abs(total))
-                return total, math.inf
+            if -_TINY < term < _TINY:
+                if term == 0.0 and 0.0 in (k + u0, k + u1, k + u2):
+                    yield k0, total, 0.0, (16 * k + 32) * _UNIT_ROUNDOFF * (absum + abs(total))
+                else:
+                    yield k0, total, math.inf, math.inf
+                return
             k += 1
-        big_u = (k0 + u0, k0 + u1, k0 + u2)
-        if min(big_u) > 0.0:
-            big_l = (k0 + l0, k0 + l1, k0 + 1.0)
-            pk = big_u[0] * big_u[1] * big_u[2]
-            h = k0 * (big_l[0] * big_l[1] * big_l[2] - pk) / pk
-            sig = min(h, s) - gap
-            sig2 = max(h, s) + gap
-            if sig > 1.0 and _tail_cubics_hold(big_u, big_l, k0, sig, sig2):
-                tau = abs(term)
-                lo = k0 / (sig2 - 1.0)
-                hi = k0 / (sig - 1.0)
-                value = total + math.copysign(tau * (1.0 + (lo + hi) / 2.0), term)
-                radius = tau * (hi - lo) / 2.0 + (16 * k0 + 32) * _UNIT_ROUNDOFF * (
-                    absum + tau * (1.0 + hi) + abs(value)
-                )
-                if abs(value) > radius:
-                    return value, radius
-        if k0 >= _ENCLOSURE_MAX:
-            return value, radius
+        tg = term * (c0 * k0 + a1 + a2 / k0)
+        value = total + tg
+        tail = radius = math.inf
+        if min(k0 + u0, k0 + u1, k0 + u2) > 0.0:
+            w0, w1, w2, w3, w4 = sorted((k0 + l0, k0 + l1, k0 + 1.0, k0 + 1.0, float(k0)))
+            delta = ((((b0 / w0 + b1) / w1 + b2) / w2 + b3) / w3 + b4) / w4 + b5
+            if delta < 1.0:
+                tail = abs(tg) * delta / (1.0 - delta)
+                tmag = abs(term) * (c0 * k0 + abs(a1) + abs(a2) / k0) / (1.0 - delta)
+                radius = tail + (16 * k0 + 32) * _UNIT_ROUNDOFF * (absum + tmag + abs(value))
+        yield k0, value, tail, radius
         k0 *= 2
+
+
+def _R_enclosure(u, l, s):
+    """A proven enclosure of the boundary series with float upper
+    parameters u, lower parameters l (both > 0) and decay exponent s > 1,
+    the parameters in_B and R_series round: (value, radius) with
+    |R - value| <= radius at these floats. radius is inf where no tail
+    bound was found, and value is then the centre of the last run.
+
+    The sum (_R_steps). The terms t_k, t_0 = 1, t_{k+1} = t_k P(k) / Q(k)
+    with P(k) = (k+u0)(k+u1)(k+u2) = k^3 + p2 k^2 + p1 k + p0 and
+    Q(k) = (k+l0)(k+l1)(k+1) = k^3 + q2 k^2 + q1 k + q0, are summed by a
+    compensated recurrence, K = _ENCLOSURE_START = 4 terms t_0 .. t_{K-1}
+    at first. While the interval contains 0, K doubles, up to 4096; the sum
+    goes on from t_K, so the run at each K is the same whatever K the
+    doubling started from. A zero term means a factor k + u_i was exactly
+    0: the series terminates and the sum is the whole value.
+
+    The tail, Kummer's test made quantitative (Knopp, "Theory and
+    Application of Infinite Series"). For g(k) = c0 k + a1 + a2/k, the
+    residual N(k) = (g(k) - g(k+1) P(k)/Q(k) - 1) Q(k) k (k+1) is a
+    polynomial n0 + n1 k + ... + n5 k^5 (the k^6 terms cancel; _residual
+    writes each n_j in c0, a1, a2 and the p_j, q_j). _kummer solves
+    n5 = n4 = n3 = 0 with s = q2 - p2, which gives c0 = 1/(s - 1) and N
+    of degree 2, but what follows holds for any c0 > 0, a1 and a2, with N
+    the residual of the g actually used. Once K + u_i > 0 for every i,
+    every t_k with k >= K has the sign of t_K, and
+        t_k g(k) - t_{k+1} g(k+1) = t_k (1 + e_k),
+        e_k = N(k) / (Q(k) k (k+1)).
+    For k >= K, k^j / (Q(k) k (k+1)) <= w_j, the reciprocal of the product
+    of the 5 - j largest of K+l0, K+l1, K+1, K+1, K (each other factor
+    k + c is at least k), so |e_k| <= delta = sum_j |n_j| w_j. As
+    k -> inf, e_k -> n5 = c0 (s* - 1) - 1, with s* = q2 - p2 the decay
+    exponent of these floats, so delta < 1 gives s* > 1 and
+    t_k g(k) = O(k^(1 - s*)) -> 0. Summed from K, the identity gives
+    |T_K - t_K g(K)| <= delta |T_K| for the tail T_K = sum_{k>=K} t_k, so
+        T_K = t_K g(K) +- |t_K g(K)| delta / (1 - delta).
+
+    The residual in floats (u = 2^-53, g_n = n u / (1 - n u); Higham,
+    "Accuracy and Stability of Numerical Algorithms", ch. 3). Count a sum
+    one rounding deeper than its deeper operand and a product one deeper
+    than its two operands' depths together; 2x and -x are exact. Then no
+    n_j of _residual is more than 9 roundings deep from the floats u, l,
+    c0, a1 and a2, so |n^_j - n_j| <= g_9 N+_j, where N+_j is the same
+    tree on the absolute values of the leaves with every difference made
+    a sum, and its float N+^_j (_residual at m = 1) is at least
+    (1 - g_9) N+_j. delta is computed from b_j = |n^_j| + 32u N+^_j + 2^-600
+    by one Horner pass over the w_j, at most 17 roundings deep. As
+    |n^_j| <= (1 + g_9)/(1 - g_9) N+^_j and 32 > 17 + 9, the computed
+    delta is at least the delta above.
+
+    Range. The bound is used only where the float sum
+    |u0| + |u1| + |u2| + q2 + |a1| + |a2| is at most 2^64 and the float
+    l0 l1 at least 2^-128 (else each b_j is inf), so every leaf is below
+    2^65 and Q(0) above 2^-129; and a run stops with no bound at a term
+    below 2^-600 that is not exactly 0. So no term underflows: for k >= 1
+    a nonzero k + u_i is at least 2^-53 (it is at least k/2, or a multiple
+    of the spacing of floats near |u_i| >= 1/2), so P(k) >= 2^-159 and
+    t_k P(k) >= 2^-759, and an underflowed P(0) gives t_1 below 2^-600. An
+    underflow in a product of the n_j trees adds at most 2^-1074 (Higham
+    (2.8)), and reaches n_j multiplied by at most 2^200 (a monomial has at
+    most four leaves), fewer than 64 times: the 2^-600 in b_j covers it
+    and keeps every Horner step above 2^-930. An overflow gives inf or
+    nan, which fails every test.
+
+    The radius (Higham, ch. 3-4). A step of the recurrence rounds 11 times
+    (k + u_i and k + l_i, four products, one product and one quotient with
+    the term), so the computed term is t^_k = t_k (1 + th_k),
+    |th_k| <= g_(11k). The compensated sum of t^_0 .. t^_(K-1) is within
+    (2u + O(K u^2)) sum |t^_k| of their exact sum (Higham (4.8)), and
+    sum |t_k - t^_k| <= g_(11K)/(1 - g_(11K)) sum |t^_k|; absum is
+    sum |t^_k| to within g_K. The float g(K) is within g_3 g+ of g(K),
+    g+ = c0 K + |a1| + |a2|/K, so t^_K g^(K) is within (11K + 5) u |t^_K| g+
+    of t_K g(K), an error the half-width passes on at most 1/(1 - delta)
+    times; the half-width is computed in 3 roundings, and the final
+    addition adds u |value|. For K <= 2^19, (16K + 32) u times
+    absum + |t^_K| g+ / (1 - delta) + |value| exceeds the sum of these with
+    room for the rounding of the radius itself and for any underflow in it
+    (absum >= t_0 = 1), and is added to the half-width. Nothing in this
+    proof asks more of K than K >= 1.
+    """
+    for k0, value, _, radius in _R_steps(u, l, s):
+        if abs(value) > radius or k0 >= _ENCLOSURE_MAX:
+            break
+    return value, radius
 
 
 def R_midpoint_telescoped(b: int) -> float:
@@ -354,7 +346,7 @@ def _series_constants(d, rho: tuple):
     of in_B; rho1 and rho2; and the series' decay exponent
     s = 1 + 2 (rho1 - rho2) - d/2, rounded once. ArgumentError unless d is a
     positive integer, rho a pair and that float s > 1 (the series is
-    summable, and _R_sum divides by s - 1)."""
+    summable, and the tail of _R_enclosure divides by s - 1)."""
     _check_int("d", d, 1)
     _check_length(rho, 2)
     r1, r2 = rho
@@ -396,12 +388,13 @@ def in_B(pt, d: int, rho) -> bool:
     sign of the boundary series at the parameters R_series sums, each
     rounded once from its exact value (_series_args, whose DomainError a
     point with |x1| > rho1, possible only where |rho2| >= rho1, raises):
-    - _R_enclosure gives a proven interval for R, and a point is a member
-      when the interval lies in R > 0 and not one when it lies in R < 0;
+    - _R_enclosure gives a proven interval for R (the proof is in its
+      docstring), and a point is a member when the interval lies in R > 0
+      and not one when it lies in R < 0;
     - a point whose interval still contains 0 after 4096 terms keeps the
-      float rule _R_sum(u, l, s, rel_tol=1e-8) >= -SIGN_DEADBAND, on the
-      same parameters. R is exactly 0 at some such points, for example
-      (1, 1) for d = 2, rho = (3/2, 1/2).
+      float rule value >= -SIGN_DEADBAND on the centre of that last
+      interval. R is exactly 0 at some such points, for example (1, 1) for
+      d = 2, rho = (3/2, 1/2).
 
     d must be a positive integer and s in float range and, rounded, above
     1, or ArgumentError is raised at every point.
@@ -453,7 +446,7 @@ def _past_gates(x1: int, x2: int, q: int, r1: int, r2: int, d: int, s: float) ->
     value, radius = _R_enclosure(u, l, s)
     if abs(value) > radius:
         return value > 0
-    return _R_sum(u, l, s, 1e-8) >= -SIGN_DEADBAND
+    return value >= -SIGN_DEADBAND
 
 
 def _series_args(x1: int, x2: int, q: int, r1: int, r2: int, d: int):

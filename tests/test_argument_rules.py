@@ -195,6 +195,12 @@ INDEX_TAKERS = [
 ]
 
 
+@pytest.mark.parametrize("rel_tol", [0, -1, math.nan, math.inf])
+def test_the_rel_tol_of_R_series_is_a_positive_finite_number(rel_tol):
+    with pytest.raises(ArgumentError, match=r"^rel_tol must be a positive finite number, got "):
+        R_series((0.5, 0.2), 2, (1.5, 0.5), rel_tol=rel_tol)
+
+
 # -1 and 1.5 for every index, and 0 where the index must be positive
 INDEX_CASES = [(name, low, f, v) for name, low, f in INDEX_TAKERS for v in (-1, 1.5, 0)[: 2 + low]]
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -530,23 +531,18 @@ def test_R_enclosure_signs_every_T2_point_as_a_start_of_32_does(monkeypatch):
 
 @pytest.mark.parametrize("pt, d, rho", [((1.66, 1.58), 4, (2.5, 0.5)), ((1.0, 0.98), 2, (1.5, 0.5))])
 def test_R_enclosure_where_the_first_tail_bound_fails(monkeypatch, pt, d, rho):
-    # the cubics fail at the first K here, and on through K = 64; bounds
-    # from sigma and sigma' alone would miss R
-    checks = []
-    cubics_hold = rank2._tail_cubics_hold
-
-    def logging_tail_cubics_hold(big_u, big_l, k0, sig, sig2):
-        checks.append((k0, cubics_hold(big_u, big_l, k0, sig, sig2)))
-        return checks[-1][1]
-
-    monkeypatch.setattr(rank2, "_tail_cubics_hold", logging_tail_cubics_hold)
+    # a first-order (Raabe) tail bound fails here at every K up to 64; the
+    # second-order tail signs both at the first K. A start of 32 meets,
+    # from K = 32 on, the very runs a start of 4 made
     args = _series_parameters(pt, d, rho)
     value, radius = rank2._R_enclosure(*args)
     assert abs(R_series(pt, d, rho) - value) <= radius
-    assert checks[0] == (rank2._ENCLOSURE_START, False)
-    assert checks[-1] == (128, True) and not any(ok for _, ok in checks[:-1])
+    runs = list(itertools.islice(rank2._R_steps(*args), 5))
+    assert [k0 for k0, *_ in runs] == [4, 8, 16, 32, 64]
+    assert (runs[0][1], runs[0][3]) == (value, radius) and abs(value) > radius
     monkeypatch.setattr(rank2, "_ENCLOSURE_START", 32)
-    assert rank2._R_enclosure(*args) == (value, radius)
+    assert list(itertools.islice(rank2._R_steps(*args), 2)) == runs[3:]
+    assert rank2._R_enclosure(*args) == (runs[3][1], runs[3][3])
 
 
 @pytest.mark.parametrize("u, l", [((2.0, -1.0, 1.0), (3.0, 0.5)), ((40.5, -32.0, 0.5), (45.25, 3.75))])
@@ -561,6 +557,130 @@ def test_R_enclosure_gives_up_on_an_underflowed_term():
     # t_2 underflows to 0 with no zero factor: nothing bounds the tail
     u, l = (2.0, -1.5, 0.5), (1e170, 1e170)
     assert rank2._R_enclosure(u, l, 1.0 + sum(l) - sum(u))[1] == math.inf
+
+
+def _poly_mul(a, b):
+    """The product of two polynomials given by their coefficients, lowest
+    first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _P_Q(u, l):
+    """The coefficients of P(k) = (k+u0)(k+u1)(k+u2) and
+    Q(k) = (k+l0)(k+l1)(k+1), lowest first."""
+    return (_poly_mul(_poly_mul([u[0], 1], [u[1], 1]), [u[2], 1]),
+            _poly_mul(_poly_mul([l[0], 1], [l[1], 1]), [1, 1]))
+
+
+def _kummer_residual(u, l, c):
+    """The coefficients n0 .. n6 of N(k) = (g(k) - g(k+1) P(k)/Q(k) - 1)
+    Q(k) k (k+1), g(k) = c0 k + a1 + a2/k, in Fractions at the exact values
+    of u, l and c = (c0, a1, a2), by polynomial products apart from the
+    formulas of rank2._residual."""
+    p, q = _P_Q([Fraction(v) for v in u], [Fraction(v) for v in l])
+    c0, a1, a2 = map(Fraction, c)
+    # g(k) k (k+1) = (c0 k^2 + a1 k + a2)(k+1), g(k+1) k (k+1) = (c0 (k+1)^2 + a1 (k+1) + a2) k
+    g_here = _poly_mul([a2, a1, c0], [1, 1])
+    g_next = _poly_mul([c0 + a1 + a2, 2 * c0 + a1, c0], [0, 1])
+    terms = (_poly_mul(q, g_here), [-v for v in _poly_mul(p, g_next)], [-v for v in _poly_mul(q, [0, 1, 1])])
+    return [sum(t[j] for t in terms if j < len(t)) for j in range(7)]
+
+
+def _random_series_parameters(rng, exact):
+    """Random upper parameters u (of either sign), lower parameters l > 0
+    and s = 1 + l0 + l1 - sum(u) > 1: Fractions if exact, else floats, with
+    s the float of the exact s of those floats."""
+    while True:
+        if exact:
+            u = [Fraction(rng.randint(-60, 60), rng.randint(1, 16)) for _ in range(3)]
+            l = [Fraction(rng.randint(1, 80), rng.randint(1, 16)) for _ in range(2)]
+        else:
+            u = [rng.uniform(-8.0, 8.0) for _ in range(2)] + [rng.choice((0.5, 1.0, 1.5, 2.0))]
+            l = [rng.uniform(0.0, 10.0) or 1.0, rng.choice((rng.uniform(1e-3, 0.1), rng.uniform(0.1, 10.0)))]
+        s = 1 + sum(map(Fraction, l)) - sum(map(Fraction, u))
+        if s > 1 and float(s) > 1.0:
+            return tuple(u), tuple(l), s if exact else float(s)
+
+
+def test_kummer_leaves_a_residual_of_degree_2():
+    # the exact c0, a1, a2 of rank2._kummer, in Fractions, cancel the k^3,
+    # k^4 and k^5 terms of the residual; k^6 cancels for any g
+    rng = random.Random(7)
+    for _ in range(200):
+        u, l, s = _random_series_parameters(rng, exact=True)
+        c0, a1, a2, _ = rank2._kummer(u, l, s)
+        assert c0 == 1 / (s - 1)
+        n = _kummer_residual(u, l, (c0, a1, a2))
+        assert n[3:] == [0, 0, 0, 0], (u, l)
+        p, q = _P_Q(u, l)
+        assert n[:3] == list(rank2._residual(*p[2::-1], *q[2::-1], c0, a1, a2, -1)[:3]), (u, l)
+
+
+def test_kummer_bounds_cover_the_exact_residual_of_the_float_g():
+    # the float c0, a1, a2 define a g of their own; the bounds must cover
+    # all six coefficients of its exact residual, n3 .. n5 included
+    rng = random.Random(11)
+    for _ in range(400):
+        u, l, s = _random_series_parameters(rng, exact=False)
+        c0, a1, a2, bounds = rank2._kummer(u, l, s)
+        n = _kummer_residual(u, l, (c0, a1, a2))
+        assert n[6] == 0
+        assert all(abs(v) <= b for v, b in zip(n, bounds)), (u, l, s)
+
+
+def _group_zero_line(d, steps=24):
+    """Exact T2 points on x1 + x2 = rho1 + rho2 of the group 2,d,0
+    (alpha = 1/2), where R = 0, with x2 > rho2 and x1 >= x2."""
+    rho = _group_rho(d, 0)
+    total = rho[0] + rho[1]
+    return rho, [(total - x2, x2) for x2 in (rho[1] + (total / 2 - rho[1]) * i / steps for i in range(1, steps + 1))]
+
+
+def test_R_enclosure_contains_the_series_at_random_parameters():
+    # mpmath sums the series at the float parameters themselves; the draws
+    # hold negative upper parameters, lower parameters within 0.1 of 0
+    # and every d = 1 .. 4. Every run from K = 4 to 256 must hold it
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(3)
+    for d in (1, 2, 3, 4) * 3:
+        rho2 = Fraction(rng.randint(1, 12), 4)
+        rho = (rho2 + Fraction(d, 2) + Fraction(rng.randint(0, 4), 8), rho2)
+        near = rng.random() < 0.5
+        x1 = rho[0] - Fraction(rng.randint(1, 99), 1000) if near else rho[0] * Fraction(rng.randint(0, 99), 100)
+        x2 = rng.choice((1, -1)) * (rho[1] + Fraction(rng.randint(1, 300), 100))
+        u, l, s = _series_parameters((x1, x2), d, rho)
+        with mp.workdps(30):
+            ref = mp.hyper([mp.mpf(v) for v in u], [mp.mpf(v) for v in l], 1)
+            runs = list(itertools.islice(rank2._R_steps(u, l, s), 7))
+            assert [k0 for k0, *_ in runs] == [4, 8, 16, 32, 64, 128, 256]
+            for k0, value, _, radius in runs:
+                assert abs(mp.mpf(value) - ref) <= radius, (d, rho, x1, x2, k0)
+        assert runs[-1][3] < 1e-4 * (1 + abs(runs[-1][1])), (d, rho, x1, x2)
+    # R = 0 on the zero line of an alpha = 1/2 group: never signed
+    for d in (1, 2, 4):
+        rho, line = _group_zero_line(d)
+        for pt in line:
+            value, radius = rank2._R_enclosure(*_series_parameters(pt, d, rho))
+            assert abs(value) <= radius, (d, pt)
+
+
+def test_R_series_raises_where_it_has_no_bound(monkeypatch):
+    # a term underflows at once: no tail bound at all
+    with pytest.raises(DomainError, match="no tail bound"):
+        R_series((0.0, 0.0), 2, (1e170, 0.5))
+    # the target is out of reach within the cap
+    monkeypatch.setattr(rank2, "_SERIES_MAX", 64)
+    # a parameter beyond the range of the proof: the terms overflow, and
+    # an infinite centre with an infinite tail bound is no answer
+    with pytest.raises(DomainError, match="no tail bound"):
+        R_series((0.0, 2.0**70), 2, (1.5, 0.5))
+    with pytest.raises(DomainError, match="no tail bound"):
+        R_series((0.3, 0.1), 1, (1.25, 0.75), rel_tol=1e-15)
+    assert abs(R_series((0.3, 0.1), 1, (1.25, 0.75), rel_tol=1e-3) - 1.6622304327763957) < 1e-3
 
 
 def test_in_B_near_the_pole_decides_from_the_series():
@@ -610,10 +730,26 @@ def _counting(monkeypatch, calls, *names):
     return calls
 
 
+def _recording_enclosures(monkeypatch):
+    """A list that gets (args, (value, radius)) at every call of
+    rank2._R_enclosure; an interval with |value| <= radius sends in_B to
+    its fallback on the centre."""
+    calls = []
+    enclosure = rank2._R_enclosure
+
+    def recording(*args):
+        calls.append((args, enclosure(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(rank2, "_R_enclosure", recording)
+    return calls
+
+
 def test_R_series_sums_the_parameters_in_B_signs(monkeypatch):
     # both round rho +- x once from the exact value; rounding rho and x
-    # first, then adding, differs in the last bit at many of these points
-    calls = _counting(monkeypatch, [], "_R_enclosure", "_R_sum")
+    # first, then adding, differs in the last bit at many of these points.
+    # Both read the runs of one summer, at the same (u, l, s)
+    calls = _counting(monkeypatch, [], "_R_steps")
     checked = 0
     for d, b in ((1, 0), (1, 1), (2, 0), (2, 1)):
         rho = _group_rho(d, b)
@@ -623,47 +759,48 @@ def test_R_series_sums_the_parameters_in_B_signs(monkeypatch):
                 if pt[1] <= rho[1] or pt[0] >= rho[0] or _fraction_gates_fail(pt, rho):
                     continue
                 in_B(pt, d, rho)
-                name, enclosed = calls[0]
-                assert name == "_R_enclosure"
+                [(name, enclosed)] = calls
                 calls.clear()
                 R_series(pt, d, rho)
-                assert calls == [("_R_sum", (*enclosed, 1e-12))], (d, b, pt)
+                assert calls == [(name, enclosed)], (d, b, pt)
                 calls.clear()
                 checked += 1
     assert checked > 100
 
 
 def test_region_rank2_B_rasters_never_need_the_fallback(monkeypatch, capsys):
-    calls = _counting(monkeypatch, [], "_R_sum")
+    calls = _recording_enclosures(monkeypatch)
     for group in ("2,1,2", "2,2,3"):
         assert main(["region", "--kind", "rank2-B", "--group", group, "--grid", "100"]) == 0
     capsys.readouterr()
-    assert calls == []
+    assert len(calls) > 100
+    assert all(abs(value) > radius for _, (value, radius) in calls)
 
 
 def test_region_rank2_B_falls_back_where_R_vanishes(monkeypatch, capsys):
     # R is exactly 0 at (1, 1) for group 2,2,0, so no enclosure signs it.
-    # The fallback sums R at the parameters the enclosure bounded, each the
-    # float of its exact value: u = (3/2, -1/2, 1), l = (5/2, 1/2), s = 2
-    calls = _counting(monkeypatch, [], "_R_enclosure", "_R_sum")
+    # The fallback reads the centre of the enclosure at the parameters it
+    # bounded, each the float of its exact value: u = (3/2, -1/2, 1),
+    # l = (5/2, 1/2), s = 2
+    calls = _recording_enclosures(monkeypatch)
     assert main(["region", "--kind", "rank2-B", "--group", "2,2,0", "--grid", "6"]) == 0
     assert "1,1,1," in capsys.readouterr().out.splitlines()
-    names = [name for name, _ in calls]
-    assert names.count("_R_sum") == 1
-    i = names.index("_R_sum")
+    [(args, (value, radius))] = [call for call in calls if not abs(call[1][0]) > call[1][1]]
     r1, r2, x1, x2, d = Fraction(3, 2), Fraction(1, 2), 1, 1, 2
     u = (float(r2 + x2), float(r2 - x2), float(Fraction(d, 2)))
     l, s = (float(r1 + x1), float(r1 - x1)), float(1 + 2 * (r1 - r2) - Fraction(d, 2))
     assert (u, l, s) == ((1.5, -0.5, 1.0), (2.5, 0.5), 2.0)
-    assert calls[i - 1:i + 1] == [("_R_enclosure", (u, l, s)), ("_R_sum", (u, l, s, 1e-8))]
+    assert args == (u, l, s)
+    assert -SIGN_DEADBAND <= value and radius < math.inf
 
 
 def test_in_B_fallback_sums_the_enclosure_parameters(monkeypatch):
     # R is exactly 0 on x1 + x2 = 2 for rho = (3/2, 1/2), d = 2 (a
     # denominator Gamma of R_closed_form_b0 has its pole), so no enclosure
     # signs it. Off the float grid, the float sums rho2 +- float(x2) and
-    # rho1 +- float(x1) differ from the rounded exact values the fallback gets
-    calls = _counting(monkeypatch, [], "_R_enclosure", "_R_sum")
+    # rho1 +- float(x1) differ from the rounded exact values the enclosure
+    # and its fallback get
+    calls = _recording_enclosures(monkeypatch)
     r1, r2 = RHO_SU22
     x1, x2 = 1 + Fraction(1, 97), 1 - Fraction(1, 97)
     assert in_B((x1, x2), 2, RHO_SU22)
@@ -671,7 +808,9 @@ def test_in_B_fallback_sums_the_enclosure_parameters(monkeypatch):
     l = (float(r1 + x1), float(r1 - x1))
     assert u[:2] != (float(r2) + float(x2), float(r2) - float(x2))
     assert l != (float(r1) + float(x1), float(r1) - float(x1))
-    assert calls == [("_R_enclosure", (u, l, 2.0)), ("_R_sum", (u, l, 2.0, 1e-8))]
+    [(args, (value, radius))] = calls
+    assert args == (u, l, 2.0)
+    assert abs(value) <= radius and value >= -SIGN_DEADBAND
 
 
 def test_region_rank2_B_matches_the_oracles(capsys):
