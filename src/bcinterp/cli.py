@@ -23,12 +23,12 @@ from types import SimpleNamespace
 
 from .exactnum import ArgumentError, DomainError, _check_int, _exact_str
 from .limits import (
-    _W_runs,
     _gamma_enclosure,
     contour_to_csv,
     crossing_equation,
     crossing_point,
     gamma_ratio_identity,
+    in_W_raster,
     r_limit,
     r_partial,
     s_m,
@@ -48,8 +48,9 @@ from .okounkov import (
     verify_characterization,
 )
 from .partitions import enumerate_Lambda, format_partition, parse_partition
-from .rank2 import R_midpoint_telescoped, _B_runs, _R_enclosure, q_rank2, q_rank2_partial_d2
-from .shimura import GroupData, Verdict, _A_runs, _G_runs, _square_runs, _U0_runs, group_params, shimura_eigenvalue
+from .rank2 import R_midpoint_telescoped, _R_steps, in_B_raster, q_rank2, q_rank2_partial_d2
+from .shimura import (GroupData, Verdict, group_params, in_A_raster, in_G_raster, in_square_raster, in_U0_raster,
+                      shimura_eigenvalue)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -201,11 +202,13 @@ def _suite_rank2(budget, rng, seed):
         r2 = (b + 1) / 2
         # the series at the midpoint (r2 + 1/2, r2 + 1/2) of rho = (r2 + 1, r2), d = 2, has
         # u = (2 r2 + 1/2, -1/2, 1), l = (2 r2 + 3/2, 1/2) and s = 2, all exact in binary
-        value, radius = _R_enclosure((2 * r2 + 0.5, -0.5, 1.0), (2 * r2 + 1.5, 0.5), 2.0)
         want = R_midpoint_telescoped(b)
-        # want: exact, rounded once; it must lie in the proven enclosure, widened by that rounding
+        # want: exact, rounded once; it must lie in every proven enclosure up to K = 1024, widened by that rounding
+        for k0, value, _, radius in _R_steps((2 * r2 + 0.5, -0.5, 1.0), (2 * r2 + 1.5, 0.5), 2.0):
+            if abs(want - value) > radius + 2.0**-52 * abs(want) or k0 >= 1024:
+                break
         yield (abs(want - value) <= radius + 2.0**-52 * abs(want)
-               or f"R midpoint outside its enclosure b={b}: {want} vs {value} +- {radius}")
+               or f"R midpoint outside its enclosure b={b} at K={k0}: {want} vs {value} +- {radius}")
 
 
 def _suite_limits(budget, rng, seed):
@@ -265,12 +268,12 @@ def _region_window(args):
     (exactnum._cells), the runs (stop, outcome) of the cells at
     (axis[i], axis[j]) for j <= i, each outcome a bool or a Verdict.
 
-    Every kind comes a row at a time from the run generator behind its
-    public raster: A and G from the raster kernel in shimura, rank2-B from
-    that of in_B_raster, which takes its gates from the G rows, and square,
-    U0 and W from the row-range rasters, which bound each row's members by
-    exact bisection on the axis. The raster is two-dimensional, so every
-    kind that takes a group needs a rank-2 one.
+    Every kind comes a row at a time from its public raster, looked up by
+    name when the rows are drawn: in_A_raster and in_G_raster (the raster
+    kernel in shimura), in_B_raster (gates from in_G_raster), and the
+    row-range rasters in_square_raster, in_U0_raster and in_W_raster, which
+    bound each row's members by exact bisection on the axis. The raster is
+    two-dimensional, so every kind that takes a group needs a rank-2 one.
     """
     kind = args.kind
     if kind != "A" and args.max_weight is not None:
@@ -281,7 +284,7 @@ def _region_window(args):
         if args.m is None:
             raise ArgumentError("--m is required for kind W")
         m = args.m
-        return Fraction(m + 1, 2) + 2, lambda axis: _W_runs(axis, m)
+        return Fraction(m + 1, 2) + 2, lambda axis: in_W_raster(axis, m)
     if args.m is not None:
         raise ArgumentError(f"--m is for kind W only, not for kind {kind}")
     if args.group is None:
@@ -306,11 +309,11 @@ def _region_window(args):
         # forces x2^2 >= rho2^2, and then phi_1 = rho1^2 + rho2^2 - x1^2 - x2^2 < 0.
         raise ArgumentError(f"kind rank2-B needs alpha >= -d/4, got alpha = {prm.alpha} for d = {g.d}")
     rows = {
-        "G": lambda axis: _G_runs(axis, prm),
-        "A": lambda axis: _A_runs(axis, prm, 6 if args.max_weight is None else args.max_weight),
-        "square": lambda axis: _square_runs(axis, prm),
-        "U0": lambda axis: _U0_runs(axis, g.b),
-        "rank2-B": lambda axis: _B_runs(axis, g.d, rho),
+        "G": lambda axis: in_G_raster(axis, prm),
+        "A": lambda axis: in_A_raster(axis, prm, 6 if args.max_weight is None else args.max_weight),
+        "square": lambda axis: in_square_raster(axis, prm),
+        "U0": lambda axis: in_U0_raster(axis, g.b),
+        "rank2-B": lambda axis: in_B_raster(axis, g.d, rho),
     }
     return rho[0] + 1, rows[kind]
 

@@ -149,7 +149,8 @@ def _ascending_axis(axis):
 # A raster row i is a list of its maximal runs (stop, outcome): the stops
 # strictly increase and end at i + 1, and run k holds the cells from the
 # stop before it (0 for the first) up to its own, with one outcome, unequal
-# to that of the runs beside it. The public rasters expand rows by _cells.
+# to that of the runs beside it. Every public in_*_raster yields its rows in
+# this form; _cells expands one row to its cells.
 
 
 def _cells(runs):

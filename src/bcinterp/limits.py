@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import (SIGN_DEADBAND, ArgumentError, DomainError, Frozen, PoleError, _add_flag_runs, _ascending_axis,
-                       _cells, _check_int, _exact_point, _gamma_quotient, is_exact)
+                       _check_int, _exact_point, _gamma_quotient, is_exact)
 
 __all__ = [
     "ContourPolyline",
@@ -205,10 +205,18 @@ def in_W(pt, m: int) -> bool:
     return S_div(float(x1) - falpha, float(x2) - falpha, m) >= -SIGN_DEADBAND
 
 
-def _W_runs(axis, m: int):
-    """The rows of in_W_raster in run form (exactnum._cells): the signs
-    of a row's cells from alpha on are one bytes object, cut into runs by
-    bytes.find."""
+def in_W_raster(axis, m: int):
+    """in_W on the raster of an ascending exact axis: yields, for each i,
+    row i in run form (exactnum._cells), the runs (stop, bool) of
+    [in_W((axis[i], axis[j]), m) for j <= i].
+
+    The square is the index range of the axis values in [alpha, alpha + 1],
+    found by bisection of the axis numerators A over their denominator Q
+    against ceil(alpha Q) and floor((alpha + 1) Q). A row inside it is False
+    below alpha and signs S_div from there on, reading s_m from one table of
+    the shifted floats A / Q - float(alpha), where A / Q is float(x), rounded
+    once: the float operations of in_W, so the same flags. Those flags are
+    one bytes object, cut into runs by bytes.find. Every other row is empty."""
     _, _, falpha = _W_constants(m)
     q, nums = _ascending_axis(axis)
     lo, hi = bisect_left(nums, -(-(m + 1) * q // 2)), bisect_right(nums, (m + 3) * q // 2)
@@ -222,21 +230,6 @@ def _W_runs(axis, m: int):
             yield runs
         else:
             yield [(i + 1, False)]
-
-
-def in_W_raster(axis, m: int):
-    """in_W on the raster of an ascending exact axis: yields, for each i,
-    [in_W((axis[i], axis[j]), m) for j <= i].
-
-    The square is the index range of the axis values in [alpha, alpha + 1],
-    found by bisection of the axis numerators A over their denominator Q
-    against ceil(alpha Q) and floor((alpha + 1) Q). A row inside it is False
-    below alpha and signs S_div from there on, reading s_m from one table of
-    the shifted floats A / Q - float(alpha), where A / Q is float(x), rounded
-    once: the float operations of in_W, so the same flags. Every other row
-    is empty.
-    """
-    yield from map(_cells, _W_runs(axis, m))
 
 
 def in_G0_rank2(pt, m: int) -> bool:

@@ -19,10 +19,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import (SIGN_DEADBAND, ArgumentError, DomainError, PoleError, _add_flag_runs, _add_run, _cells,
-                       _check_int, _check_length, _exact_point, _over_common, as_exact)
+from .exactnum import (SIGN_DEADBAND, ArgumentError, DomainError, PoleError, _add_flag_runs, _add_run, _check_int,
+                       _check_length, _exact_point, _over_common, as_exact)
 from .okounkov import Params
-from .shimura import _G_runs, in_G
+from .shimura import in_G, in_G_raster
 
 __all__ = [
     "Rank2Regions",
@@ -407,13 +407,17 @@ def in_B(pt, d: int, rho) -> bool:
     return _past_gates(x1, x2, q, r1, r2, d, s)
 
 
-def _B_runs(axis, d: int, rho):
-    """The rows of in_B_raster in run form (exactnum._cells): a run of
-    the gate rows that fails a gate is one False run, and the cells of a
-    run that passes both are decided one by one by _past_gates."""
+def in_B_raster(axis, d: int, rho):
+    """in_B on the rank-2 raster of an exact axis: yields, for each i, row i
+    in run form (exactnum._cells), the runs (stop, bool) of
+    [in_B((axis[i], axis[j]), d, rho) for j <= i]. The gates are the rows
+    of in_G_raster for the Params whose column tests they are: a run of
+    them that fails a gate is one False run, and the cells of a run that
+    passes both are decided one by one by _past_gates, the rest of in_B, on
+    the numerators of the axis and rho over one denominator."""
     p, r1, r2, s = _series_constants(d, tuple(map(as_exact, rho)))
     q, (r1, r2, *nums) = _over_common((r1, r2, *axis))
-    for x1, gates in zip(nums, _G_runs(axis, p)):
+    for x1, gates in zip(nums, in_G_raster(axis, p)):
         runs, start = [], 0
         for stop, v in gates:
             if v.member:
@@ -422,15 +426,6 @@ def _B_runs(axis, d: int, rho):
                 _add_run(runs, stop, False)
             start = stop
         yield runs
-
-
-def in_B_raster(axis, d: int, rho):
-    """in_B on the rank-2 raster of an exact axis: yields, for each i,
-    [in_B((axis[i], axis[j]), d, rho) for j <= i]. The gates are the rows
-    of in_G_raster for the Params whose column tests they are; the rest of
-    in_B runs only at the points that pass both, on the numerators of the
-    axis and rho over one denominator."""
-    yield from map(_cells, _B_runs(axis, d, rho))
 
 
 def _past_gates(x1: int, x2: int, q: int, r1: int, r2: int, d: int, s: float) -> bool:

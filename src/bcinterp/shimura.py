@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import ArgumentError, Frozen, _ascending_axis, _cells, _check_int, _exact_point, _span_runs
+from .exactnum import ArgumentError, Frozen, _ascending_axis, _check_int, _exact_point, _span_runs
 from .okounkov import (
     Params,
     _block_certs,
@@ -208,7 +208,7 @@ def _raster(axis, p: Params, bands, degree):
     of bands, an iterable of tuples (key, sign, compiled terms) taken in
     order, that _first_negative makes. A row is yielded as its maximal runs
     (stop, Verdict) (the run form of exactnum._cells), never as one Verdict
-    per cell; in_G_raster and in_A_raster expand the runs to cells.
+    per cell; in_G_raster and in_A_raster yield these rows as they are.
 
     The raster shares one denominator Q. A row's cells are int bitmasks
     over the axis positions: pending (no sum has failed there yet; row i
@@ -281,27 +281,19 @@ def _raster(axis, p: Params, bands, degree):
         yield _span_runs(i + 1, spans, member)
 
 
-def _G_runs(axis, p: Params):
-    """The rows of in_G_raster in run form."""
-    yield from _raster(axis, p, (_signed_columns(p),), p.n)
-
-
 def in_G_raster(axis, p: Params):
-    """in_G on the rank-2 raster of an exact axis: yields, for each i,
-    [in_G((axis[i], axis[j]), p) for j <= i]."""
-    yield from map(_cells, _G_runs(axis, p))
-
-
-def _A_runs(axis, p: Params, max_weight: int):
-    """The rows of in_A_raster in run form."""
-    _check_int("max_weight", max_weight, 1)
-    yield from _raster(axis, p, (_signed_band(p, k) for k in range(1, max_weight + 1)), max_weight)
+    """in_G on the rank-2 raster of an exact axis: yields, for each i, row i
+    in run form (exactnum._cells), the runs (stop, Verdict) of
+    [in_G((axis[i], axis[j]), p) for j <= i] (_raster)."""
+    yield from _raster(axis, p, (_signed_columns(p),), p.n)
 
 
 def in_A_raster(axis, p: Params, max_weight: int):
     """in_A_certified on the rank-2 raster of an exact axis: yields, for
-    each i, [in_A_certified((axis[i], axis[j]), p, max_weight) for j <= i]."""
-    yield from map(_cells, _A_runs(axis, p, max_weight))
+    each i, row i in run form (exactnum._cells, _raster), the runs (stop,
+    Verdict) of [in_A_certified((axis[i], axis[j]), p, max_weight) for j <= i]."""
+    _check_int("max_weight", max_weight, 1)
+    yield from _raster(axis, p, (_signed_band(p, k) for k in range(1, max_weight + 1)), max_weight)
 
 
 def in_square(pt, p: Params) -> bool:
@@ -351,12 +343,15 @@ def in_U0_knapp_speh(pt, b: int) -> bool:
 # The row-range rasters below take an ascending exact axis, so x2 <= x1 in
 # every cell, and each remaining constraint bounds x2 on one side along a
 # row: a row's members are one index range of the axis, found by exact
-# bisection, plus (for U0) a few isolated segment points. Each row is built
-# as runs (exactnum._cells) from these index ranges by exactnum._span_runs.
+# bisection, plus (for U0) a few isolated segment points. Each row is yielded
+# in run form (exactnum._cells), made from these ranges by exactnum._span_runs.
 
 
-def _square_runs(axis, p: Params):
-    """The rows of in_square_raster in run form."""
+def in_square_raster(axis, p: Params):
+    """in_square on the rank-2 raster of an ascending exact axis: yields,
+    for each i, row i in run form, the runs (stop, bool) of
+    [in_square((axis[i], axis[j]), p) for j <= i]. A row with
+    0 <= x1 <= alpha holds the cells with x2 >= 0; any other row is empty."""
     _check_rank2(p)
     q, nums = _ascending_axis(axis)
     lo = bisect_left(nums, 0)
@@ -365,15 +360,12 @@ def _square_runs(axis, p: Params):
         yield _span_runs(i + 1, [(lo, i + 1, True)] if lo <= i < hi else [], False)
 
 
-def in_square_raster(axis, p: Params):
-    """in_square on the rank-2 raster of an ascending exact axis: yields,
-    for each i, [in_square((axis[i], axis[j]), p) for j <= i]. A row with
-    0 <= x1 <= alpha holds the cells with x2 >= 0; any other row is empty."""
-    yield from map(_cells, _square_runs(axis, p))
-
-
-def _U0_runs(axis, b: int):
-    """The rows of in_U0_raster in run form."""
+def in_U0_raster(axis, b: int):
+    """in_U0_knapp_speh on the raster of an ascending exact axis: yields,
+    for each i, row i in run form, the runs (stop, bool) of
+    [in_U0_knapp_speh((axis[i], axis[j]), b) for j <= i].
+    In a row with 0 <= x1 <= rho2 the members are the cells with
+    0 <= x2 <= the row's bound, plus the cells on its segments (_u0_row)."""
     _check_int("b", b)
     q, nums = _ascending_axis(axis)
     lo = bisect_left(nums, 0)
@@ -387,12 +379,3 @@ def _U0_runs(axis, b: int):
         spans = [(lo, bisect_right(nums, bound, 0, n), True)]
         spans += [(bisect_left(nums, x2, 0, n), bisect_right(nums, x2, 0, n), True) for x2 in segments]
         yield _span_runs(n, spans, False)
-
-
-def in_U0_raster(axis, b: int):
-    """in_U0_knapp_speh on the raster of an ascending exact axis: yields,
-    for each i, [in_U0_knapp_speh((axis[i], axis[j]), b) for j <= i].
-    In a row with 0 <= x1 <= rho2 the members are the cells with
-    0 <= x2 <= the row's bound, plus the cells on its segments (_u0_row).
-    """
-    yield from map(_cells, _U0_runs(axis, b))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bcinterp.shimura as shimura
-from bcinterp.exactnum import DomainError, PoleError
+from bcinterp.exactnum import DomainError, PoleError, _cells
 from bcinterp.limits import in_G0_rank2, in_W
 from bcinterp.okounkov import (
     Params,
@@ -284,9 +284,10 @@ POLES = [Params(2, -1, -4), Params(2, -4, 4), Params(2, -3, Fraction(1, 2))]
 
 
 def assert_raster_is_point_tests(rows, axis, test):
-    """Row i of the raster rows is [test((axis[i], x2)) for x2 in
-    axis[:i + 1]], until the first row where a point test raises PoleError;
-    the raster must raise it there too, and only there."""
+    """Row i of the raster rows, expanded from its runs, is
+    [test((axis[i], x2)) for x2 in axis[:i + 1]], until the first row where
+    a point test raises PoleError; the raster must raise it there too, and
+    only there."""
     for i, x1 in enumerate(axis):
         try:
             want = [test((x1, x2)) for x2 in axis[: i + 1]]
@@ -294,7 +295,7 @@ def assert_raster_is_point_tests(rows, axis, test):
             with pytest.raises(PoleError):
                 next(rows)
             return "pole"
-        assert next(rows) == want, (axis, i)
+        assert _cells(next(rows)) == want, (axis, i)
     assert next(rows, None) is None
     return "rows"
 
@@ -315,7 +316,7 @@ def test_rasters_match_point_tests(p):
 def test_a_raster_at_a_pole_decides_the_rows_before_it():
     # the point (7, 7) fails at lam = (1) before the band with the pole
     p = Params(2, -2, 0)
-    assert list(in_A_raster([7], p, 6)) == [[in_A_certified((7, 7), p, 6)]] == [[Verdict(False, (1,), 6)]]
+    assert list(map(_cells, in_A_raster([7], p, 6))) == [[in_A_certified((7, 7), p, 6)]] == [[Verdict(False, (1,), 6)]]
     outcomes = Counter(assert_raster_is_point_tests(in_A_raster(axis, p, 6), axis,
                                                     lambda pt: in_A_certified(pt, p, 6))
                        for axis in ([7, 6, Fraction(1, 3)], [Fraction(1, 3), 7], [9, 8, 7]))
@@ -448,7 +449,7 @@ def test_the_square_needs_no_node_row(monkeypatch):
     for p in RANK2[:4] + [Params(2, Fraction(1, 3), Fraction(2, 5)), Params(2, Fraction(7, 2), Fraction(1, 9))]:
         axis = [p.alpha * i / 11 for i in range(12)]
         member = Verdict(True, None, 8)
-        assert all(row == [member] * (i + 1) for i, row in enumerate(in_A_raster(axis, p, 8)))
+        assert all(row == [member] * (i + 1) for i, row in enumerate(map(_cells, in_A_raster(axis, p, 8))))
     assert calls == []
 
 

@@ -265,6 +265,19 @@ def test_verify_names_each_mismatch_of_a_real_suite(capsys, monkeypatch):
     assert "column_poly_gf mismatch j=1 n=2 tau=1 pt=(" in data["failures"][0]
 
 
+def test_verify_rank2_holds_the_midpoint_to_every_enclosure_up_to_1024_terms(capsys, monkeypatch):
+    # the enclosures of the midpoint series at K = 1024 have half-widths
+    # 4.3e-12 to 7.1e-11 for b = 0..3, so a midpoint 1e-6 off fails each of
+    # the four checks; the first signed enclosure, at K = 4 for b = 1..3,
+    # is up to 9e-2 wide and would pass three of them
+    telescoped = cli.R_midpoint_telescoped
+    monkeypatch.setattr(cli, "R_midpoint_telescoped", lambda b: telescoped(b) + 1e-6)
+    code, out, _ = run(capsys, "verify", "--suite", "rank2")
+    failures = json.loads(out)["failures"]
+    assert code == 1 and len(failures) == 4
+    assert all(f.startswith(f"R midpoint outside its enclosure b={b} at K=") for b, f in enumerate(failures))
+
+
 def test_verify_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "--suite", "rank2", "--budget", "2", "--seed", "1")
     _, second, _ = run(capsys, "verify", "--suite", "rank2", "--budget", "2", "--seed", "1")
@@ -470,6 +483,35 @@ def test_region_formats_each_distinct_outcome_once(capsys, monkeypatch, argv):
         assert len(calls) == len(outcomes)
     else:
         assert calls == []
+
+
+@pytest.mark.parametrize("kind, name, flags", [
+    ("G", "in_G_raster", ["--group", "2,1,2"]),
+    ("A", "in_A_raster", ["--group", "2,1,2", "--max-weight", "3"]),
+    ("square", "in_square_raster", ["--group", "2,2,3"]),
+    ("U0", "in_U0_raster", ["--group", "2,1,4"]),
+    ("rank2-B", "in_B_raster", ["--group", "2,2,3"]),
+    ("W", "in_W_raster", ["--m", "1"]),
+], ids=["G", "A", "square", "U0", "rank2-B", "W"])
+def test_region_calls_the_public_raster_of_its_kind_by_name(capsys, monkeypatch, kind, name, flags):
+    # a tracer wraps a raster by rebinding its name in the modules that
+    # import it, so region must look the name up in cli when it runs, and
+    # in_B_raster must take its gates through rank2.in_G_raster
+    argv = ["region", "--kind", kind, *flags, "--grid", "9"]
+    want = run(capsys, *argv)
+    calls = Counter()
+
+    def count(module, attr):
+        inner = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *args: calls.update([attr]) or inner(*args))
+
+    count(cli, name)
+    expected = Counter([name])
+    if kind == "rank2-B":
+        count(rank2, "in_G_raster")
+        expected["in_G_raster"] = 1
+    assert run(capsys, *argv) == want and want[0] == 0
+    assert calls == expected
 
 
 def _perfbench_module(name):

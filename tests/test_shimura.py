@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcinterp.exactnum import DomainError, _over_common
+from bcinterp.exactnum import DomainError, _cells, _over_common
 from bcinterp.limits import in_W, in_W_raster
 from bcinterp.okounkov import Params, column_poly, k_constant, okounkov_eval
 from bcinterp.partitions import enumerate_Lambda
@@ -225,7 +225,9 @@ def cli_axis(top, grid):
 
 
 def assert_rows_match(rows, axis, test):
-    rows = list(rows)
+    """Row i of the raster rows, expanded from its runs, is the point tests
+    of (axis[i], x2) for x2 in axis[:i + 1]."""
+    rows = list(map(_cells, rows))
     assert len(rows) == len(axis)
     for i, row in enumerate(rows):
         assert row == [test((axis[i], x2)) for x2 in axis[: i + 1]], (i, axis[i])
@@ -277,7 +279,7 @@ def test_in_U0_raster_hits_segment_nodes():
     # j = 1 segment past its triangle is on the grid: in the row x1 = 17/10
     # the triangle ends at x2 = 3/10 and the segment holds x2 = 7/10 alone
     axis = cli_axis(Fraction(4), 41)
-    row = list(in_U0_raster(axis, 3))[17]
+    row = _cells(list(in_U0_raster(axis, 3))[17])
     assert [j for j, member in enumerate(row) if member] == [0, 1, 2, 3, 7]
 
 

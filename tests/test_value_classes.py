@@ -18,6 +18,7 @@ from bcinterp import (
     in_G_raster,
     okounkov_eval,
 )
+from bcinterp.exactnum import _cells
 from bcinterp.okounkov import _compiled_terms
 
 
@@ -86,7 +87,7 @@ def test_verdict_is_immutable_and_shared_within_a_raster():
     assert (v.member, v.witness) == (False, (2, 1))
     assert copy.copy(v) == v and copy.deepcopy(v) == v
     p = Params(2, Fraction(1), Fraction(1, 2))
-    cells = [v for row in in_G_raster([Fraction(k, 4) for k in range(12)], p) for v in row]
+    cells = [v for row in in_G_raster([Fraction(k, 4) for k in range(12)], p) for v in _cells(row)]
     distinct = {id(v) for v in cells}
     assert len(cells) == 78 and len(distinct) == len({(v.member, v.witness) for v in cells}) == 3
 
