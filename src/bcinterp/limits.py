@@ -2,6 +2,12 @@
 product identity, rescaled row-polynomial limits, the sine quotient s_m,
 its divided difference S, the region tests built from them, and the
 diagonal crossing point with a contour tracer for the S = 0 curve.
+
+The W tests sign S through _ScaledSine: the scaled quotient m! s_m, which
+never overflows, at exact nodes, with a proven float error bound, and the
+deadband rule only where the bound cannot sign. rank2.in_B signs the d = 2
+boundary series by the same helper, since there R telescopes to S (the
+proof is in the docstring of _ScaledSine).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import (SIGN_DEADBAND, ArgumentError, DomainError, Frozen, PoleError, _add_flag_runs, _ascending_axis,
-                       _check_int, _exact_point, _gamma_quotient, is_exact)
+                       _check_int, _exact_point, _gamma_quotient, _over_common, is_exact)
 
 __all__ = [
     "ContourPolyline",
@@ -164,11 +170,12 @@ def s_m_prime(t, m: int) -> float:
     return (math.pi * math.cos(math.pi * tf) - math.sin(math.pi * tf) * dsum) / g
 
 
-def _div_diff(xf: float, yf: float, m: int, s) -> float:
-    """(s(xf) - s(yf)) / (xf - yf) for s = s_m, or s_m'((xf + yf)/2) within
-    _DIAG_SWITCH of the diagonal, where s is not called."""
+def _div_diff(xf: float, yf: float, m: int, s, prime=s_m_prime) -> float:
+    """(s(xf) - s(yf)) / (xf - yf) for s = s_m, or prime((xf + yf)/2, m),
+    s_m' by default, within _DIAG_SWITCH of the diagonal, where s is not
+    called."""
     if abs(xf - yf) < _DIAG_SWITCH:
-        return s_m_prime((xf + yf) / 2.0, m)
+        return prime((xf + yf) / 2.0, m)
     return (s(xf) - s(yf)) / (xf - yf)
 
 
@@ -184,6 +191,135 @@ def S_div(x, y, m: int) -> float:
     return _div_diff(float(x), float(y), m, lambda t: s_m(t, m))
 
 
+class _ScaledSine:
+    """Proven signs of the divided difference S_div(t1, t2; m) at exact t
+    in [0, 1], from the scaled sine quotient
+        s~(t) = m! s_m(t) = sin(pi t) / h(t),  h(t) = prod_{i<=m} (1 + t/i),
+    which has the sign of s_m and, as 1 <= h(t) <= m + 1 on [0, 1], stays
+    in [-1, 1] where the denominator of s_m overflows (m >= 170). The
+    nodes are exact
+    t = n / den (integers n, den > 0; a node outside [0, 1] is left out),
+    each kept with an interval [lo, hi] that holds s~(t) at the exact t.
+    sign(n1, n2) is the sign of S_div(t1, t2) where the intervals prove it
+    (for n1 != n2, sign(s~(t1) - s~(t2)) sign(t1 - t2), signed when the
+    intervals are disjoint; on the diagonal the sign of s~'(t), signed when
+    |d| exceeds its bound e'), and 0 where they do not. slope(n1, n2) is
+    the float divided difference of s~ at the rounded nodes, through
+    _div_diff, for the rules that sign what the bound leaves.
+
+    The bound (u = 2^-53, L = 4.2 + log(m + 1) >= pi + H_m, H_m the
+    harmonic number, H_m <= 1 + log m). For m <= 2^40, so 3 m u <= 2^-11:
+    - Rounding of t. t^ = n / den is t correctly rounded, so
+      |t^ - t| <= u t <= 1.01 u t^, or at most 2^-1075 where t^ is below
+      2^-1022, and t^ is in [0, 1]. On [0, 1],
+      |s~'| <= (pi |cos| + |sin| sum_i 1/(i + t)) / h <= pi + H_m <= L
+      (h >= 1), and s~'' = (-pi^2 sin - 2 pi cos H + sin (H^2 + H2)) / h
+      with H = sum 1/(i + t), H2 = sum 1/(i + t)^2 <= pi^2/6, so
+      |s~''| <= (pi + H_m)^2 + 2 <= L^2 + 2. Moving t to t^ moves s~ by at
+      most 1.01 u L t^ and s~' by at most 1.01 u (L^2 + 2).
+    - s~ at t^. sin is math.sin at p^ = fl(math.pi t^), and math.sin and
+      math.cos are taken to be within 5 ulps, the accuracy log_gamma
+      assumes of math.lgamma (CPython's Lib/test/test_math.py tests them at
+      5 ulps). |p^ - pi t^| <= 2.01 u pi t^, so the float sine sv is
+      within 10.1 u |sv| + 6.3 u t^ of sin(pi t^). Each factor
+      fl(1 + fl(t^/i)) is 1 + t^/i to within 2.01 u and the product h^ takes
+      m - 1 roundings more, so h^ = h(t^)(1 + th), |th| <= 3.01 m u; and
+      s^ = fl(sv / h^). With h >= 1 and |sv| / h <= 1.01 |s^|,
+      |s^ - s~(t^)| <= u ((3.07 m + 11.3) |s^| + 6.3 t^).
+    - The interval. With the first term, s~(t) is within
+      u ((3.07 m + 11.3) |s^| + (6.3 + 1.01 L) t^) of s^. The radius
+      e = 2u ((3m + 16) |s^| + (L + 8) t^) + 2^-1000 exceeds that by more
+      than u (|s^| + e), the rounding of lo = fl(s^ - e) and
+      hi = fl(s^ + e), and than the few roundings of e itself; 2^-1000
+      covers a subnormal t^, sine, quotient or product. So
+      lo <= s~(t) <= hi.
+    - The diagonal. d^ = fl(fl(math.pi c - fl(s g)) / h^), with c the
+      float cosine at p^ and g the float sum of 1/(i + t^), is within
+      u (9.6 m + 69.6 + L (4.2 m + 22.7) + 1.01 L^2) of s~'(t) (|c|, |sv|,
+      t^ <= 1; g within 1.01 (m + 2) u H_m of H(t^); the numerator at most
+      pi + 1.02 L), and e' = 2u (L (3m + 12) + L^2 + 8m + 40) + 2^-1000
+      covers that with room for its own roundings.
+    Off the diagonal no quotient is formed: S_div has the sign of
+    s~(t1) - s~(t2) times that of t1 - t2 = (n1 - n2) / den, and disjoint
+    intervals give the first.
+
+    Why the sign of S_div is the sign of the rank-2 boundary series at
+    d = 2. Take rho = (alpha + 1, alpha) with m = 2 alpha - 1 an integer
+    >= 0, and write a, b = alpha +- x2, c, e = alpha + 1 +- x1, so
+    c + e = a + b + 2 and R = sum_k (a)_k (b)_k / ((c)_k (e)_k) (the d/2 =
+    1 of the third upper parameter cancels k!). Telescoping: for
+    F(k) = (a)_k (b)_k / ((c)_(k-1) (e)_(k-1)), F(k+1) - F(k) equals the
+    k-th term times ab - (c-1)(e-1) = x1^2 - x2^2, F(0) = alpha^2 - x1^2
+    and F(K) -> Gamma(c)Gamma(e) / (Gamma(a)Gamma(b)) (the exponents of K
+    cancel; 1/Gamma is 0 at its poles, where the series terminates), so
+    for x1^2 != x2^2
+        R = (Gamma(c)Gamma(e) / (Gamma(a)Gamma(b)) - (alpha^2 - x1^2))
+            / (x1^2 - x2^2)
+    (Bailey, "Generalized Hypergeometric Series", 1935, ch. 3; DLMF
+    16.4). Reflection: with t = x - alpha, Gamma(alpha + x) = Gamma(1 + t)
+    (t+1)...(t+m) and Gamma(z)Gamma(1 - z) = pi / sin(pi z) give
+    1 / (Gamma(alpha + x)Gamma(alpha - x)) = -s_m(t) / pi, and
+    Gamma(c)Gamma(e) = pi (x1^2 - alpha^2) / s_m(t1). So, with
+    t_i = x_i - alpha,
+        R = -(alpha^2 - x1^2) S_div(t1, t2; m) / ((x1 + x2) s_m(t1)),
+    and, by continuity in x2, the same with s_m'(t1) on x1 = x2. R is
+    even in x1 and in x2, so take t_i = |x_i| - alpha. At a point where
+    in_B would sum the series (both gates pass, |x2| > alpha, |x1| < rho1),
+    q11 = (alpha^2 - x1^2)(alpha^2 - x2^2) >= 0 gives |x1| >= alpha and
+    q10 >= 0 gives x1^2 < (alpha + 1)^2 and x2^2 <= (alpha + 1)^2, so
+    t1 is in [0, 1), t2 in (0, 1]. For t1 > 0, s_m(t1) > 0 and
+    alpha^2 - x1^2 < 0, so sign R = sign S_div(t1, t2); at t1 = 0 the
+    limit gives R = (m+1)! s_m(t2) / (pi (x2^2 - alpha^2)) and
+    S_div(0, t2) = s_m(t2) / t2, the same sign. Hence R >= 0 exactly
+    where S_div(t1, t2; m) >= 0: W's test at m = b + p.
+    """
+
+    __slots__ = ("m", "_lip", "t", "s", "lo", "hi")
+
+    def __init__(self, m: int, den: int, nums):
+        self.m = m
+        self._lip = 4.2 + math.log(m + 1)
+        self.t, self.s, self.lo, self.hi = {}, {}, {}, {}
+        for n in nums:
+            if 0 <= n <= den and n not in self.t:
+                t = self.t[n] = n / den
+                h = 1.0
+                for i in range(1, m + 1):
+                    h *= 1.0 + t / i
+                s = self.s[t] = math.sin(math.pi * t) / h
+                e = 2.0**-52 * ((3 * m + 16) * abs(s) + (self._lip + 8.0) * t) + 2.0**-1000
+                self.lo[n], self.hi[n] = s - e, s + e
+
+    def _prime(self, t: float):
+        """(d^, e'): s~'(t) at the float t in [0, 1] and its bound."""
+        m, lip = self.m, self._lip
+        p = math.pi * t
+        h, g = 1.0, 0.0
+        for i in range(1, m + 1):
+            h *= 1.0 + t / i
+            g += 1.0 / (i + t)
+        d = (math.pi * math.cos(p) - math.sin(p) * g) / h
+        return d, 2.0**-52 * (lip * (3 * m + 12) + lip * lip + 8 * m + 40) + 2.0**-1000
+
+    def sign(self, n1: int, n2: int) -> int:
+        """The sign of S_div(n1 / den, n2 / den; m) where the bound proves
+        it, else 0."""
+        if n1 == n2:
+            d, e = self._prime(self.t[n1])
+            return (d > e) - (-d > e)
+        if self.hi[n2] < self.lo[n1]:
+            up = 1
+        elif self.hi[n1] < self.lo[n2]:
+            up = -1
+        else:
+            return 0
+        return up if n1 > n2 else -up
+
+    def slope(self, n1: int, n2: int) -> float:
+        """The float divided difference of s~ at the rounded nodes."""
+        return _div_diff(self.t[n1], self.t[n2], self.m, self.s.__getitem__, lambda t, _: self._prime(t)[0])
+
+
 # typed: as keys 1.0 == 1, and a float m must reach the check
 @lru_cache(maxsize=None, typed=True)
 def _W_constants(m: int):
@@ -196,13 +332,30 @@ def _W_constants(m: int):
 
 def in_W(pt, m: int) -> bool:
     """Membership in W: the square [alpha, alpha+1]^2 cap {x1 >= x2} with
-    the shifted divided difference nonnegative (deadband SIGN_DEADBAND), the
-    square tested at the exact point; ArgumentError at a nan or inf coordinate."""
-    alpha, top, falpha = _W_constants(m)
+    the shifted divided difference S_div(x1 - alpha, x2 - alpha; m)
+    nonnegative, the square tested at the exact point; ArgumentError at a
+    nan or inf coordinate. The sign is that of _ScaledSine at the exact
+    t_i = x_i - alpha where its bound proves it; elsewhere (exact zeros of
+    S_div, and cells within the rounding of one) it is the float divided
+    difference of the scaled s~ = m! s_m, nonnegative within the
+    deadband SIGN_DEADBAND (_W_member). The scaling makes the deadband
+    relative to m! S_div: on the unscaled S_div, whose size is about
+    1/(m+1)!, it called points with -1e-9 < S_div < 0 members (from m = 10
+    on), and s_m overflows from m = 170."""
+    alpha, top, _ = _W_constants(m)
     x1, x2 = _exact_point(pt, 2)
     if not (x2 >= alpha and x1 >= x2 and x1 <= top):
         return False
-    return S_div(float(x1) - falpha, float(x2) - falpha, m) >= -SIGN_DEADBAND
+    den, (n1, n2) = _over_common((x1 - alpha, x2 - alpha))
+    return _W_member(_ScaledSine(m, den, (n1, n2)), n1, n2)
+
+
+def _W_member(nodes: _ScaledSine, n1: int, n2: int) -> bool:
+    """W's test at the nodes n1 >= n2 of a table: the proven sign of
+    S_div, or, where the bound leaves it, the float slope of s~ at least
+    -SIGN_DEADBAND."""
+    sign = nodes.sign(n1, n2)
+    return sign > 0 if sign else nodes.slope(n1, n2) >= -SIGN_DEADBAND
 
 
 def in_W_raster(axis, m: int):
@@ -212,21 +365,27 @@ def in_W_raster(axis, m: int):
 
     The square is the index range of the axis values in [alpha, alpha + 1],
     found by bisection of the axis numerators A over their denominator Q
-    against ceil(alpha Q) and floor((alpha + 1) Q). A row inside it is False
-    below alpha and signs S_div from there on, reading s_m from one table of
-    the shifted floats A / Q - float(alpha), where A / Q is float(x), rounded
-    once: the float operations of in_W, so the same flags. Those flags are
-    one bytes object, cut into runs by bytes.find. Every other row is empty."""
-    _, _, falpha = _W_constants(m)
+    against ceil(alpha Q) and floor((alpha + 1) Q). One _ScaledSine holds
+    the nodes t = (2A - (m + 1) Q) / 2Q of that range, rounded as in_W
+    rounds them, so the same intervals and the same flags. A row inside the
+    square is False below alpha; from there on, a cell whose interval lies
+    below the row's is a member and one above it is not, both proven, and
+    the cells between (the diagonal, ties and exact zeros) go to
+    _W_member. Those flags are one bytes object, cut into runs by
+    bytes.find. Every other row is empty."""
+    _check_int("m", m)
     q, nums = _ascending_axis(axis)
     lo, hi = bisect_left(nums, -(-(m + 1) * q // 2)), bisect_right(nums, (m + 3) * q // 2)
-    ts = [a / q - falpha for a in nums[lo:hi]]
-    s_at = _s_table(ts, m)
+    keys = [2 * a - (m + 1) * q for a in nums[lo:hi]]
+    nodes = _ScaledSine(m, 2 * q, keys)
+    below, above = [nodes.lo[n] for n in keys], [nodes.hi[n] for n in keys]
     for i in range(len(nums)):
         if lo <= i < hi:
-            xf = ts[i - lo]
+            k = i - lo
+            n, low, high = keys[k], below[k], above[k]
             runs = [(lo, False)] if lo else []
-            _add_flag_runs(runs, lo, bytes([_div_diff(xf, yf, m, s_at) >= -SIGN_DEADBAND for yf in ts[: i - lo + 1]]))
+            _add_flag_runs(runs, lo, bytes([hi_j < low or lo_j <= high and _W_member(nodes, n, nj)
+                                            for nj, lo_j, hi_j in zip(keys[: k + 1], below, above)]))
             yield runs
         else:
             yield [(i + 1, False)]

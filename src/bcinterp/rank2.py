@@ -6,11 +6,13 @@ midpoint value, and the three-test region decision.
 The boundary series ops are the only place in the package where truncation
 error exists, and one summer handles it: _R_enclosure, a partial sum plus a
 second-order (Kummer) bound on the tail, with the float roundoff counted in
-the radius (the proof is in its docstring). in_B signs R from that
-enclosure, and R_series returns its centre once the tail bound meets
-rel_tol. rho itself is a member by an exact rule, and only a point the
-enclosure cannot sign falls back to the sign of its centre with the module
-deadband.
+the radius (the proof is in its docstring). R_series returns its centre
+once the tail bound meets rel_tol. At d = 2 with alpha = rho2 >= 1/2, R
+telescopes to W's divided difference S_div of limits, so in_B signs it by
+limits._ScaledSine, W's proven float bound, and sums the series only where
+that bound cannot sign; elsewhere in_B signs R from the enclosure. rho
+itself is a member by an exact rule, and only a point the enclosure
+cannot sign falls back to the sign of its centre with the module deadband.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from functools import lru_cache
 
 from .exactnum import (SIGN_DEADBAND, ArgumentError, DomainError, PoleError, _add_flag_runs, _add_run, _check_int,
                        _check_length, _exact_point, _over_common, as_exact)
+from .limits import _ScaledSine
 from .okounkov import Params
 from .shimura import in_G, in_G_raster
 
@@ -48,6 +51,9 @@ _SERIES_MAX = 2**19
 # the smallest term that carries on a run (also the floor of each b_j).
 _HUGE = 2.0**64
 _TINY = 2.0**-600
+# A node of limits._ScaledSine costs O(m), a series point O(1) in m: past
+# this m the d = 2 sign is left to the series.
+_SCALED_SINE_MAX_M = 1024
 
 
 def _q_exact(m1: int, m2: int, pt, rho, half, terminating: bool, gap_error) -> Fraction:
@@ -122,7 +128,7 @@ def R_series(pt, d: int, rho, rel_tol: float = 1e-12) -> float:
     """
     if not 0.0 < rel_tol < math.inf:
         raise ArgumentError(f"rel_tol must be a positive finite number, got {rel_tol!r}")
-    _, r1, r2, s = _series_constants(d, tuple(map(as_exact, _exact_point(rho, 2))))
+    _, r1, r2, s, _ = _series_constants(d, tuple(map(as_exact, _exact_point(rho, 2))))
     q, (r1, r2, x1, x2) = _over_common((r1, r2, *_exact_point(pt, 2)))
     for k0, value, tail, _ in _R_steps(*_series_args(x1, x2, q, r1, r2, d), s):
         if tail <= rel_tol * (1.0 + abs(value)) < math.inf:
@@ -343,10 +349,14 @@ class Rank2Regions:
 def _series_constants(d, rho: tuple):
     """What in_B and R_series need of d and the exact pair rho, built once
     per pair: Params(2, rho1 - rho2, rho2), whose column tests are the gates
-    of in_B; rho1 and rho2; and the series' decay exponent
-    s = 1 + 2 (rho1 - rho2) - d/2, rounded once. ArgumentError unless d is a
-    positive integer, rho a pair and that float s > 1 (the series is
-    summable, and the tail of _R_enclosure divides by s - 1)."""
+    of in_B; rho1 and rho2; the series' decay exponent
+    s = 1 + 2 (rho1 - rho2) - d/2, rounded once; and the m of
+    limits._ScaledSine that signs R at d = 2 (rho1 - rho2 = 1 and
+    m = 2 rho2 - 1 an integer, 0 <= m <= _SCALED_SINE_MAX_M, so alpha is
+    in [1/2, 512.5]), None elsewhere.
+    ArgumentError unless d is a positive integer, rho a pair and that float
+    s > 1 (the series is summable, and the tail of _R_enclosure divides by
+    s - 1)."""
     _check_int("d", d, 1)
     _check_length(rho, 2)
     r1, r2 = rho
@@ -357,7 +367,9 @@ def _series_constants(d, rho: tuple):
         raise ArgumentError("series decay exponent s = 1 + 2 (rho1 - rho2) - d/2 beyond float range") from None
     if not fs > 1.0:
         raise ArgumentError(f"series decays like k^-s with s = {fs} <= 1 as a float: not summable")
-    return Params(2, r1 - r2, r2), r1, r2, fs
+    m = 2 * r2 - 1
+    telescopes = d == 2 and r1 - r2 == 1 and 0 <= m <= _SCALED_SINE_MAX_M and m == int(m)
+    return Params(2, r1 - r2, r2), r1, r2, fs, int(m) if telescopes else None
 
 
 def in_B(pt, d: int, rho) -> bool:
@@ -384,27 +396,34 @@ def in_B(pt, d: int, rho) -> bool:
     rho2 + x2 >= 0 and |x1| < rho1 (the T1 side) every term
     (rho2+x2)_k (rho2-x2)_k (d/2)_k / ((rho1+x1)_k (rho1-x1)_k k!) is >= 0,
     so R >= 1 and the point is a member from the term signs alone, decided
-    in exact arithmetic. Every other point that passes is decided by the
-    sign of the boundary series at the parameters R_series sums, each
-    rounded once from its exact value (_series_args, whose DomainError a
-    point with |x1| > rho1, possible only where |rho2| >= rho1, raises):
+    in exact arithmetic. At d = 2 with rho1 - rho2 = 1 and
+    m = 2 rho2 - 1 an integer in [0, 1024], every other point that passes
+    has the sign of S_div(|x1| - rho2, |x2| - rho2; m), W's test (the
+    telescoping and reflection proof is in the docstring of
+    limits._ScaledSine), and is decided by that sign where its proven float
+    bound gives it, exactly at the point. Every other point that passes,
+    and a d = 2 point that bound cannot sign, is decided by the sign of the
+    boundary series at the parameters R_series sums, each rounded once
+    from its exact value (_series_args, whose DomainError a point with
+    |x1| > rho1, possible only where |rho2| >= rho1, raises):
     - _R_enclosure gives a proven interval for R (the proof is in its
       docstring), and a point is a member when the interval lies in R > 0
       and not one when it lies in R < 0;
     - a point whose interval still contains 0 after 4096 terms keeps the
       float rule value >= -SIGN_DEADBAND on the centre of that last
       interval. R is exactly 0 at some such points, for example (1, 1) for
-      d = 2, rho = (3/2, 1/2).
+      d = 2, rho = (3/2, 1/2), where neither bound can sign.
 
     d must be a positive integer and s in float range and, rounded, above
     1, or ArgumentError is raised at every point.
     """
-    p, r1, r2, s = _series_constants(d, tuple(map(as_exact, rho)))
+    p, r1, r2, s, m = _series_constants(d, tuple(map(as_exact, rho)))
     pt = _exact_point(pt, 2)
     if not in_G(pt, p).member:
         return False
     q, (r1, r2, x1, x2) = _over_common((r1, r2, *pt))
-    return _past_gates(x1, x2, q, r1, r2, d, s)
+    sign = None if m is None else lambda n1, n2: _ScaledSine(m, q, (n1, n2)).sign(n1, n2)
+    return _past_gates(x1, x2, q, r1, r2, d, s, sign)
 
 
 def in_B_raster(axis, d: int, rho):
@@ -414,29 +433,41 @@ def in_B_raster(axis, d: int, rho):
     of in_G_raster for the Params whose column tests they are: a run of
     them that fails a gate is one False run, and the cells of a run that
     passes both are decided one by one by _past_gates, the rest of in_B, on
-    the numerators of the axis and rho over one denominator."""
-    p, r1, r2, s = _series_constants(d, tuple(map(as_exact, rho)))
+    the numerators of the axis and rho over one denominator, with one
+    limits._ScaledSine of the axis nodes |x| - rho2 where R telescopes."""
+    p, r1, r2, s, m = _series_constants(d, tuple(map(as_exact, rho)))
     q, (r1, r2, *nums) = _over_common((r1, r2, *axis))
+    sign = None if m is None else _ScaledSine(m, q, [abs(x) - r2 for x in nums]).sign
     for x1, gates in zip(nums, in_G_raster(axis, p)):
         runs, start = [], 0
         for stop, v in gates:
             if v.member:
-                _add_flag_runs(runs, start, bytes([_past_gates(x1, x2, q, r1, r2, d, s) for x2 in nums[start:stop]]))
+                _add_flag_runs(runs, start, bytes([_past_gates(x1, x2, q, r1, r2, d, s, sign)
+                                                   for x2 in nums[start:stop]]))
             else:
                 _add_run(runs, stop, False)
             start = stop
         yield runs
 
 
-def _past_gates(x1: int, x2: int, q: int, r1: int, r2: int, d: int, s: float) -> bool:
+def _past_gates(x1: int, x2: int, q: int, r1: int, r2: int, d: int, s: float, sign) -> bool:
     """in_B at an exact point that passes both gates, from the numerators
     over one denominator q > 0 of the point (x1, x2) and of rho1, rho2 of
     _series_constants: the exact rules at rho and its mirrors and on the T1
-    side, then the sign of the boundary series."""
+    side, then, at d = 2 with alpha >= 1/2, the proven sign of
+    S_div(|x1| - rho2, |x2| - rho2; m), which is the sign of R
+    (sign(n1, n2) of a limits._ScaledSine over the numerators of
+    |x| - rho2; None elsewhere), then the sign of the boundary series."""
     # |x1| against rho1: equal at rho and its mirrors; less, with
     # |x2| <= rho2 (signed), on the T1 side
     if abs(x1) == r1 or abs(x1) < r1 and abs(x2) <= r2:
         return True
+    if sign is not None:
+        # the gates give rho2 <= |x1| < rho1 and rho2 < |x2| <= rho1 here
+        # (_ScaledSine has the proof), so both nodes are in its table
+        signed = sign(abs(x1) - r2, abs(x2) - r2)
+        if signed:
+            return signed > 0
     u, l = _series_args(x1, x2, q, r1, r2, d)
     value, radius = _R_enclosure(u, l, s)
     if abs(value) > radius:

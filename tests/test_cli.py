@@ -703,12 +703,42 @@ def test_contour_usage_errors(capsys):
     assert run(capsys, "contour", "--m", "0", "--grid", "60000001")[0] == 2
 
 
-@pytest.mark.parametrize("argv", ["contour --m 170 --grid 16", "region --kind W --m 170 --grid 200"])
+@pytest.mark.parametrize("argv", ["contour --m 170 --grid 16"])
 def test_overflowing_s_m_is_a_domain_error(capsys, argv):
     # (t+1)...(t+170) overflows a float inside the window: one error line
     code, out, err = run(capsys, *shlex.split(argv))
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m", [170, 171])
+def test_region_W_is_decided_where_s_m_overflows(capsys, m):
+    # W signs m! S_div from s~ = m! s_m, which stays in [-1, 1], so
+    # (t+1)...(t+m) overflowing a float no longer stops the raster; each
+    # square cell against the sign of S_div at 60 digits
+    mp = pytest.importorskip("mpmath")
+    code, out, err = run(capsys, "region", "--kind", "W", "--m", str(m), "--grid", "200")
+    assert (code, err) == (0, "")
+    alpha, top = Fraction(m + 1, 2), Fraction(m + 5, 2)
+    axis = [top * i / 199 for i in range(200)]
+    cells = parse_region(out)
+
+    def s(t):
+        return mp.sin(mp.pi * t) / mp.fprod(t + i for i in range(1, m + 1))
+
+    square = 0
+    with mp.workdps(60):
+        for i, x1 in enumerate(axis):
+            for x2 in axis[: i + 1]:
+                member = cells[f"{float(x1):.12g}", f"{float(x2):.12g}"][0]
+                if not alpha <= x2 <= x1 <= alpha + 1:
+                    assert member == "0"
+                    continue
+                t1, t2 = (mp.mpf(v.numerator) / v.denominator for v in (x1 - alpha, x2 - alpha))
+                slope = mp.diff(s, t1) if t1 == t2 else (s(t1) - s(t2)) / (t1 - t2)
+                assert member == ("1" if slope >= 0 else "0"), (x1, x2)
+                square += 1
+    assert square >= 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -278,7 +279,7 @@ def w_edge_axis(alpha):
     return sorted(values)
 
 
-@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 12, 171])
 def test_in_W_raster_matches_point_tests(m):
     # the CLI window [0, alpha + 2] at several grids, and the edge axis
     alpha = Fraction(m + 1, 2)
@@ -289,6 +290,84 @@ def test_in_W_raster_matches_point_tests(m):
         for i, row in enumerate(rows):
             assert row == [in_W((axis[i], x2), m) for x2 in axis[: i + 1]], (m, i)
     assert any(any(row) for row in rows) and not all(all(row) for row in rows)
+
+
+def _scaled_sine_reference(mp, m):
+    """s~ = m! s_m and its derivative in mpmath, at an mpf t."""
+    def s(t):
+        return mp.sin(mp.pi * t) / mp.fprod(1 + t / i for i in range(1, m + 1))
+
+    return s, lambda t: mp.diff(s, t)
+
+
+def test_scaled_sine_intervals_hold_the_exact_values():
+    # every node interval holds s~ at the exact t, and every diagonal bound
+    # s~'(t) at the exact t: t at 0 and 1, 10^-30 from them, 10^-400 (which
+    # rounds to 0.0), and random exact t, for m up to 500
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    den = 10**420
+    for m in (0, 1, 2, 5, 11, 12, 20, 170, 171, 500):
+        nums = [0, den, den // 10**30, den - den // 10**30, den // 10**400, den // 2, den // 3]
+        nums += [den * rng.randrange(1, 997) // 997 for _ in range(8)]
+        nodes = limits._ScaledSine(m, den, nums)
+        s, prime = _scaled_sine_reference(mp, m)
+        with mp.workdps(60):
+            for n in nums:
+                t = mp.mpf(n) / den
+                assert nodes.lo[n] <= s(t) <= nodes.hi[n], (m, n)
+                d, e = nodes._prime(nodes.t[n])
+                assert abs(d - prime(t)) <= e, (m, n)
+            # a node outside [0, 1] is left out
+            assert not limits._ScaledSine(m, den, (-1, den + 1)).t
+
+
+def test_scaled_sine_signs_match_mpmath():
+    # sign() against 60-digit divided differences; 0 only where the exact
+    # value is within 1e-13 of 0 (here: the zero of s~' at t = 1/2 for m = 0)
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(6)
+    for m in (0, 1, 3, 12, 40):
+        den = 840
+        nums = sorted({rng.randrange(den + 1) for _ in range(25)} | {0, den // 2, den})
+        nodes = limits._ScaledSine(m, den, nums)
+        s, prime = _scaled_sine_reference(mp, m)
+        with mp.workdps(60):
+            for n1, n2 in itertools.product(nums, repeat=2):
+                t1, t2 = mp.mpf(n1) / den, mp.mpf(n2) / den
+                exact = prime(t1) if n1 == n2 else (s(t1) - s(t2)) / (t1 - t2)
+                signed = nodes.sign(n1, n2)
+                if signed:
+                    assert signed == mp.sign(exact), (m, n1, n2)
+                else:
+                    assert abs(exact) < 1e-13, (m, n1, n2)
+
+
+def test_in_W_raster_signs_m_factorial_S_div_for_m_11_to_14():
+    # the absolute deadband on S_div, whose size is about 1/(m+1)!, called
+    # square cells members at S_div in [-1e-9, 0); the scaled test signs
+    # them as 60-digit mpmath does, and keeps only exact zeros on the float
+    # rule
+    mp = pytest.importorskip("mpmath")
+    rescued = 0
+    for m in range(11, 15):
+        alpha = Fraction(m + 1, 2)
+        s, prime = _scaled_sine_reference(mp, m)
+        for grid in (41, 100):
+            axis = [(alpha + 2) * i / (grid - 1) for i in range(grid)]
+            for i, row in enumerate(map(_cells, in_W_raster(axis, m))):
+                for x2, member in zip(axis, row):
+                    x1 = axis[i]
+                    if not alpha <= x2 <= x1 <= alpha + 1:
+                        assert not member
+                        continue
+                    with mp.workdps(60):
+                        t1, t2 = (mp.mpf(v.numerator) / v.denominator for v in (x1 - alpha, x2 - alpha))
+                        exact = prime(t1) if t1 == t2 else (s(t1) - s(t2)) / (t1 - t2)
+                    if abs(exact) > 1e-40:
+                        assert member == (exact > 0), (m, grid, x1, x2)
+                        rescued += -1e-9 <= S_div(t1, t2, m) < 0
+    assert rescued > 100
 
 
 def test_in_W_raster_needs_an_ascending_exact_axis():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcinterp import rank2, shimura
+from bcinterp import limits, rank2, shimura
 from bcinterp.cli import main
 from bcinterp.exactnum import (SIGN_DEADBAND, DomainError, PoleError, _cells, _check_int, _check_length,
                                _gamma_quotient, _over_common, as_exact)
+from bcinterp.limits import in_W
 from bcinterp.okounkov import Params
 from bcinterp.rank2 import (
     Rank2Regions,
@@ -260,7 +261,7 @@ def test_R_series_vanishes_at_corner_node():
 def _series_parameters(pt, d, rho):
     """(u, l, s) of the boundary series at pt and rho, each coordinate at its
     exact value, as R_series and in_B round them."""
-    _, r1, r2, s = rank2._series_constants(d, tuple(map(Fraction, rho)))
+    _, r1, r2, s, _ = rank2._series_constants(d, tuple(map(Fraction, rho)))
     q, (r1, r2, x1, x2) = _over_common((r1, r2, *map(Fraction, pt)))
     return (*rank2._series_args(x1, x2, q, r1, r2, d), s)
 
@@ -483,6 +484,13 @@ def test_R_series_is_at_least_one_in_T1():
     assert checked > 400
 
 
+# The pairs (d, rho) where in_B signs R by the series: every d but 2, and
+# d = 2 at alpha = 0 and -1/2, where m = 2 alpha - 1 < 0 and R does not
+# telescope to an S_div (limits._ScaledSine signs it for alpha >= 1/2)
+SERIES_CASES = [(d, _group_rho(d, b)) for d in (1, 3, 4) for b in range(5)]
+SERIES_CASES += [(2, (Fraction(1), Fraction(0))), (2, (Fraction(1, 2), Fraction(-1, 2)))]
+
+
 def test_in_B_sums_the_series_only_in_T2(monkeypatch):
     calls = []
     enclosure = rank2._R_enclosure
@@ -492,18 +500,17 @@ def test_in_B_sums_the_series_only_in_T2(monkeypatch):
         return enclosure(*args)
 
     monkeypatch.setattr(rank2, "_R_enclosure", counting_R_enclosure)
-    for d, b in GROUPS_DB:
-        rho = _group_rho(d, b)
+    for d, rho in SERIES_CASES:
         for pt in _window_points(rho):
             if abs(pt[1]) <= rho[1]:
                 for p in (pt, (float(pt[0]), float(pt[1]))):
                     in_B(p, d, rho)
-                    assert not calls, (d, b, p)
+                    assert not calls, (d, rho, p)
         # a T2 point that passes both gates and is away from the pole
         t2 = (rho[1] + Fraction(1, 8), rho[1] + Fraction(1, 8))
         for p in (t2, (float(t2[0]), float(t2[1])), (t2[0], -t2[1])):
             assert in_B(p, d, rho)
-            assert len(calls) == 1, (d, b, p)
+            assert len(calls) == 1, (d, rho, p)
             calls.clear()
 
 
@@ -768,8 +775,7 @@ def test_R_series_sums_the_parameters_in_B_signs(monkeypatch):
     # Both read the runs of one summer, at the same (u, l, s)
     calls = _counting(monkeypatch, [], "_R_steps")
     checked = 0
-    for d, b in ((1, 0), (1, 1), (2, 0), (2, 1)):
-        rho = _group_rho(d, b)
+    for d, rho in ((1, _group_rho(1, 0)), (1, _group_rho(1, 1)), *SERIES_CASES[-2:]):
         for q in (3, 7, 10):
             top = int(rho[0] + 1) * q
             for pt in ((Fraction(i, q), Fraction(j, q)) for i in range(top) for j in range(i + 1)):
@@ -779,16 +785,17 @@ def test_R_series_sums_the_parameters_in_B_signs(monkeypatch):
                 [(name, enclosed)] = calls
                 calls.clear()
                 R_series(pt, d, rho)
-                assert calls == [(name, enclosed)], (d, b, pt)
+                assert calls == [(name, enclosed)], (d, rho, pt)
                 calls.clear()
                 checked += 1
     assert checked > 100
 
 
 def test_region_rank2_B_rasters_never_need_the_fallback(monkeypatch, capsys):
+    # 2,2,3 at p = -4 has alpha = 0, where the d = 2 series is still summed
     calls = _recording_enclosures(monkeypatch)
-    for group in ("2,1,2", "2,2,3"):
-        assert main(["region", "--kind", "rank2-B", "--group", group, "--grid", "100"]) == 0
+    for group in (["2,1,2"], ["2,2,3", "--p", "-4"]):
+        assert main(["region", "--kind", "rank2-B", "--group", *group, "--grid", "100"]) == 0
     capsys.readouterr()
     assert len(calls) > 100
     assert all(abs(value) > radius for _, (value, radius) in calls)
@@ -895,6 +902,117 @@ def test_in_B_raster_matches_point_tests_at_the_mirrors_of_rho():
         assert all(cells[s1 * r1, s2 * r2] for s1 in (1, -1) for s2 in (1, -1)), (d, rho)
         negative_mirrors += not all(cells[c, -c] for c in near)
     assert negative_mirrors >= 12
+
+
+# ---------------------------------------------------------------- d = 2 by S_div
+
+
+def test_R_telescopes_to_S_div_at_d_2():
+    # R = -(alpha^2 - x1^2) S_div(t1, t2; m) / ((x1 + x2) s_m(t1)),
+    # t_i = x_i - alpha, m = 2 alpha - 1, against mpmath's 3F2 at random
+    # exact points with |x1| < alpha + 1 (limits._ScaledSine has the proof)
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(36)
+    checked = 0
+    with mp.workdps(30):
+        while checked < 24:
+            m = rng.randrange(21)
+            alpha = Fraction(m + 1, 2)
+            x1 = (alpha + 1) * Fraction(rng.randrange(-999, 1000), 1000)
+            x2 = (alpha + 1) * Fraction(rng.randrange(-1500, 1500), 1000)
+            if x1 * x1 == x2 * x2 or (x1 - alpha).denominator == 1:
+                continue
+            a, y1, y2 = (mp.mpf(v.numerator) / v.denominator for v in (alpha, x1, x2))
+
+            def s(t):
+                return mp.sin(mp.pi * t) / mp.fprod(t + i for i in range(1, m + 1))
+
+            t1, t2 = y1 - a, y2 - a
+            closed = -(a * a - y1 * y1) * (s(t1) - s(t2)) / (t1 - t2) / ((y1 + y2) * s(t1))
+            series = mp.hyp3f2(a + y2, a - y2, 1, a + 1 + y1, a + 1 - y1, 1)
+            assert abs(closed - series) <= mp.mpf(10) ** -25 * max(1, abs(series)), (m, x1, x2)
+            checked += 1
+
+
+def _d2_edge_axis(rng, alpha):
+    """Random exact values of [-(rho1 + 1), rho1 + 1], rho1 = alpha + 1,
+    some repeated, with +-alpha, +-rho1, points 10^-30 either side of
+    them, and alpha + 10^-400, whose t = 10^-400 rounds to 0.0 (and
+    rho1 - 10^-30, whose t rounds to 1.0)."""
+    r1, eps, tiny = alpha + 1, Fraction(1, 10**30), Fraction(1, 10**400)
+    axis = [(r1 + 1) * Fraction(rng.randrange(-60, 61), 60) for _ in range(14)]
+    axis += axis[:3]
+    for v in (alpha, r1, alpha + eps, alpha - eps, r1 - eps, r1 + eps, alpha + tiny):
+        axis += [v, -v]
+    rng.shuffle(axis)
+    return axis
+
+
+def test_in_B_raster_matches_in_B_on_random_d_2_groups():
+    rng = random.Random(2)
+    pairs = [(b, p) for b in range(21) for p in (-1, 0, 1) if b + p <= 20]
+    groups = [(0, -1), (0, 0), (20, 0)] + rng.sample(pairs, 7)
+    for b, p in groups:
+        rho = shimura.group_params(shimura.GroupData(2, 2, b, p)).rho
+        axis = _d2_edge_axis(rng, rho[1])
+        rows = list(map(_cells, in_B_raster(axis, 2, rho)))
+        for i, row in enumerate(rows):
+            assert row == [in_B((axis[i], x2), 2, rho) for x2 in axis[: i + 1]], (b, p, axis[i])
+
+
+def test_R_enclosure_runs_only_where_the_bound_leaves_the_sign(monkeypatch, capsys):
+    # at d = 2 with alpha >= 1/2 a cell past the gates and the exact rules
+    # reaches the series only after _ScaledSine.sign returns 0 for it
+    events = []
+    sign, enclosure = limits._ScaledSine.sign, rank2._R_enclosure
+
+    def recording_sign(self, n1, n2):
+        signed = sign(self, n1, n2)
+        events.append("signed" if signed else "left")
+        return signed
+
+    def recording_enclosure(*args):
+        events.append("enclosure")
+        return enclosure(*args)
+
+    monkeypatch.setattr(limits._ScaledSine, "sign", recording_sign)
+    monkeypatch.setattr(rank2, "_R_enclosure", recording_enclosure)
+    # the benchmark's d = 2 rasters: the bound signs every series cell
+    for grid in range(98, 103):
+        assert main(["region", "--kind", "rank2-B", "--group", "2,2,3", "--grid", str(grid)]) == 0
+    assert len(events) > 800 and set(events) == {"signed"}
+    # R = 0 on x1 + x2 = 2 for 2,2,0 (alpha = 1/2, m = 0: sin(pi t1) =
+    # sin(pi t2) at t1 + t2 = 1), which no bound can sign
+    events.clear()
+    assert main(["region", "--kind", "rank2-B", "--group", "2,2,0", "--grid", "41"]) == 0
+    capsys.readouterr()
+    left = [k for k, event in enumerate(events) if event == "left"]
+    assert len(left) == 8
+    assert [k for k, event in enumerate(events) if event == "enclosure"] == [k + 1 for k in left]
+
+
+def test_in_W_has_the_sign_of_the_series_for_m_11_to_14():
+    # W's test at m is the d = 2 series' sign at rho = (alpha + 1, alpha),
+    # alpha = (m + 1)/2, in the open square; the series is summed here by
+    # _R_enclosure directly, which in_B no longer calls at these points
+    members = 0
+    for m in range(11, 15):
+        alpha = Fraction(m + 1, 2)
+        rho = (alpha + 1, alpha)
+        side = [alpha + Fraction(k, 13) for k in range(1, 13)]
+        for x1, x2 in ((x1, x2) for i, x1 in enumerate(side) for x2 in side[: i + 1]):
+            value, radius = rank2._R_enclosure(*_series_parameters((x1, x2), 2, rho))
+            assert abs(value) > radius, (m, x1, x2)
+            assert in_W((x1, x2), m) == (value > 0) == in_B((x1, x2), 2, rho), (m, x1, x2)
+            members += value > 0
+    assert 0 < members < 4 * 78
+    # the point the absolute deadband on S_div called a member: there
+    # S_div(1/2, 1/4; 12) = -7.7e-10 and R = -0.72656 (mpmath hyp3f2)
+    pt, rho = (7, Fraction(27, 4)), (Fraction(15, 2), Fraction(13, 2))
+    assert -1e-9 < limits.S_div(Fraction(1, 2), Fraction(1, 4), 12) < 0
+    value, radius = rank2._R_enclosure(*_series_parameters(pt, 2, rho))
+    assert value < -radius and abs(R_series(pt, 2, rho) + 0.72656) < 1e-5
+    assert not in_W(pt, 12) and not in_B(pt, 2, rho)
 
 
 def test_in_B_exact_T2_point_within_float_rounding_of_rho1():
