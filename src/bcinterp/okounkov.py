@@ -36,12 +36,14 @@ from .exactnum import (ArgumentError, DomainError, Frozen, _check_int, _check_le
                        _over_common, as_exact)
 from .partitions import (
     _at_most,
+    _chain,
+    _chain_psi,
+    _strips,
     conjugate,
     contains,
     enumerate_Lambda,
     format_partition,
     normalize,
-    psi_tableau,
     reverse_tableaux,
     weight,
 )
@@ -193,43 +195,52 @@ class _Compiled:
     consts[idx]) for nodes 1, 2, .... fold holds per term (Psi = psi P, its
     nodes in all coordinates but the last as positions in their rows laid
     end to end, its node in the last coordinate).
+
+    The pass walks each tableau's strips (partitions._strips), row by row
+    and in a row entry by entry: the cells of entry t in row i (from 0)
+    are the run of columns lam^(t)_i <= j < lam^(t-1)_i, whose factors go
+    to coordinate t - 1 with c D = j D + tau D (n - t - i) + alpha D, in
+    reading order; the shapes lam^(t) of the same walk are the chain whose
+    branching weights give psi_T (partitions._chain_psi).
     """
 
     __slots__ = ("cells", "den", "lsc", "consts", "chains", "fold")
 
     def __init__(self, lam: tuple[int, ...], p: Params):
         n, tau, alpha = p.n, p.tau, p.alpha
-        d = math.lcm(tau.denominator, alpha.denominator)
-        tau_d, alpha_d = int(tau * d), int(alpha * d)
-        # per cell in row-major order, C for each entry t it can hold:
-        # entries strictly decrease down a column, so T(s) <= n - i
-        cell_consts = [
-            [(j * d + tau_d * (n - t - i) + alpha_d) ** 2 for t in range(1, n - i + 1)]
-            for i, part in enumerate(lam)
-            for j in range(part)
-        ]
+        tn, td = tau.numerator, tau.denominator
+        d = math.lcm(td, alpha.denominator)
+        tau_d, alpha_d = tn * (d // td), alpha.numerator * (d // alpha.denominator)
         pos = [{} for _ in range(n)]  # per coordinate: C -> position
         trees = [{} for _ in range(n)]  # per coordinate: (parent, position) -> node
         ends = []
         for tab in reverse_tableaux(lam, n):
+            cuts = _strips(tab.rows, n)
             split = [[] for _ in range(n)]
-            for consts, t in zip(cell_consts, itertools.chain.from_iterable(tab.rows)):
-                cpos = pos[t - 1]
-                split[t - 1].append(cpos.setdefault(consts[t - 1], len(cpos)))
+            for i, cut in enumerate(cuts):
+                # row i's runs in reading order, largest entry first; entries
+                # strictly decrease down a column, so T(s) <= n - i
+                for t in range(n - i, 0, -1):
+                    start, stop = cut[t], cut[t - 1]
+                    if start < stop:
+                        base = tau_d * (n - t - i) + alpha_d
+                        cpos, ks = pos[t - 1], split[t - 1]
+                        for cd in range(start * d + base, stop * d + base, d):
+                            ks.append(cpos.setdefault(cd * cd, len(cpos)))
             nodes = []
             for tree, ks in zip(trees, split):
                 node = 0
                 for k in sorted(ks):
                     node = tree.setdefault((node, k), len(tree) + 1)
                 nodes.append(node)
-            ends.append((psi_tableau(tab, tau), nodes))
-        self.cells = len(cell_consts)
-        self.den = den = math.lcm(*[psi.denominator for psi, _ in ends])
+            ends.append((*_chain_psi(_chain(cuts, n), tn, td), nodes))
+        self.cells = sum(lam)
+        self.den = den = math.lcm(*[psi_den for _, psi_den, _ in ends])
         self.lsc = d * d
         offsets = [0, *itertools.accumulate(len(tree) + 1 for tree in trees)]
         self.fold = tuple(
-            (psi.numerator * (den // psi.denominator), tuple(map(operator.add, offsets, nodes[:-1])), nodes[-1])
-            for psi, nodes in ends
+            (psi * (den // psi_den), tuple(map(operator.add, offsets, nodes[:-1])), nodes[-1])
+            for psi, psi_den, nodes in ends
         )
         self.consts = tuple(map(tuple, pos))
         self.chains = tuple(map(tuple, trees))

@@ -100,7 +100,11 @@ def contains(lam, mu) -> bool:
 
 
 def conjugate(lam) -> tuple[int, ...]:
-    lam = normalize(lam)
+    return _conjugate(normalize(lam))
+
+
+def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """conjugate of a normalized partition."""
     out = []
     for i in range(len(lam), 0, -1):
         # columns lam_{i+1} < j <= lam_i have length i
@@ -164,7 +168,11 @@ def enumerate_Lambda(n: int, d: int) -> list[tuple[int, ...]]:
 
 class ReverseTableau:
     """A filling of a partition shape with entries in {1..n}: weakly
-    decreasing along rows, strictly decreasing down columns."""
+    decreasing along rows, strictly decreasing down columns.
+
+    The constructor checks both orders and that every entry is an integer
+    >= 1 (ArgumentError); reverse_tableaux builds its tableaux unchecked.
+    """
 
     __slots__ = ("shape", "rows")
 
@@ -173,6 +181,12 @@ class ReverseTableau:
         self.rows = tuple(tuple(r) for r in rows)
         if tuple(len(r) for r in self.rows) != self.shape:
             raise DomainError("filling does not match the shape")
+        above = ()
+        for row in self.rows:
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or v < 1 or (j and v > row[j - 1]) or (above and v >= above[j]):
+                    raise ArgumentError(f"not a reverse tableau: {[list(r) for r in self.rows]}")
+            above = row
 
     @classmethod
     def _trusted(cls, shape: tuple[int, ...], rows: tuple[tuple[int, ...], ...]):
@@ -191,18 +205,12 @@ class ReverseTableau:
         """Shapes lam^(i) = cells with entry > i, for i = 0..upto.
 
         lam^(0) is the full shape; lam^(upto) is empty once upto covers the
-        largest entry. Entries weakly decrease along rows and strictly down
-        columns, so lam^(i) drops the entries i from the ends of the rows of
-        lam^(i-1), and its empty rows are the last ones.
+        largest entry. The shapes come from the walk over the strips
+        (_strips) that the compile of the tableau sum also takes.
         """
         if upto is None:
             upto = self.max_entry()
-        shape = [len(row) for row in self.rows]
-        out = [tuple(shape)]
-        for i in range(1, upto + 1):
-            shape = [k - row.count(i) for k, row in zip(shape, self.rows)]
-            out.append(tuple(filter(None, shape)))
-        return out
+        return _chain(_strips(self.rows, upto), upto)
 
     def __eq__(self, other):
         return isinstance(other, ReverseTableau) and self.rows == other.rows
@@ -219,8 +227,9 @@ def reverse_tableaux(lam, n: int):
 
     Yields in lexicographic order of the row-major reading word. The branch
     bounds are exact, so no partial filling is ever abandoned. Rows are
-    filled one at a time as tuples that the tableaux below them share, so a
-    yielded tableau is neither re-normalized nor copied.
+    filled one at a time, each stepping through its fillings in place, as
+    tuples that the tableaux below them share, so a yielded tableau is
+    neither re-normalized nor copied.
     """
     lam = normalize(lam)
     _check_int("n", n)
@@ -229,28 +238,75 @@ def reverse_tableaux(lam, n: int):
         return
     if len(lam) > n:
         return
-    conj = conjugate(lam)
+    conj = _conjugate(lam)
 
-    def row_fillings(i: int, above, row):
-        # row i (1-based), filled up to len(row); entries below must fit
-        # strictly beneath, so cell (i, j) is at least conj_j - i + 1
-        j = len(row)
-        if j == lam[i - 1]:
-            yield row
-            return
-        hi = min(n, row[-1] if row else n, above[j] - 1 if above else n)
-        for v in range(max(conj[j] - i + 1, 1), hi + 1):
-            yield from row_fillings(i, above, row + (v,))
+    def row_fillings(i: int, above):
+        # row i (1-based) in lexicographic order. Entries below must fit
+        # strictly beneath, so cell (i, j) is at least low[j] = conj_j - i + 1,
+        # which weakly decreases in j: the least row is low itself, and the
+        # next raises the last entry that its left neighbour and the row
+        # above allow, and puts low back after it
+        low = [max(c - i + 1, 1) for c in conj[: lam[i - 1]]]
+        cap = [min(n, v - 1) for v in above] if above else [n] * len(low)
+        row = low[:]
+        while True:
+            yield tuple(row)
+            j = len(row) - 1
+            while j >= 0 and row[j] >= (min(cap[j], row[j - 1]) if j else cap[0]):
+                j -= 1
+            if j < 0:
+                return
+            row[j] += 1
+            row[j + 1:] = low[j + 1:]
 
     def fill(rows):
         i = len(rows) + 1
         if i > len(lam):
             yield ReverseTableau._trusted(lam, rows)
             return
-        for row in row_fillings(i, rows[-1] if rows else None, ()):
+        for row in row_fillings(i, rows[-1] if rows else None):
             yield from fill(rows + (row,))
 
     yield from fill(())
+
+
+def _strips(rows, top: int) -> list[list[int]]:
+    """One walk over the rows of a reverse tableau, entry by entry:
+    cuts[i][t] = lam^(t)_i, the number of entries > t in row i, for
+    t = 0..top. Entries weakly decrease along a row, so the cells of entry
+    t in row i are one run, the columns cuts[i][t] <= j < cuts[i][t - 1]
+    (from 0), and lam^(t) drops that run from the end of each row of
+    lam^(t - 1)."""
+    cuts = []
+    for row in rows:
+        k = len(row)
+        cut = [k]
+        for t in range(1, top + 1):
+            k -= row.count(t)
+            cut.append(k)
+        cuts.append(cut)
+    return cuts
+
+
+def _chain(cuts, top: int) -> list[tuple[int, ...]]:
+    """The shapes lam^(t), t = 0..top, of a tableau's _strips. Entries
+    strictly decrease down columns, so the empty rows of lam^(t) are its
+    last ones."""
+    return [tuple(cut[t] for cut in cuts if cut[t]) for t in range(top + 1)]
+
+
+def _chain_psi(chain, tn: int, td: int) -> tuple[int, int]:
+    """psi_T at tau = tn / td as (num, den) in lowest terms, up to a common
+    sign: the _psi_pair of each step of the chain that adds cells,
+    multiplied as integers and reduced once."""
+    num = den = 1
+    for outer, inner in zip(chain, chain[1:]):
+        if outer != inner:
+            step_num, step_den = _psi_pair(outer, inner, tn, td)
+            num *= step_num
+            den *= step_den
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 @lru_cache(maxsize=None)
@@ -259,8 +315,8 @@ def _psi_pair(lam: tuple[int, ...], mu: tuple[int, ...], tn, td):
     lam containing mu. The cells (i, j) of mu that count have lam_i > mu_i
     and equal j-th columns (equal legs). With tau = tn / td a b-factor is
     (tn l + td a + tn) / (tn l + td a + td)."""
-    lam_cols = conjugate(lam)
-    mu_cols = conjugate(mu)
+    lam_cols = _conjugate(lam)
+    mu_cols = _conjugate(mu)
     num = den = 1
     for i, (outer, inner) in enumerate(zip(lam, mu), start=1):
         if outer == inner:
@@ -289,18 +345,12 @@ def psi_skew(lam, mu, tau):
     mu = normalize(mu)
     if not contains(lam, mu):
         raise DomainError(f"{list(mu)} is not contained in {list(lam)}")
-    return _psi([(lam, mu)], tau)
+    tau = as_exact(tau)
+    return Fraction(*_psi_pair(lam, mu, tau.numerator, tau.denominator))
 
 
 def psi_tableau(tab: ReverseTableau, tau):
-    """Total weight psi_T: product of psi_skew along the shape chain."""
-    chain = tab.chain()
-    return _psi(zip(chain, chain[1:]), tau)
-
-
-def _psi(steps, tau):
-    """The product of psi_skew over the (outer, inner) steps, one Fraction of
-    the multiplied-out pairs of _psi_pair; ArgumentError unless tau is exact."""
+    """Total weight psi_T: product of psi_skew along the shape chain,
+    multiplied out in integers (_chain_psi). tau must be exact."""
     tau = as_exact(tau)
-    pairs = [_psi_pair(*step, tau.numerator, tau.denominator) for step in steps]
-    return Fraction(math.prod(num for num, _ in pairs), math.prod(den for _, den in pairs))
+    return Fraction(*_chain_psi(tab.chain(), tau.numerator, tau.denominator))

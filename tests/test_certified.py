@@ -7,6 +7,7 @@ tableaux at Fraction(x), and with the column subset sum for in_G."""
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bcinterp.okounkov as okounkov
 import bcinterp.shimura as shimura
 from bcinterp.exactnum import DomainError, PoleError, _cells
 from bcinterp.limits import in_G0_rank2, in_W
@@ -205,21 +207,76 @@ def test_kernel_matches_reference_at_random_rationals(p, x):
     assert_kernel_exact(x[: p.n], p, 6 if p.n == 2 else 4)
 
 
-@pytest.mark.parametrize("p", [RANK2[0], RANK2[4], RANK3[1]])
+# the groups of the benchmark's A and G rasters, whose sums reach weight 8
+RASTER_PARAMS = [group_params(GroupData(2, d, b)) for d, b in ((1, 1), (4, 3), (4, 4), (3, 1), (4, 0))]
+
+
+@pytest.mark.parametrize("p", [RANK2[0], RANK2[4], RANK3[1], *RASTER_PARAMS])
 def test_kernel_scaling_is_integral(p):
     # Psi / P and C / L give back psi and the c^2 of each coordinate's
     # factors, term by term, read off the prefix trees, against the terms
     # enumerated here from the reverse tableaux in the same order
-    for lam in enumerate_Lambda(p.n, 5):
+    for lam in enumerate_Lambda(p.n, 8 if p in RASTER_PARAMS else 5):
         comp = _compiled_terms(lam, p)
         want = [(psi, tuple(sorted(facs))) for psi, facs in reference_terms(lam, p)]
         assert all(len(facs) == comp.cells for _, facs in want)
+        assert comp.den == math.lcm(*(psi.denominator for psi, _ in want))
         ints = [comp.den, comp.lsc] + [psi for psi, _, _ in comp.fold] + [c for cs in comp.consts for c in cs]
         assert all(type(v) is int for v in ints)
         for consts, chain in zip(comp.consts, comp.chains):
             assert len(set(consts)) == len(consts) and len(set(chain)) == len(chain)
             assert all(parent <= node for node, (parent, _) in enumerate(chain))
         assert decoded_terms(comp) == want, lam
+
+
+@pytest.mark.parametrize("tau", [Fraction(-1, 2), Fraction(-1), Fraction(-2, 3), Fraction(-3, 2)])
+def test_compile_raises_exactly_where_a_tableau_weight_has_a_pole(tau):
+    # the compile's weights come from its own walk over each tableau's
+    # strips, psi_tableau's from the tableau's chain: the first pole of the
+    # one is the first pole of the other, message and all
+    poles = 0
+    for n, max_weight in ((2, 8), (3, 6), (4, 5)):
+        p = Params(n, tau, Fraction(1, 2))
+        for lam in enumerate_Lambda(n, max_weight):
+            pole = None
+            for t in reverse_tableaux(lam, n):
+                try:
+                    psi_tableau(t, tau)
+                except PoleError as exc:
+                    pole = str(exc)
+                    break
+            if pole is None:
+                _compiled_terms(lam, p)
+            else:
+                poles += 1
+                with pytest.raises(PoleError, match=f"^{re.escape(pole)}$"):
+                    _compiled_terms(lam, p)
+    assert poles > 0
+
+
+def test_compile_takes_each_reverse_tableau_once(monkeypatch):
+    # reverse_tableaux is the compile's only enumerator: it takes every
+    # tableau, in order, once, and makes one term of each. The Params are
+    # this test's own, so every sum is compiled here and the compile cache,
+    # whose objects other tests compare by identity, is left as it is
+    taken = []
+
+    def counting(lam, n):
+        for t in reverse_tableaux(lam, n):
+            taken.append(t.rows)
+            yield t
+
+    monkeypatch.setattr(okounkov, "reverse_tableaux", counting)
+    for p, max_weight in (
+        (Params(2, Fraction(9, 4), Fraction(7, 11)), 8),
+        (Params(3, Fraction(-5, 3), Fraction(2, 13)), 6),
+        (Params(4, Fraction(4, 9), Fraction(3, 17)), 5),
+    ):
+        for lam in enumerate_Lambda(p.n, max_weight):
+            taken.clear()
+            comp = _compiled_terms(lam, p)
+            assert taken == [t.rows for t in reverse_tableaux(lam, p.n)]
+            assert len(comp.fold) == len(taken)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcinterp.exactnum import DomainError, PoleError, is_exact
+from bcinterp.exactnum import ArgumentError, DomainError, PoleError, is_exact
 from bcinterp.okounkov import Params, _compiled_terms
 from bcinterp.partitions import _psi_pair
 from bcinterp.partitions import (
@@ -197,6 +197,32 @@ def test_reverse_tableaux_match_the_cell_by_cell_reference():
 def test_a_filling_must_match_its_shape():
     with pytest.raises(DomainError, match="^filling does not match the shape$"):
         ReverseTableau((2, 1), ((2, 1),))
+
+
+@pytest.mark.parametrize(
+    "shape, rows",
+    [
+        ((2,), ((1, 2),)),  # increasing along a row
+        ((1,), ((0,),)),  # an entry below 1: its chain never reaches the empty shape
+        ((1, 1), ((1,), (1,))),  # equal down a column
+        ((2, 2), ((2, 1), (1, 1))),  # equal down the second column only
+        ((2, 1), ((2, 2), (3,))),  # increasing down a column
+        ((1,), ((1.0,),)),
+        ((1,), ((Fraction(1),),)),
+        ((1,), (("1",),)),
+    ],
+)
+def test_a_filling_must_be_a_reverse_tableau(shape, rows):
+    with pytest.raises(ArgumentError, match="^not a reverse tableau: "):
+        ReverseTableau(shape, rows)
+
+
+def test_a_checked_tableau_keeps_its_chain_and_weight():
+    t = ReverseTableau((2, 1), ((2, 1), (1,)))
+    assert t.chain() == [(2, 1), (1,), ()]
+    assert t.chain(3) == [(2, 1), (1,), (), ()]
+    assert psi_tableau(t, Fraction(1, 2)) == psi_skew((2, 1), (1,), Fraction(1, 2))
+    assert ReverseTableau((), ()).chain() == [()] and psi_tableau(ReverseTableau((), ()), 3) == 1
 
 
 # ---------------------------------------------------------------- weights
