@@ -10,8 +10,9 @@ wrong group shape for a kind, a region window beyond float range); any
 other DomainError is the mathematics failing on valid arguments. All output
 is deterministic for fixed flags.
 
-Each cmd_* handler gives (text, exit_code); main maps errors to exit codes
-and writes the text, once for every subcommand.
+Each cmd_* handler gives (chunks, exit_code), the chunks an iterable of
+the output's texts in order; main maps errors to exit codes and writes the
+chunks one at a time, by one loop for every subcommand.
 """
 
 from __future__ import annotations
@@ -75,9 +76,10 @@ def _parse_group(text: str, p: int) -> GroupData:
     return GroupData(n, d, b, p)
 
 
-def _json(obj) -> str:
+def _json(obj) -> tuple:
+    """The output of a JSON command: one chunk, sorted-key JSON."""
     import json  # here, not at module level: region and contour print CSV
-    return json.dumps(obj, sort_keys=True) + "\n"
+    return (json.dumps(obj, sort_keys=True) + "\n",)
 
 
 # ---------------------------------------------------------------- eval / expand
@@ -349,22 +351,29 @@ def cmd_region(args):
             cols = texts[key] = [y + cell for y in ys]
         return cols
 
-    # a row is one join, under its head "x,", of the slices of its runs
-    lines = []
-    for head, runs in zip([x + "," for x in labels], rows([Fraction(a, den) for a in nums])):
-        cells, start = [], 0
-        for stop, outcome in runs:
-            cells += columns(outcome)[start:stop]
-            start = stop
-        lines.append(head + ("\n" + head).join(cells))
-    return "x,y,member,witness\n" + "\n".join(lines) + "\n", 0
+    # the raster in full, before any output, so that an error in any row
+    # leaves stdout and --out untouched; its runs are few, its text is not
+    raster = list(rows([Fraction(a, den) for a in nums]))
+
+    def chunks():
+        # the header, then a row a chunk: one join, under its head "x,", of
+        # the slices of its runs
+        yield "x,y,member,witness\n"
+        for head, runs in zip([x + "," for x in labels], raster):
+            cells, start = [], 0
+            for stop, outcome in runs:
+                cells += columns(outcome)[start:stop]
+                start = stop
+            yield head + ("\n" + head).join(cells) + "\n"
+
+    return chunks(), 0
 
 
 # ---------------------------------------------------------------- contour / crossing
 
 
 def cmd_contour(args):
-    return contour_to_csv(trace_contour(args.m, args.grid)), 0
+    return (contour_to_csv(trace_contour(args.m, args.grid)),), 0
 
 
 def cmd_crossing(args):
@@ -376,9 +385,11 @@ def cmd_crossing(args):
 #
 # Each command maps to its handler, a one-line help and its flags. Each flag
 # name maps to (dest, conversion, default, help): the conversion is str, int
-# or a tuple of choices, and a flag whose default is _REQUIRED must be given.
+# or a tuple of choices, or _PATH, a path that is not empty, and a flag whose
+# default is _REQUIRED must be given.
 
 _REQUIRED = object()
+_PATH = object()
 _EVAL = {
     "--n": ("n", int, _REQUIRED, "number of variables"),
     "--tau": ("tau", str, _REQUIRED, 'rational "p/q"'),
@@ -386,7 +397,7 @@ _EVAL = {
     "--lambda": ("lam", str, _REQUIRED, 'partition "a,b,..." ("" for empty)'),
 }
 _X = {"--x": ("x", str, _REQUIRED, 'point "p/q,..." of length n')}
-_OUT = {"--out": ("out", str, None, "output path (default stdout)")}
+_OUT = {"--out": ("out", _PATH, None, "output path (default stdout)")}
 _M = {"--m": ("m", int, _REQUIRED, "family index")}
 _COMMANDS = {
     "eval": (cmd_eval, "evaluate one polynomial at one exact point", {**_EVAL, **_X}),
@@ -438,14 +449,14 @@ def _parse_args(argv):
         raise ArgumentError(f"a command is required: {', '.join(_COMMANDS)}")
     cmd, tokens = argv[0], iter(argv[1:])
     if cmd in ("-h", "--help"):
-        return SimpleNamespace(run=lambda args: (_usage(None), 0))
+        return SimpleNamespace(run=lambda args: ((_usage(None),), 0))
     if cmd not in _COMMANDS:
         raise ArgumentError(f"unknown command {cmd!r}, expected one of {', '.join(_COMMANDS)}")
     run, _, flags = _COMMANDS[cmd]
     given = {}
     for token in tokens:
         if token in ("-h", "--help"):
-            return SimpleNamespace(run=lambda args: (_usage(cmd), 0))
+            return SimpleNamespace(run=lambda args: ((_usage(cmd),), 0))
         name, eq, value = token.partition("=")
         if name not in flags:
             raise ArgumentError(f"unknown flag {token!r} for {cmd}")
@@ -459,6 +470,9 @@ def _parse_args(argv):
                 value = int(value)
             except ValueError as exc:
                 raise ArgumentError(f"{name} must be an integer, got {value!r}") from exc
+        elif conv is _PATH:
+            if not value:
+                raise ArgumentError(f"{name} needs a value")
         elif conv is not str and value not in conv:
             raise ArgumentError(f"{name} must be one of {', '.join(conv)}, got {value!r}")
         given[dest] = value
@@ -475,18 +489,21 @@ def _fail(exc, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    """Parse argv (sys.argv[1:] if None), run its command and write the text
-    to --out or stdout; return the command's exit code, or 2 at an
-    ArgumentError, 3 at any other DomainError, 4 at an OSError."""
+    """Parse argv (sys.argv[1:] if None), run its command and write its
+    chunks to --out or stdout, one at a time; return the command's exit
+    code, or 2 at an ArgumentError, 3 at any other DomainError, 4 at an
+    OSError."""
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-        text, code = args.run(args)
+        chunks, code = args.run(args)
         out = getattr(args, "out", None)
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        fh = sys.stdout if out is None else open(out, "w")
+        try:
+            for chunk in chunks:
+                fh.write(chunk)
+        finally:
+            if out is not None:
+                fh.close()
     except ArgumentError as exc:
         return _fail(exc, 2)
     except DomainError as exc:

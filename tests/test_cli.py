@@ -451,15 +451,88 @@ WRITER_CASES = [
 ]
 
 
-@pytest.mark.parametrize("kind,flags", WRITER_CASES)
-@pytest.mark.parametrize("grid", [2, 3, 7, 41])
-def test_region_rows_equal_the_per_cell_writer(capsys, tmp_path, kind, flags, grid):
-    argv = ["--kind", kind, *flags, "--grid", str(grid)]
+def _assert_rows_equal_the_per_cell_writer(capsys, tmp_path, argv):
     want = _per_cell_csv(argv)
     assert run(capsys, "region", *argv) == (0, want, "")
     target = tmp_path / "region.csv"
     assert run(capsys, "region", *argv, "--out", str(target)) == (0, "", "")
     assert target.read_text() == want
+
+
+@pytest.mark.parametrize("kind,flags", WRITER_CASES)
+@pytest.mark.parametrize("grid", [2, 3, 7, 41])
+def test_region_rows_equal_the_per_cell_writer(capsys, tmp_path, kind, flags, grid):
+    _assert_rows_equal_the_per_cell_writer(capsys, tmp_path, ["--kind", kind, *flags, "--grid", str(grid)])
+
+
+# the region commands of the benchmark's workloads, at their sizes
+@pytest.mark.parametrize("argv", [
+    "--kind W --m 1 --grid 200",
+    "--kind G --group 2,4,3 --grid 100",
+    "--kind U0 --group 2,2,4 --grid 160",
+    "--kind rank2-B --group 2,1,2 --grid 100",
+])
+def test_region_at_benchmark_sizes_equals_the_per_cell_writer(capsys, tmp_path, argv):
+    _assert_rows_equal_the_per_cell_writer(capsys, tmp_path, argv.split())
+
+
+W_200 = ["region", "--kind", "W", "--m", "1", "--grid", "200"]
+
+
+def test_region_writes_the_header_then_a_row_a_chunk(capsys, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli.sys.stdout, "write", lambda text: sizes.append(len(text)))
+    code = main(W_200)
+    monkeypatch.undo()
+    assert (code, *capsys.readouterr()) == (0, "", "")
+    # row i holds the i + 1 cells j <= i, a line each
+    lines = _per_cell_csv(W_200[1:]).splitlines(keepends=True)
+    starts = [1 + i * (i + 1) // 2 for i in range(201)]
+    want = [len(lines[0])] + [sum(map(len, lines[a:b])) for a, b in zip(starts, starts[1:])]
+    assert sizes == want and len(sizes) == 201
+
+
+def test_a_write_error_in_the_middle_of_a_raster_is_one_io_error(capsys, monkeypatch):
+    sizes = []
+
+    def fails_third(text):
+        sizes.append(len(text))
+        if len(sizes) == 3:
+            raise OSError("pipe closed")
+
+    monkeypatch.setattr(cli.sys.stdout, "write", fails_third)
+    code = main(W_200)
+    monkeypatch.undo()
+    assert (code, *capsys.readouterr()) == (4, "", "error: pipe closed\n")
+    assert len(sizes) == 3
+
+
+def _W_raster_failing_after_two_rows(monkeypatch, error):
+    real = cli.in_W_raster
+
+    def failing(axis, m):
+        rows = real(axis, m)
+        yield next(rows)
+        yield next(rows)
+        raise error("row 2 failed")
+
+    monkeypatch.setattr(cli, "in_W_raster", failing)
+
+
+@pytest.mark.parametrize("error,code", [(DomainError, 3), (ArgumentError, 2)])
+def test_an_error_in_a_later_raster_row_prints_nothing(capsys, monkeypatch, error, code):
+    _W_raster_failing_after_two_rows(monkeypatch, error)
+    assert run(capsys, "region", "--kind", "W", "--m", "1", "--grid", "9") == (code, "", "error: row 2 failed\n")
+
+
+@pytest.mark.parametrize("error,code", [(DomainError, 3), (ArgumentError, 2)])
+def test_an_error_in_a_later_raster_row_leaves_out_untouched(capsys, monkeypatch, tmp_path, error, code):
+    target = tmp_path / "region.csv"
+    target.write_bytes(b"x,y\n1,2\n")
+    _W_raster_failing_after_two_rows(monkeypatch, error)
+    argv = ["region", "--kind", "W", "--m", "1", "--grid", "9", "--out", str(target)]
+    assert run(capsys, *argv) == (code, "", "error: row 2 failed\n")
+    assert target.read_bytes() == b"x,y\n1,2\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -789,6 +862,10 @@ def test_negative_values_parse_as_in_their_equals_form(capsys, flag, value):
     "region --kind G --group 2,2,0 --grid x",
     "region --kind Z --group 2,2,0",
     "verify --suite nope",
+    "region --kind square --group 2,2,0 --grid 3 --out ''",
+    "region --kind square --group 2,2,0 --grid 3 --out=",
+    "contour --m 1 --out ''",
+    "contour --m 1 --out=",
 ])
 def test_each_usage_error_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *shlex.split(argv))
