@@ -27,8 +27,8 @@ __all__ = [
 
 # Deadband of the two float decisions left (every polynomial sign, and every
 # other comparison with a point, is decided at the exact value of the
-# point): in_W on the float S_div, and the fallback of in_B on the centre
-# of an enclosure of R that still contains 0 after 4096 terms.
+# point): W's rule on the float slope of m! s_m (in_W, in_B at d = 2), and
+# in_B's fallback on the centre of an enclosure of R still holding 0.
 SIGN_DEADBAND = 1e-9
 
 
@@ -91,10 +91,10 @@ def _check_length(pt, n: int) -> None:
 
 
 def _check_int(name: str, value, low: int = 0) -> None:
-    """ArgumentError unless value is an int >= low: nonnegative, or positive."""
+    """ArgumentError unless value is an int >= low."""
     if not isinstance(value, int) or value < low:
-        kind = "positive" if low else "nonnegative"
-        raise ArgumentError(f"{name} must be a {kind} integer ({name} >= {low}), got {value!r}")
+        rule = f"a {('nonnegative', 'positive')[low]} integer ({name} >= {low})" if low < 2 else f"an integer >= {low}"
+        raise ArgumentError(f"{name} must be {rule}, got {value!r}")
 
 
 def _exact_point(pt, n: int):

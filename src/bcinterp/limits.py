@@ -5,9 +5,9 @@ diagonal crossing point with a contour tracer for the S = 0 curve.
 
 The W tests sign S through _ScaledSine: the scaled quotient m! s_m, which
 never overflows, at exact nodes, with a proven float error bound, and the
-deadband rule only where the bound cannot sign. rank2.in_B signs the d = 2
-boundary series by the same helper, since there R telescopes to S (the
-proof is in the docstring of _ScaledSine).
+deadband rule only where the bound cannot sign (_W_member). rank2.in_B
+decides the d = 2 boundary series by the same rule, since there R
+telescopes to S (the proof is in the docstring of _ScaledSine).
 """
 
 from __future__ import annotations
@@ -263,15 +263,15 @@ class _ScaledSine:
     t_i = x_i - alpha,
         R = -(alpha^2 - x1^2) S_div(t1, t2; m) / ((x1 + x2) s_m(t1)),
     and, by continuity in x2, the same with s_m'(t1) on x1 = x2. R is
-    even in x1 and in x2, so take t_i = |x_i| - alpha. At a point where
-    in_B would sum the series (both gates pass, |x2| > alpha, |x1| < rho1),
+    even in x1 and in x2, so take t_i = |x_i| - alpha. At a point that
+    in_B decides by this sign (both gates pass, |x2| > alpha, |x1| < rho1),
     q11 = (alpha^2 - x1^2)(alpha^2 - x2^2) >= 0 gives |x1| >= alpha and
     q10 >= 0 gives x1^2 < (alpha + 1)^2 and x2^2 <= (alpha + 1)^2, so
     t1 is in [0, 1), t2 in (0, 1]. For t1 > 0, s_m(t1) > 0 and
     alpha^2 - x1^2 < 0, so sign R = sign S_div(t1, t2); at t1 = 0 the
     limit gives R = (m+1)! s_m(t2) / (pi (x2^2 - alpha^2)) and
     S_div(0, t2) = s_m(t2) / t2, the same sign. Hence R >= 0 exactly
-    where S_div(t1, t2; m) >= 0: W's test at m = b + p.
+    where S_div(t1, t2; m) >= 0: W's test at m = b + p, which in_B takes by _W_member.
     """
 
     __slots__ = ("m", "_lip", "t", "s", "lo", "hi")
@@ -351,9 +351,9 @@ def in_W(pt, m: int) -> bool:
 
 
 def _W_member(nodes: _ScaledSine, n1: int, n2: int) -> bool:
-    """W's test at the nodes n1 >= n2 of a table: the proven sign of
-    S_div, or, where the bound leaves it, the float slope of s~ at least
-    -SIGN_DEADBAND."""
+    """W's test at nodes n1, n2 of a table, symmetric in them: the proven
+    sign of S_div, or, where the bound leaves it, the float slope of s~ at
+    least -SIGN_DEADBAND. The W tests and rank2.in_B decide by it."""
     sign = nodes.sign(n1, n2)
     return sign > 0 if sign else nodes.slope(n1, n2) >= -SIGN_DEADBAND
 

@@ -851,6 +851,13 @@ def test_negative_values_parse_as_in_their_equals_form(capsys, flag, value):
     assert run(capsys, "eval", *(t for item in flags.items() for t in item)) == joined
 
 
+# usage errors checked word for word: a bound above 1 is not "positive"
+USAGE_MESSAGES = {
+    "region --kind G --group 2,1,1 --grid 1": "grid must be an integer >= 2, got 1",
+    "region --kind G --group 2,1,1 --grid 0": "grid must be an integer >= 2, got 0",
+}
+
+
 @pytest.mark.parametrize("argv", [
     "bogus --m 0",
     "",
@@ -866,11 +873,14 @@ def test_negative_values_parse_as_in_their_equals_form(capsys, flag, value):
     "region --kind square --group 2,2,0 --grid 3 --out=",
     "contour --m 1 --out ''",
     "contour --m 1 --out=",
+    *USAGE_MESSAGES,
 ])
 def test_each_usage_error_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *shlex.split(argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    if argv in USAGE_MESSAGES:
+        assert err == f"error: {USAGE_MESSAGES[argv]}\n"
 
 
 FLAGS = {

@@ -802,38 +802,42 @@ def test_region_rank2_B_rasters_never_need_the_fallback(monkeypatch, capsys):
 
 
 def test_region_rank2_B_falls_back_where_R_vanishes(monkeypatch, capsys):
-    # R is exactly 0 at (1, 1) for group 2,2,0, so no enclosure signs it.
-    # The fallback reads the centre of the enclosure at the parameters it
-    # bounded, each the float of its exact value: u = (3/2, -1/2, 1),
-    # l = (5/2, 1/2), s = 2
+    # R is exactly 0 on x1 + x2 = rho1 + rho2 for group 2,1,0 (d = 1,
+    # rho = (1, 1/2)), so no enclosure signs (3/4, 3/4). The fallback reads
+    # the centre of the enclosure at the parameters it bounded, each the
+    # float of its exact value: u = (5/4, -1/4, 1/2), l = (7/4, 1/4), s = 3/2
     calls = _recording_enclosures(monkeypatch)
-    assert main(["region", "--kind", "rank2-B", "--group", "2,2,0", "--grid", "6"]) == 0
-    assert "1,1,1," in capsys.readouterr().out.splitlines()
+    assert main(["region", "--kind", "rank2-B", "--group", "2,1,0", "--grid", "9"]) == 0
+    assert "0.75,0.75,1," in capsys.readouterr().out.splitlines()
     [(args, (value, radius))] = [call for call in calls if not abs(call[1][0]) > call[1][1]]
-    r1, r2, x1, x2, d = Fraction(3, 2), Fraction(1, 2), 1, 1, 2
+    r1, r2, x1, x2, d = Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(3, 4), 1
     u = (float(r2 + x2), float(r2 - x2), float(Fraction(d, 2)))
     l, s = (float(r1 + x1), float(r1 - x1)), float(1 + 2 * (r1 - r2) - Fraction(d, 2))
-    assert (u, l, s) == ((1.5, -0.5, 1.0), (2.5, 0.5), 2.0)
+    assert (u, l, s) == ((1.25, -0.25, 0.5), (1.75, 0.25), 1.5)
     assert args == (u, l, s)
     assert -SIGN_DEADBAND <= value and radius < math.inf
+    # at d = 2 the zero (1, 1) of 2,2,0 is W's: a member, and no enclosure
+    calls.clear()
+    assert main(["region", "--kind", "rank2-B", "--group", "2,2,0", "--grid", "6"]) == 0
+    assert "1,1,1," in capsys.readouterr().out.splitlines()
+    assert calls == []
 
 
 def test_in_B_fallback_sums_the_enclosure_parameters(monkeypatch):
-    # R is exactly 0 on x1 + x2 = 2 for rho = (3/2, 1/2), d = 2 (a
-    # denominator Gamma of R_closed_form_b0 has its pole), so no enclosure
-    # signs it. Off the float grid, the float sums rho2 +- float(x2) and
-    # rho1 +- float(x1) differ from the rounded exact values the enclosure
-    # and its fallback get
+    # R is exactly 0 on x1 + x2 = 3/2 for rho = (1, 1/2), d = 1, so no
+    # enclosure signs it. Off the float grid, the float sums
+    # rho2 +- float(x2) and rho1 +- float(x1) differ from the rounded exact
+    # values the enclosure and its fallback get
     calls = _recording_enclosures(monkeypatch)
-    r1, r2 = RHO_SU22
-    x1, x2 = 1 + Fraction(1, 97), 1 - Fraction(1, 97)
-    assert in_B((x1, x2), 2, RHO_SU22)
-    u = (float(r2 + x2), float(r2 - x2), 1.0)
+    r1, r2 = rho = (Fraction(1), Fraction(1, 2))
+    x1, x2 = Fraction(3, 4) + Fraction(1, 97), Fraction(3, 4) - Fraction(1, 97)
+    assert in_B((x1, x2), 1, rho)
+    u = (float(r2 + x2), float(r2 - x2), 0.5)
     l = (float(r1 + x1), float(r1 - x1))
     assert u[:2] != (float(r2) + float(x2), float(r2) - float(x2))
     assert l != (float(r1) + float(x1), float(r1) - float(x1))
     [(args, (value, radius))] = calls
-    assert args == (u, l, 2.0)
+    assert args == (u, l, 1.5)
     assert abs(value) <= radius and value >= -SIGN_DEADBAND
 
 
@@ -960,35 +964,66 @@ def test_in_B_raster_matches_in_B_on_random_d_2_groups():
             assert row == [in_B((axis[i], x2), 2, rho) for x2 in axis[: i + 1]], (b, p, axis[i])
 
 
-def test_R_enclosure_runs_only_where_the_bound_leaves_the_sign(monkeypatch, capsys):
+# (b, p) of the d = 2 groups with m = b + p in 0..6: alpha = (m + 1)/2 >= 1/2
+D2_GROUPS = [(m - p, p) for m in range(7) for p in (-1, 0, 1) if m - p >= 0]
+
+
+def test_rank2_B_at_d_2_never_reaches_the_series(monkeypatch, capsys):
     # at d = 2 with alpha >= 1/2 a cell past the gates and the exact rules
-    # reaches the series only after _ScaledSine.sign returns 0 for it
-    events = []
-    sign, enclosure = limits._ScaledSine.sign, rank2._R_enclosure
+    # is decided by W's rule, limits._W_member, and no cell gets series
+    # parameters
+    calls = _counting(monkeypatch, [], "_series_args")
+    slopes = []
+    slope = limits._ScaledSine.slope
 
-    def recording_sign(self, n1, n2):
-        signed = sign(self, n1, n2)
-        events.append("signed" if signed else "left")
-        return signed
+    def recording_slope(self, n1, n2):
+        slopes.append((n1, n2))
+        return slope(self, n1, n2)
 
-    def recording_enclosure(*args):
-        events.append("enclosure")
-        return enclosure(*args)
-
-    monkeypatch.setattr(limits._ScaledSine, "sign", recording_sign)
-    monkeypatch.setattr(rank2, "_R_enclosure", recording_enclosure)
-    # the benchmark's d = 2 rasters: the bound signs every series cell
+    monkeypatch.setattr(limits._ScaledSine, "slope", recording_slope)
+    for b, p in D2_GROUPS:
+        for grid in range(2, 42):
+            assert main(["region", "--kind", "rank2-B", "--group", f"2,2,{b}", "--p", str(p), "--grid", str(grid)]) == 0
+    # the benchmark's d = 2 rasters
     for grid in range(98, 103):
         assert main(["region", "--kind", "rank2-B", "--group", "2,2,3", "--grid", str(grid)]) == 0
-    assert len(events) > 800 and set(events) == {"signed"}
-    # R = 0 on x1 + x2 = 2 for 2,2,0 (alpha = 1/2, m = 0: sin(pi t1) =
-    # sin(pi t2) at t1 + t2 = 1), which no bound can sign
-    events.clear()
-    assert main(["region", "--kind", "rank2-B", "--group", "2,2,0", "--grid", "41"]) == 0
     capsys.readouterr()
-    left = [k for k, event in enumerate(events) if event == "left"]
-    assert len(left) == 8
-    assert [k for k, event in enumerate(events) if event == "enclosure"] == [k + 1 for k in left]
+    assert calls == [] and len(slopes) == 72
+    # R = 0 on x1 + x2 = 2 for 2,2,0 (alpha = 1/2, m = 0: sin(pi t1) =
+    # sin(pi t2) at t1 + t2 = 1), which no bound can sign: the float slope
+    # decides exactly those 8 cells of grid 41
+    slopes.clear()
+    assert main(["region", "--kind", "rank2-B", "--group", "2,2,0", "--grid", "41"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(slopes) == 8
+    # the window is [0, 5/2] in steps of 1/16, and the node of x is x - 1/2
+    # over the common denominator 16
+    on_line = [(16 * Fraction(x1) - 8, 16 * Fraction(x2) - 8) for x1, x2, *_ in (row.split(",") for row in rows)
+               if Fraction(x1) + Fraction(x2) == 2 and Fraction(x2) > Fraction(1, 2)]
+    assert sorted(slopes) == sorted(on_line)
+
+
+def _region_cells(capsys, argv):
+    """The x, y and member columns of each cell of a region CSV."""
+    assert main(["region", *argv]) == 0
+    return [tuple(row.split(",")[:3]) for row in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_rank2_B_at_d_2_is_G_and_W_cell_for_cell(capsys):
+    # rank2-B = G cap ({|x2| <= alpha} cup W_(b+p)) at d = 2 with
+    # alpha >= 1/2, by W's rule up to m = 1024 and by the series past it
+    # (m = 1030). The three kinds share the window [0, alpha + 2]
+    cases = [(b, p, grid) for b, p in D2_GROUPS for grid in range(2, 42)] + [(1030, 0, 21)]
+    for b, p, grid in cases:
+        alpha, flags = Fraction(b + p + 1, 2), ["--grid", str(grid)]
+        B = _region_cells(capsys, ["--kind", "rank2-B", "--group", f"2,2,{b}", "--p", str(p), *flags])
+        G = _region_cells(capsys, ["--kind", "G", "--group", f"2,2,{b}", "--p", str(p), *flags])
+        W = _region_cells(capsys, ["--kind", "W", "--m", str(b + p), *flags])
+        below = [(alpha + 2) * j <= alpha * (grid - 1) for i in range(grid) for j in range(i + 1)]
+        assert len(B) == len(below)
+        for (x, y, member), (gx, gy, g), (wx, wy, w), low in zip(B, G, W, below, strict=True):
+            assert (x, y) == (gx, gy) == (wx, wy)
+            assert (member == "1") == (g == "1" and (low or w == "1")), (b, p, grid, x, y)
 
 
 def test_in_W_has_the_sign_of_the_series_for_m_11_to_14():
@@ -1193,16 +1228,22 @@ def test_in_B_past_the_gates_at_a_series_pole():
             in_B(p, 1, rho)
     with pytest.raises(DomainError, match="pole"):
         R_series((1.5, 0.0), 1, (1.0, -2.0))
-    # a T2 point 10^-400 inside rho1: rho1 - x1 > 0 rounds to 0.0
-    pt = (Fraction(3, 2) - Fraction(1, 10**400), Fraction(1, 2) + Fraction(1, 10**401))
-    assert not _fraction_gates_fail(pt, RHO_SU22)
+    # a T2 point 10^-400 inside rho1 at d = 1: rho1 - x1 > 0 rounds to 0.0
+    rho = (Fraction(3, 2), Fraction(1))
+    pt = (Fraction(3, 2) - Fraction(1, 10**400), Fraction(1) + Fraction(1, 10**401))
+    assert not _fraction_gates_fail(pt, rho)
     with pytest.raises(DomainError, match="underflows"):
-        in_B(pt, 2, RHO_SU22)
+        in_B(pt, 1, rho)
     # the message names no coordinate: this x1 has more digits than
     # int-to-str conversion allows
-    pt = (Fraction(3, 2) - Fraction(1, 10**5000), Fraction(1, 2) + Fraction(1, 10**5001))
+    pt = (Fraction(3, 2) - Fraction(1, 10**5000), Fraction(1) + Fraction(1, 10**5001))
     with pytest.raises(DomainError, match="underflows"):
-        in_B(pt, 2, RHO_SU22)
+        in_B(pt, 1, rho)
+    # at d = 2 the same points are decided by W's rule, with no series
+    for k in (400, 5000):
+        pt = (Fraction(3, 2) - Fraction(1, 10**k), Fraction(1, 2) + Fraction(1, 10 ** (k + 1)))
+        assert not _fraction_gates_fail(pt, RHO_SU22)
+        assert in_B(pt, 2, RHO_SU22) is in_W(pt, 0) is True
 
 
 def test_in_B_beyond_float_range_is_a_domain_error():
